@@ -9,6 +9,7 @@ population grows.
 """
 
 import datetime
+import gc
 import time
 
 from repro.analysis.reporting import format_table
@@ -100,10 +101,15 @@ def test_daemon_poll_scaling(benchmark):
         def lazy():
             _lazy_poll(deployment)
 
+        # Each region is timed once, and a full GC pass (~30 ms at
+        # N=500) is as large as the margin asserted below: collect
+        # first so a pending one cannot land inside either region.
+        gc.collect()
         with db.count_queries() as lazy_counter:
             start = time.perf_counter()
             lazy()
             lazy_s = time.perf_counter() - start
+        gc.collect()
         with db.count_queries() as batched_counter:
             start = time.perf_counter()
             if n == 500:

@@ -25,8 +25,7 @@ from ..hpc.machines import TABLE1_MACHINES, DISPLAY_NAMES
 from ..hpc.simclock import SimClock
 from ..obs import Observability
 from ..webstack.auth import create_superuser, create_user
-from ..webstack.orm import (DeploymentDatabases, ReplicaRouter, bind,
-                            create_all)
+from ..webstack.orm import DeploymentDatabases, bind, create_all
 from .catalog import SimbadService, StarCatalog
 from .daemon import ExternalMonitor, GridAMPDaemon
 from .models import (ALL_MODELS, AllocationRecord, MachineRecord,
@@ -42,7 +41,7 @@ class AMPDeployment:
     def __init__(self, *, machines=None, su_grant=5_000_000.0,
                  seed_catalog=True, observability=True,
                  placement_policy="least-wait", database_uri=None,
-                 routed_db=False, db_replicas=2, slow_statement_s=None):
+                 slow_statement_s=None):
         self.machines = list(machines or TABLE1_MACHINES)
         self.machine_specs = {m.name: m for m in self.machines}
         self.placement_policy = placement_policy
@@ -60,16 +59,9 @@ class AMPDeployment:
         # at one file-backed store; schema creation, catalog seeding,
         # and machine registration are all idempotent, so opening an
         # already-populated database loads rows instead of
-        # duplicating them.  ``routed_db`` swaps the portal and daemon
-        # connections for :class:`ReplicaRouter` topologies (WAL mode
-        # on file-backed stores): reads fan out over ``db_replicas``
-        # read-only reader connections while writes funnel through one
-        # gated primary.
+        # duplicating them.
         self.databases = DeploymentDatabases(build_role_registry(),
-                                             uri=database_uri,
-                                             routed=routed_db,
-                                             replicas=db_replicas,
-                                             clock=self.clock)
+                                             uri=database_uri)
         create_all(ALL_MODELS, self.databases.admin)
         bind(ALL_MODELS, self.databases.admin)
         self._observe_databases(slow_statement_s=slow_statement_s)
@@ -117,13 +109,9 @@ class AMPDeployment:
         Each role connection reports every executed statement into
         ``db_queries_total{role,operation}`` — the portal's and daemon's
         round-trip budgets, continuously measured rather than only
-        asserted in tests.  Routed roles additionally report every
-        routing decision (``db_statements_total{role,route}`` and the
-        ``db_replica_lag_statements`` staleness gauge; per-statement
-        ``db.router.route`` events when the router's ``trace_routes``
-        flag is on).  ``slow_statement_s`` arms the slow-statement log:
-        statements over the threshold emit ``db.slow_statement`` events
-        carrying the placeholder SQL (parameter values are never
+        asserted in tests.  ``slow_statement_s`` arms the slow-statement
+        log: statements over the threshold emit ``db.slow_statement``
+        events carrying the placeholder SQL (parameter values are never
         interpolated into it, so nothing sensitive leaks) and count
         into ``db_slow_statements_total{role}``.
         """
@@ -132,20 +120,6 @@ class AMPDeployment:
         family = self.obs.metrics.counter(
             "db_queries_total",
             help="ORM statements by connection role and operation")
-        routed = [role for role in ("admin", "portal", "daemon")
-                  if isinstance(getattr(self.databases, role),
-                                ReplicaRouter)]
-        route_family = lag_gauge = None
-        if routed:
-            route_family = self.obs.metrics.counter(
-                "db_statements_total",
-                help="Routed ORM statements by role and route "
-                     "(primary|replica)")
-            lag_gauge = self.obs.metrics.gauge(
-                "db_replica_lag_statements",
-                help="Write statements committed since the replica "
-                     "reader serving the latest read last took a "
-                     "snapshot")
         slow_family = None
         if slow_statement_s is not None:
             slow_family = self.obs.metrics.counter(
@@ -157,18 +131,6 @@ class AMPDeployment:
             db.on_execute = (
                 lambda operation, table, _role=role:
                 family.labels(role=_role, operation=operation).inc())
-            if isinstance(db, ReplicaRouter):
-                def on_route(operation, table, route, lag,
-                             _role=role, _db=db):
-                    route_family.labels(role=_role, route=route).inc()
-                    if route == "replica":
-                        lag_gauge.labels(role=_role).set(lag)
-                    if _db.trace_routes:
-                        self.obs.events.emit(
-                            "db.router.route", role=_role,
-                            operation=operation, table=table,
-                            route=route, replica_lag=lag)
-                db.on_route = on_route
             if slow_statement_s is not None:
                 db.slow_statement_s = float(slow_statement_s)
 

@@ -219,26 +219,6 @@ class HealthTracker:
             return False
         return True
 
-    @staticmethod
-    def probe_routes(db):
-        """Probe each data path of *db* independently.
-
-        Routed connections (:class:`~repro.webstack.orm.ReplicaRouter`)
-        expose ``ping_routes()``: the primary and the replica readers
-        are probed separately so readiness can name the unhealthy side.
-        Plain connections report a single ``"database"`` route.
-        Returns ``{route_name: True_or_False}``.
-        """
-        ping_routes = getattr(db, "ping_routes", None)
-        if ping_routes is None:
-            try:
-                db.ping()
-            except Exception:  # noqa: BLE001 - not-ready evidence
-                return {"database": False}
-            return {"database": True}
-        return {route: error is None
-                for route, error in ping_routes().items()}
-
     def readiness(self):
         """``(ready, reason)`` — *reason* is plain language."""
         if self.degraded:
@@ -318,31 +298,14 @@ def build_health_routes(health, db):
         return HttpResponse("ok\n", content_type="text/plain")
 
     def readyz(request):
-        routes = health.probe_routes(db)
-        probe_ok = all(routes.values())
+        probe_ok = health.probe(db)
+        routes = {"database": probe_ok}
         ready, reason = health.readiness()
-        ready = ready and probe_ok
-        if ready:
+        if ready and probe_ok:
             return JsonResponse({"ready": True, "degraded": False,
                                  "routes": routes})
         if not probe_ok:
-            unhealthy = sorted(route for route, ok in routes.items()
-                               if not ok)
-            if unhealthy == ["database"]:
-                reason = ("The service cannot reach its database "
-                          "right now.")
-            elif "primary" in unhealthy and "replica" in unhealthy:
-                reason = ("The service cannot reach its database "
-                          "right now (neither the primary nor the "
-                          "replica readers are answering).")
-            elif "primary" in unhealthy:
-                reason = ("The service cannot write to its database "
-                          "right now: the primary connection is not "
-                          "answering (replica readers are fine).")
-            else:
-                reason = ("The service cannot read from its replica "
-                          "databases right now: a replica reader is "
-                          "not answering (the primary is fine).")
+            reason = "The service cannot reach its database right now."
         response = JsonResponse(
             {"ready": False, "degraded": health.degraded,
              "reason": reason, "routes": routes}, status=503)

@@ -79,6 +79,12 @@ class _WorkerWSGIServer(WSGIServer):
         super().__init__(listen_sock.getsockname(), handler_class,
                          bind_and_activate=False)
         self.socket.close()               # the unbound placeholder
+        # Every worker wakes on one connection but only one wins the
+        # accept(); on a blocking socket the losers would sit in
+        # accept() — deaf to the drain flag — until the next client.
+        # Non-blocking, the lost race is an OSError socketserver
+        # already ignores.  (Accepted connections stay blocking.)
+        listen_sock.setblocking(False)
         self.socket = listen_sock
         host, port = listen_sock.getsockname()[:2]
         self.server_name = host

@@ -10,7 +10,7 @@ paper calls out as the reason a single code base could serve both.
 
 from .aggregates import Avg, Count, Max, Min, Sum
 from .connection import (Database, DeploymentDatabases, Grant, RoleRegistry,
-                         StatementCache, shared_memory_uri)
+                         shared_memory_uri)
 from .exceptions import (ConnectionError, FieldError, IntegrityError,
                          MultipleObjectsReturned, ObjectDoesNotExist,
                          ORMError, PermissionDenied, ValidationError)
@@ -20,7 +20,6 @@ from .fields import (AutoField, BooleanField, CharField, DateTimeField,
 from .manager import Manager
 from .models import Model, clear_registry, get_registered_model
 from .query import CompiledQueryCache, Q, QuerySet, compiled_cache
-from .router import ReplicaRouter, WriteSequence
 from .schema import (bind, create_all, create_table_sql, drop_all,
                      required_grants, topological_order)
 
@@ -31,9 +30,8 @@ __all__ = [
     "FieldError", "FloatField", "ForeignKey", "Grant", "IntegerField",
     "IntegrityError", "JSONField", "Manager", "Model",
     "MultipleObjectsReturned", "ORMError", "ObjectDoesNotExist",
-    "PermissionDenied", "Q", "QuerySet", "ReplicaRouter", "RoleRegistry",
-    "StatementCache", "TextField", "ValidationError", "WriteSequence",
-    "bind", "clear_registry", "compiled_cache", "create_all",
-    "create_table_sql", "drop_all", "get_registered_model",
+    "PermissionDenied", "Q", "QuerySet", "RoleRegistry", "TextField",
+    "ValidationError", "bind", "clear_registry", "compiled_cache",
+    "create_all", "create_table_sql", "drop_all", "get_registered_model",
     "required_grants", "shared_memory_uri", "topological_order",
 ]

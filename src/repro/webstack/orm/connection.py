@@ -27,7 +27,6 @@ import re
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 
 from .exceptions import ConnectionError, IntegrityError, PermissionDenied
 
@@ -35,48 +34,6 @@ from .exceptions import ConnectionError, IntegrityError, PermissionDenied
 OPERATIONS = ("select", "insert", "update", "delete", "create")
 
 _memory_uri_counter = itertools.count(1)
-
-
-class StatementCache:
-    """Bounded LRU over the SQL text one connection has executed.
-
-    Python's ``sqlite3`` keeps a real prepared-statement cache keyed by
-    SQL string inside each connection; it is invisible from Python.
-    This mirror tracks the same key space with the same capacity so the
-    reuse rate becomes observable: a *hit* here means the identical SQL
-    text was handed to the driver again and its prepared statement was
-    reusable (the compiled-query cache upstream is what makes hot-path
-    SQL text byte-identical call after call).
-    """
-
-    def __init__(self, capacity=128):
-        self.capacity = int(capacity)
-        self._entries = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def note(self, sql):
-        """Record one execution of *sql*; returns True on reuse."""
-        if sql in self._entries:
-            self._entries.move_to_end(sql)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._entries[sql] = None
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return False
-
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self):
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "size": len(self._entries),
-                "hit_rate": self.hit_rate()}
 
 
 class Grant:
@@ -143,41 +100,31 @@ class Database:
     """
 
     def __init__(self, path=":memory:", role="admin", roles=None, *,
-                 wal=False, busy_timeout_s=5.0, read_only=False,
-                 write_gate=None, statement_cache_size=128):
+                 busy_timeout_s=5.0, write_gate=None):
         self.path = path
         self.role = role
         self.roles = roles or RoleRegistry()
         self._grant = self.roles.grant_for(role)
         self._local = threading.local()
         self._lock = threading.RLock()
-        #: WAL journal mode: readers never block the writer and vice
-        #: versa.  Only meaningful for file-backed stores — an
-        #: in-memory database silently keeps its ``memory`` journal.
-        self.wal = bool(wal)
         #: Every connection waits this long on a locked database before
         #: surfacing SQLITE_BUSY, so brief writer bursts never bubble up
         #: as errors (set as ``PRAGMA busy_timeout`` at connect time).
         self.busy_timeout_s = float(busy_timeout_s)
-        #: A replica reader connection: refuses every write outright —
-        #: the router must never have sent it one (defence in depth on
-        #: top of role grants).
-        self.read_only = bool(read_only)
         #: Single-writer discipline: when several role connections share
         #: one store, they share this reentrant lock and every write
         #: statement (and every transaction scope) funnels through it —
         #: one writer at a time at the application layer, matching
         #: SQLite's own one-writer rule without ever hitting
-        #: SQLITE_BUSY on the hot path.
-        self.write_gate = write_gate
-        #: Journal mode actually reported by SQLite at connect time
-        #: (``wal`` for file stores in WAL mode, ``memory`` for
-        #: in-memory stores); None until the first connection opens.
+        #: SQLITE_BUSY on the hot path.  Process-local: writers in
+        #: other processes meet only at SQLite's lock + busy handler.
+        #: A connection opened on its own gets a private gate.
+        self.write_gate = (write_gate if write_gate is not None
+                           else threading.RLock())
+        #: Journal mode SQLite reported at connect time (``wal`` for
+        #: file stores, ``memory`` for in-memory stores); None until
+        #: the first connection opens.
         self.journal_mode = None
-        #: Mirror of the driver's per-connection prepared-statement
-        #: cache (see :class:`StatementCache`).
-        self.statement_cache_size = int(statement_cache_size)
-        self.statements = StatementCache(self.statement_cache_size)
         #: Slow-statement log: when ``slow_statement_s`` is a number,
         #: any statement whose execution (lock wait included) takes
         #: longer fires ``on_slow_statement(sql, duration_s, operation,
@@ -230,23 +177,26 @@ class Database:
             try:
                 conn = sqlite3.connect(
                     self.path, uri=self.path.startswith("file:"),
-                    detect_types=0, check_same_thread=False,
-                    cached_statements=max(self.statement_cache_size, 16))
+                    detect_types=0, check_same_thread=False)
             except sqlite3.Error as exc:
                 raise ConnectionError(str(exc)) from exc
             conn.execute("PRAGMA foreign_keys = ON")
-            # Every connection gets a busy handler: a reader landing on
-            # a momentarily-locked database waits instead of erroring.
+            # Every connection gets a busy handler: a statement landing
+            # on a momentarily-locked database waits instead of erroring.
             conn.execute(f"PRAGMA busy_timeout = "
                          f"{int(self.busy_timeout_s * 1000)}")
-            if self.wal:
-                # WAL + NORMAL sync: concurrent readers during writes,
-                # commit durability bounded by checkpoints — the
-                # standard serving-tier configuration.
-                conn.execute("PRAGMA journal_mode = WAL")
-                conn.execute("PRAGMA synchronous = NORMAL")
-            cur = conn.execute("PRAGMA journal_mode")
-            self.journal_mode = cur.fetchone()[0]
+            if is_memory_uri(self.path):
+                mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+            else:
+                # File stores run WAL: every connection (in this or any
+                # other process) reads a committed snapshot while one
+                # writer writes.  synchronous=FULL because the
+                # operation journal's write-ahead rule needs the INTENT
+                # row on disk before the grid command leaves.
+                mode = conn.execute(
+                    "PRAGMA journal_mode = WAL").fetchone()[0]
+                conn.execute("PRAGMA synchronous = FULL")
+            self.journal_mode = mode
             conn.row_factory = sqlite3.Row
             self._local.conn = conn
         return conn
@@ -265,6 +215,47 @@ class Database:
                 f"Role {self.role!r} may not {operation.upper()} on "
                 f"table {table!r}")
 
+    def _through_hooks(self, operation, table, run, *, counted=True):
+        """The one statement funnel (after the caller's grant check):
+        deadline → fault → deadline → count → *run*, all inside the
+        ``statement_observer`` so the health tracker sees injected and
+        genuine failures alike.  :meth:`execute`, :meth:`executescript`
+        and :meth:`ping` differ only in their grant and in *run*."""
+        observer = self.statement_observer
+        finish = observer(operation, table) if observer is not None \
+            else None
+        try:
+            deadline = self.deadline_hook
+            if deadline is not None:
+                # Budget check before any work starts.
+                deadline(operation, table)
+            if self.fault_hook is not None:
+                # Chaos injection: may advance the (virtual) clock to
+                # model a slow database, or raise DatabaseUnavailable.
+                self.fault_hook(operation, table)
+                if deadline is not None:
+                    # Injected latency may have spent the budget: the
+                    # statement "ran", but its requester is out of time
+                    # — discard the result rather than keep building a
+                    # page nobody will wait for.
+                    deadline(operation, table)
+            if counted:
+                self.queries_executed += 1
+                self.queries_by_operation[operation] = \
+                    self.queries_by_operation.get(operation, 0) + 1
+                if self.on_execute is not None:
+                    self.on_execute(operation, table)
+                if self.log_statements:
+                    self.statement_log.append((operation, table))
+            result = run()
+        except BaseException as exc:
+            if finish is not None:
+                finish(exc)
+            raise
+        if finish is not None:
+            finish(None)
+        return result
+
     def execute(self, sql, params=(), *, operation, table):
         """Run one compiled statement after a grant check.
 
@@ -273,49 +264,16 @@ class Database:
         compiler, not a SQL parser, is the source of truth.
         """
         self.check_permission(operation, table)
-        if self.read_only and operation != "select":
-            raise PermissionDenied(
-                f"Connection {self.path!r} is a read-only replica "
-                f"reader; it may not {operation.upper()} on {table!r}")
-        if self.statement_observer is None:
-            return self._execute_inner(sql, params, operation, table)
-        finish = self.statement_observer(operation, table)
-        try:
-            result = self._execute_inner(sql, params, operation, table)
-        except BaseException as exc:
-            finish(exc)
-            raise
-        finish(None)
-        return result
+        return self._through_hooks(
+            operation, table,
+            lambda: self._run_statement(sql, params, operation, table))
 
-    def _execute_inner(self, sql, params, operation, table):
-        if self.deadline_hook is not None:
-            # Budget check before any work starts.
-            self.deadline_hook(operation, table)
-        if self.fault_hook is not None:
-            # Chaos injection: may advance the (virtual) clock to model
-            # a slow database, or raise DatabaseUnavailable outright.
-            self.fault_hook(operation, table)
-            if self.deadline_hook is not None:
-                # Injected latency may have spent the budget: the
-                # statement "ran", but its requester is out of time —
-                # discard the result rather than keep building a page
-                # nobody will wait for.
-                self.deadline_hook(operation, table)
-        self.queries_executed += 1
-        self.queries_by_operation[operation] = \
-            self.queries_by_operation.get(operation, 0) + 1
-        if self.on_execute is not None:
-            self.on_execute(operation, table)
-        if self.log_statements:
-            self.statement_log.append((operation, table))
-        self.statements.note(sql)
-        gate = self.write_gate if (self.write_gate is not None
-                                   and operation != "select") else None
+    def _run_statement(self, sql, params, operation, table):
+        writes = operation != "select"
         started = (time.perf_counter()
                    if self.slow_statement_s is not None else None)
-        if gate is not None:
-            gate.acquire()
+        if writes:
+            self.write_gate.acquire()
         try:
             with self._lock:
                 in_txn = getattr(self._local, "txn_depth", 0) > 0
@@ -324,13 +282,20 @@ class Database:
                     if operation != "select" and not in_txn:
                         self.connection.commit()
                     return cur
-                except sqlite3.IntegrityError as exc:
+                except sqlite3.Error as exc:
+                    # Outside atomic() a failed statement must not leave
+                    # the driver's implicit transaction open: a writer
+                    # that lost the lock after busy_timeout would
+                    # otherwise read a frozen snapshot forever and pin
+                    # the WAL against checkpoints.
                     if not in_txn:
                         self.connection.rollback()
-                    raise IntegrityError(str(exc)) from exc
+                    if isinstance(exc, sqlite3.IntegrityError):
+                        raise IntegrityError(str(exc)) from exc
+                    raise
         finally:
-            if gate is not None:
-                gate.release()
+            if writes:
+                self.write_gate.release()
             if started is not None:
                 duration = time.perf_counter() - started
                 if duration > self.slow_statement_s \
@@ -351,43 +316,13 @@ class Database:
         if not self._grant.allow_raw_sql:
             raise PermissionDenied(
                 f"Role {self.role!r} may not execute raw SQL")
-        if self.read_only:
-            raise PermissionDenied(
-                f"Connection {self.path!r} is a read-only replica "
-                "reader; it may not run raw scripts")
-        operation, table = "script", "<script>"
-        finish = (self.statement_observer(operation, table)
-                  if self.statement_observer is not None else None)
-        try:
-            if self.deadline_hook is not None:
-                self.deadline_hook(operation, table)
-            if self.fault_hook is not None:
-                self.fault_hook(operation, table)
-                if self.deadline_hook is not None:
-                    self.deadline_hook(operation, table)
-            self.queries_executed += 1
-            self.queries_by_operation[operation] = \
-                self.queries_by_operation.get(operation, 0) + 1
-            if self.on_execute is not None:
-                self.on_execute(operation, table)
-            if self.log_statements:
-                self.statement_log.append((operation, table))
-            gate = self.write_gate
-            if gate is not None:
-                gate.acquire()
-            try:
-                with self._lock:
-                    self.connection.executescript(script)
-                    self.connection.commit()
-            finally:
-                if gate is not None:
-                    gate.release()
-        except BaseException as exc:
-            if finish is not None:
-                finish(exc)
-            raise
-        if finish is not None:
-            finish(None)
+
+        def run_script():
+            with self.write_gate, self._lock:
+                self.connection.executescript(script)
+                self.connection.commit()
+
+        self._through_hooks("script", "<script>", run_script)
 
     def atomic(self):
         """Context manager for a transaction (BEGIN ... COMMIT/ROLLBACK)."""
@@ -419,21 +354,12 @@ class Database:
         Touches no table, needs no grant, and does not count against
         any round-trip budget.
         """
-        finish = (self.statement_observer("select", "<ping>")
-                  if self.statement_observer is not None else None)
-        try:
-            if self.deadline_hook is not None:
-                self.deadline_hook("select", "<ping>")
-            if self.fault_hook is not None:
-                self.fault_hook("select", "<ping>")
+        def select_one():
             with self._lock:
                 self.connection.execute("SELECT 1")
-        except BaseException as exc:
-            if finish is not None:
-                finish(exc)
-            raise
-        if finish is not None:
-            finish(None)
+
+        self._through_hooks("select", "<ping>", select_one,
+                            counted=False)
 
     def table_names(self):
         self.check_permission("select", "sqlite_master")
@@ -461,8 +387,7 @@ class _Atomic:
         # connections — the single-writer discipline) before the
         # per-connection lock.  Both are reentrant, so nested scopes
         # and writes inside the transaction re-enter cleanly.
-        if self.db.write_gate is not None:
-            self.db.write_gate.acquire()
+        self.db.write_gate.acquire()
         self.db._lock.acquire()
         self.db._local.txn_depth = getattr(self.db._local, "txn_depth",
                                            0) + 1
@@ -478,8 +403,7 @@ class _Atomic:
                     self.db.connection.rollback()
         finally:
             self.db._lock.release()
-            if self.db.write_gate is not None:
-                self.db.write_gate.release()
+            self.db.write_gate.release()
         return False
 
 
@@ -553,62 +477,31 @@ class DeploymentDatabases:
     - ``admin``   — the developers' account (full privileges).
 
     A keeper connection holds the shared in-memory store alive for the
-    lifetime of this object.
-
-    With ``routed=True`` the layout becomes the primary/replica
-    topology of the data tier (see ``orm/router.py``): the store moves
-    to WAL journal mode when file-backed, one reentrant *write gate*
-    is shared by every writer connection (single-writer discipline),
-    and ``portal``/``daemon`` become :class:`ReplicaRouter` objects
-    that send reads to per-role read-only reader connections and funnel
-    every write through the gated primary.  ``admin`` stays a plain
-    (gated) connection — schema bootstrap and developer tooling want
-    the primary's view unconditionally.
+    lifetime of this object.  All three connections share one reentrant
+    *write gate* (single-writer discipline inside this process); a
+    file-backed store runs in WAL mode, a memory store keeps its
+    journal — :class:`Database` decides from the URI.
     """
 
-    def __init__(self, roles, uri=None, *, routed=False, replicas=2,
-                 wal=None, busy_timeout_s=5.0, clock=None,
-                 pin_window_s=5.0):
+    def __init__(self, roles, uri=None):
         self.uri = uri or shared_memory_uri()
         self.roles = roles
-        self.routed = bool(routed)
         self._keeper = sqlite3.connect(self.uri, uri=True,
                                        check_same_thread=False)
-        if not routed:
-            self.write_gate = None
-            self.admin = Database(self.uri, role="admin", roles=roles)
-            self.portal = Database(self.uri, role="portal", roles=roles)
-            self.daemon = Database(self.uri, role="daemon", roles=roles)
-            return
-        from .router import ReplicaRouter, WriteSequence
-        if wal is None:
-            wal = not is_memory_uri(self.uri)
         self.write_gate = threading.RLock()
-        sequence = WriteSequence()
-        n_replicas = max(0, int(replicas))
-
-        def primary(role):
-            return Database(self.uri, role=role, roles=roles, wal=wal,
-                            busy_timeout_s=busy_timeout_s,
-                            write_gate=self.write_gate)
-
-        def readers(role):
-            return [Database(self.uri, role=role, roles=roles, wal=wal,
-                             busy_timeout_s=busy_timeout_s,
-                             read_only=True)
-                    for _ in range(n_replicas)]
-
-        self.admin = primary("admin")
-        self.portal = ReplicaRouter(primary("portal"),
-                                    readers("portal"), clock=clock,
-                                    pin_window_s=pin_window_s,
-                                    sequence=sequence)
-        self.daemon = ReplicaRouter(primary("daemon"),
-                                    readers("daemon"), clock=clock,
-                                    pin_window_s=pin_window_s,
-                                    sequence=sequence)
+        self.admin = Database(self.uri, role="admin", roles=roles,
+                              write_gate=self.write_gate)
+        self.portal = Database(self.uri, role="portal", roles=roles,
+                               write_gate=self.write_gate)
+        self.daemon = Database(self.uri, role="daemon", roles=roles,
+                               write_gate=self.write_gate)
 
     def close(self):
         for db in (self.admin, self.portal, self.daemon):
             db.close()
+        if not is_memory_uri(self.uri):
+            # Leave the main file complete on its own (callers copy it
+            # without its ``-wal``), even while another process still
+            # has the store open; the last close then removes the log.
+            self._keeper.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         self._keeper.close()

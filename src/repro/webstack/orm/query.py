@@ -64,8 +64,7 @@ def _like_escape(value):
 # of *binders* (per-parameter converter functions recorded during the
 # one real compile) applied to the fresh values.  Because the SQL text
 # is then byte-identical call after call, sqlite3's per-connection
-# prepared-statement cache reuses the prepared statement too (tracked
-# by the connection's ``StatementCache``).
+# prepared-statement cache reuses the prepared statement too.
 
 _VARIADIC_LOOKUPS = ("in", "isnull", "range", "mod")
 _ALL_LOOKUPS = frozenset(_LOOKUPS) | frozenset(_VARIADIC_LOOKUPS)

@@ -134,12 +134,18 @@ def chaos_portal(deployment):
 def test_readyz_flips_during_outage_and_back(chaos_portal, deployment):
     app, injector = chaos_portal
     client = Client(app)
-    assert client.get("/readyz").status_code == 200
+    response = client.get("/readyz")
+    assert response.status_code == 200
+    assert json.loads(response.text) == {
+        "ready": True, "degraded": False, "routes": {"database": True}}
     injector.fail = True
     response = client.get("/readyz")
     assert response.status_code == 503
     body = json.loads(response.text)
     assert body["ready"] is False
+    assert body["routes"] == {"database": False}
+    assert body["reason"] == ("The service cannot reach its database "
+                              "right now.")
     assert "Retry-After" in response.headers
     # Liveness is NOT readiness: the process itself still answers.
     assert client.get("/healthz").status_code == 200

@@ -1,21 +1,24 @@
-"""ReplicaRouter: routing discipline, hook fan-out, and the
-executescript hook-chain regression.
+"""The connection layer's one statement funnel, and the deployment's
+one topology.
 
-Everything here runs on shared in-memory stores (tier-1 fast); the
-real WAL concurrency behaviour of the same topology is covered by the
-``db``-marked suite in ``test_wal_concurrency.py``.
+``execute``, ``executescript`` and ``ping`` all pass through the same
+hook chain (observer → deadline → fault → deadline → count); the
+deployment builds three plain role connections behind one write gate.
+Everything here runs on in-memory stores (tier-1 fast); what the same
+topology does on a real WAL file is covered by the ``db``-marked suite
+in ``test_wal_concurrency.py``.
+
+(The file keeps the name of PR 10's router suite so the surviving test
+ids stay stable; the router itself is gone.)
 """
 
 import pytest
 
-from repro.hpc.simclock import SimClock
 from repro.webstack.orm import (Database, DeploymentDatabases, Grant,
-                                PermissionDenied, ReplicaRouter,
-                                RoleRegistry, WriteSequence,
-                                shared_memory_uri)
+                                PermissionDenied, RoleRegistry)
 from repro.webstack.orm.connection import OPERATIONS
 
-from .conftest import MODELS, Author, Book
+from .conftest import Author
 
 
 def make_roles():
@@ -27,213 +30,38 @@ def make_roles():
     return roles
 
 
-@pytest.fixture()
-def clock():
-    return SimClock()
-
-
-@pytest.fixture()
-def routed(clock):
-    """A router over one shared in-memory store: gated primary plus
-    two read-only replica readers, schema created through admin."""
-    import threading
-
-    from repro.webstack.orm import create_all
-    uri = shared_memory_uri()
-    roles = make_roles()
-    keeper = Database(uri, role="admin", roles=roles)
-    create_all(MODELS, keeper)
-    gate = threading.RLock()
-    primary = Database(uri, role="portal", roles=roles, write_gate=gate)
-    replicas = [Database(uri, role="portal", roles=roles, read_only=True)
-                for _ in range(2)]
-    router = ReplicaRouter(primary, replicas, clock=clock,
-                           pin_window_s=5.0)
-    yield router
-    router.close()
-    keeper.close()
-
-
 # ----------------------------------------------------------------------
-# Routing decisions
+# One hook order for every entry point
 # ----------------------------------------------------------------------
 
-def test_writes_always_route_to_primary(routed):
-    Author.objects.using(routed).create(name="Ada")
-    assert routed.routed_statements["primary"] >= 1
-    assert routed.routed_statements["replica"] == 0
-    assert routed.primary.queries_by_operation.get("insert") == 1
-    for replica in routed.replicas:
-        assert replica.queries_executed == 0
+ENTRY_POINTS = {
+    "execute": lambda db: db.execute("SELECT 1", operation="select",
+                                     table="sqlite_master"),
+    "executescript": lambda db: db.executescript("SELECT 1;"),
+    "ping": lambda db: db.ping(),
+}
 
 
-def test_read_your_writes_pins_then_window_lapses(routed, clock):
-    Author.objects.using(routed).create(name="Ada")
-    # Immediately after a write this thread is pinned: the read must
-    # see the write, so it goes to the primary.
-    assert Author.objects.using(routed).count() == 1
-    assert routed.routed_statements["replica"] == 0
-    # Once the pin window lapses, reads move to the replicas.
-    clock.advance(6.0)
-    assert Author.objects.using(routed).count() == 1
-    assert routed.routed_statements["replica"] == 1
-
-
-def test_reads_round_robin_across_replicas(routed, clock):
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-    for _ in range(4):
-        Author.objects.using(routed).count()
-    assert routed.routed_statements["replica"] == 4
-    assert routed.replicas[0].queries_executed == 2
-    assert routed.replicas[1].queries_executed == 2
-
-
-def test_reads_inside_transaction_stay_on_primary(routed, clock):
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-    with routed.atomic():
-        author = Author.objects.using(routed).get(name="Ada")
-        author.name = "Ada L."
-        author.save(db=routed)
-        # The uncommitted rename must be visible to this read.
-        assert Author.objects.using(routed).filter(
-            name="Ada L.").count() == 1
-    assert routed.routed_statements["replica"] == 0
-
-
-def test_pinned_scope_forces_primary(routed, clock):
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-    with routed.pinned():
-        Author.objects.using(routed).count()
-    assert routed.routed_statements["replica"] == 0
-    Author.objects.using(routed).count()
-    assert routed.routed_statements["replica"] == 1
-
-
-def test_replica_lag_is_reported_and_bounded(routed, clock):
-    observed = []
-    routed.on_route = (lambda operation, table, route, lag:
-                       observed.append((route, lag)))
-    for n in range(3):
-        Author.objects.using(routed).create(name=f"a{n}")
-    clock.advance(6.0)
-    Author.objects.using(routed).count()
-    replica_reads = [lag for route, lag in observed
-                     if route == "replica"]
-    # Three writes happened since this reader's last snapshot.
-    assert replica_reads == [3]
-    # A second read through the same reader is fresh again.
-    Author.objects.using(routed).count()
-    Author.objects.using(routed).count()
-    assert [lag for route, lag in observed if route == "replica"] \
-        == [3, 3, 0]
-
-
-def test_replica_reader_refuses_writes_outright(routed):
-    with pytest.raises(PermissionDenied, match="read-only replica"):
-        routed.replicas[0].execute(
-            'INSERT INTO "ws_author" ("name", "email", "active") '
-            "VALUES (?, ?, ?)", ("Eve", None, 1),
-            operation="insert", table="ws_author")
-
-
-def test_router_without_replicas_serves_everything_from_primary(clock):
-    from repro.webstack.orm import create_all
-    uri = shared_memory_uri()
-    roles = make_roles()
-    keeper = Database(uri, role="admin", roles=roles)
-    create_all(MODELS, keeper)
-    router = ReplicaRouter(Database(uri, role="portal", roles=roles),
-                           clock=clock)
-    Author.objects.using(router).create(name="Solo")
-    clock.advance(10.0)
-    assert Author.objects.using(router).count() == 1
-    assert router.routed_statements["replica"] == 0
-    router.close()
-    keeper.close()
-
-
-# ----------------------------------------------------------------------
-# Grants and hook fan-out
-# ----------------------------------------------------------------------
-
-def test_grants_enforced_on_both_routes(routed, clock):
-    """The role's grant table guards the router exactly as it guards a
-    plain connection — on the primary write path and on the replica
-    read path alike."""
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-    with pytest.raises(PermissionDenied):
-        routed.execute("SELECT 1", operation="select",
-                       table="ws_not_granted")
-    with pytest.raises(PermissionDenied):
-        routed.execute("DELETE FROM x", operation="delete",
-                       table="ws_not_granted")
-
-
-def test_statement_observer_fans_out_to_every_route(routed, clock):
-    seen = []
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_runs_the_hooks_in_one_order(entry):
+    db = Database(":memory:")
+    calls = []
 
     def observer(operation, table):
-        def finish(error):
-            seen.append((operation, table, error))
-        return finish
+        calls.append("observe")
+        return lambda error: calls.append(("finish", error))
 
-    routed.statement_observer = observer
-    assert routed.primary.statement_observer is observer
-    assert all(r.statement_observer is observer
-               for r in routed.replicas)
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-    Author.objects.using(routed).count()
-    operations = [op for op, _, _ in seen]
-    assert "insert" in operations and "select" in operations
-    assert all(error is None for _, _, error in seen)
-
-
-def test_fault_hook_fires_on_replica_reads(routed, clock):
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-
-    def boom(operation, table):
-        raise RuntimeError("injected outage")
-
-    routed.fault_hook = boom
-    with pytest.raises(RuntimeError, match="injected outage"):
-        Author.objects.using(routed).count()
-    # The failed read was routed to a replica before the hook fired.
-    assert routed.replicas[0].fault_hook is boom
-
-
-def test_deadline_hook_fires_on_both_routes(routed, clock):
-    from repro.webstack.orm.exceptions import ORMError
-
-    class Spent(ORMError):
-        pass
-
-    def spent(operation, table):
-        raise Spent("budget gone")
-
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-    routed.deadline_hook = spent
-    with pytest.raises(Spent):
-        Author.objects.using(routed).count()        # replica route
-    with pytest.raises(Spent):
-        Author.objects.using(routed).create(name="Eve")  # primary route
-
-
-def test_count_queries_accurate_across_routes(routed, clock):
-    with routed.count_queries() as counter:
-        Author.objects.using(routed).create(name="Ada")   # 1 insert
-        clock.advance(6.0)
-        Author.objects.using(routed).count()              # replica
-        Author.objects.using(routed).count()              # replica
-    assert counter.count == 3
-    assert counter.by_operation == {"insert": 1, "select": 2}
-    assert routed.routed_statements == {"primary": 1, "replica": 2}
+    db.statement_observer = observer
+    db.deadline_hook = lambda operation, table: calls.append("deadline")
+    db.fault_hook = lambda operation, table: calls.append("fault")
+    db.on_execute = lambda operation, table: calls.append("count")
+    before = db.queries_executed
+    ENTRY_POINTS[entry](db)
+    counted = [] if entry == "ping" else ["count"]
+    assert calls == ["observe", "deadline", "fault", "deadline",
+                     *counted, ("finish", None)]
+    # The probe never counts against a round-trip budget.
+    assert db.queries_executed == before + len(counted)
 
 
 # ----------------------------------------------------------------------
@@ -269,96 +97,53 @@ def test_executescript_respects_fault_and_deadline_hooks():
     def boom(operation, table):
         raise RuntimeError("db down")
 
+    def spent(operation, table):
+        raise TimeoutError("budget gone")
+
     db.statement_observer = observer
     db.fault_hook = boom
     with pytest.raises(RuntimeError, match="db down"):
         db.executescript("CREATE TABLE t (x INTEGER);")
-    assert len(errors) == 1 and isinstance(errors[0], RuntimeError)
-    # The script never reached SQLite: the table must not exist.
     db.fault_hook = None
+    db.deadline_hook = spent
+    with pytest.raises(TimeoutError, match="budget gone"):
+        db.executescript("CREATE TABLE t (x INTEGER);")
+    assert [type(error) for error in errors] == [RuntimeError,
+                                                 TimeoutError]
+    # Neither script reached SQLite: the table must not exist.
+    db.deadline_hook = None
     assert "t" not in db.table_names()
 
 
-def test_executescript_still_denied_without_raw_sql_grant(routed):
+def test_executescript_still_denied_without_raw_sql_grant():
+    portal = Database(":memory:", role="portal", roles=make_roles())
     with pytest.raises(PermissionDenied, match="raw SQL"):
-        routed.executescript("CREATE TABLE t (x INTEGER);")
+        portal.executescript("CREATE TABLE t (x INTEGER);")
 
 
 # ----------------------------------------------------------------------
-# Probes and the deployment wiring
+# Transactions and the deployment wiring
 # ----------------------------------------------------------------------
 
-def test_ping_routes_names_the_unhealthy_side(routed):
-    healthy = routed.ping_routes()
-    assert healthy == {"primary": None, "replica": None}
-
-    def boom(operation, table):
-        raise RuntimeError("replica gone")
-
-    routed.replicas[0].fault_hook = boom
-    verdict = routed.ping_routes()
-    assert verdict["primary"] is None
-    assert isinstance(verdict["replica"], RuntimeError)
-
-    routed.replicas[0].fault_hook = None
-    routed.primary.fault_hook = boom
-    verdict = routed.ping_routes()
-    assert isinstance(verdict["primary"], RuntimeError)
-    assert verdict["replica"] is None
+def test_reads_inside_transaction_see_their_own_writes(db):
+    Author.objects.using(db).create(name="Ada")
+    with pytest.raises(RuntimeError):
+        with db.atomic():
+            author = Author.objects.using(db).get(name="Ada")
+            author.name = "Ada L."
+            author.save(db=db)
+            # The uncommitted rename is visible to this read ...
+            assert Author.objects.using(db).filter(
+                name="Ada L.").count() == 1
+            raise RuntimeError("abandon the transaction")
+    # ... and gone again once the scope rolls back.
+    assert [a.name for a in Author.objects.using(db)] == ["Ada"]
 
 
-def test_routed_deployment_shares_one_write_sequence(clock):
-    """Portal replicas age on daemon writes too: staleness is a
-    property of the store, not of one role's traffic."""
-    databases = DeploymentDatabases(make_roles(), routed=True,
-                                    replicas=1, clock=clock)
-    from repro.webstack.orm import create_all
-    create_all(MODELS, databases.admin)
-    assert isinstance(databases.portal, ReplicaRouter)
-    assert isinstance(databases.daemon, ReplicaRouter)
-    assert databases.portal.sequence is databases.daemon.sequence
-    Author.objects.using(databases.daemon).create(name="Ada")
-    observed = []
-    databases.portal.on_route = (
-        lambda operation, table, route, lag:
-        observed.append((route, lag)))
-    Author.objects.using(databases.portal).count()
-    # The portal never wrote, so its read goes straight to a replica —
-    # and the lag honestly counts the daemon's write.
-    assert observed == [("replica", 1)]
-    databases.close()
-
-
-def test_unrouted_deployment_keeps_seed_topology():
+def test_deployment_roles_share_one_write_gate():
     databases = DeploymentDatabases(make_roles())
-    assert isinstance(databases.portal, Database)
-    assert isinstance(databases.daemon, Database)
-    assert databases.write_gate is None
+    roles = [databases.admin, databases.portal, databases.daemon]
+    assert all(type(db) is Database for db in roles)
+    assert databases.write_gate is not None
+    assert all(db.write_gate is databases.write_gate for db in roles)
     databases.close()
-
-
-def test_write_sequence_is_thread_safe_counter():
-    import threading
-    sequence = WriteSequence()
-
-    def bump_many():
-        for _ in range(500):
-            sequence.bump()
-
-    threads = [threading.Thread(target=bump_many) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sequence.value == 2000
-
-
-def test_statement_cache_stats_aggregate_over_routes(routed, clock):
-    Author.objects.using(routed).create(name="Ada")
-    clock.advance(6.0)
-    for _ in range(4):
-        Author.objects.using(routed).count()
-    stats = routed.statement_cache_stats()
-    # The identical COUNT SQL ran on both replicas: reuse is visible.
-    assert stats["hits"] >= 2
-    assert 0.0 < stats["hit_rate"] <= 1.0

@@ -1,22 +1,25 @@
-"""WAL-mode concurrency regressions, on real file-backed stores.
+"""The default topology on a real file: WAL, busy handler, one gate.
 
-These tests use actual threads and wall-clock waits, so they live in
-the ``db`` CI row rather than tier-1.  What they pin down:
+These tests use actual files, threads and wall-clock waits, so they
+live in the ``db`` CI row rather than tier-1.  What they pin down:
 
-- a writer holding an open transaction does not block replica readers
-  (the WAL promise the router's throughput claim rests on),
-- ``busy_timeout`` is armed on every connection the topology opens,
-- the routed query counters stay accurate under concurrent traffic
-  from many threads.
+- every role connection of ``DeploymentDatabases(uri=file)`` runs
+  ``journal_mode=WAL``, ``synchronous=FULL`` and a 5 s busy handler;
+- a writer holding an open transaction does not block another role's
+  reads, which see the pre-transaction snapshot and then the committed
+  row at once;
+- writers serialize losslessly, and a write that does lose the lock
+  leaves no dangling transaction behind;
+- ``close()`` leaves the main file complete with no ``-wal`` beside it.
 """
 
+import shutil
+import sqlite3
 import threading
 
 import pytest
 
-from repro.hpc.simclock import SimClock
-from repro.webstack.orm import (DeploymentDatabases, ReplicaRouter,
-                                create_all)
+from repro.webstack.orm import Database, DeploymentDatabases, create_all
 
 from .conftest import MODELS, Author
 from .test_db_router import make_roles
@@ -24,45 +27,49 @@ from .test_db_router import make_roles
 pytestmark = pytest.mark.db
 
 
+def role_connections(databases):
+    return [databases.admin, databases.portal, databases.daemon]
+
+
+def pragma(db, name):
+    return db.connection.execute(f"PRAGMA {name}").fetchone()[0]
+
+
 @pytest.fixture()
-def routed_file_db(tmp_path):
-    clock = SimClock()
-    databases = DeploymentDatabases(
-        make_roles(), uri=str(tmp_path / "wal.db"), routed=True,
-        replicas=2, clock=clock, busy_timeout_s=5.0)
+def file_db(tmp_path):
+    databases = DeploymentDatabases(make_roles(),
+                                    uri=str(tmp_path / "wal.db"))
     create_all(MODELS, databases.admin)
-    yield databases, clock
+    yield databases
     databases.close()
 
 
-def test_file_backed_routed_store_runs_in_wal_mode(routed_file_db):
-    databases, _ = routed_file_db
-    databases.admin.ping()
-    assert databases.admin.journal_mode == "wal"
-    for router in (databases.portal, databases.daemon):
-        router.ping()
-        assert router.primary.journal_mode == "wal"
-        for replica in router.replicas:
-            assert replica.journal_mode == "wal"
+def test_file_backed_store_runs_in_wal_mode(file_db):
+    for db in role_connections(file_db):
+        assert pragma(db, "journal_mode") == "wal"
+        assert db.journal_mode == "wal"
+        # Durable commits: the operation journal's INTENT row must be
+        # on disk before the grid command leaves.
+        assert pragma(db, "synchronous") == 2
 
 
-def test_busy_timeout_armed_on_every_connection(routed_file_db):
-    databases, _ = routed_file_db
-    connections = [databases.admin]
-    for router in (databases.portal, databases.daemon):
-        connections.append(router.primary)
-        connections.extend(router.replicas)
-    for db in connections:
-        timeout_ms = db.connection.execute(
-            "PRAGMA busy_timeout").fetchone()[0]
-        assert timeout_ms == 5000
+def test_memory_store_keeps_its_journal():
+    databases = DeploymentDatabases(make_roles())
+    for db in role_connections(databases):
+        assert pragma(db, "journal_mode") == "memory"
+    databases.close()
 
 
-def test_writer_mid_transaction_does_not_block_readers(routed_file_db):
+def test_busy_timeout_armed_on_every_connection(file_db):
+    for db in role_connections(file_db):
+        assert pragma(db, "busy_timeout") == 5000
+
+
+def test_writer_mid_transaction_does_not_block_readers(file_db):
     """The WAL promise: while the daemon holds an open write
-    transaction, portal replica reads complete immediately — seeing
-    the pre-transaction snapshot — instead of waiting for COMMIT."""
-    databases, clock = routed_file_db
+    transaction, portal reads complete immediately — seeing the
+    pre-transaction snapshot — instead of waiting for COMMIT."""
+    databases = file_db
     Author.objects.using(databases.admin).create(name="before")
 
     txn_open = threading.Event()
@@ -82,8 +89,6 @@ def test_writer_mid_transaction_does_not_block_readers(routed_file_db):
 
     def reader():
         try:
-            # The portal thread never wrote: its reads go straight to
-            # a replica, no pin, no gate.
             read_names.append(sorted(
                 a.name for a in Author.objects.using(databases.portal)))
         except Exception as exc:  # noqa: BLE001 - recorded for assert
@@ -101,28 +106,26 @@ def test_writer_mid_transaction_does_not_block_readers(routed_file_db):
     release_txn.set()
     writer.join(timeout=30)
     assert not still_running, \
-        "replica read blocked behind an open write transaction"
+        "portal read blocked behind an open daemon transaction"
     assert not reader_error, f"reader failed: {reader_error}"
     assert read_names == [["before"]]   # snapshot: uncommitted invisible
     assert writer_done.is_set()
-    # After COMMIT (and the pin window, for good measure) the write is
-    # visible through the replicas.
-    clock.advance(10.0)
+    # The very next statement after COMMIT sees the row: on one SQLite
+    # file there is no replication delay to wait out.
     assert Author.objects.using(databases.portal).count() == 2
 
 
-def test_concurrent_writers_serialize_through_the_gate(routed_file_db):
+def test_concurrent_writers_serialize_through_the_gate(file_db):
     """Two roles writing through the shared gate never corrupt the
     store or deadlock: every row lands."""
-    databases, _ = routed_file_db
+    databases = file_db
     n_each = 25
     errors = []
 
-    def writer(router, prefix):
+    def writer(db, prefix):
         try:
             for n in range(n_each):
-                Author.objects.using(router).create(
-                    name=f"{prefix}-{n}")
+                Author.objects.using(db).create(name=f"{prefix}-{n}")
         except Exception as exc:  # noqa: BLE001 - recorded for assert
             errors.append(exc)
 
@@ -140,62 +143,66 @@ def test_concurrent_writers_serialize_through_the_gate(routed_file_db):
     assert Author.objects.using(databases.admin).count() == 2 * n_each
 
 
-def test_query_counters_accurate_under_concurrent_routes(
-        routed_file_db):
-    """``count_queries`` totals survive statements splitting across
-    primary and replicas from many threads at once."""
-    databases, clock = routed_file_db
-    Author.objects.using(databases.admin).create(name="seed")
-    portal = databases.portal
-    n_threads, reads_per_thread = 4, 20
-    barrier = threading.Barrier(n_threads)
-
-    def read_loop():
-        barrier.wait(timeout=10)
-        for _ in range(reads_per_thread):
-            Author.objects.using(portal).count()
-
-    with portal.count_queries() as counter:
-        threads = [threading.Thread(target=read_loop)
-                   for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        Author.objects.using(portal).create(name="written")
-    expected_reads = n_threads * reads_per_thread
-    assert counter.count == expected_reads + 1
-    assert counter.by_operation["select"] == expected_reads
-    assert counter.by_operation["insert"] == 1
-    routed = portal.routed_statements
-    assert routed["primary"] + routed["replica"] \
-        == expected_reads + 1
-    # No thread in the loop had written, so reads went to replicas.
-    assert routed["replica"] == expected_reads
+def test_failed_write_outside_atomic_leaves_no_open_transaction(
+        tmp_path):
+    """A writer that loses the lock after ``busy_timeout`` must not keep
+    the driver's implicit transaction open: it would read a frozen
+    snapshot forever and pin the WAL against checkpoints."""
+    path = str(tmp_path / "contended.db")
+    winner = Database(path)
+    loser = Database(path, busy_timeout_s=0.05)
+    create_all(MODELS, winner)
+    Author.objects.using(winner).create(name="first")
+    with winner.atomic():
+        Author.objects.using(winner).create(name="second")
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            Author.objects.using(loser).create(name="lost")
+        assert loser.connection.in_transaction is False
+    # The loser sees the winner's later commits ...
+    Author.objects.using(winner).create(name="third")
+    assert Author.objects.using(loser).count() == 3
+    # ... and can write again, as can the winner.
+    Author.objects.using(loser).create(name="fourth")
+    Author.objects.using(winner).create(name="fifth")
+    assert Author.objects.using(winner).count() == 5
+    loser.close()
+    winner.close()
 
 
 def test_wal_survives_reopen(tmp_path):
-    """A WAL store closed and reopened unrouted still has every row —
-    the checkpoint/commit discipline leaves a consistent file."""
-    uri = str(tmp_path / "durable.db")
-    clock = SimClock()
-    databases = DeploymentDatabases(make_roles(), uri=uri, routed=True,
-                                    replicas=1, clock=clock)
+    """A store closed with ``close()`` has no ``-wal`` sibling and
+    reopens with every row."""
+    path = tmp_path / "durable.db"
+    databases = DeploymentDatabases(make_roles(), uri=str(path))
     create_all(MODELS, databases.admin)
     for n in range(10):
         Author.objects.using(databases.daemon).create(name=f"a{n}")
     databases.close()
+    assert not path.with_name(path.name + "-wal").exists()
 
-    plain = DeploymentDatabases(make_roles(), uri=uri)
-    assert Author.objects.using(plain.admin).count() == 10
-    plain.close()
+    reopened = DeploymentDatabases(make_roles(), uri=str(path))
+    assert Author.objects.using(reopened.admin).count() == 10
+    reopened.close()
 
 
-def test_router_is_what_deployment_builds_for_files(tmp_path):
-    databases = DeploymentDatabases(make_roles(),
-                                    uri=str(tmp_path / "t.db"),
-                                    routed=True)
-    assert isinstance(databases.portal, ReplicaRouter)
-    databases.portal.ping()
-    assert databases.portal.journal_mode == "wal"
-    databases.close()
+def test_close_checkpoints_even_with_another_connection_open(tmp_path):
+    """Callers copy the main file alone (the gateway benchmark's
+    fixture does): after ``close()`` it holds every row even while
+    some other process still has the store open."""
+    path = tmp_path / "shared.db"
+    databases = DeploymentDatabases(make_roles(), uri=str(path))
+    create_all(MODELS, databases.admin)
+    other = sqlite3.connect(str(path))    # e.g. a daemon process
+    other.execute('SELECT COUNT(*) FROM "ws_author"').fetchone()
+    try:
+        for n in range(10):
+            Author.objects.using(databases.portal).create(name=f"a{n}")
+        databases.close()
+        copy = tmp_path / "copy.db"
+        shutil.copyfile(path, copy)
+    finally:
+        other.close()
+    copied = sqlite3.connect(str(copy))
+    assert copied.execute(
+        'SELECT COUNT(*) FROM "ws_author"').fetchone()[0] == 10
+    copied.close()
