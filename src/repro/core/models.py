@@ -400,8 +400,10 @@ class Simulation(orm.Model):
         table_name = "amp_simulation"
         ordering = ["-id"]
         # The daemon's poll filters on state (active set) and the portal
-        # statistics/list pages slice by kind+state and by star.
-        indexes = [("kind", "state"), ("star_id", "kind", "state")]
+        # statistics/list pages slice by kind+state and by star; "my
+        # simulations" reads one owner's newest rows.
+        indexes = [("kind", "state"), ("star_id", "kind", "state"),
+                   ("owner_id",)]
 
     @property
     def is_active(self):

@@ -12,12 +12,13 @@ def build_routes(ctx):
     catalog = ctx.catalog
 
     def star_list(request):
-        # prefetch_related primes each star's reverse ``simulations``
-        # accessor, so the template's per-row simulation count reads the
-        # prefetched set instead of issuing one COUNT per star.
+        # The template prints each star's simulation count and nothing
+        # else about them: prefetch_count reads the page's counts with
+        # one GROUP BY instead of loading every star's simulations (or
+        # issuing one COUNT per star).
         paginator = Paginator(
             Star.objects.using(request.db).order_by("name")
-            .prefetch_related("simulations"),
+            .prefetch_count("simulations"),
             per_page=25)
         page = paginator.get_page(request.GET.get("page", 1))
         return render(request, "star_list.html",
@@ -51,7 +52,7 @@ def build_routes(ctx):
         if star is not None:
             return HttpResponseRedirect(f"/stars/{star.pk}/")
         stars = Star.objects.using(request.db).filter(
-            name__icontains=query).order_by("name").prefetch_related(
+            name__icontains=query).order_by("name").prefetch_count(
             "simulations")[:50]
         return render(request, "star_list.html", {
             "stars": list(stars), "query": query,

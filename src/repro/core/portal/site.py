@@ -40,8 +40,11 @@ class PortalContext:
 
 
 def home_view(request):
+    # The list prints describe() and the star's name: JOIN the star and
+    # leave the wide JSON columns in the database.
     recent = list(Simulation.objects.using(request.db).filter(
-        state=SIM_DONE).order_by("-id")[:10])
+        state=SIM_DONE).order_by("-id").select_related("star")
+        .defer("results", "parameters", "config")[:10])
     return render(request, "home.html", {
         "recent": recent,
         "star_count": Star.objects.using(request.db).count(),

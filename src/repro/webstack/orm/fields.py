@@ -471,6 +471,29 @@ class ForeignKey(Field):
         return sql
 
 
+#: ``to_python`` implementations that return *every* value of exactly
+#: the mapped type unchanged.  Keyed by the function itself, so a
+#: subclass that overrides ``to_python`` is not in the table.  Floats
+#: are absent (NaN raises); booleans, datetimes and JSON are stored as
+#: another type, so reading them always converts.
+_IDENTITY_TO_PYTHON = {
+    AutoField.to_python: int,
+    IntegerField.to_python: int,
+    ForeignKey.to_python: int,
+    CharField.to_python: str,
+}
+
+
+def identity_type(field):
+    """The exact type whose values ``field.from_db`` returns unchanged,
+    or None when there is no such type (row hydration then converts
+    every non-NULL cell)."""
+    cls = type(field)
+    if cls.from_db is not Field.from_db:
+        return None
+    return _IDENTITY_TO_PYTHON.get(cls.to_python)
+
+
 class _ForwardRelationDescriptor:
     """Instance attribute that lazily resolves a ForeignKey to its object."""
 

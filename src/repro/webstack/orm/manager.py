@@ -59,6 +59,9 @@ class Manager:
     def prefetch_related(self, *names):
         return self.get_queryset().prefetch_related(*names)
 
+    def prefetch_count(self, *names):
+        return self.get_queryset().prefetch_count(*names)
+
     def only(self, *names):
         return self.get_queryset().only(*names)
 

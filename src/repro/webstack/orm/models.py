@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from .exceptions import (FieldError, MultipleObjectsReturned,
                          ObjectDoesNotExist, ValidationError)
-from .fields import AutoField, DateTimeField, Field, ForeignKey
+from .fields import (AutoField, DateTimeField, Field, ForeignKey,
+                     identity_type)
 from .manager import Manager
 
 #: Global registry: "ModelName" -> model class.
@@ -158,7 +159,8 @@ def _install_reverse_accessor(model, fk):
 
     The accessor returns a queryset; when the instance was loaded via
     ``prefetch_related``, the queryset's result cache is primed from the
-    prefetched rows so iterating or counting it issues no query.
+    prefetched rows so iterating or counting it issues no query.  Via
+    ``prefetch_count`` only its ``count()`` is primed.
     """
     related_name = fk.related_name or model.__name__.lower() + "_set"
 
@@ -169,6 +171,9 @@ def _install_reverse_accessor(model, fk):
         if prefetched is not None and _name in prefetched:
             qs._result_cache = list(prefetched[_name])
             qs._sticky_cache = True
+        counted = self.__dict__.get("_prefetched_counts")
+        if counted is not None and _name in counted:
+            qs._known_count = counted[_name]
         return qs
 
     target = fk.to
@@ -236,26 +241,49 @@ class Model(metaclass=ModelMeta):
         setattr(self, self._meta.pk.attname, value)
 
     @classmethod
-    def _from_db_row(cls, row, db, fields=None):
-        """Build an instance from a row dict.
+    def _compile_hydrator(cls, index_of, fields=None):
+        """Compile ``hydrate(row, db) -> instance`` for one row layout.
 
-        *fields* restricts hydration to a projection (``only()``/
-        ``defer()``); the rest become deferred attributes that load
-        lazily on first access.
+        ``index_of(column)`` is the column's position in the rows this
+        hydrator will read, or None when the statement does not return
+        it (the attribute is then None).  *fields* restricts hydration
+        to a projection (``only()``/``defer()``); the rest become
+        deferred attributes that load lazily on first access.
+
+        Everything that depends only on the query's shape is decided
+        here, once.  Per cell, ``field.from_db`` is skipped only where
+        it is the identity (None, or :func:`identity_type`).
         """
-        obj = cls.__new__(cls)
-        obj._state_db = db
-        obj._state_adding = False
         loaded = fields if fields is not None else cls._meta.fields
-        if fields is not None:
-            deferred = ({f.attname for f in cls._meta.fields}
-                        - {f.attname for f in loaded})
-            if deferred:
-                object.__setattr__(obj, "_deferred_fields", deferred)
+        deferred = frozenset(f.attname for f in cls._meta.fields) \
+            - {f.attname for f in loaded}
+        cells, absent = [], []
         for field in loaded:
-            raw = row.get(field.column)
-            object.__setattr__(obj, field.attname, field.from_db(raw))
-        return obj
+            index = index_of(field.column)
+            if index is None:
+                absent.append(field.attname)
+            else:
+                cells.append((field.attname, index, identity_type(field),
+                              field.from_db))
+        new = cls.__new__
+
+        def hydrate(row, db):
+            obj = new(cls)
+            state = obj.__dict__
+            state["_state_db"] = db
+            state["_state_adding"] = False
+            if deferred:
+                state["_deferred_fields"] = set(deferred)
+            for attname, index, same_type, from_db in cells:
+                value = row[index]
+                if value is not None and type(value) is not same_type:
+                    value = from_db(value)
+                state[attname] = value
+            for attname in absent:
+                state[attname] = None
+            return obj
+
+        return hydrate
 
     def __getattr__(self, name):
         # Only reached when normal lookup fails: deferred columns
@@ -381,6 +409,7 @@ class Model(metaclass=ModelMeta):
             setattr(self, field.attname, getattr(fresh, field.attname))
         self.__dict__.pop("_fk_cache", None)
         self.__dict__.pop("_prefetched_objects", None)
+        self.__dict__.pop("_prefetched_counts", None)
         self.__dict__.pop("_deferred_fields", None)
         self._state_adding = False
         return self

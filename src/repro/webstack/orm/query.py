@@ -16,6 +16,9 @@ SDSS/SkyServer, "When Database Systems Meet the Grid"):
   foreign keys in the same round trip as the base rows;
 - ``prefetch_related(name)`` — one batched ``IN``-query per relation
   loads forward FKs or reverse FK sets for *every* fetched row;
+- ``prefetch_count(name)`` — one grouped ``COUNT(*)`` per reverse
+  relation, for pages that print how many rows there are and never
+  read them;
 - ``only()``/``defer()`` — column projection (unloaded columns load
   lazily on first access);
 - ``bulk_update(objs, fields)`` — one CASE-WHEN UPDATE per batch instead
@@ -436,6 +439,10 @@ class QuerySet:
     #: cloning into a fresh round trip.
     _sticky_cache = False
 
+    #: Set on querysets returned by reverse-relation accessors whose
+    #: size ``prefetch_count`` already read: ``count()`` answers it.
+    _known_count = None
+
     def __init__(self, model, db=None):
         self.model = model
         self._db = db
@@ -445,6 +452,7 @@ class QuerySet:
         self._offset = None
         self._select_related = ()   # FK paths to JOIN-load
         self._prefetch_related = () # relation names to batch-load
+        self._prefetch_count = ()   # reverse relations to batch-count
         self._only = None           # field-name allowlist (None = all)
         self._defer = frozenset()   # field-name denylist
         self._result_cache = None
@@ -467,6 +475,7 @@ class QuerySet:
         clone._offset = self._offset
         clone._select_related = self._select_related
         clone._prefetch_related = self._prefetch_related
+        clone._prefetch_count = self._prefetch_count
         clone._only = None if self._only is None else set(self._only)
         clone._defer = self._defer
         return clone
@@ -553,6 +562,26 @@ class QuerySet:
                     f"{sorted([f.name for f in meta.foreign_keys()] + list(meta.related_objects))}")
             merged[name] = None
         clone._prefetch_related = tuple(merged)
+        return clone
+
+    def prefetch_count(self, *names):
+        """Batch-count reverse relations with one grouped query each.
+
+        ``obj.things.count()`` then answers from the primed number.
+        For a page that prints how many related rows exist and never
+        reads them: the question goes to the data, no related row is
+        loaded.  (Any refinement of ``obj.things`` queries as usual.)
+        """
+        clone = self._clone()
+        merged = dict.fromkeys(self._prefetch_count)
+        for name in names:
+            if name not in self.model._meta.related_objects:
+                raise FieldError(
+                    f"Cannot count {name!r} on {self.model.__name__}; "
+                    f"choices are "
+                    f"{sorted(self.model._meta.related_objects)}")
+            merged[name] = None
+        clone._prefetch_count = tuple(merged)
         return clone
 
     def only(self, *names):
@@ -662,9 +691,12 @@ class QuerySet:
         return key, raw_values, compiled_cache.get(key)
 
     def _build_select(self):
-        """Compile this queryset; returns (sql, params, plan, fields).
+        """Compile this queryset; returns (sql, params, compiled).
 
-        *fields* is the base-model projection (None = every column).
+        *compiled* is what depends only on the queryset's shape — the
+        compiled-cache entry on a hit: the join ``plan``, the
+        base-model projection ``fields`` (None = every column) and the
+        row ``hydrator`` once a fetch has compiled one.
         """
         meta = self.model._meta
         cache_key, raw_values, entry = self._cache_probe(
@@ -676,7 +708,7 @@ class QuerySet:
         if entry is not None:
             params = [bind(v) for bind, v
                       in zip(entry["binders"], raw_values)]
-            return entry["sql"], params, entry["plan"], entry["fields"]
+            return entry["sql"], params, entry
         plan = self._join_plan()
         base_alias = "t0" if plan else None
         compiler = QueryCompiler(self.model, base_alias=base_alias)
@@ -714,55 +746,79 @@ class QuerySet:
             if self._offset:
                 sql += f" OFFSET {self._offset}"
         compiled_cache.compiles += 1
+        compiled = {"sql": sql, "plan": plan, "fields": fields,
+                    "binders": binders, "hydrator": None}
         if cache_key is not None and len(binders) == len(params) \
                 and len(raw_values) == len(params):
-            compiled_cache.put(cache_key, {"sql": sql, "plan": plan,
-                                           "fields": fields,
-                                           "binders": binders})
-        return sql, params, plan, fields
+            compiled_cache.put(cache_key, compiled)
+        return sql, params, compiled
 
-    def _select_sql(self, columns="*"):
-        """Back-compat shim: (sql, params) of the compiled SELECT."""
-        sql, params, _, _ = self._build_select()
-        return sql, params
+    def _row_hydrator(self, compiled, columns):
+        """``hydrate(row, db) -> instance`` for rows laid out as
+        *columns* (the cursor's column names): compiled on the first
+        fetch of a query shape, kept with its SQL and replayed after.
+
+        Per row it hydrates the base instance, then each
+        ``select_related`` node in plan order into its parent's FK
+        cache; a NULL foreign key caches None and leaves everything
+        below it unhydrated.
+        """
+        kept = compiled["hydrator"]
+        if kept is not None and kept[0] == columns:
+            return kept[1]
+        index = {}
+        for position, column in enumerate(columns):
+            index.setdefault(column, position)
+        base = self.model._compile_hydrator(index.get,
+                                            compiled["fields"])
+        slots, steps = {None: 0}, []
+        for node in compiled["plan"]:
+            prefix = node["path"] + "__"
+            steps.append((
+                slots[node["parent_path"]], node["field"].name,
+                node["field"].attname,
+                node["target"]._compile_hydrator(
+                    lambda column, prefix=prefix:
+                    index.get(prefix + column))))
+            slots[node["path"]] = len(steps)
+
+        def hydrate_joined(row, db):
+            objs = [base(row, db)]
+            for parent_slot, name, attname, related_from in steps:
+                parent = objs[parent_slot]
+                related = None
+                if parent is not None:
+                    state = parent.__dict__
+                    if state[attname] is not None:
+                        related = related_from(row, db)
+                    state.setdefault("_fk_cache", {})[name] = related
+                objs.append(related)
+            return objs[0]
+
+        hydrate = hydrate_joined if steps else base
+        # One assignment, so a concurrent fetch reads a matching pair.
+        compiled["hydrator"] = (columns, hydrate)
+        return hydrate
 
     def _fetch(self):
         if self._result_cache is not None:
             return self._result_cache
-        sql, params, plan, fields = self._build_select()
+        sql, params, compiled = self._build_select()
+        db = self.db
         # A JOIN reads the joined tables too: the role must hold SELECT
         # on every one of them, not just the base table.
-        for node in plan:
-            self.db.check_permission("select",
-                                     node["target"]._meta.table_name)
-        cur = self.db.execute(sql, params, operation="select",
-                              table=self.model._meta.table_name)
-        rows = [dict(row) for row in cur.fetchall()]
-        instances = []
-        for row in rows:
-            obj = self.model._from_db_row(row, self.db, fields=fields)
-            hydrated = {None: obj}
-            for node in plan:
-                parent = hydrated.get(node["parent_path"])
-                if parent is None:
-                    hydrated[node["path"]] = None
-                    continue
-                cache = parent.__dict__.setdefault("_fk_cache", {})
-                fk_id = getattr(parent, node["field"].attname)
-                if fk_id is None:
-                    cache[node["field"].name] = None
-                    hydrated[node["path"]] = None
-                    continue
-                prefix = node["path"] + "__"
-                sub = {key[len(prefix):]: value
-                       for key, value in row.items()
-                       if key.startswith(prefix)}
-                related = node["target"]._from_db_row(sub, self.db)
-                cache[node["field"].name] = related
-                hydrated[node["path"]] = related
-            instances.append(obj)
-        if self._prefetch_related and instances:
-            self._do_prefetch(instances)
+        for node in compiled["plan"]:
+            db.check_permission("select", node["target"]._meta.table_name)
+        cur = db.execute(sql, params, operation="select",
+                         table=self.model._meta.table_name)
+        hydrate = self._row_hydrator(
+            compiled, tuple(column[0] for column in cur.description))
+        instances = [hydrate(row, db) for row in cur.fetchall()]
+        if instances:
+            if self._prefetch_related:
+                self._do_prefetch(instances)
+            if self._prefetch_count:
+                self._do_prefetch_count(instances)
         self._result_cache = instances
         return self._result_cache
 
@@ -797,6 +853,18 @@ class QuerySet:
                     store = obj.__dict__.setdefault(
                         "_prefetched_objects", {})
                     store[name] = groups.get(obj.pk, [])
+
+    def _do_prefetch_count(self, instances):
+        """One GROUP BY per counted relation, priming per-instance
+        counts (0 for an instance no related row points at)."""
+        pks = [obj.pk for obj in instances if obj.pk is not None]
+        for name in self._prefetch_count:
+            related_model, fk = self.model._meta.related_objects[name]
+            counts = related_model.objects.using(self.db).filter(
+                **{fk.attname + "__in": pks}).values_count(fk.attname)
+            for obj in instances:
+                obj.__dict__.setdefault("_prefetched_counts", {})[name] \
+                    = counts.get(obj.pk, 0)
 
     def __iter__(self):
         return iter(self._fetch())
@@ -844,6 +912,8 @@ class QuerySet:
     def count(self):
         if self._result_cache is not None:
             return len(self._result_cache)
+        if self._known_count is not None:
+            return self._known_count
         cache_key, raw_values, entry = self._cache_probe("count")
         if entry is not None:
             sql = entry["sql"]
@@ -859,8 +929,7 @@ class QuerySet:
             compiled_cache.compiles += 1
             if cache_key is not None and len(binders) == len(params) \
                     and len(raw_values) == len(params):
-                compiled_cache.put(cache_key, {"sql": sql, "plan": [],
-                                               "fields": None,
+                compiled_cache.put(cache_key, {"sql": sql,
                                                "binders": binders})
         cur = self.db.execute(sql, params, operation="select",
                               table=self.model._meta.table_name)

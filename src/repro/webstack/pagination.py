@@ -1,7 +1,7 @@
 """Pagination for list views (Django's Paginator equivalent).
 
-Works with QuerySets (sliced lazily — one COUNT plus one LIMIT/OFFSET
-query per page) and with plain sequences.
+Works with QuerySets (sliced lazily — one COUNT per paginator plus one
+LIMIT/OFFSET query per page) and with plain sequences.
 
 :class:`CursorPaginator` is the API-facing variant: keyset pagination
 over the primary key, so deep pages cost one indexed range scan instead
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import math
 
 
@@ -67,8 +68,10 @@ class Paginator:
         self.object_list = object_list
         self.per_page = int(per_page)
 
-    @property
+    @functools.cached_property
     def count(self):
+        """Total objects, read once: ``page()`` and a template's
+        pagination footer consult it several times per request."""
         if hasattr(self.object_list, "count") \
                 and not isinstance(self.object_list, (list, tuple)):
             return self.object_list.count()

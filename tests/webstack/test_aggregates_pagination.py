@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.webstack.orm import (Avg, Count, Database, FieldError, Max,
                                 Min, Sum, bind, create_all)
 from repro.webstack.pagination import EmptyPage, Paginator
+from repro.webstack.templates import Template
 
 from .conftest import Author, Book
 
@@ -128,6 +129,23 @@ class TestPaginator:
         assert paginator.count == 5
         page = paginator.page(2)
         assert [b.pages for b in page] == [30, 40]
+
+    def test_rendered_page_costs_one_count(self, seeded):
+        """``page()`` and a pagination footer read ``count`` and
+        ``num_pages`` half a dozen times; the table is counted once."""
+        footer = Template(
+            "{% if page.has_previous %}prev{% endif %} "
+            "page {{ page.number }} of {{ page.paginator.num_pages }} "
+            "({{ page.start_index }}-{{ page.end_index }} of "
+            "{{ page.paginator.count }})"
+            "{% if page.has_next %} next{% endif %}")
+        with seeded.count_queries() as counter:
+            paginator = Paginator(Book.objects.order_by("pages"),
+                                  per_page=2)
+            page = paginator.get_page(2)
+            text = footer.render({"page": page})
+        assert text == "prev page 2 of 3 (3-4 of 5) next"
+        assert counter.count == 2, repr(counter)    # COUNT + the page
 
     def test_invalid_per_page(self):
         with pytest.raises(ValueError):
