@@ -13,7 +13,10 @@ Two claims behind the overload work:
 
 import time as wall
 
-from repro.serve import ServeConfig
+from repro.serve import (AdmissionMiddleware, BrownoutMiddleware,
+                         CacheMiddleware, DeadlineMiddleware,
+                         DeadlineScopeMiddleware, RateLimitMiddleware,
+                         ServeConfig)
 from repro.core.portal.site import build_portal_app
 from repro.webstack.testclient import Client
 
@@ -36,6 +39,19 @@ def _deployment_with_content():
     return deployment
 
 
+def _served(deployment, *, without=()):
+    """The served portal minus the *without* middleware classes.  The
+    tier has no switches, so this bench builds its own baselines; the
+    rate limiter always goes (frozen virtual clock = no refills, and
+    this bench measures the resilience stack, not the limiter).
+    Callers ``close()`` the returned app's ``serve_cache``."""
+    app = build_portal_app(deployment, serve=ServeConfig())
+    dropped = (RateLimitMiddleware,) + tuple(without)
+    app.middleware = [m for m in app.middleware
+                      if not isinstance(m, dropped)]
+    return app
+
+
 def _measure(fn, n=200):
     latencies = []
     for _ in range(n):
@@ -47,15 +63,12 @@ def _measure(fn, n=200):
 
 
 def test_resilience_stack_overhead_on_hot_path(benchmark):
-    """Full stack vs cache-only, both serving pure cache hits.
-    Rate limiting is off in both (frozen virtual clock = no refills;
-    this bench measures the resilience stack, not the limiter)."""
+    """Full stack vs cache-only, both serving pure cache hits."""
     deployment = _deployment_with_content()
-    cache_only = build_portal_app(deployment, serve=ServeConfig(
-        ratelimit=False, admission=False, deadlines=False,
-        health=False))
-    full_stack = build_portal_app(deployment, serve=ServeConfig(
-        ratelimit=False))
+    cache_only = _served(deployment, without=(
+        AdmissionMiddleware, DeadlineMiddleware, BrownoutMiddleware,
+        DeadlineScopeMiddleware))
+    full_stack = _served(deployment)
     paths = ["/", "/stars/", "/simulations/"]
     clients = {"cache only": Client(cache_only),
                "full stack": Client(full_stack)}
@@ -95,8 +108,7 @@ def test_shedding_is_cheaper_than_serving(benchmark):
     """A shed 503 beats a cold render by >= 10x and runs zero database
     statements — overload makes the worker *faster*, not slower."""
     deployment = _deployment_with_content()
-    app = build_portal_app(deployment, serve=ServeConfig(
-        ratelimit=False, cache=False))
+    app = _served(deployment, without=(CacheMiddleware,))
     client = Client(app)
 
     def cold_render():
@@ -126,14 +138,14 @@ def test_shedding_is_cheaper_than_serving(benchmark):
     print(f"shed speedup over render: {shed_rps / render_rps:.1f}x "
           f"(budget: >= 10x, zero DB statements)")
     assert shed_rps >= 10 * render_rps
+    app.serve_cache.close()
 
 
 def test_brownout_page_touches_no_database(benchmark):
     """Degraded mode: the reduced-service answer for an expensive route
     is constant-cost and database-free."""
     deployment = _deployment_with_content()
-    app = build_portal_app(deployment, serve=ServeConfig(
-        ratelimit=False, cache=False, health_min_samples=4))
+    app = _served(deployment, without=(CacheMiddleware,))
     client = Client(app)
     for _ in range(4):
         app.serve_health.record_db_error()
@@ -150,3 +162,4 @@ def test_brownout_page_touches_no_database(benchmark):
     benchmark(brownout)
     print(f"\nbrownout page: {rps:8.0f} req/s, p99 {p99 * 1000:.3f} ms "
           f"(zero DB statements)")
+    app.serve_cache.close()

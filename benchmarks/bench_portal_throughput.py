@@ -63,12 +63,13 @@ def test_cache_hot_vs_cold_throughput(benchmark):
 
     deployment, _ = _populated_portal()
     app = deployment.build_portal()        # bare app (seed behaviour)
-    from repro.serve import ServeConfig
+    from repro.serve import RateLimitMiddleware, ServeConfig
     from repro.core.portal.site import build_portal_app
-    # Rate limiting off: under the frozen virtual clock buckets never
-    # refill, and this bench measures the cache, not the limiter.
-    served = build_portal_app(deployment,
-                              serve=ServeConfig(ratelimit=False))
+    served = build_portal_app(deployment, serve=ServeConfig())
+    # No limiter: under the frozen virtual clock buckets never refill,
+    # and this bench measures the cache, not the limiter.
+    served.middleware = [m for m in served.middleware
+                         if not isinstance(m, RateLimitMiddleware)]
     anon_cold = Client(app)
     anon_hot = Client(served)
     paths = ["/", "/stars/", "/simulations/", "/statistics/"]

@@ -114,23 +114,24 @@ def cmd_serve(args):
     """
     import tempfile
 
-    run_dir = tempfile.mkdtemp(prefix="amp-serve-")
-
     from .core import build_prefork_app_factory
     from .serve import PreforkServer
-    app_factory = build_prefork_app_factory(
-        f"{run_dir}/portal.sqlite", f"{run_dir}/cache.sqlite",
-        db_fault_trigger=args.db_fault_trigger,
-        watchdog_s=args.watchdog or None)
-    server = PreforkServer(
-        app_factory, workers=args.workers, host=args.host,
-        port=args.port, watchdog_s=args.watchdog or None,
-        max_requests=args.max_requests or None,
-        socket_timeout_s=args.socket_timeout or None)
-    server.start()
-    print(f"AMP portal on {server.url} "
-          f"({server.n_workers} workers; Ctrl-C to drain)")
-    server.serve_forever()
+    # The database, the cache file and their -wal/-shm siblings live
+    # only as long as the server does.
+    with tempfile.TemporaryDirectory(prefix="amp-serve-") as run_dir:
+        app_factory = build_prefork_app_factory(
+            f"{run_dir}/portal.sqlite", f"{run_dir}/cache.sqlite",
+            db_fault_trigger=args.db_fault_trigger,
+            watchdog_s=args.watchdog or None)
+        server = PreforkServer(
+            app_factory, workers=args.workers, host=args.host,
+            port=args.port, watchdog_s=args.watchdog or None,
+            max_requests=args.max_requests or None,
+            socket_timeout_s=args.socket_timeout or None)
+        server.start()
+        print(f"AMP portal on {server.url} "
+              f"({server.n_workers} workers; Ctrl-C to drain)")
+        server.serve_forever()
     return 0
 
 

@@ -215,15 +215,22 @@ class AMPDeployment:
     def build_portal(self, *, debug=False, serve=None):
         """Construct (once) the public portal web application.
 
-        ``serve`` enables the serving tier (``True`` or a
-        :class:`~repro.serve.ServeConfig`); the default ``None`` keeps
-        the bare pipeline.  The first call's configuration wins — the
-        app is cached.
+        ``serve`` is a :class:`~repro.serve.ServeConfig` for the
+        serving tier; the default ``None`` builds the bare pipeline.
+        The app is cached: later calls without ``serve`` return it,
+        and a call whose ``serve`` is not what it was built with
+        raises instead of handing back a differently built app.
         """
         if self.portal_app is None:
             from .portal.site import build_portal_app
             self.portal_app = build_portal_app(self, debug=debug,
                                                serve=serve)
+            self._portal_serve = serve
+        elif serve is not None and serve is not self._portal_serve:
+            raise ValueError(
+                f"the portal is already built with "
+                f"serve={self._portal_serve!r}; it cannot be rebuilt "
+                f"with serve={serve!r}")
         return self.portal_app
 
     @property
@@ -390,9 +397,7 @@ class AMPDeployment:
 
 
 def build_prefork_app_factory(database_path, cache_path, *,
-                              db_fault_trigger=None,
-                              health_recovery_s=None,
-                              watchdog_s=None):
+                              db_fault_trigger=None, watchdog_s=None):
     """Worker app factory for real-HTTP prefork serving.
 
     Creates and seeds one file-backed deployment database up front —
@@ -412,23 +417,17 @@ def build_prefork_app_factory(database_path, cache_path, *,
     db_fault_trigger:
         Optional path of a *trigger file*: while it exists, every
         worker's database statements fail as if the database were
-        down (the cross-process chaos switch the overload smoke test
-        and the CI readiness-flip check use).
-    health_recovery_s:
-        Optional override for the health tracker's recovery quiet
-        period (short in smoke tests so readiness flips back fast).
+        down (the cross-process chaos switch the prefork readiness
+        test uses).
     watchdog_s:
-        The server's per-request watchdog, when one is armed: each
-        worker's deadline budgets (including the maximum a client may
-        request via ``X-Request-Budget-Ms``) are clamped below it, so
-        an over-budget request always gets its clean 504 before the
-        watchdog hard-kills the worker mid-response.
+        The server's per-request watchdog, when one is armed (see
+        :class:`~repro.serve.ServeConfig`).
     """
     AMPDeployment(database_uri=database_path).close()
 
     def app_factory(index):
-        from ..serve import (DbFaultInjector, DeadlinePolicy,
-                             ServeConfig, SqliteSharedStore, WallClock)
+        from ..serve import (DbFaultInjector, ServeConfig,
+                             SqliteSharedStore, WallClock)
         deployment = AMPDeployment(database_uri=database_path)
         clock = WallClock()
         db_fault = None
@@ -440,8 +439,6 @@ def build_prefork_app_factory(database_path, cache_path, *,
             shared_store=SqliteSharedStore(cache_path),
             worker_index=index,
             db_fault=db_fault,
-            deadline_policy=DeadlinePolicy().clamped_to_watchdog(
-                watchdog_s),
-            health_recovery_s=health_recovery_s))
+            watchdog_s=watchdog_s))
 
     return app_factory

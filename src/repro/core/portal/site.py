@@ -58,20 +58,19 @@ def build_portal_app(deployment, *, debug=False, serve=None):
     Parameters
     ----------
     serve:
-        Serving-tier assembly: ``None``/``False`` for the bare portal
-        (the seed behaviour), ``True`` for the default
-        :class:`~repro.serve.ServeConfig`, or an explicit config.  When
-        enabled, the pipeline becomes observability → admission gate →
-        rate limiter → SSL → deadlines → response cache → brownout →
-        auth → deadline scope, ``/healthz`` + ``/readyz`` are mounted,
-        and the returned app exposes ``serve_cache`` /
-        ``rate_limiter`` / ``admission`` / ``serve_health`` for tests
-        and teardown.
+        ``None`` for the bare portal (routes + observability + SSL +
+        auth), or a :class:`~repro.serve.ServeConfig` for the serving
+        tier: :class:`~repro.serve.ServingTier` wraps the same three
+        middleware in its one pipeline and mounts ``/healthz`` +
+        ``/readyz``.  Either way the returned app carries
+        ``serve_cache`` / ``rate_limiter`` / ``admission`` /
+        ``serve_health`` (``None`` on the bare portal) for tests and
+        teardown.
     """
     from ..catalog import StarCatalog
+    portal_db = deployment.databases.portal
     ctx = PortalContext(
-        catalog=StarCatalog(deployment.databases.portal,
-                            deployment.simbad),
+        catalog=StarCatalog(portal_db, deployment.simbad),
         machine_display_names={
             name: record.display_name
             for name, record in deployment.machine_records.items()},
@@ -90,95 +89,25 @@ def build_portal_app(deployment, *, debug=False, serve=None):
     engine = Engine(templates=dict(TEMPLATES))
     from ...webstack.middleware import (ObservabilityMiddleware,
                                         SSLRequiredMiddleware)
-    middleware = []
+    middleware = [SSLRequiredMiddleware(), AuthMiddleware(portal_db)]
     if ctx.obs is not None:
         # First in the pipeline: request metrics see redirects and
         # errors from the inner middleware/views too.
-        middleware.append(ObservabilityMiddleware(
-            ctx.obs, db=deployment.databases.portal))
-    serve_cache = rate_limiter = admission = serve_health = None
-    if serve:
-        from ...serve import (AdmissionController, AdmissionMiddleware,
-                              BrownoutMiddleware, CacheMiddleware,
-                              DeadlineMiddleware, DeadlineScopeMiddleware,
-                              HealthTracker, PortalCache, RateLimiter,
-                              RateLimitMiddleware, ServeConfig,
-                              WallClock, build_health_routes,
-                              mark_worker_process)
-        config = serve if isinstance(serve, ServeConfig) else ServeConfig()
-        # The config's clock wins: real-HTTP serving passes a
-        # WallClock there, because the deployment's SimClock only
-        # advances when harness code advances it — inheriting it in a
-        # prefork worker would freeze TTLs and rate-limit refills.
-        if config.clock is not None:
-            clock = config.clock
-        else:
-            clock = ctx.clock if ctx.clock is not None else WallClock()
-        portal_db = deployment.databases.portal
-        if config.health:
-            health_kwargs = {}
-            for attr, kwarg in (
-                    ("health_window", "window"),
-                    ("health_error_threshold", "error_threshold"),
-                    ("health_min_samples", "min_samples"),
-                    ("health_recovery_s", "recovery_after_s"),
-                    ("health_slow_statement_s", "slow_statement_s")):
-                value = getattr(config, attr)
-                if value is not None:
-                    health_kwargs[kwarg] = value
-            serve_health = HealthTracker(clock, obs=ctx.obs,
-                                         **health_kwargs)
-            # Even with no injector configured, attaching feeds the
-            # tracker real per-statement signals.
-            serve_health.attach(portal_db, injector=config.db_fault)
-            urlpatterns += build_health_routes(serve_health, portal_db)
-        elif config.db_fault is not None:
-            # No health tracker to wrap it, but the chaos injector
-            # still applies (deadline tests run with health off).
-            portal_db.fault_hook = config.db_fault
-        if config.admission:
-            admission = AdmissionController(
-                clock, policy=config.admission_policy,
-                route_classes=config.route_classes, obs=ctx.obs,
-                health=serve_health)
-            middleware.append(AdmissionMiddleware(admission))
-        if config.ratelimit:
-            rate_limiter = RateLimiter(
-                clock, policies=config.rate_policies,
-                default=config.rate_default, obs=ctx.obs)
-            middleware.append(RateLimitMiddleware(rate_limiter))
-    middleware.append(SSLRequiredMiddleware())
-    if serve:
-        if config.deadlines:
-            middleware.append(DeadlineMiddleware(
-                clock, portal_db, policy=config.deadline_policy,
-                obs=ctx.obs))
-        if config.cache:
-            serve_cache = PortalCache(
-                clock, shared=config.shared_store,
-                l1_capacity=config.l1_capacity, obs=ctx.obs,
-                stale_grace_s=config.stale_grace_s
-                if config.health else 0.0).connect_invalidation()
-            middleware.append(CacheMiddleware(
-                serve_cache, rules=config.cache_rules,
-                health=serve_health))
-        if serve_health is not None:
-            middleware.append(BrownoutMiddleware(
-                serve_health, routes=config.brownout_routes,
-                obs=ctx.obs))
-        mark_worker_process(ctx.obs, config.worker_index)
-    middleware.append(AuthMiddleware(deployment.databases.portal))
-    if serve and config.deadlines:
-        # Innermost: first in the reversed response chain, so the
-        # deadline hook is disarmed before session saves / cache fills.
-        middleware.append(DeadlineScopeMiddleware(portal_db))
+        middleware.insert(0, ObservabilityMiddleware(
+            ctx.obs, db=portal_db))
+    tier = None
+    if serve is not None:
+        from ...serve import ServingTier
+        tier = ServingTier(serve, portal_db, middleware,
+                           clock=ctx.clock, obs=ctx.obs)
+        urlpatterns += tier.routes
+        middleware = tier.middleware
     app = WebApplication(
         urlpatterns, engine=engine, middleware=middleware,
-        db=deployment.databases.portal, debug=debug)
-    app.serve_cache = serve_cache
-    app.rate_limiter = rate_limiter
-    app.admission = admission
-    app.serve_health = serve_health
+        db=portal_db, debug=debug)
+    for handle in ("serve_cache", "rate_limiter", "admission",
+                   "serve_health"):
+        setattr(app, handle, getattr(tier, handle, None))
     return app
 
 

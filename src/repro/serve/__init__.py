@@ -23,9 +23,10 @@ grown into a real subsystem (see DESIGN.md §10):
 - :mod:`repro.serve.api` — helpers for the JSON campaign API (error
   bodies, parameter-sweep validation/expansion).
 
-:class:`ServeConfig` bundles the knobs; ``build_portal_app(...,
-serve=ServeConfig())`` (or ``serve=True`` for defaults) assembles the
-tier in front of the existing portal application.
+:class:`ServeConfig` holds the five values that differ between
+deployments; ``build_portal_app(..., serve=ServeConfig())`` puts the
+tier — every layer, always on, in the order :class:`ServingTier` writes
+down — in front of the portal application.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
     "EXEMPT_ROUTES", "HealthTracker", "InMemorySharedStore",
     "PRIORITY_BULK", "PRIORITY_CRITICAL", "PRIORITY_INTERACTIVE",
     "PortalCache", "PreforkServer", "RateLimiter",
-    "RateLimitMiddleware", "RatePolicy", "ServeConfig",
+    "RateLimitMiddleware", "RatePolicy", "ServeConfig", "ServingTier",
     "SqliteSharedStore", "WATCHDOG_EXIT", "WallClock",
     "build_health_routes", "mark_worker_process",
 ]
@@ -70,89 +71,96 @@ class WallClock:
 
 
 class ServeConfig:
-    """Configuration for one serving-tier assembly.
+    """What differs between two deployments of the serving tier.
 
     Parameters
     ----------
-    cache:
-        Enable the read-through response cache.
-    ratelimit:
-        Enable per-route token-bucket limiting.
-    admission:
-        Enable per-worker admission control (shed load beyond the
-        concurrency limit with fast 503s, by priority class).
-    deadlines:
-        Enable per-request time budgets enforced at the database
-        connection layer (504 once a request's budget is spent).
-    health:
-        Enable database health tracking, brownout degradation, stale
-        cache serving while degraded, and the ``/healthz``/``/readyz``
-        endpoints.
     clock:
-        Clock the cache TTLs and rate-limit buckets are measured
-        against.  ``None`` inherits the deployment's virtual clock
-        (tests and benches advance it explicitly), falling back to
-        :class:`WallClock`.  Real-HTTP serving — the prefork runner —
-        must pass a :class:`WallClock`: a deployment's
+        Clock the cache TTLs, rate-limit buckets, deadlines and health
+        window are measured against.  ``None`` inherits the
+        deployment's virtual clock (tests and benches advance it
+        explicitly).  Real-HTTP serving — the prefork runner — must
+        pass a :class:`WallClock`: a deployment's
         :class:`~repro.hpc.simclock.SimClock` never advances on its
         own, so under it token buckets would never refill and cached
         entries would never expire.
-    cache_rules / rate_policies:
-        Overrides for the per-route defaults (None = defaults).
-    admission_policy / route_classes / deadline_policy:
-        Overrides for the admission and deadline defaults.
-    brownout_routes:
-        Routes the brownout page covers while degraded (None =
-        :data:`~repro.serve.health.DEFAULT_BROWNOUT_ROUTES`).
+    shared_store:
+        Cross-worker cache store (None = in-memory, per-process).
+    worker_index:
+        This process's worker number, stamped on the
+        ``serve_worker_up`` gauge (the in-process tier is worker 0).
     db_fault:
         Optional ``callable(operation, table)`` installed behind the
         health tracker's fault hook — the chaos/test injection point
         (see :class:`~repro.serve.health.DbFaultInjector`).
-    stale_grace_s:
-        Seconds past expiry a cached page stays servable as *stale*
-        (brownout raw material; 0 disables stale retention).
-    health_window / health_error_threshold / health_min_samples /
-    health_recovery_s / health_slow_statement_s:
-        Sliding-window shape for the degradation detector (None =
-        :class:`~repro.serve.health.HealthTracker` defaults).
-    shared_store:
-        Cross-worker cache store (None = in-memory, per-process).
-    l1_capacity:
-        Per-worker L1 LRU size.
-    worker_index:
-        This process's worker number, stamped on the
-        ``serve_worker_up`` gauge (the in-process tier is worker 0).
+    watchdog_s:
+        The server's per-request watchdog, when one is armed: deadline
+        budgets (including the maximum a client may request via
+        ``X-Request-Budget-Ms``) are clamped below it, so an
+        over-budget request gets its clean 504 before the watchdog
+        hard-kills the worker mid-response.
     """
 
-    def __init__(self, *, cache=True, ratelimit=True, admission=True,
-                 deadlines=True, health=True, clock=None,
-                 cache_rules=None, rate_policies=None, rate_default=None,
-                 admission_policy=None, route_classes=None,
-                 deadline_policy=None, brownout_routes=None,
-                 db_fault=None, stale_grace_s=300.0, health_window=None,
-                 health_error_threshold=None, health_min_samples=None,
-                 health_recovery_s=None, health_slow_statement_s=None,
-                 shared_store=None, l1_capacity=256, worker_index=0):
-        self.cache = cache
-        self.ratelimit = ratelimit
-        self.admission = admission
-        self.deadlines = deadlines
-        self.health = health
+    def __init__(self, *, clock=None, shared_store=None, worker_index=0,
+                 db_fault=None, watchdog_s=None):
         self.clock = clock
-        self.cache_rules = cache_rules
-        self.rate_policies = rate_policies
-        self.rate_default = rate_default
-        self.admission_policy = admission_policy
-        self.route_classes = route_classes
-        self.deadline_policy = deadline_policy
-        self.brownout_routes = brownout_routes
-        self.db_fault = db_fault
-        self.stale_grace_s = stale_grace_s
-        self.health_window = health_window
-        self.health_error_threshold = health_error_threshold
-        self.health_min_samples = health_min_samples
-        self.health_recovery_s = health_recovery_s
-        self.health_slow_statement_s = health_slow_statement_s
         self.shared_store = shared_store
-        self.l1_capacity = l1_capacity
         self.worker_index = worker_index
+        self.db_fault = db_fault
+        self.watchdog_s = watchdog_s
+
+
+class ServingTier:
+    """The one serving pipeline on the portal-role connection *db*,
+    assembled around *portal_middleware* — the bare portal's own
+    ``[observability, ssl, auth]`` (no observability entry when the
+    deployment carries no ``obs``).
+
+    Every layer is always on; a test that needs a different policy
+    sets it on the built component (``rate_limiter.policies``,
+    ``serve_health.min_samples``, a middleware's ``policy``, ...).
+    """
+
+    #: Seconds past expiry a cached page stays servable as *stale*
+    #: (the brownout's raw material).
+    STALE_GRACE_S = 300.0
+
+    def __init__(self, config, db, portal_middleware, *, clock,
+                 obs=None):
+        if config.clock is not None:
+            clock = config.clock
+        *observability, ssl, auth = portal_middleware
+        # Attaching feeds the tracker real per-statement signals even
+        # with no injector configured.
+        self.serve_health = HealthTracker(clock, obs=obs).attach(
+            db, injector=config.db_fault)
+        self.admission = AdmissionController(
+            clock, obs=obs, health=self.serve_health)
+        self.rate_limiter = RateLimiter(clock, obs=obs)
+        self.serve_cache = PortalCache(
+            clock, shared=config.shared_store, obs=obs,
+            stale_grace_s=self.STALE_GRACE_S).connect_invalidation()
+        #: ``/healthz`` + ``/readyz``, mounted beside the portal's routes.
+        self.routes = build_health_routes(self.serve_health, db)
+        self.middleware = [
+            # First: request metrics see sheds, 429s and redirects too.
+            *observability,
+            # Shed and throttle before any database work.
+            AdmissionMiddleware(self.admission),
+            RateLimitMiddleware(self.rate_limiter),
+            ssl,
+            DeadlineMiddleware(
+                clock, db, obs=obs,
+                policy=DeadlinePolicy().clamped_to_watchdog(
+                    config.watchdog_s)),
+            # Fresh and stale cached copies win over the brownout page;
+            # both spare a sick database the session lookup and render.
+            CacheMiddleware(self.serve_cache, health=self.serve_health),
+            BrownoutMiddleware(self.serve_health, obs=obs),
+            auth,
+            # Innermost: first in the reversed response chain, so the
+            # deadline hook is disarmed before session saves / cache
+            # fills.
+            DeadlineScopeMiddleware(db),
+        ]
+        mark_worker_process(obs, config.worker_index)

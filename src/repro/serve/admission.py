@@ -138,13 +138,10 @@ class AdmissionController:
     while it reports degraded, BULK admission tightens further.
     """
 
-    def __init__(self, clock, *, policy=None, route_classes=None,
-                 obs=None, health=None):
+    def __init__(self, clock, *, policy=None, obs=None, health=None):
         self.clock = clock
         self.policy = policy or AdmissionPolicy()
-        self.route_classes = dict(DEFAULT_ROUTE_CLASSES
-                                  if route_classes is None
-                                  else route_classes)
+        self.route_classes = dict(DEFAULT_ROUTE_CLASSES)
         self.obs = obs
         self.health = health
         self._inflight = {PRIORITY_CRITICAL: 0, PRIORITY_INTERACTIVE: 0,

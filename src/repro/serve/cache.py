@@ -235,8 +235,7 @@ class PortalCache:
         Seconds past expiry an entry remains *servable as stale* via
         :meth:`get_stale` (stale-while-revalidate / serve-stale-on-
         error).  0 disables stale retention entirely — entries are
-        discarded at expiry exactly as before; the serving tier's
-        config turns it on.
+        discarded at expiry; the serving tier turns it on.
     """
 
     def __init__(self, clock, *, shared=None, l1_capacity=256, obs=None,

@@ -246,11 +246,9 @@ class BrownoutMiddleware:
     brownout narrows service, it does not close it.
     """
 
-    def __init__(self, health, *, routes=None, retry_after_s=15,
-                 obs=None):
+    def __init__(self, health, *, retry_after_s=15, obs=None):
         self.health = health
-        self.routes = frozenset(DEFAULT_BROWNOUT_ROUTES
-                                if routes is None else routes)
+        self.routes = DEFAULT_BROWNOUT_ROUTES
         self.retry_after_s = int(retry_after_s)
         self.obs = obs
 

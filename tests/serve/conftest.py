@@ -4,6 +4,7 @@ tier (rate limiter + read-through cache) in front of the portal."""
 import pytest
 
 from repro.core import AMPDeployment
+from repro.serve import ServeConfig
 
 
 @pytest.fixture()
@@ -18,8 +19,8 @@ def deployment():
 
 @pytest.fixture()
 def portal(deployment):
-    """The portal app with the serving tier enabled (defaults)."""
-    return deployment.build_portal(serve=True)
+    """The portal app behind the serving tier."""
+    return deployment.build_portal(serve=ServeConfig())
 
 
 @pytest.fixture()

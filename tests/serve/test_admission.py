@@ -94,7 +94,7 @@ def test_degraded_mode_tightens_bulk_admission(clock):
 # ----------------------------------------------------------------------
 
 def test_saturated_worker_sheds_with_plain_language_503(deployment):
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
     from repro.webstack.testclient import Client
     client = Client(app)
     held = [app.admission.try_admit("metrics")[0]
@@ -114,7 +114,7 @@ def test_saturated_worker_sheds_with_plain_language_503(deployment):
 
 
 def test_shed_api_request_gets_json_error(deployment):
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
     from repro.webstack.testclient import Client
     client = Client(app)
     held = [app.admission.try_admit("metrics")[0]
@@ -131,7 +131,7 @@ def test_shed_api_request_gets_json_error(deployment):
 def test_shedding_costs_no_database_work(deployment):
     """The whole point of admission control: a shed request answers
     before the database is ever touched."""
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
     from repro.webstack.testclient import Client
     client = Client(app)
     held = [app.admission.try_admit("metrics")[0]
@@ -147,7 +147,7 @@ def test_shedding_costs_no_database_work(deployment):
 def test_probes_survive_saturation(deployment):
     """CRITICAL traffic outranks the renders that filled the worker:
     the health probes and the metrics scrape answer while HTML sheds."""
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
     from repro.webstack.testclient import Client
     client = Client(app)
     bulk_limit = app.admission.policy.limit_for("bulk")
@@ -162,7 +162,7 @@ def test_probes_survive_saturation(deployment):
 
 
 def test_shed_metrics_and_events(deployment):
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
     from repro.webstack.testclient import Client
     client = Client(app)
     held = [app.admission.try_admit("metrics")[0]
@@ -184,7 +184,7 @@ def test_ticket_released_when_response_phase_fails(deployment):
     database that just died, say) must not leak the admission ticket:
     each leak would permanently shrink the worker's capacity until it
     sheds everything, probes included."""
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
 
     class Exploding:
         def process_response(self, request, response):
@@ -203,16 +203,10 @@ def test_ticket_released_when_response_phase_fails(deployment):
 
 
 def test_ticket_released_after_each_request(deployment):
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
     from repro.webstack.testclient import Client
     client = Client(app)
     for _ in range(3 * app.admission.policy.max_inflight):
         assert client.get("/stars/").status_code == 200
     assert app.admission.inflight == 0
 
-
-def test_admission_can_be_disabled(deployment):
-    app = deployment.build_portal(serve=ServeConfig(admission=False))
-    assert app.admission is None
-    from repro.webstack.testclient import Client
-    assert Client(app).get("/stars/").status_code == 200

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.serve import DbFaultInjector, DeadlinePolicy, ServeConfig
+from repro.serve import (DbFaultInjector, DeadlineMiddleware,
+                         DeadlinePolicy, ServeConfig)
 from repro.webstack.testclient import Client
 
 
@@ -50,16 +51,18 @@ def test_budget_ceiling_clamped_below_watchdog():
 def slow_db_portal(deployment):
     """Portal whose every database statement costs 12 virtual seconds
     (the injector advances the deployment's SimClock), under a 10s
-    default budget — the first statement already exceeds it.  Health
-    tracking is off so these tests see pure deadline behaviour (the
-    brownout's interaction with slow statements is covered in
-    test_health.py)."""
+    default budget — the first statement already exceeds it.  The
+    health tracker is told such statements are not slow, so these
+    tests see pure deadline behaviour (the brownout's interaction with
+    slow statements is covered in test_health.py)."""
     injector = DbFaultInjector(deployment.clock, latency_s=12.0)
-    app = deployment.build_portal(serve=ServeConfig(
-        db_fault=injector, health=False,
-        deadline_policy=DeadlinePolicy(default_budget_s=10.0,
-                                       min_budget_s=0.5,
-                                       max_budget_s=3600.0)))
+    app = deployment.build_portal(serve=ServeConfig(db_fault=injector))
+    app.serve_health.slow_statement_s = 3600.0
+    deadlines, = (m for m in app.middleware
+                  if isinstance(m, DeadlineMiddleware))
+    deadlines.policy = DeadlinePolicy(default_budget_s=10.0,
+                                      min_budget_s=0.5,
+                                      max_budget_s=3600.0)
     return app, injector
 
 
@@ -113,7 +116,7 @@ def test_deadline_metrics_and_events(slow_db_portal, deployment):
 
 
 def test_successful_response_reports_remaining_budget(deployment):
-    app = deployment.build_portal(serve=True)
+    app = deployment.build_portal(serve=ServeConfig())
     client = Client(app)
     response = client.get("/stars/")
     assert response.status_code == 200
@@ -142,11 +145,3 @@ def test_deadline_hook_cleared_between_requests(slow_db_portal,
     client.get("/stars/")
     assert deployment.databases.portal.deadline_hook is None
 
-
-def test_deadlines_can_be_disabled(deployment):
-    injector = DbFaultInjector(deployment.clock, latency_s=60.0)
-    app = deployment.build_portal(serve=ServeConfig(
-        db_fault=injector, deadlines=False, health=False))
-    client = Client(app)
-    # Slow, but no budget: the render completes.
-    assert client.get("/stars/").status_code == 200

@@ -125,9 +125,7 @@ def test_degraded_events_and_gauge(clock, deployment):
 def chaos_portal(deployment):
     """Portal with the full tier and a controllable database fault."""
     injector = DbFaultInjector(deployment.clock)
-    app = deployment.build_portal(serve=ServeConfig(
-        db_fault=injector, health_min_samples=4,
-        health_recovery_s=5.0))
+    app = deployment.build_portal(serve=ServeConfig(db_fault=injector))
     return app, injector
 
 

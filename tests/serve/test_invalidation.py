@@ -9,6 +9,7 @@ database ground truth immediately — not merely within a TTL.
 import json
 
 from repro.core import MachineRecord, Simulation
+from repro.serve import ServeConfig
 from repro.webstack.testclient import Client
 from tests.core.conftest import submit_direct
 
@@ -148,7 +149,7 @@ def test_twin_cached_runs_are_byte_stable(deployment):
     from repro.core import AMPDeployment
 
     def run(dep):
-        app = dep.build_portal(serve=True)
+        app = dep.build_portal(serve=ServeConfig())
         client = Client(app)
         pages = []
         for _ in range(2):      # cold then hot

@@ -56,9 +56,8 @@ def _run_soak():
     try:
         clock = deployment.clock
         injector = DbFaultInjector(clock)
-        app = deployment.build_portal(serve=ServeConfig(
-            db_fault=injector, health_min_samples=4,
-            health_recovery_s=5.0))
+        app = deployment.build_portal(
+            serve=ServeConfig(db_fault=injector))
         client = Client(app)
         admission = app.admission
         budget_s = 15.0                      # DeadlinePolicy default

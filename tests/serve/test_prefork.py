@@ -22,6 +22,13 @@ def _get(url, timeout=10):
         return response.status, response.read()
 
 
+def _status(url):
+    try:
+        return _get(url)[0]
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
 @pytest.fixture()
 def server(tmp_path):
     factory = build_prefork_app_factory(
@@ -43,6 +50,35 @@ def test_two_workers_serve_fifty_requests_and_drain(server):
     statuses = server.shutdown(timeout=10)
     assert sorted(statuses) == [0, 1]
     assert set(statuses.values()) == {0}       # clean graceful exits
+
+
+def test_readiness_flips_across_trigger_file_outage(tmp_path):
+    """The cross-process outage switch: while the trigger file exists
+    every worker's database statements fail, so readiness goes red
+    while liveness stays green; once it is gone readiness returns
+    after the tracker's (default, 5 s) quiet period."""
+    import time
+    trigger = tmp_path / "db-outage.trigger"
+    factory = build_prefork_app_factory(
+        str(tmp_path / "portal.sqlite"), str(tmp_path / "cache.sqlite"),
+        db_fault_trigger=str(trigger), watchdog_s=60.0)
+    server = PreforkServer(factory, workers=2, watchdog_s=60.0).start()
+    try:
+        assert _status(server.url + "/readyz") == 200
+        trigger.touch()
+        # Enough probes that both workers see a window of failures.
+        for _ in range(20):
+            assert _status(server.url + "/readyz") == 503
+            assert _status(server.url + "/healthz") == 200
+        trigger.unlink()
+        deadline = time.monotonic() + 30
+        while _status(server.url + "/readyz") != 200:
+            assert time.monotonic() < deadline, "readiness never recovered"
+            time.sleep(0.5)
+        assert _status(server.url + "/healthz") == 200
+    finally:
+        statuses = server.shutdown(timeout=10)
+    assert statuses == {0: 0, 1: 0}
 
 
 def test_lost_accept_race_returns_instead_of_blocking():

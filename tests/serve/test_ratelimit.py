@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.hpc.simclock import SimClock
-from repro.serve import RateLimiter, RatePolicy
+from repro.serve import RateLimiter, RatePolicy, ServeConfig
+from repro.webstack.testclient import Client
 
 
 @pytest.fixture()
@@ -68,11 +69,9 @@ def test_deterministic_under_sim_clock():
 def test_api_burst_yields_plain_language_429(deployment, astronomer):
     """Hammering the campaign endpoint returns a jargon-free JSON 429
     with Retry-After, and never reaches the view."""
-    from repro.serve import ServeConfig
-    from repro.webstack.testclient import Client
-    app = deployment.build_portal(serve=ServeConfig(
-        rate_policies={"api-campaign-create":
-                       RatePolicy(2, 1.0 / 60.0)}))
+    app = deployment.build_portal(serve=ServeConfig())
+    app.rate_limiter.policies["api-campaign-create"] = \
+        RatePolicy(2, 1.0 / 60.0)
     client = Client(app)
     client.login("metcalfe", "pw12345")
     responses = [client.post("/api/v1/campaigns", json_body={})
@@ -88,13 +87,18 @@ def test_api_burst_yields_plain_language_429(deployment, astronomer):
         "serve_throttled_total", route="api-campaign-create") == 1
 
 
-def test_html_pages_get_html_429(deployment):
-    from repro.serve import ServeConfig
-    from repro.webstack.testclient import Client
-    app = deployment.build_portal(serve=ServeConfig(
-        cache=False, rate_policies={},
-        rate_default=RatePolicy(1, 0.001)))
-    client = Client(app)
+@pytest.fixture()
+def one_request_portal(deployment):
+    """The served portal under a limiter that refuses every client's
+    second request, whatever the route."""
+    app = deployment.build_portal(serve=ServeConfig())
+    app.rate_limiter.policies = {}
+    app.rate_limiter.default = RatePolicy(1, 0.001)
+    return app
+
+
+def test_html_pages_get_html_429(one_request_portal):
+    client = Client(one_request_portal)
     assert client.get("/").status_code == 200
     throttled = client.get("/")
     assert throttled.status_code == 429
@@ -102,15 +106,11 @@ def test_html_pages_get_html_429(deployment):
     assert throttled["Retry-After"]
 
 
-def test_throttled_requests_keep_their_route_label(deployment):
+def test_throttled_requests_keep_their_route_label(one_request_portal,
+                                                   deployment):
     """The observability middleware sees the resolved route name even
     though the limiter short-circuited before dispatch."""
-    from repro.serve import ServeConfig
-    from repro.webstack.testclient import Client
-    app = deployment.build_portal(serve=ServeConfig(
-        cache=False, rate_policies={},
-        rate_default=RatePolicy(1, 0.001)))
-    client = Client(app)
+    client = Client(one_request_portal)
     client.get("/")
     client.get("/")   # throttled
     assert deployment.obs.metrics.value(
@@ -161,14 +161,11 @@ def test_evicted_client_refills_in_its_own_favour(clock):
 # Probe/scrape exemption (regression: these must never 429 or cache)
 # ----------------------------------------------------------------------
 
-def test_probes_and_metrics_are_never_throttled_or_cached(deployment):
+def test_probes_and_metrics_are_never_throttled_or_cached(
+        one_request_portal):
     """/healthz, /readyz, and /metrics answer live every time, even
     under a rate policy that throttles everything else after one hit."""
-    from repro.serve import ServeConfig
-    from repro.webstack.testclient import Client
-    app = deployment.build_portal(serve=ServeConfig(
-        rate_policies={}, rate_default=RatePolicy(1, 0.001)))
-    client = Client(app)
+    client = Client(one_request_portal)
     assert client.get("/").status_code == 200
     assert client.get("/").status_code == 429      # the default bites...
     for path in ("/healthz", "/readyz", "/metrics"):
