@@ -7,7 +7,9 @@ Usage::
     python -m repro.cli queuewait       # chaining vs sequential (C3)
     python -m repro.cli demo            # end-to-end gateway demo
     python -m repro.cli gantt           # the §6 Gantt tool on a run
-    python -m repro.cli serve           # prefork multi-worker portal
+    python -m repro.cli init-db --db F  # schema, catalog, machine registry
+    python -m repro.cli serve --db F    # prefork multi-worker portal
+    python -m repro.cli daemon --db F   # the GridAMP daemon
 
 Every command prints the same rows/series the paper reports.
 """
@@ -100,27 +102,41 @@ def cmd_gantt(args):
     return 0
 
 
+def cmd_init_db(args):
+    """The deploy step: the only command that opens the admin role."""
+    from .core import init_db
+    init_db(args.db)
+    print(f"initialised {args.db}")
+    return 0
+
+
 def cmd_serve(args):
     """Serve the portal over real HTTP with prefork workers.
 
-    The supervisor creates and seeds one file-backed database and one
-    cache file before forking; each worker process then builds its own
-    deployment against them after the fork.  No SQLite connection
-    crosses a process boundary, yet every worker serves the same rows
-    — a write handled by any worker is visible through all of them —
-    and an entry rendered by any worker serves from every worker
-    while a write seen by one invalidates it for all.  The tier runs
-    on wall time, not the deployments' virtual clocks.
+    Each worker builds one ``PortalRuntime`` after the fork — a
+    portal-role connection, nothing of the grid — over the file
+    ``--db`` names (without it, one in a temporary directory).  No
+    SQLite connection crosses a process boundary, yet every worker
+    serves the same rows: a write by any worker, or by a ``cli
+    daemon`` beside them, is visible through all, and invalidates for
+    all what any of them cached.  The tier runs on wall time.  Ctrl-C
+    or SIGTERM drains.
     """
+    import signal
+    import sqlite3
     import tempfile
 
     from .core import build_prefork_app_factory
     from .serve import PreforkServer
-    # The database, the cache file and their -wal/-shm siblings live
-    # only as long as the server does.
+    # SIGTERM drains the way Ctrl-C does; the supervisor only sleeps
+    # and reaps, so it can be interrupted anywhere.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # The cache file (and a database of our own making) lives only as
+    # long as the server does.
     with tempfile.TemporaryDirectory(prefix="amp-serve-") as run_dir:
+        database = args.db or f"{run_dir}/portal.sqlite"
         app_factory = build_prefork_app_factory(
-            f"{run_dir}/portal.sqlite", f"{run_dir}/cache.sqlite",
+            database, f"{run_dir}/cache.sqlite",
             db_fault_trigger=args.db_fault_trigger,
             watchdog_s=args.watchdog or None)
         server = PreforkServer(
@@ -130,8 +146,44 @@ def cmd_serve(args):
             socket_timeout_s=args.socket_timeout or None)
         server.start()
         print(f"AMP portal on {server.url} "
-              f"({server.n_workers} workers; Ctrl-C to drain)")
+              f"({server.n_workers} workers; Ctrl-C to drain)",
+              flush=True)
         server.serve_forever()
+        # Workers leave through os._exit, connections open: fold the
+        # log into the main file for them (the last connection to
+        # close removes -wal/-shm).
+        connection = sqlite3.connect(database)
+        connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        connection.close()
+    return 0
+
+
+def cmd_daemon(args):
+    """Run the GridAMP daemon against the database file ``--db`` names.
+
+    One ``DaemonRuntime``: the daemon-role connection, the grid
+    clients and the simulated grid fabric — which lives in this
+    process's memory, so one daemon process per database.  Every poll
+    advances virtual time by one poll interval; with work pending the
+    polls run back to back, idle (telemetry and heartbeat only) twice
+    a second.  Ctrl-C or SIGTERM stops it between polls.
+    """
+    import signal
+    import threading
+
+    from .core import DaemonRuntime, open_role
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
+    runtime = DaemonRuntime(open_role(args.db, "daemon"))
+    print(f"GridAMP daemon on {args.db} (Ctrl-C to stop)", flush=True)
+    try:
+        while not stop.is_set():
+            runtime.daemon.run(max_polls=1, until_idle=False)
+            if not runtime.daemon.pending_count():
+                stop.wait(0.5)
+    finally:
+        runtime.close()
     return 0
 
 
@@ -165,8 +217,21 @@ def build_parser():
     p.add_argument("--seed", type=int, default=3)
     p.set_defaults(fn=cmd_gantt)
 
+    p = sub.add_parser("init-db",
+                       help="create and seed the deployment database")
+    p.add_argument("--db", required=True, help="database file")
+    p.set_defaults(fn=cmd_init_db)
+
+    p = sub.add_parser("daemon", help="the GridAMP daemon")
+    p.add_argument("--db", required=True,
+                   help="database file (see init-db)")
+    p.set_defaults(fn=cmd_daemon)
+
     p = sub.add_parser("serve",
                        help="prefork multi-worker portal server")
+    p.add_argument("--db", default=None,
+                   help="database file, initialised first if it is "
+                        "not (default: a temporary one)")
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)

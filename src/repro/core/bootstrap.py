@@ -1,19 +1,21 @@
-"""Wire a complete in-process AMP deployment (Figure 2).
+"""Wire an AMP deployment along the paper's architecture line (Figure 2).
 
-One :class:`AMPDeployment` assembles every component of the paper's
-architecture with the separations intact:
+One constructor per database role — three "servers" whose only meeting
+point is the shared database:
 
-- a shared database with three role-scoped connections,
-- the public **portal** web application (webstack) using the portal role
-  — no grid objects are ever handed to it,
-- the **GridAMP daemon** using the daemon role, holding the community
-  credential and the command-line grid clients,
-- the **grid fabric**: GRAM/GridFTP services fronting simulated TeraGrid
-  resources with the AMP runtime deployed,
-- notifications, catalog seeds, allocations, and the external monitor.
+- :func:`init_db` — the deploy step, the only code that opens the
+  ``admin`` role: schema, catalog seed, back-end registry and
+  allocations, the production-machine choice;
+- :class:`~repro.core.portal.runtime.PortalRuntime` — the public
+  **portal** on the ``portal`` role; never handed a grid object;
+- :class:`DaemonRuntime` — the **GridAMP daemon** host on the ``daemon``
+  role: community credential, command-line grid clients, the simulated
+  grid fabric with the AMP runtime deployed, notifications, monitor.
 
-Everything shares one virtual clock, so examples/tests/benches drive
-weeks of gateway operation in milliseconds.
+:class:`AMPDeployment` is all three in one process on one virtual
+clock, so examples/tests/benches drive weeks of gateway operation in
+milliseconds; ``cli init-db`` / ``serve`` / ``daemon`` run them as the
+separate processes the paper deploys.
 """
 
 from __future__ import annotations
@@ -21,69 +23,136 @@ from __future__ import annotations
 from ..grid.breaker import BreakerRegistry
 from ..grid.clients import GridClients
 from ..grid.fabric import build_fabric
-from ..hpc.machines import TABLE1_MACHINES, DISPLAY_NAMES
+from ..hpc.machines import (DISPLAY_NAMES, TABLE1_MACHINES,
+                            select_production_machine)
 from ..hpc.simclock import SimClock
 from ..obs import Observability
+from ..science.observations import BRIGHT_TARGETS, kepler_input_catalog
 from ..webstack.auth import create_superuser, create_user
 from ..webstack.orm import DeploymentDatabases, bind, create_all
-from .catalog import SimbadService, StarCatalog
 from .daemon import ExternalMonitor, GridAMPDaemon
-from .models import (ALL_MODELS, AllocationRecord, MachineRecord,
+from .models import (ALL_MODELS, AllocationRecord, MachineRecord, Star,
                      SubmitAuthorization, UserProfile)
 from .notifications import Mailer
+from .portal.runtime import PortalRuntime
 from .remote import deploy_amp
-from .security import build_role_registry
+from .security import build_role_registry, open_role
 
 DEFAULT_PROJECT = "TG-AST090056"
 
 
-class AMPDeployment:
-    def __init__(self, *, machines=None, su_grant=5_000_000.0,
-                 seed_catalog=True, observability=True,
-                 placement_policy="least-wait", database_uri=None,
-                 slow_statement_s=None):
+def init_db(uri):
+    """Initialise the deployment database at *uri* (run once; running
+    it again changes no row)."""
+    admin = open_role(uri, "admin")
+    try:
+        _install(admin)
+    finally:
+        admin.close()
+
+
+def _install(admin, machines=TABLE1_MACHINES, su_grant=5_000_000.0,
+             seed_catalog=True):
+    """Everything ``init_db`` does, on the open admin connection;
+    returns the machine and allocation rows by machine name."""
+    create_all(ALL_MODELS, admin)
+    if seed_catalog:
+        _seed_catalog(admin)
+    return _register_machines(admin, machines, su_grant)
+
+
+def _seed_catalog(admin):
+    """Load the bright-target and Kepler catalogs: one query finds the
+    names already there, one batched INSERT creates the rest."""
+    qs = Star.objects.using(admin)
+    wanted = {name: Star(name=name, hd_number=entry["hd"], source="local")
+              for name, entry in BRIGHT_TARGETS.items()}
+    for kic_name in kepler_input_catalog():
+        wanted.setdefault(
+            kic_name, Star(name=kic_name,
+                           kic_number=int(kic_name.split()[1]),
+                           in_kepler_catalog=True, source="local"))
+    existing = set(
+        qs.filter(name__in=sorted(wanted)).only("name")
+        .values_list("name", flat=True))
+    missing = [star for name, star in sorted(wanted.items())
+               if name not in existing]
+    if missing:
+        qs.bulk_create(missing)
+
+
+def _register_machines(admin, machines, su_grant):
+    """Ensure the back-end registry rows exist (idempotent): rows
+    already there are loaded instead of duplicated.  Last, the
+    production machine — the paper chose Kraken — is marked, which is
+    how a portal process, carrying no machine specs, knows its default.
+    """
+    machine_records = {}
+    allocations = {}
+    existing = {record.name: record
+                for record in MachineRecord.objects.using(admin)}
+    existing_allocations = {
+        allocation.machine_id: allocation
+        for allocation in AllocationRecord.objects.using(
+            admin).filter(project=DEFAULT_PROJECT)}
+    for machine in machines:
+        record = existing.get(machine.name)
+        if record is None:
+            record = MachineRecord(
+                name=machine.name,
+                display_name=DISPLAY_NAMES.get(machine.name,
+                                               machine.name.title()),
+                site=machine.site, enabled=True,
+                backend=getattr(machine, "backend", "gram"),
+                default_walltime_s=min(6 * 3600.0,
+                                       machine.max_walltime_s))
+            record.save(db=admin)
+        machine_records[machine.name] = record
+        allocation = existing_allocations.get(record.pk)
+        if allocation is None:
+            allocation = AllocationRecord(
+                project=DEFAULT_PROJECT, machine_id=record.pk,
+                su_granted=su_grant)
+            allocation.save(db=admin)
+        allocations[machine.name] = allocation
+    if not any(record.production for record in existing.values()):
+        try:
+            chosen = select_production_machine(machines).name
+        except ValueError:
+            chosen = machines[0].name
+        machine_records[chosen].production = True
+        machine_records[chosen].save(db=admin)
+    return machine_records, allocations
+
+
+class DaemonRuntime:
+    """The daemon host: everything that may touch the grid, over the
+    daemon-role *db*.  ``cli daemon`` builds it with a private clock
+    and observability facade; :class:`AMPDeployment` hands it its own.
+    The simulated grid fabric lives in this object's memory, so one
+    daemon *process* per database is what can run; the fleet helpers
+    partition work between daemon instances inside this process.
+    """
+
+    def __init__(self, db, machines=None, *, clock=None, obs=None,
+                 placement_policy="least-wait"):
+        self.daemon_db = db
         self.machines = list(machines or TABLE1_MACHINES)
         self.machine_specs = {m.name: m for m in self.machines}
         self.placement_policy = placement_policy
-        self.clock = SimClock()
-
-        # One observability facade for every layer: metrics registry,
-        # tracer, and structured event log, all on the shared sim clock.
-        # ``observability=False`` swaps in the no-op variant (the
-        # overhead bench's uninstrumented baseline); event subscribers
-        # (breaker-transition notifications) run either way.
-        self.obs = Observability(self.clock, enabled=observability)
-
-        # Shared database, role-scoped connections.  ``database_uri``
-        # points several deployments (e.g. prefork worker processes)
-        # at one file-backed store; schema creation, catalog seeding,
-        # and machine registration are all idempotent, so opening an
-        # already-populated database loads rows instead of
-        # duplicating them.
-        self.databases = DeploymentDatabases(build_role_registry(),
-                                             uri=database_uri)
-        create_all(ALL_MODELS, self.databases.admin)
-        bind(ALL_MODELS, self.databases.admin)
-        self._observe_databases(slow_statement_s=slow_statement_s)
+        self.clock = clock if clock is not None else SimClock()
+        if obs is None:
+            obs = Observability(self.clock)
+            obs.observe_database(db)
+        self.obs = obs
+        bind(ALL_MODELS, db)
 
         # Grid fabric + AMP runtime on every resource.
         self.fabric = build_fabric(self.machines, self.clock)
         for name in self.fabric.resource_names():
             deploy_amp(self.fabric.resource(name))
-
-        # The daemon host: clients + credential live here only.  The
-        # breaker registry rides with the clients so every command the
-        # daemon shells out is health-checked per resource.
-        self.breakers = BreakerRegistry(self.clock, obs=self.obs)
-        self.clients = GridClients(self.fabric, gateway_name="AMP",
-                                   breakers=self.breakers, obs=self.obs)
         self.mailer = Mailer(self.clock)
-        self.daemon = GridAMPDaemon(self.databases.daemon, self.clients,
-                                    self.clock, self.mailer,
-                                    self.machine_specs, obs=self.obs,
-                                    placement_policy=placement_policy)
-        self.monitor = ExternalMonitor(self.daemon, self.mailer,
-                                       clock=self.clock, obs=self.obs)
+        self._boot_daemon()
 
         #: Fleet slots (``start_fleet``): index -> daemon or None
         #: (killed).  Empty until a fleet is started.
@@ -91,152 +160,27 @@ class AMPDeployment:
         self.fleet_n_slices = 0
         self.fleet_lease_ttl_s = 0.0
 
-        # Catalog (portal-side service, portal role).
-        self.simbad = SimbadService()
-        self.catalog = StarCatalog(self.databases.portal, self.simbad)
-        if seed_catalog:
-            self.catalog.seed()
+    def _new_daemon(self, instance=None, leases=None):
+        """Everything host-local to one daemon process: the clients and
+        credential live here only, and the breaker registry rides with
+        them so every command the daemon shells out is health-checked
+        per resource."""
+        breakers = BreakerRegistry(self.clock, obs=self.obs,
+                                   origin=instance or "")
+        clients = GridClients(self.fabric, gateway_name="AMP",
+                              breakers=breakers, obs=self.obs)
+        return GridAMPDaemon(self.daemon_db, clients, self.clock,
+                             self.mailer, self.machine_specs,
+                             obs=self.obs,
+                             placement_policy=self.placement_policy,
+                             instance_id=instance, leases=leases)
 
-        # Back-end registry rows (admin-managed).
-        self._register_machines(su_grant)
-
-        self.portal_app = None   # built lazily by build_portal()
-
-    # ------------------------------------------------------------------
-    def _observe_databases(self, *, slow_statement_s=None):
-        """Per-role query counters: the three "servers" become visible.
-
-        Each role connection reports every executed statement into
-        ``db_queries_total{role,operation}`` — the portal's and daemon's
-        round-trip budgets, continuously measured rather than only
-        asserted in tests.  ``slow_statement_s`` arms the slow-statement
-        log: statements over the threshold emit ``db.slow_statement``
-        events carrying the placeholder SQL (parameter values are never
-        interpolated into it, so nothing sensitive leaks) and count
-        into ``db_slow_statements_total{role}``.
-        """
-        if not self.obs.enabled:
-            return
-        family = self.obs.metrics.counter(
-            "db_queries_total",
-            help="ORM statements by connection role and operation")
-        slow_family = None
-        if slow_statement_s is not None:
-            slow_family = self.obs.metrics.counter(
-                "db_slow_statements_total",
-                help="Statements slower than the slow-statement "
-                     "threshold, by role")
-        for role in ("admin", "portal", "daemon"):
-            db = getattr(self.databases, role)
-            db.on_execute = (
-                lambda operation, table, _role=role:
-                family.labels(role=_role, operation=operation).inc())
-            if slow_statement_s is not None:
-                db.slow_statement_s = float(slow_statement_s)
-
-                def on_slow(sql, duration_s, operation, table,
-                            _role=role):
-                    slow_family.labels(role=_role).inc()
-                    self.obs.events.emit(
-                        "db.slow_statement", role=_role, sql=sql,
-                        duration_s=duration_s, operation=operation,
-                        table=table,
-                        threshold_s=float(slow_statement_s))
-                db.on_slow_statement = on_slow
-
-    # ------------------------------------------------------------------
-    def _register_machines(self, su_grant):
-        """Ensure the back-end registry rows exist (idempotent).
-
-        A deployment opening an already-seeded shared database — a
-        prefork worker after the supervisor created it — loads the
-        existing machine and allocation rows instead of inserting
-        duplicates.
-        """
-        admin = self.databases.admin
-        self.machine_records = {}
-        self.allocations = {}
-        existing = {record.name: record
-                    for record in MachineRecord.objects.using(admin)}
-        existing_allocations = {
-            allocation.machine_id: allocation
-            for allocation in AllocationRecord.objects.using(
-                admin).filter(project=DEFAULT_PROJECT)}
-        for machine in self.machines:
-            record = existing.get(machine.name)
-            if record is None:
-                record = MachineRecord(
-                    name=machine.name,
-                    display_name=DISPLAY_NAMES.get(machine.name,
-                                                   machine.name.title()),
-                    site=machine.site, enabled=True,
-                    backend=getattr(machine, "backend", "gram"),
-                    default_walltime_s=min(6 * 3600.0,
-                                           machine.max_walltime_s))
-                record.save(db=admin)
-            self.machine_records[machine.name] = record
-            allocation = existing_allocations.get(record.pk)
-            if allocation is None:
-                allocation = AllocationRecord(
-                    project=DEFAULT_PROJECT, machine_id=record.pk,
-                    su_granted=su_grant)
-                allocation.save(db=admin)
-            self.allocations[machine.name] = allocation
-
-    # ------------------------------------------------------------------
-    def create_astronomer(self, username, email=None, password="pw",
-                          machines=None, *, approve=True,
-                          notify_on_completion=True,
-                          notify_each_transition=False):
-        """Create an approved gateway user authorized on *machines*."""
-        admin = self.databases.admin
-        user = create_user(admin, username, email or f"{username}@ucar.edu",
-                           password, is_active=approve)
-        profile = UserProfile(
-            user_id=user.pk, institution="NCAR",
-            provenance={"requested_via": "portal",
-                        "approved_by": "gateway-admin"},
-            notify_on_completion=notify_on_completion,
-            notify_each_transition=notify_each_transition)
-        profile.save(db=admin)
-        for name in (machines or self.machine_specs):
-            auth = SubmitAuthorization(
-                user_id=user.pk,
-                machine_id=self.machine_records[name].pk,
-                allocation_id=self.allocations[name].pk, active=True)
-            auth.save(db=admin)
-        return user
-
-    def create_admin(self, username="gateway-admin", password="adminpw"):
-        return create_superuser(self.databases.admin, username,
-                                f"{username}@ucar.edu", password)
-
-    # ------------------------------------------------------------------
-    def build_portal(self, *, debug=False, serve=None):
-        """Construct (once) the public portal web application.
-
-        ``serve`` is a :class:`~repro.serve.ServeConfig` for the
-        serving tier; the default ``None`` builds the bare pipeline.
-        The app is cached: later calls without ``serve`` return it,
-        and a call whose ``serve`` is not what it was built with
-        raises instead of handing back a differently built app.
-        """
-        if self.portal_app is None:
-            from .portal.site import build_portal_app
-            self.portal_app = build_portal_app(self, debug=debug,
-                                               serve=serve)
-            self._portal_serve = serve
-        elif serve is not None and serve is not self._portal_serve:
-            raise ValueError(
-                f"the portal is already built with "
-                f"serve={self._portal_serve!r}; it cannot be rebuilt "
-                f"with serve={serve!r}")
-        return self.portal_app
-
-    @property
-    def serve_cache(self):
-        """The portal's response cache, when the serving tier is on."""
-        return getattr(self.portal_app, "serve_cache", None)
+    def _boot_daemon(self):
+        self.daemon = self._new_daemon()
+        self.clients = self.daemon.clients
+        self.breakers = self.clients.breakers
+        self.monitor = ExternalMonitor(self.daemon, self.mailer,
+                                       clock=self.clock, obs=self.obs)
 
     def run_daemon_until_idle(self, *, poll_interval_s=300.0,
                               max_polls=100_000):
@@ -256,18 +200,9 @@ class AMPDeployment:
         sweep in ``__init__``; the dead process's event-log subscriber
         is detached first so notifications don't double-deliver.
         """
-        old = self.daemon
         self.obs.events.unsubscribe("breaker.transition",
-                                    old._on_breaker_event)
-        self.breakers = BreakerRegistry(self.clock, obs=self.obs)
-        self.clients = GridClients(self.fabric, gateway_name="AMP",
-                                   breakers=self.breakers, obs=self.obs)
-        self.daemon = GridAMPDaemon(self.databases.daemon, self.clients,
-                                    self.clock, self.mailer,
-                                    self.machine_specs, obs=self.obs,
-                                    placement_policy=self.placement_policy)
-        self.monitor = ExternalMonitor(self.daemon, self.mailer,
-                                       clock=self.clock, obs=self.obs)
+                                    self.daemon._on_breaker_event)
+        self._boot_daemon()
         return self.daemon
 
     # ------------------------------------------------------------------
@@ -297,22 +232,13 @@ class AMPDeployment:
     def _spawn_fleet_daemon(self, index):
         from .leases import LeaseManager
         instance = f"daemon-{index}"
-        breakers = BreakerRegistry(self.clock, obs=self.obs,
-                                   origin=instance)
-        clients = GridClients(self.fabric, gateway_name="AMP",
-                              breakers=breakers, obs=self.obs)
-        leases = LeaseManager(self.databases.daemon, self.clock,
+        leases = LeaseManager(self.daemon_db, self.clock,
                               owner=instance,
                               n_slices=self.fleet_n_slices,
                               ttl_s=self.fleet_lease_ttl_s,
                               obs=self.obs, fabric=self.fabric)
-        daemon = GridAMPDaemon(self.databases.daemon, clients,
-                               self.clock, self.mailer,
-                               self.machine_specs, obs=self.obs,
-                               placement_policy=self.placement_policy,
-                               instance_id=instance, leases=leases)
-        self.fleet[index] = daemon
-        return daemon
+        self.fleet[index] = self._new_daemon(instance, leases)
+        return self.fleet[index]
 
     def kill_daemon(self, index):
         """Simulate ``kill -9`` of one fleet member.
@@ -390,55 +316,72 @@ class AMPDeployment:
         return rounds
 
     def close(self):
-        cache = self.serve_cache
-        if cache is not None:
-            cache.close()   # detach ORM signal receivers
-        self.databases.close()
+        self.daemon_db.close()
 
 
-def build_prefork_app_factory(database_path, cache_path, *,
-                              db_fault_trigger=None, watchdog_s=None):
-    """Worker app factory for real-HTTP prefork serving.
-
-    Creates and seeds one file-backed deployment database up front —
-    in the supervisor, before any fork — then returns an
-    ``app_factory(index)`` whose per-worker deployments all open *that*
-    database.  Every worker therefore reads and writes the same rows
-    (a signup or campaign POST handled by one worker is immediately
-    visible through every other), while each still opens its own
-    SQLite connections after the fork, so none crosses a process
-    boundary.  The serving tier is measured against a
-    :class:`~repro.serve.WallClock`: a worker's private SimClock never
-    advances while serving real HTTP, which would freeze cache TTLs
-    and rate-limit refills.
-
-    Parameters
-    ----------
-    db_fault_trigger:
-        Optional path of a *trigger file*: while it exists, every
-        worker's database statements fail as if the database were
-        down (the cross-process chaos switch the prefork readiness
-        test uses).
-    watchdog_s:
-        The server's per-request watchdog, when one is armed (see
-        :class:`~repro.serve.ServeConfig`).
+class AMPDeployment(PortalRuntime, DaemonRuntime):
+    """``init_db`` + both runtimes in one process, sharing one virtual
+    clock, one observability facade and one :class:`DeploymentDatabases`
+    (three role connections behind one write gate).  ``database_uri``
+    points several deployments at one file-backed store: every
+    ``init_db`` step is idempotent, so an already-populated database
+    loads rows instead of duplicating them.  The models end up bound to
+    the ``admin`` connection, the developers' default; the runtimes
+    themselves always name their own role's connection.
     """
-    AMPDeployment(database_uri=database_path).close()
 
-    def app_factory(index):
-        from ..serve import (DbFaultInjector, ServeConfig,
-                             SqliteSharedStore, WallClock)
-        deployment = AMPDeployment(database_uri=database_path)
-        clock = WallClock()
-        db_fault = None
-        if db_fault_trigger is not None:
-            db_fault = DbFaultInjector(clock,
-                                       trigger_file=db_fault_trigger)
-        return deployment.build_portal(serve=ServeConfig(
-            clock=clock,
-            shared_store=SqliteSharedStore(cache_path),
-            worker_index=index,
-            db_fault=db_fault,
-            watchdog_s=watchdog_s))
+    def __init__(self, *, machines=None, su_grant=5_000_000.0,
+                 seed_catalog=True, observability=True,
+                 placement_policy="least-wait", database_uri=None,
+                 slow_statement_s=None):
+        clock = SimClock()
+        # ``observability=False`` swaps in the no-op variant (the
+        # overhead bench's uninstrumented baseline); event subscribers
+        # (breaker-transition notifications) run either way.
+        obs = Observability(clock, enabled=observability)
+        self.databases = DeploymentDatabases(build_role_registry(),
+                                             uri=database_uri)
+        for role in ("admin", "portal", "daemon"):
+            obs.observe_database(getattr(self.databases, role),
+                                 slow_statement_s)
+        machines = list(machines or TABLE1_MACHINES)
+        self.machine_records, self.allocations = _install(
+            self.databases.admin, machines, su_grant, seed_catalog)
+        PortalRuntime.__init__(self, self.databases.portal,
+                               clock=clock, obs=obs)
+        DaemonRuntime.__init__(self, self.databases.daemon, machines,
+                               clock=clock, obs=obs,
+                               placement_policy=placement_policy)
+        bind(ALL_MODELS, self.databases.admin)
 
-    return app_factory
+    # ------------------------------------------------------------------
+    def create_astronomer(self, username, email=None, password="pw",
+                          machines=None, *, approve=True,
+                          notify_on_completion=True,
+                          notify_each_transition=False):
+        """Create an approved gateway user authorized on *machines*."""
+        admin = self.databases.admin
+        user = create_user(admin, username, email or f"{username}@ucar.edu",
+                           password, is_active=approve)
+        profile = UserProfile(
+            user_id=user.pk, institution="NCAR",
+            provenance={"requested_via": "portal",
+                        "approved_by": "gateway-admin"},
+            notify_on_completion=notify_on_completion,
+            notify_each_transition=notify_each_transition)
+        profile.save(db=admin)
+        for name in (machines or self.machine_specs):
+            auth = SubmitAuthorization(
+                user_id=user.pk,
+                machine_id=self.machine_records[name].pk,
+                allocation_id=self.allocations[name].pk, active=True)
+            auth.save(db=admin)
+        return user
+
+    def create_admin(self, username="gateway-admin", password="adminpw"):
+        return create_superuser(self.databases.admin, username,
+                                f"{username}@ucar.edu", password)
+
+    def close(self):
+        PortalRuntime.close(self)   # response cache, portal connection
+        self.databases.close()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 
-from ..science.observations import BRIGHT_TARGETS, kepler_input_catalog
 from ..webstack.orm import Q
 from .models import Star
 
@@ -62,34 +61,6 @@ class StarCatalog:
     def __init__(self, db, simbad: SimbadService = None):
         self.db = db
         self.simbad = simbad or SimbadService()
-        self._kepler_names = set(kepler_input_catalog())
-
-    # ------------------------------------------------------------------
-    def seed(self):
-        """Load the bright-target and Kepler catalogs (deploy step).
-
-        Set-oriented: one query finds which names already exist, one
-        batched INSERT creates the rest — instead of a get-or-create
-        pair per star.
-        """
-        qs = Star.objects.using(self.db)
-        wanted = {}
-        for name, entry in BRIGHT_TARGETS.items():
-            wanted[name] = Star(name=name, hd_number=entry["hd"],
-                                source="local")
-        for kic_name in sorted(self._kepler_names):
-            number = int(kic_name.split()[1])
-            wanted.setdefault(
-                kic_name, Star(name=kic_name, kic_number=number,
-                               in_kepler_catalog=True, source="local"))
-        existing = set(
-            qs.filter(name__in=sorted(wanted)).only("name")
-            .values_list("name", flat=True))
-        missing = [star for name, star in sorted(wanted.items())
-                   if name not in existing]
-        if missing:
-            qs.bulk_create(missing)
-        return qs.count()
 
     # ------------------------------------------------------------------
     def suggest(self, prefix, limit=10):

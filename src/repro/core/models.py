@@ -232,6 +232,11 @@ class MachineRecord(orm.Model):
     #: row, not when the daemon first dispatches to it).
     backend = orm.CharField(max_length=16, default="gram")
     enabled = orm.BooleanField(default=True)
+    #: The production machine ``init_db`` selected from the machine
+    #: specs (the paper chose Kraken): the portal's default choice on
+    #: the submission forms, read from here because a portal process
+    #: carries no machine specs.
+    production = orm.BooleanField(default=False)
     default_walltime_s = orm.FloatField(default=6 * 3600.0,
                                         min_value=600.0,
                                         max_value=48 * 3600.0)

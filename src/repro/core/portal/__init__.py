@@ -1,9 +1,8 @@
-"""The AMP web portal (public site) and the non-public admin project."""
+"""The AMP web portal (public site) and the non-public admin project.
 
-from .captcha import Challenge, QuestionBank, amp_question_bank
-from .site import (PortalContext, build_admin_app, build_portal_app,
-                   home_view)
-
-__all__ = ["Challenge", "PortalContext", "QuestionBank",
-           "amp_question_bank", "build_admin_app", "build_portal_app",
-           "home_view"]
+``runtime`` is what a portal process holds; ``site`` assembles the web
+application and the prefork worker factory.  The package imports
+neither: a daemon-side process that composes a ``PortalRuntime``
+(``AMPDeployment``) loads no views, templates or serving tier until it
+builds a portal.
+"""

@@ -17,7 +17,7 @@ that caused it, no grid or database jargon.
 
 from __future__ import annotations
 
-from ....science.astec.physics import PARAMETER_BOUNDS
+from ....parameters import PARAMETER_BOUNDS
 from ....serve.api import (ApiError, error_response, expand_sweep,
                            parse_json_body)
 from ....webstack import CursorPaginator, InvalidCursor, path

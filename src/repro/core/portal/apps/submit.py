@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import secrets
 
-from ....science.astec.physics import PARAMETER_BOUNDS
+from ....parameters import PARAMETER_BOUNDS
 from ....webstack import (Http404, HttpResponseRedirect, path, render)
 from ....webstack import forms
 from ....webstack.auth import login_required

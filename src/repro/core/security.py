@@ -19,7 +19,7 @@ architecture:
 
 from __future__ import annotations
 
-from ..webstack.orm import Grant, RoleRegistry
+from ..webstack.orm import Database, Grant, RoleRegistry
 
 PORTAL_GRANTS = {
     # Auth: registration, login bookkeeping, sessions.
@@ -77,6 +77,11 @@ def build_role_registry():
     registry.define("portal", Grant(PORTAL_GRANTS))
     registry.define("daemon", Grant(DAEMON_GRANTS))
     return registry
+
+
+def open_role(uri, role):
+    """One *role*-scoped connection to the deployment database."""
+    return Database(uri, role=role, roles=build_role_registry())
 
 
 def audit_role_separation(databases):

@@ -69,6 +69,39 @@ class Observability:
             lambda record: counter.labels(kind=record.kind).inc())
 
     # ------------------------------------------------------------------
+    def observe_database(self, db, slow_statement_s=None):
+        """Count *db*'s statements into
+        ``db_queries_total{role,operation}`` — each role's round-trip
+        budget, measured continuously.  ``slow_statement_s`` arms the
+        slow-statement log: statements over it emit
+        ``db.slow_statement`` events carrying the placeholder SQL
+        (parameter values are never interpolated, so nothing sensitive
+        leaks) and count into ``db_slow_statements_total{role}``."""
+        if not self.enabled:
+            return
+        family = self.metrics.counter(
+            "db_queries_total",
+            help="ORM statements by connection role and operation")
+        role = db.role
+        db.on_execute = (
+            lambda operation, table:
+            family.labels(role=role, operation=operation).inc())
+        if slow_statement_s is None:
+            return
+        slow_family = self.metrics.counter(
+            "db_slow_statements_total",
+            help="Statements slower than the slow-statement threshold, "
+                 "by role")
+        db.slow_statement_s = float(slow_statement_s)
+
+        def on_slow(sql, duration_s, operation, table):
+            slow_family.labels(role=role).inc()
+            self.events.emit(
+                "db.slow_statement", role=role, sql=sql,
+                duration_s=duration_s, operation=operation, table=table,
+                threshold_s=db.slow_statement_s)
+        db.on_slow_statement = on_slow
+
     def health_summary(self):
         """The statistics-page digest of gateway operational state."""
         metrics = self.metrics

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...parameters import PARAMETER_BOUNDS
+
 # Solar reference values.
 TEFF_SUN = 5777.0        # K
 DNU_SUN = 134.9          # μHz, solar large frequency separation
@@ -26,16 +28,6 @@ Y_SUN = 0.270            # helium mass fraction
 ALPHA_SUN = 2.1          # mixing-length parameter
 X_SUN = 1.0 - Y_SUN - Z_SUN
 
-#: Physical parameter bounds used throughout AMP (mass in solar units,
-#: Z, Y mass fractions, mixing-length alpha, age in Gyr).  These are the
-#: MPIKAIA search-box bounds for solar-like stars.
-PARAMETER_BOUNDS = {
-    "mass": (0.75, 1.75),
-    "z": (0.002, 0.05),
-    "y": (0.22, 0.32),
-    "alpha": (1.0, 3.0),
-    "age": (0.01, 13.8),
-}
 
 
 def hydrogen_fraction(z, y):

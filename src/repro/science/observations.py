@@ -81,6 +81,8 @@ def bright_star_target(name):
 def kepler_input_catalog(n=40, seed=7):
     """Synthetic KIC-style identifiers for the portal's Kepler catalog."""
     rng = np.random.default_rng(seed)
-    numbers = sorted(rng.choice(np.arange(7_500_000, 12_300_000), size=n,
-                                replace=False).tolist())
+    # Drawn from the population *size*: the same numbers as choosing
+    # from a materialised arange(7.5M, 12.3M), without its 38 MB.
+    numbers = sorted((7_500_000 + rng.choice(4_800_000, size=n,
+                                             replace=False)).tolist())
     return [f"KIC {number}" for number in numbers]

@@ -246,10 +246,12 @@ class BrownoutMiddleware:
     brownout narrows service, it does not close it.
     """
 
-    def __init__(self, health, *, retry_after_s=15, obs=None):
+    #: Seconds a refused client is asked to wait before retrying.
+    RETRY_AFTER_S = 15
+
+    def __init__(self, health, *, obs=None):
         self.health = health
         self.routes = DEFAULT_BROWNOUT_ROUTES
-        self.retry_after_s = int(retry_after_s)
         self.obs = obs
 
     def process_request(self, request):
@@ -272,9 +274,9 @@ class BrownoutMiddleware:
              "<p>The site is temporarily showing only its most "
              "essential pages while a problem is fixed. Your "
              "simulations keep running. Please try this page again "
-             f"in {self.retry_after_s} seconds.</p></body></html>"),
+             f"in {self.RETRY_AFTER_S} seconds.</p></body></html>"),
             status=503)
-        response["Retry-After"] = str(self.retry_after_s)
+        response["Retry-After"] = str(self.RETRY_AFTER_S)
         response["X-Degraded"] = "1"
         return response
 

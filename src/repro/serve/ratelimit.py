@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 
+from .cache import EXEMPT_ROUTES
+
 
 class RatePolicy:
     """Bucket shape for one route (or the default)."""
@@ -107,19 +109,11 @@ class RateLimiter:
         return allowed, retry_after
 
 
-#: Routes never throttled: health probes and metric scrapes must keep
-#: answering *especially* while the site is melting down — a throttled
-#: probe looks exactly like a dead worker to the thing watching it.
-DEFAULT_EXEMPT_ROUTES = frozenset({"metrics", "healthz", "readyz"})
-
-
 class RateLimitMiddleware:
     """Turn an exhausted bucket into a jargon-free 429."""
 
-    def __init__(self, limiter, *, exempt=None):
+    def __init__(self, limiter):
         self.limiter = limiter
-        self.exempt = frozenset(DEFAULT_EXEMPT_ROUTES if exempt is None
-                                else exempt)
 
     @staticmethod
     def _client(request):
@@ -133,7 +127,10 @@ class RateLimitMiddleware:
         from ..webstack.middleware import ObservabilityMiddleware
         ObservabilityMiddleware.resolve_route(request)
         route = getattr(request, "route_name", None)
-        if route in self.exempt:
+        if route in EXEMPT_ROUTES:
+            # Probes and scrapes must keep answering *especially* while
+            # the site is melting down: a throttled probe looks exactly
+            # like a dead worker to the thing watching it.
             return None
         allowed, retry_after = self.limiter.check(
             route, self._client(request))

@@ -4,9 +4,9 @@ The paper's production posture put Django behind Apache's process pool;
 this module is that pool, stdlib-only.  The supervisor binds one
 listening socket and forks N real worker processes that all ``accept()``
 on it — the kernel load-balances connections across them.  Each worker
-builds its *own* application (and therefore its own per-role reader
-database connections) after the fork via ``app_factory(worker_index)``,
-so no SQLite connection is ever shared across a process boundary.
+builds its *own* application (and therefore its own database
+connection) after the fork via ``app_factory(worker_index)``, so no
+SQLite connection is ever shared across a process boundary.
 
 Lifecycle:
 
