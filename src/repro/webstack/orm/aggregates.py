@@ -60,40 +60,42 @@ class Max(Aggregate):
 
 def run_aggregate(queryset, named_aggregates):
     """Execute aggregates over *queryset*; returns {name: value}."""
-    from .query import QueryCompiler
     if not named_aggregates:
         raise FieldError("aggregate() requires at least one aggregate")
-    compiler = QueryCompiler(queryset.model)
-    where, params = compiler.compile_where(queryset._conditions)
-    selects = []
-    order = []
+    extra = []
     for name, aggregate in named_aggregates.items():
         if not isinstance(aggregate, Aggregate):
             raise FieldError(
                 f"aggregate {name!r} is not an Aggregate instance")
-        selects.append(aggregate.sql(compiler))
-        order.append((name, aggregate))
-    sql = (f'SELECT {", ".join(selects)} FROM '
-           f'"{queryset.model._meta.table_name}"' + where)
-    cursor = queryset.db.execute(
-        sql, params, operation="select",
-        table=queryset.model._meta.table_name)
-    row = cursor.fetchone()
-    return {name: aggregate.convert(row[index])
-            for index, (name, aggregate) in enumerate(order)}
+        # The class decides the SQL function: it is part of the key.
+        extra.append((type(aggregate), aggregate.field_name))
+    table = queryset.model._meta.table_name
+
+    def emit(compiler, where):
+        selects = ", ".join(aggregate.sql(compiler)
+                            for aggregate in named_aggregates.values())
+        return {"sql": f'SELECT {selects} FROM "{table}"' + where}
+
+    sql, params, _ = queryset._compiled("aggregate", extra, emit)
+    row = queryset.db.execute(sql, params, operation="select",
+                              table=table).fetchone()
+    return {name: aggregate.convert(row[index]) for index, (name, aggregate)
+            in enumerate(named_aggregates.items())}
 
 
 def run_values_count(queryset, field_name):
     """GROUP BY *field_name* with counts; returns {value: count}."""
-    from .query import QueryCompiler
-    compiler = QueryCompiler(queryset.model)
-    column, field, _ = compiler.resolve_column(field_name)
-    where, params = compiler.compile_where(queryset._conditions)
-    sql = (f'SELECT "{column}", COUNT(*) FROM '
-           f'"{queryset.model._meta.table_name}"' + where +
-           f' GROUP BY "{column}"')
-    cursor = queryset.db.execute(
-        sql, params, operation="select",
-        table=queryset.model._meta.table_name)
+    table = queryset.model._meta.table_name
+
+    def emit(compiler, where):
+        column, field, _ = compiler.resolve_column(field_name)
+        return {"sql": f'SELECT "{column}", COUNT(*) FROM "{table}"'
+                       + where + f' GROUP BY "{column}"',
+                "field": field}
+
+    sql, params, entry = queryset._compiled(
+        "values_count", (field_name,), emit)
+    cursor = queryset.db.execute(sql, params, operation="select", table=table)
+    field = entry["field"]
     return {field.from_db(value): int(count)
             for value, count in cursor.fetchall()}

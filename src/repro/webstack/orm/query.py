@@ -28,7 +28,9 @@ SDSS/SkyServer, "When Database Systems Meet the Grid"):
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
+from .aggregates import run_aggregate, run_values_count
 from .exceptions import FieldError
 
 #: lookup name -> SQL template fragment (``{col}`` is the quoted —
@@ -58,44 +60,47 @@ def _like_escape(value):
 # Compiled-query cache
 # ----------------------------------------------------------------------
 #
-# SQL string-building is pure: the text depends only on the queryset's
-# *shape* — model, lookup keys (and, for variadic lookups like ``in``,
-# the parameter count), ordering, projection, joins, limit/offset —
-# never on the bound values.  Hot paths (daemon poll sweeps, API
-# pagination, portal stats) issue the same shapes over and over, so the
-# compiler memoizes per shape: a hit returns the cached SQL plus a list
-# of *binders* (per-parameter converter functions recorded during the
-# one real compile) applied to the fresh values.  Because the SQL text
-# is then byte-identical call after call, sqlite3's per-connection
+# SQL string-building is pure: the text depends only on the statement's
+# *shape* — model, statement kind, lookup keys (and, for variadic
+# lookups like ``in``, the parameter count), ordering, projection,
+# joins, limit/offset — never on the bound values.  Hot paths (daemon
+# poll sweeps, API pagination, portal stats) issue the same shapes over
+# and over, so compilation is memoized per shape.  One walk of the
+# conditions yields the shape and the raw values; the SQL and one
+# *binder* (converter function) per ``?`` are emitted from the shape
+# alone, so key, text and binders cannot disagree, and the parameters
+# are always the binders applied to the walked values.  Because the SQL
+# text is byte-identical call after call, sqlite3's per-connection
 # prepared-statement cache reuses the prepared statement too.
 
-_VARIADIC_LOOKUPS = ("in", "isnull", "range", "mod")
-_ALL_LOOKUPS = frozenset(_LOOKUPS) | frozenset(_VARIADIC_LOOKUPS)
+_ALL_LOOKUPS = frozenset(_LOOKUPS) | {"in", "isnull", "range", "mod"}
 
 
-def _lookup_of(key):
-    """The lookup suffix of a filter key (mirrors ``resolve_column``)."""
-    parts = key.split("__")
-    if len(parts) > 1 and parts[-1] in _ALL_LOOKUPS:
-        return parts[-1]
-    return "exact"
+def _split_lookup(name):
+    """``field__lookup`` -> ``(field_name, lookup)``; a name with no
+    known lookup suffix is an ``exact`` match on the whole name."""
+    field_name, sep, lookup = name.rpartition("__")
+    if sep and lookup in _ALL_LOOKUPS:
+        return field_name, lookup
+    return name, "exact"
 
 
 def _shape_q(q, values):
-    """One walk of a Q tree: appends raw parameter values to *values*
-    (in exactly the order ``compile_q`` emits parameters) and returns a
-    hashable shape tuple.  Must stay step-for-step aligned with the
-    binder recording in ``QueryCompiler.compile_lookup``."""
+    """The one walk of a Q tree: appends raw parameter values to
+    *values* (one per ``?`` that ``QueryCompiler.compile_lookup`` emits
+    for the leaf, in order) and returns a hashable shape tuple.  Every
+    check that needs a lookup's *value* lives here, because the
+    compiler never sees one."""
     children = []
     for kind, payload in q.children:
         if kind == "leaf":
             leaf = []
             for key, value in payload.items():
-                lookup = _lookup_of(key)
+                lookup = _split_lookup(key)[1]
                 if lookup == "in":
                     if not isinstance(value, (list, tuple)):
-                        # Materialize sets/generators once so the shape
-                        # walk and a later compile see the same
+                        # Materialize sets/generators once so every
+                        # later walk of this queryset sees the same
                         # elements in the same order.
                         value = list(value)
                         payload[key] = value
@@ -106,14 +111,15 @@ def _shape_q(q, values):
                 elif lookup == "range":
                     lo, hi = value
                     leaf.append((key, "range"))
-                    values.append(lo)
-                    values.append(hi)
+                    values.extend((lo, hi))
                 elif lookup == "mod":
+                    # ``field__mod=(divisor, remainder)`` or
+                    # ``field__mod=(divisor, [r0, r1, ...])`` —
+                    # residue-class membership, the primitive behind
+                    # sliced (partitioned) sweeps over integer keys.
                     divisor, remainder = value
                     divisor = int(divisor)
                     if divisor <= 0:
-                        # Same guard compile_lookup enforces; with it
-                        # here too, a cache hit can never skip it.
                         raise FieldError(
                             "mod lookup needs a positive divisor")
                     if isinstance(remainder,
@@ -146,27 +152,27 @@ def _shape_conditions(conditions):
 
 
 class CompiledQueryCache:
-    """Bounded, thread-safe LRU of compiled queryset shapes.
+    """Bounded, thread-safe LRU of compiled statement shapes.
 
     One global instance (``compiled_cache``) serves every model and
     every connection: compiled SQL is independent of which role runs
     it.  Entries are keyed by the model *class object* (so a freshly
-    defined test model never collides with a prior one) plus the full
-    structural shape.  ``stats()`` exposes hits/misses/compiles —
-    ``bench_db_router.py`` pins the poll-sweep hit rate against it.
+    defined test model never collides with a prior one) plus the
+    statement kind and the full structural shape.  ``stats()`` exposes
+    hits/misses/compiles — ``bench_db_router.py`` pins the poll-sweep
+    hit rate against it.  Disabled, it keeps nothing, so every
+    statement compiles: the cold reference of the differential tests.
     """
 
     def __init__(self, capacity=512):
         self.capacity = int(capacity)
         self.enabled = True
-        self._entries = {}
-        self._order = []            # LRU order, oldest first
+        self._entries = OrderedDict()   # least recently used first
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.compiles = 0           # full SQL builds (cache on or off)
+        self.compiles = 0           # SQL builds: one per miss
         self.evictions = 0
-        self.uncacheable = 0
 
     def get(self, key):
         with self._lock:
@@ -175,30 +181,22 @@ class CompiledQueryCache:
                 self.misses += 1
                 return None
             self.hits += 1
-            # Cheap LRU touch: move to the end lazily.
-            try:
-                self._order.remove(key)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            self._order.append(key)
+            self._entries.move_to_end(key)
             return entry
 
     def put(self, key, entry):
         with self._lock:
-            if key not in self._entries:
-                self._order.append(key)
+            if not self.enabled:
+                return
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
-                oldest = self._order.pop(0)
-                self._entries.pop(oldest, None)
+                self._entries.popitem(last=False)
                 self.evictions += 1
 
     def clear(self):
         with self._lock:
             self._entries.clear()
-            self._order.clear()
-            self.hits = self.misses = self.compiles = 0
-            self.evictions = self.uncacheable = 0
+            self.hits = self.misses = self.compiles = self.evictions = 0
 
     def configure(self, *, capacity=None, enabled=None):
         with self._lock:
@@ -206,17 +204,15 @@ class CompiledQueryCache:
                 self.capacity = int(capacity)
             if enabled is not None:
                 self.enabled = bool(enabled)
+                if not self.enabled:
+                    self._entries.clear()
 
     def stats(self):
         total = self.hits + self.misses
         return {"hits": self.hits, "misses": self.misses,
                 "compiles": self.compiles, "evictions": self.evictions,
-                "uncacheable": self.uncacheable,
                 "size": len(self._entries),
                 "hit_rate": self.hits / total if total else 0.0}
-
-    def __len__(self):
-        return len(self._entries)
 
 
 #: The process-wide compiled-query cache.
@@ -268,11 +264,13 @@ class Q:
 
 
 class QueryCompiler:
-    """Compiles Q trees and queryset state into SQL + parameters.
+    """Compiles condition shapes and queryset state into SQL.
 
-    When *base_alias* is set (a JOIN query), every base-table column
-    reference is qualified with it so joined tables sharing column names
-    (every table has ``id``) stay unambiguous.
+    It is handed shapes, never Q objects or lookup values: what it
+    emits depends on nothing the cache key does not hold.  When
+    *base_alias* is set (a JOIN query), every base-table column
+    reference is qualified with it so joined tables sharing column
+    names (every table has ``id``) stay unambiguous.
     """
 
     def __init__(self, model, base_alias=None):
@@ -289,13 +287,7 @@ class QueryCompiler:
     # -- condition compilation -----------------------------------------
     def resolve_column(self, name):
         """Map a lookup path like ``name`` or ``name__lookup`` to a column."""
-        parts = name.split("__")
-        lookup = "exact"
-        if len(parts) > 1 and parts[-1] in _LOOKUPS or (
-                len(parts) > 1
-                and parts[-1] in ("in", "isnull", "range", "mod")):
-            lookup = parts.pop()
-        field_name = "__".join(parts)
+        field_name, lookup = _split_lookup(name)
         if field_name == "pk":
             return self.meta.pk.column, self.meta.pk, lookup
         field = self.meta.field_by_any_name(field_name)
@@ -306,115 +298,67 @@ class QueryCompiler:
                 f"{sorted(f.name for f in self.meta.fields)}")
         return field.column, field, lookup
 
-    @staticmethod
-    def _field_binder(field):
-        """Per-parameter converter for a cached compile: replays the
-        marshaling ``compile_lookup`` applied to the original value."""
-        return lambda v: field.to_db(field.to_python(v))
-
-    def compile_lookup(self, key, value, binders=None):
-        """Compile one lookup; returns (sql, params).
-
-        When *binders* is a list, one converter callable is appended
-        per emitted parameter, in parameter order — the compiled-query
-        cache applies them to the raw values collected by ``_shape_q``
-        so a cache hit rebuilds params without rebuilding SQL.
-        """
-        col, field, lookup = self.resolve_column(key)
+    def compile_lookup(self, key, lookup, detail=None):
+        """Compile one leaf of a shape; returns ``(sql, binders)``, one
+        binder per ``?`` for the raw value the shape walk collected
+        there.  *detail* is the parameter count of ``in``/``mod`` (None
+        for a scalar remainder) or the polarity of ``isnull``."""
+        col, field, _ = self.resolve_column(key)
         ref = self.qualify(col)
+        marshal = lambda v: field.to_db(field.to_python(v))  # noqa: E731
         if lookup == "isnull":
-            return (f'{ref} IS NULL' if value else f'{ref} IS NOT NULL'), []
+            return (f'{ref} IS NULL' if detail else f'{ref} IS NOT NULL'), []
+        if lookup in ("in", "mod") and detail == 0:
+            return "0 = 1", []  # an empty IN or residue set matches nothing
         if lookup == "in":
-            values = [field.to_db(field.to_python(v)) for v in value]
-            if not values:
-                return "0 = 1", []  # empty IN matches nothing
-            if binders is not None:
-                binders.extend([self._field_binder(field)] * len(values))
-            marks = ", ".join("?" for _ in values)
-            return f'{ref} IN ({marks})', values
+            marks = ", ".join("?" * detail)
+            return f'{ref} IN ({marks})', [marshal] * detail
         if lookup == "range":
-            lo, hi = value
-            if binders is not None:
-                binders.extend([self._field_binder(field)] * 2)
-            return (f'{ref} BETWEEN ? AND ?',
-                    [field.to_db(field.to_python(lo)),
-                     field.to_db(field.to_python(hi))])
+            return f'{ref} BETWEEN ? AND ?', [marshal, marshal]
         if lookup == "mod":
-            # ``field__mod=(divisor, remainder)`` or
-            # ``field__mod=(divisor, [r0, r1, ...])`` — residue-class
-            # membership, the primitive behind sliced (partitioned)
-            # sweeps over integer keys.
-            divisor, remainder = value
-            divisor = int(divisor)
-            if divisor <= 0:
-                raise FieldError("mod lookup needs a positive divisor")
-            if isinstance(remainder, (list, tuple, set, frozenset)):
-                remainders = sorted({int(r) for r in remainder})
-                if not remainders:
-                    return "0 = 1", []  # empty residue set matches nothing
-                if binders is not None:
-                    binders.extend([int] * (1 + len(remainders)))
-                marks = ", ".join("?" for _ in remainders)
-                return (f'({ref} % ?) IN ({marks})',
-                        [divisor, *remainders])
-            if binders is not None:
-                binders.extend([int, int])
-            return f'({ref} % ?) = ?', [divisor, int(remainder)]
-        template = _LOOKUPS.get(lookup)
-        if template is None:
-            raise FieldError(f"Unsupported lookup {lookup!r}")
+            if detail is None:
+                return f'({ref} % ?) = ?', [int, int]
+            marks = ", ".join("?" * detail)
+            return f'({ref} % ?) IN ({marks})', [int] * (1 + detail)
         if lookup in ("contains", "icontains"):
-            param = f"%{_like_escape(value)}%"
             binder = lambda v: f"%{_like_escape(v)}%"  # noqa: E731
         elif lookup in ("startswith", "istartswith"):
-            param = f"{_like_escape(value)}%"
             binder = lambda v: f"{_like_escape(v)}%"  # noqa: E731
         elif lookup == "endswith":
-            param = f"%{_like_escape(value)}"
             binder = lambda v: f"%{_like_escape(v)}"  # noqa: E731
         else:
-            param = field.to_db(field.to_python(value))
-            binder = self._field_binder(field)
-        if binders is not None:
-            binders.append(binder)
-        return template.format(col=ref), [param]
+            binder = marshal
+        return _LOOKUPS[lookup].format(col=ref), [binder]
 
-    def compile_q(self, q, binders=None):
-        """Compile a Q tree; returns (sql, params)."""
-        fragments, params = [], []
-        for kind, payload in q.children:
+    def compile_q(self, shape):
+        """Compile one Q tree's shape; returns (sql, binders)."""
+        connector, negated, children = shape
+        fragments, binders = [], []
+        for kind, payload in children:
             if kind == "leaf":
                 sub = []
-                for key, value in payload.items():
-                    sql, p = self.compile_lookup(key, value,
-                                                 binders=binders)
+                for leaf in payload:
+                    sql, b = self.compile_lookup(*leaf)
                     sub.append(sql)
-                    params.extend(p)
+                    binders.extend(b)
                 if sub:
                     fragments.append("(" + " AND ".join(sub) + ")")
             else:
-                sql, p = self.compile_q(payload, binders=binders)
+                sql, b = self.compile_q(payload)
                 if sql:
                     fragments.append("(" + sql + ")")
-                    params.extend(p)
-        if not fragments:
-            return "", params
-        sql = f" {q.connector} ".join(fragments)
-        if q.negated:
+                    binders.extend(b)
+        sql = f" {connector} ".join(fragments)
+        if sql and negated:
             sql = f"NOT ({sql})"
-        return sql, params
+        return sql, binders
 
-    def compile_where(self, conditions, binders=None):
-        """Compile a list of Q objects AND'ed together."""
-        fragments, params = [], []
-        for q in conditions:
-            sql, p = self.compile_q(q, binders=binders)
-            if sql:
-                fragments.append("(" + sql + ")")
-                params.extend(p)
-        if not fragments:
-            return "", []
-        return " WHERE " + " AND ".join(fragments), params
+    def compile_where(self, shapes):
+        """Compile the shapes of a conditions list, AND'ed together —
+        the tree a Q holding each condition as a child would have."""
+        sql, binders = self.compile_q(
+            (Q.AND, False, tuple(("node", shape) for shape in shapes)))
+        return (" WHERE " + sql if sql else ""), binders
 
     def compile_order(self, order_by):
         if not order_by:
@@ -516,7 +460,11 @@ class QuerySet:
     def all(self):
         if self._sticky_cache and self._result_cache is not None:
             return self
-        return self._clone()
+        clone = self._clone()
+        # The one refinement that cannot change the count, so the one
+        # that keeps a ``prefetch_count`` answer.
+        clone._known_count = self._known_count
+        return clone
 
     def none(self):
         clone = self._clone()
@@ -669,49 +617,58 @@ class QuerySet:
                 if field.primary_key or field in wanted
                 or field in join_fks]
 
-    def _cache_probe(self, kind, extra=()):
-        """Shape this queryset for the compiled-query cache.
+    def _compiled(self, kind, extra, emit, base_alias=None):
+        """The one place a statement is compiled: ``(sql, params, entry)``.
 
-        Returns ``(key, raw_values, entry)``: *key* is None when the
-        shape can't be keyed (fall through to a plain compile), *entry*
-        is the cached compile on a hit (with *raw_values* ready for its
-        binders).  ``FieldError`` from the shape walk propagates — it's
-        the same error the compiler itself would raise.
+        One walk of the conditions gives their shape and raw values;
+        the cache key is that shape plus *extra*, whatever else the
+        text depends on (ordering, projection, an UPDATE's columns).
+        On a miss the WHERE and its binders are compiled from the shape
+        and ``emit(compiler, where)`` builds the statement around it,
+        returning the entry to keep: a dict with at least ``"sql"``.
+        *params* are always the entry's binders over the walked values.
         """
-        if not compiled_cache.enabled:
-            return None, None, None
-        try:
-            cond_shape, raw_values = _shape_conditions(self._conditions)
-        except (TypeError, ValueError):
-            # Malformed lookup values (e.g. a 3-tuple range): let the
-            # real compiler produce its own error for them.
-            compiled_cache.uncacheable += 1
-            return None, None, None
-        key = (self.model, kind, cond_shape, *extra)
-        return key, raw_values, compiled_cache.get(key)
+        if kind not in ("select", "count") and (
+                self._limit is not None or self._offset):
+            # These statements carry no LIMIT/OFFSET: ``qs[:10].delete()``
+            # would delete every row the conditions match.
+            raise FieldError(f"{kind}() cannot follow a slice")
+        shape, raw_values = _shape_conditions(self._conditions)
+        key = (self.model, kind, shape, *extra)
+        entry = compiled_cache.get(key)
+        if entry is None:
+            compiler = QueryCompiler(self.model, base_alias=base_alias)
+            where, binders = compiler.compile_where(shape)
+            entry = emit(compiler, where)
+            entry["binders"] = binders
+            compiled_cache.compiles += 1
+            compiled_cache.put(key, entry)
+        # strict: a walk and a compile that disagreed would fail here
+        # rather than bind a shifted value.
+        params = [bind(v) for bind, v
+                  in zip(entry["binders"], raw_values, strict=True)]
+        return entry["sql"], params, entry
 
     def _build_select(self):
         """Compile this queryset; returns (sql, params, compiled).
 
         *compiled* is what depends only on the queryset's shape — the
-        compiled-cache entry on a hit: the join ``plan``, the
-        base-model projection ``fields`` (None = every column) and the
-        row ``hydrator`` once a fetch has compiled one.
+        compiled-cache entry: the join ``plan``, the base-model
+        projection ``fields`` (None = every column) and the row
+        ``hydrator`` once a fetch has compiled one.
         """
-        meta = self.model._meta
-        cache_key, raw_values, entry = self._cache_probe(
+        return self._compiled(
             "select",
             (tuple(self._order_by), self._limit, self._offset,
              self._select_related,
              None if self._only is None else frozenset(self._only),
-             self._defer))
-        if entry is not None:
-            params = [bind(v) for bind, v
-                      in zip(entry["binders"], raw_values)]
-            return entry["sql"], params, entry
+             self._defer),
+            self._emit_select,
+            base_alias="t0" if self._select_related else None)
+
+    def _emit_select(self, compiler, where):
+        meta = self.model._meta
         plan = self._join_plan()
-        base_alias = "t0" if plan else None
-        compiler = QueryCompiler(self.model, base_alias=base_alias)
         fields = self._projected_fields()
         base_fields = fields if fields is not None else meta.fields
         if plan:
@@ -737,21 +694,13 @@ class QuerySet:
             else:
                 col_sql = "*"
             sql = f'SELECT {col_sql} FROM "{meta.table_name}"'
-        binders = []
-        where, params = compiler.compile_where(self._conditions,
-                                               binders=binders)
         sql += where + compiler.compile_order(self._order_by)
         if self._limit is not None or self._offset is not None:
             sql += f" LIMIT {self._limit if self._limit is not None else -1}"
             if self._offset:
                 sql += f" OFFSET {self._offset}"
-        compiled_cache.compiles += 1
-        compiled = {"sql": sql, "plan": plan, "fields": fields,
-                    "binders": binders, "hydrator": None}
-        if cache_key is not None and len(binders) == len(params) \
-                and len(raw_values) == len(params):
-            compiled_cache.put(cache_key, compiled)
-        return sql, params, compiled
+        return {"sql": sql, "plan": plan, "fields": fields,
+                "hydrator": None}
 
     def _row_hydrator(self, compiled, columns):
         """``hydrate(row, db) -> instance`` for rows laid out as
@@ -910,30 +859,20 @@ class QuerySet:
         return self.order_by(*flipped).first()
 
     def count(self):
+        """Rows this queryset would fetch; a slice is applied to the
+        unsliced ``COUNT(*)``, so it adds no statement shape."""
         if self._result_cache is not None:
             return len(self._result_cache)
-        if self._known_count is not None:
-            return self._known_count
-        cache_key, raw_values, entry = self._cache_probe("count")
-        if entry is not None:
-            sql = entry["sql"]
-            params = [bind(v) for bind, v
-                      in zip(entry["binders"], raw_values)]
-        else:
-            compiler = QueryCompiler(self.model)
-            binders = []
-            where, params = compiler.compile_where(self._conditions,
-                                                   binders=binders)
-            sql = (f'SELECT COUNT(*) FROM '
-                   f'"{self.model._meta.table_name}"' + where)
-            compiled_cache.compiles += 1
-            if cache_key is not None and len(binders) == len(params) \
-                    and len(raw_values) == len(params):
-                compiled_cache.put(cache_key, {"sql": sql,
-                                               "binders": binders})
-        cur = self.db.execute(sql, params, operation="select",
-                              table=self.model._meta.table_name)
-        return cur.fetchone()[0]
+        total = self._known_count
+        if total is None:
+            table = self.model._meta.table_name
+            sql, params, _ = self._compiled(
+                "count", (), lambda compiler, where: {
+                    "sql": f'SELECT COUNT(*) FROM "{table}"' + where})
+            total = self.db.execute(sql, params, operation="select",
+                                    table=table).fetchone()[0]
+        rows = max(total - (self._offset or 0), 0)
+        return rows if self._limit is None else min(self._limit, rows)
 
     def exists(self):
         if self._result_cache is not None:
@@ -942,11 +881,11 @@ class QuerySet:
 
     def delete(self):
         """Delete matching rows; returns number deleted."""
-        compiler = QueryCompiler(self.model)
-        where, params = compiler.compile_where(self._conditions)
-        sql = f'DELETE FROM "{self.model._meta.table_name}"' + where
-        cur = self.db.execute(sql, params, operation="delete",
-                              table=self.model._meta.table_name)
+        table = self.model._meta.table_name
+        sql, params, _ = self._compiled(
+            "delete", (), lambda compiler, where: {
+                "sql": f'DELETE FROM "{table}"' + where})
+        cur = self.db.execute(sql, params, operation="delete", table=table)
         if cur.rowcount:
             from ..signals import post_delete
             post_delete.send(self.model, instance=None,
@@ -962,17 +901,19 @@ class QuerySet:
         if not values:
             return 0
         meta = self.model._meta
-        sets, params = [], []
+        columns, params = [], []
         for name, value in values.items():
             field = meta.field_by_any_name(name)
             if field is None:
                 raise FieldError(f"Unknown field {name!r} in update()")
             cleaned = field.clean(value)
-            sets.append(f'"{field.column}" = ?')
+            columns.append(field.column)
             params.append(field.to_db(cleaned))
-        compiler = QueryCompiler(self.model)
-        where, wparams = compiler.compile_where(self._conditions)
-        sql = (f'UPDATE "{meta.table_name}" SET ' + ", ".join(sets) + where)
+        sql, wparams, _ = self._compiled(
+            "update", columns, lambda compiler, where: {
+                "sql": f'UPDATE "{meta.table_name}" SET '
+                       + ", ".join(f'"{c}" = ?' for c in columns)
+                       + where})
         cur = self.db.execute(sql, params + wparams, operation="update",
                               table=meta.table_name)
         if cur.rowcount:
@@ -1161,18 +1102,15 @@ class QuerySet:
 
     def distinct_values(self, field_name):
         """Sorted distinct values of one column."""
-        from .aggregates import run_values_count
         return sorted(run_values_count(self, field_name),
                       key=lambda v: (v is None, v))
 
     def aggregate(self, **named_aggregates):
         """Run aggregates (Count/Sum/Avg/Min/Max) over this queryset."""
-        from .aggregates import run_aggregate
         return run_aggregate(self, named_aggregates)
 
     def values_count(self, field_name):
         """GROUP BY *field_name*; returns ``{value: count}``."""
-        from .aggregates import run_values_count
         return run_values_count(self, field_name)
 
     def __repr__(self):  # pragma: no cover

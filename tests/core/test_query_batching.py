@@ -17,7 +17,7 @@ import pytest
 from repro.core import Simulation, Star
 from repro.core.models import KIND_DIRECT, SIM_DONE, SIM_QUEUED
 from repro.grid.clients import EXIT_OK, CommandResult
-from repro.webstack.orm.query import QuerySet
+from repro.webstack.orm.query import QuerySet, compiled_cache
 from repro.webstack.testclient import Client
 
 from .conftest import submit_direct
@@ -277,3 +277,42 @@ class TestPortalPages:
         assert int(STAR_ROW.search(text).group(3)) == had + 500
         assert rows_after == rows_before <= 30
         assert statements_after == statements_before
+
+
+# ----------------------------------------------------------------------
+# Warm path: every statement is a compiled-cache hit
+# ----------------------------------------------------------------------
+
+class TestWarmPathCompilesNothing:
+    """The second time a page or a poll runs, each of its statements is
+    one walk of its conditions and one cache probe: none is compiled
+    again, whichever kind of statement it is (a ``GROUP BY`` on
+    ``/stars/``, aggregates on ``/statistics/``)."""
+
+    @pytest.mark.parametrize("url", [
+        "/", "/stars/", "/stars/1/", "/simulations/", "/simulations/5/",
+        "/statistics/", "/api/v1/simulations", "/api/suggest/?q=16"])
+    def test_second_get_is_all_hits(self, history, url):
+        client = clients(history)["logged in"]
+        assert client.get(url).status_code == 200
+        before = compiled_cache.stats()
+        with history.databases.portal.count_queries() as counter:
+            assert client.get(url).status_code == 200
+        after = compiled_cache.stats()
+        assert counter.count >= 3, repr(counter)
+        assert after["hits"] - before["hits"] == counter.count, repr(counter)
+        assert after["compiles"] == before["compiles"]
+
+    def test_warm_scan_poll_is_all_hits(self, deployment, astronomer):
+        for _ in range(50):
+            submit_direct(deployment, astronomer)
+        for _ in range(4):
+            deployment.daemon.poll_once()
+        before = compiled_cache.stats()
+        with deployment.databases.daemon.count_queries() as counter:
+            deployment.daemon.poll_once()
+        after = compiled_cache.stats()
+        selects = counter.by_operation["select"]
+        assert selects >= 5, repr(counter)
+        assert after["hits"] - before["hits"] == selects, repr(counter)
+        assert after["compiles"] == before["compiles"]

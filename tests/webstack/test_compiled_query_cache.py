@@ -256,8 +256,9 @@ def test_hit_rate_reaches_target_on_a_poll_like_sweep(authors):
 
 
 def test_update_delete_paths_are_unaffected(authors):
-    """Writes compile uncached (they're not the hot path) and signal
-    exactly as before."""
+    """Writes compile through the same cache as reads — the second
+    update or delete of a shape is a hit that rebinds both the SET and
+    the WHERE values — and signal exactly as before."""
     from repro.webstack.signals import post_save
     fired = []
 
@@ -269,5 +270,20 @@ def test_update_delete_paths_are_unaffected(authors):
         Author.objects.filter(name="Ada").update(email="new@ex.org")
         assert fired and fired[-1]["rows"] == 1
         assert Author.objects.get(name="Ada").email == "new@ex.org"
+        before = hits()
+        Author.objects.filter(name="Grace").update(email="g@ex.org")
+        assert hits() == before + 1 and fired[-1]["rows"] == 1
+        assert Author.objects.get(name="Ada").email == "new@ex.org"
+        assert Author.objects.get(name="Grace").email == "g@ex.org"
+        # Setting another column is another statement: no false hit.
+        before = hits()
+        Author.objects.filter(name="Grace").update(active=False)
+        assert hits() == before
     finally:
         post_save.disconnect(receiver)
+    assert Author.objects.filter(name="Ada").delete() == 1
+    before = hits()
+    assert Author.objects.filter(name="Edsger").delete() == 1
+    assert hits() == before + 1
+    assert sorted(a.name for a in Author.objects.all()) \
+        == ["Annie", "Grace"]

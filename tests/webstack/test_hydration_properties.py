@@ -9,6 +9,11 @@
     would notice if it skipped anything else.
 (b) A compiled-query-cache hit replays binders over fresh values; the
     SQL and parameters must be those of a compile with the cache off.
+(c) A compile with the cache off binds through the same binders, so the
+    parameters also answer to a field-by-field reference kept here, and
+    every statement kind — count, aggregate, values_count, update,
+    delete — to the same statement written by hand and run straight on
+    the connection: warm, cold and with the cache disabled.
 """
 
 import datetime as dt
@@ -17,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.webstack.orm import (CharField, Database, ForeignKey,
-                                IntegerField, Model, Q, bind,
-                                compiled_cache)
+from repro.webstack.orm import (CharField, Count, Database, ForeignKey,
+                                IntegerField, Max, Model, Q, Sum, bind,
+                                compiled_cache, create_all)
 from repro.webstack.orm.fields import identity_type
 
 from .conftest import Author, Book
@@ -412,4 +417,191 @@ def test_cache_hit_compiles_what_a_cold_compile_does(shape):
     finally:
         compiled_cache.configure(enabled=True)
         bind([Author, Book], None)
+        database.close()
+
+
+# ----------------------------------------------------------------------
+# (c) parameters == a field-by-field reference; every statement kind ==
+#     straight SQL, warm, cold and with the cache disabled
+# ----------------------------------------------------------------------
+
+def escaped(raw):
+    """*raw* with LIKE's wildcards and the escape character escaped."""
+    return (str(raw).replace("\\", "\\\\")
+            .replace("%", "\\%").replace("_", "\\_"))
+
+
+def reference_params(shape, binding):
+    """What ``_build_select`` must bind, from the recipe (never from
+    the Q tree): one lookup at a time, in the order they were given."""
+    params = []
+    for _, terms in shape[0]:
+        for term in terms:
+            name, _, lookup = term[0].partition("__")
+            value = term[1 + binding]
+            field = Book._meta.field_by_any_name(name)
+
+            def marshal(raw, field=field):
+                return field.to_db(field.to_python(raw))
+
+            if lookup == "isnull":
+                continue
+            if lookup == "in":
+                params.extend(marshal(item) for item in value)
+            elif lookup == "range":
+                params.extend([marshal(value[0]), marshal(value[1])])
+            elif lookup == "mod":
+                divisor, remainder = value
+                if isinstance(remainder, list):
+                    residues = sorted({int(r) for r in remainder})
+                    if residues:
+                        params.extend([int(divisor), *residues])
+                else:
+                    params.extend([int(divisor), int(remainder)])
+            elif lookup == "icontains":
+                params.append("%" + escaped(value) + "%")
+            elif lookup == "startswith":
+                params.append(escaped(value) + "%")
+            elif lookup == "endswith":
+                params.append("%" + escaped(value))
+            else:
+                assert lookup in ("", "exact", "iexact", "ne", "gt", "lte")
+                params.append(marshal(value))
+    return params
+
+
+@given(shape=shapes())
+@settings(max_examples=150, deadline=None)
+def test_bound_parameters_match_field_by_field_reference(shape):
+    """A cold compile binds through the same binders as a hit, so the
+    differential above no longer has an independent side for the
+    parameters: this reference is it."""
+    compiled_cache.clear()
+    for binding in (0, 1, 0):           # a miss, then two hits
+        sql, params, _ = assemble(shape, binding)._build_select()
+        expected = reference_params(shape, binding)
+        assert [repr(p) for p in params] == [repr(p) for p in expected]
+        assert sql.count("?") == len(params)
+    assert compiled_cache.stats()["compiles"] == 1
+
+
+integers = st.integers(-5, 45)
+#: name -> (values, refinement, the WHERE clause written by hand, its
+#: parameters): conditions whose SQL this test knows without the ORM.
+CONDITIONS = {
+    "at least": (integers, lambda qs, v: qs.filter(pages__gte=v),
+                 '"pages" >= ?', lambda v: [v]),
+    "status": (st.sampled_from(["draft", "final", "lost"]),
+               lambda qs, v: qs.filter(status=v),
+               '"status" = ?', lambda v: [v]),
+    "one of three": (st.lists(integers, min_size=3, max_size=3),
+                     lambda qs, v: qs.filter(pages__in=v),
+                     '"pages" IN (?, ?, ?)', list),
+    "one of none": (st.just([]), lambda qs, v: qs.filter(pk__in=v),
+                    "0 = 1", list),
+    "title without": (st.text(alphabet="ab%_\\", max_size=2),
+                      lambda qs, v: qs.exclude(title__contains=v),
+                      "NOT (\"title\" LIKE ? ESCAPE '\\')",
+                      lambda v: ["%" + escaped(v) + "%"]),
+    "short or unrated": (
+        integers,
+        lambda qs, v: qs.filter(Q(pages__lt=v) | Q(rating__isnull=True)),
+        '("pages" < ? OR "rating" IS NULL)', lambda v: [v]),
+    "residue": (st.tuples(st.integers(1, 5), st.integers(0, 4)),
+                lambda qs, v: qs.filter(pages__mod=v),
+                '("pages" % ?) = ?', list),
+    "rated between": (st.tuples(st.floats(0, 5), st.floats(0, 5)),
+                      lambda qs, v: qs.filter(rating__range=v),
+                      '"rating" BETWEEN ? AND ?', list),
+}
+BOOKS = [
+    {"id": pk, "author_id": 1, "title": title, "pages": pages,
+     "rating": rating, "status": status, "summary": ""}
+    for pk, (title, pages, rating, status) in enumerate([
+        ("a", 0, None, "draft"), ("ab", 7, 1.5, "final"),
+        ("a%b", 12, 4.0, "final"), ("a_b", 12, None, "draft"),
+        ("b\\a", 30, 5.0, "final"), ("%", 44, 2.5, "draft"),
+        ("", 3, 0.0, "final"), ("ba", 21, 3.5, "draft")], start=1)]
+
+
+class Rollback(Exception):
+    pass
+
+
+def every_kind(database, names, values):
+    """What count, aggregate, values_count, update and delete answer
+    for the conditions *names* bound to *values*, each checked against
+    the hand-written statement run straight on the connection; the
+    two writes are rolled back."""
+    queryset = Book.objects.using(database)
+    clauses, params = [], []
+    for name, value in zip(names, values):
+        _, refine, clause, bound = CONDITIONS[name]
+        queryset = refine(queryset, value)
+        clauses.append(f"({clause})")
+        params.extend(bound(value))
+    where = " WHERE " + " AND ".join(clauses) if clauses else ""
+
+    def straight(select, tail=""):
+        return [tuple(row) for row in database.connection.execute(
+            f'SELECT {select} FROM "ws_book"{where}{tail}', params)]
+
+    matching, total, best = straight(
+        'COUNT(*), TOTAL("pages"), MAX("rating")')[0]
+    by_status = dict(straight('"status", COUNT(*)', ' GROUP BY "status"'))
+    answers = {
+        "count": queryset.count(),
+        "aggregate": queryset.aggregate(
+            n=Count("*"), pages=Sum("pages"), best=Max("rating")),
+        "values_count": queryset.values_count("status"),
+    }
+    assert answers == {
+        "count": matching,
+        "aggregate": {"n": matching, "pages": total, "best": best},
+        "values_count": by_status}
+    try:
+        with database.atomic():
+            answers["update"] = queryset.update(summary="touched")
+            touched = database.connection.execute(
+                'SELECT COUNT(*) FROM "ws_book" WHERE "summary" = ?',
+                ["touched"]).fetchone()[0]
+            answers["delete"] = queryset.delete()
+            left = database.connection.execute(
+                'SELECT COUNT(*) FROM "ws_book"').fetchone()[0]
+            assert straight("COUNT(*)") == [(0,)]
+            raise Rollback
+    except Rollback:
+        pass
+    assert answers["update"] == touched == matching == answers["delete"]
+    assert left == len(BOOKS) - matching
+    return answers
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_statement_kind_matches_straight_sql_warm_cold_disabled(data):
+    names = data.draw(st.lists(st.sampled_from(sorted(CONDITIONS)),
+                               max_size=3, unique=True))
+    first, second = ([data.draw(CONDITIONS[name][0]) for name in names]
+                     for _ in range(2))
+    database = Database(":memory:")
+    create_all([Author, Book], database)
+    try:
+        insert(database, Author, {"id": 1, "name": "Ada", "active": 1})
+        for row in BOOKS:
+            insert(database, Book, row)
+        compiled_cache.clear()
+        compiled_cache.configure(enabled=True)
+        every_kind(database, names, first)           # cold: five compiles
+        cold = compiled_cache.stats()
+        assert (cold["compiles"], cold["hits"]) == (5, 0)
+        warm_answers = every_kind(database, names, second)
+        warm = compiled_cache.stats()
+        assert (warm["compiles"], warm["hits"]) == (5, 5)
+        compiled_cache.configure(enabled=False)
+        assert every_kind(database, names, second) == warm_answers
+        disabled = compiled_cache.stats()
+        assert (disabled["compiles"], disabled["hits"]) == (10, 5)
+    finally:
+        compiled_cache.configure(enabled=True)
         database.close()

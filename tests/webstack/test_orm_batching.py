@@ -102,6 +102,24 @@ class TestPrefetchRelated:
             Author.objects.using(db).prefetch_related("reviews")
 
 
+class TestPrefetchCount:
+    def test_all_keeps_the_primed_count_and_refinements_drop_it(self, db):
+        _library(db, authors=3, books_each=2)
+        authors = list(Author.objects.using(db).prefetch_count("books"))
+        with db.count_queries() as counter:
+            assert [a.books.count() for a in authors] == [2, 2, 2]
+            # all() cannot change the count, so it costs no statement.
+            assert [a.books.all().count() for a in authors] == [2, 2, 2]
+        assert counter.count == 0
+        with db.count_queries() as counter:
+            first = authors[0]
+            assert first.books.filter(pages=100).count() == 1
+            assert first.books.exclude(pages=100).count() == 1
+            assert first.books.all()[1:].count() == 1
+            assert first.books.all().filter(pages__gt=500).count() == 0
+        assert counter.count == 4
+
+
 class TestProjection:
     def test_only_loads_requested_columns(self, db):
         _library(db, authors=1, books_each=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.webstack.orm import FieldError, Q
+from repro.webstack.orm import FieldError, Q, Sum, compiled_cache
 
 from .conftest import Author, Book
 
@@ -71,6 +71,28 @@ class TestLookups:
             list(Book.objects.filter(nonexistent=1))
 
 
+    @pytest.mark.parametrize("lookup, error", [
+        ({"pages__range": (1, 2, 3)}, ValueError),
+        ({"pages__mod": (0, 1)}, FieldError),
+        ({"pages__in": 5}, TypeError),
+        ({"nope__gt": 1}, FieldError)])
+    def test_malformed_lookup_raises_the_same_warm_or_cold(
+            self, seeded, lookup, error):
+        """Each error has one type for every statement kind, before
+        and after the well-formed shape beside it is cached."""
+        for _ in range(2):
+            for terminal in (list, lambda qs: qs.count(),
+                             lambda qs: qs.update(pages=1),
+                             lambda qs: qs.values_count("status"),
+                             lambda qs: qs.delete()):
+                with pytest.raises(error):
+                    terminal(Book.objects.filter(**lookup))
+            assert Book.objects.filter(
+                pages__range=(1, 20), pages__mod=(1, 0),
+                pages__in=[8, 10]).count() == 2
+        assert Book.objects.filter(pages=1).count() == 0
+
+
 class TestChaining:
     def test_filter_is_lazy_and_immutable(self, seeded):
         base = Book.objects.filter(status="final")
@@ -119,6 +141,52 @@ class TestChaining:
         assert Book.objects.filter(status="final").exists()
         assert not Book.objects.filter(status="draft",
                                        pages__gt=100).exists()
+
+
+class TestSlicedTerminals:
+    """LIMIT/OFFSET belongs to a select alone: ``count()`` works the
+    slice out from the whole ``COUNT(*)``, every other terminal
+    statement refuses a slice it could not honour."""
+
+    def test_count_honours_the_slice(self, seeded):
+        finals = Book.objects.filter(status="final")
+        assert Book.objects.all()[:2].count() == 2
+        assert Book.objects.all()[:5].count() == 3
+        assert Book.objects.all()[1:].count() == 2
+        assert Book.objects.all()[2:5].count() == 1
+        assert Book.objects.all()[7:9].count() == 0
+        assert finals[1:2].count() == 1
+        for queryset in (Book.objects.all()[:2], Book.objects.all()[2:5],
+                         Book.objects.all()[7:], finals[1:]):
+            assert queryset.count() == len(list(queryset))
+
+    def test_sliced_count_adds_no_statement_shape(self, seeded):
+        assert Book.objects.filter(status="final").count() == 2
+        before = compiled_cache.stats()
+        assert Book.objects.filter(status="draft")[1:2].count() == 0
+        after = compiled_cache.stats()
+        assert (after["hits"], after["size"]) \
+            == (before["hits"] + 1, before["size"])
+
+    def test_delete_refuses_a_slice(self, seeded):
+        with pytest.raises(FieldError, match=r"delete\(\)"):
+            Book.objects.filter(status="final")[:1].delete()
+        assert Book.objects.count() == 3
+
+    def test_update_refuses_a_slice(self, seeded):
+        with pytest.raises(FieldError, match=r"update\(\)"):
+            Book.objects.all()[1:].update(pages=1)
+        assert Book.objects.filter(pages=1).count() == 0
+
+    def test_aggregate_refuses_a_slice(self, seeded):
+        with pytest.raises(FieldError, match=r"aggregate\(\)"):
+            Book.objects.all()[:2].aggregate(total=Sum("pages"))
+
+    def test_values_count_refuses_a_slice(self, seeded):
+        with pytest.raises(FieldError, match=r"values_count\(\)"):
+            Book.objects.all()[:2].values_count("status")
+        with pytest.raises(FieldError, match=r"values_count\(\)"):
+            Book.objects.all()[:2].distinct_values("status")
 
 
 class TestQObjects:
