@@ -1,13 +1,13 @@
-"""Fleet poll throughput: 4 lease-partitioned daemons vs the singleton.
+"""Fleet poll throughput: 4 lease-partitioned daemons vs a fleet of one.
 
 The tentpole claim behind the daemon fleet is *near-linear* poll
 scaling: each instance sweeps only its residue classes, so a fleet
 round's critical path (the slowest member's poll) should be roughly a
-quarter of the singleton's poll over the same 400-simulation campaign.
-Both arms drive the identical virtual-time schedule (10 rounds at 900 s)
-from submission onward, so they process exactly the same transitions;
-the score is total singleton poll time over total fleet critical-path
-time.  The acceptance floor is 3x — linear minus the lease-protocol
+quarter of the single daemon's poll over the same 400-simulation
+campaign.  Both arms drive the identical virtual-time schedule (10
+rounds at 900 s) from submission onward, so they process exactly the
+same transitions; the score is total single-daemon poll time over total
+fleet critical-path time.  The acceptance floor is 3x — linear minus the lease-protocol
 overhead (sweep + scoped filters), the unsliceable phases (telemetry,
 first-poller fabric refresh), and cross-slice wave variance.
 """
@@ -51,21 +51,6 @@ def _populate(deployment):
         for index in range(POPULATION)])
 
 
-def _measure_singleton():
-    deployment = fresh_deployment()
-    try:
-        _populate(deployment)
-        times = []
-        for _ in range(MEASURED_ROUNDS):
-            deployment.clock.advance(INTERVAL_S)
-            start = time.perf_counter()
-            deployment.daemon.poll_once()
-            times.append(time.perf_counter() - start)
-        return times
-    finally:
-        _close(deployment)
-
-
 def _fleet_round(deployment):
     """One fleet round; returns each member's poll wall time."""
     deployment.clock.advance(INTERVAL_S)
@@ -78,7 +63,7 @@ def _fleet_round(deployment):
     return per_instance
 
 
-def _measure_fleet(n=4):
+def _measure_fleet(n):
     deployment = fresh_deployment()
     try:
         _populate(deployment)
@@ -92,9 +77,9 @@ def _measure_fleet(n=4):
 
 def test_fleet_poll_throughput_scales(benchmark):
     """4-daemon fleet: critical-path poll time >= 3x faster."""
-    single_times = _measure_singleton()
+    single_times = [r[0] for r in _measure_fleet(1)]
     fleet_rounds = benchmark.pedantic(
-        _measure_fleet, rounds=1, iterations=1)
+        _measure_fleet, args=(4,), rounds=1, iterations=1)
 
     single_mean = sum(single_times) / len(single_times)
     critical_paths = [max(r.values()) for r in fleet_rounds]
@@ -102,7 +87,7 @@ def test_fleet_poll_throughput_scales(benchmark):
     # Same campaign, same schedule: totals compare identical work.
     speedup = sum(single_times) / sum(critical_paths)
 
-    rows = [["singleton", f"{single_mean * 1e3:.1f}", "1.00x"]]
+    rows = [["fleet of one", f"{single_mean * 1e3:.1f}", "1.00x"]]
     per_instance_means = {
         index: sum(r[index] for r in fleet_rounds) / len(fleet_rounds)
         for index in fleet_rounds[0]}

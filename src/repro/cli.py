@@ -172,6 +172,7 @@ def cmd_daemon(args):
     import threading
 
     from .core import DaemonRuntime, open_role
+    from .core.daemon import DEFAULT_POLL_INTERVAL_S
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
@@ -179,7 +180,8 @@ def cmd_daemon(args):
     print(f"GridAMP daemon on {args.db} (Ctrl-C to stop)", flush=True)
     try:
         while not stop.is_set():
-            runtime.daemon.run(max_polls=1, until_idle=False)
+            runtime.clock.advance(DEFAULT_POLL_INTERVAL_S)
+            runtime.daemon.poll_once()
             if not runtime.daemon.pending_count():
                 stop.wait(0.5)
     finally:

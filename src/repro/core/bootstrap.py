@@ -30,7 +30,9 @@ from ..obs import Observability
 from ..science.observations import BRIGHT_TARGETS, kepler_input_catalog
 from ..webstack.auth import create_superuser, create_user
 from ..webstack.orm import DeploymentDatabases, bind, create_all
-from .daemon import ExternalMonitor, GridAMPDaemon
+from .daemon import (DEFAULT_POLL_INTERVAL_S, ExternalMonitor,
+                     GridAMPDaemon, instance_name)
+from .leases import LeaseManager
 from .models import (ALL_MODELS, AllocationRecord, MachineRecord, Star,
                      SubmitAuthorization, UserProfile)
 from .notifications import Mailer
@@ -130,8 +132,10 @@ class DaemonRuntime:
     daemon-role *db*.  ``cli daemon`` builds it with a private clock
     and observability facade; :class:`AMPDeployment` hands it its own.
     The simulated grid fabric lives in this object's memory, so one
-    daemon *process* per database is what can run; the fleet helpers
-    partition work between daemon instances inside this process.
+    daemon *process* per database is what can run; the host runs a
+    fleet of lease-partitioned daemon instances inside this process —
+    a fleet of one (``daemon-0`` holding slice 0 of 1) being the
+    paper's single daemon.
     """
 
     def __init__(self, db, machines=None, *, clock=None, obs=None,
@@ -152,92 +156,69 @@ class DaemonRuntime:
         for name in self.fabric.resource_names():
             deploy_amp(self.fabric.resource(name))
         self.mailer = Mailer(self.clock)
-        self._boot_daemon()
-
-        #: Fleet slots (``start_fleet``): index -> daemon or None
-        #: (killed).  Empty until a fleet is started.
+        #: Fleet slots: index -> daemon, or None once killed.
         self.fleet = {}
-        self.fleet_n_slices = 0
-        self.fleet_lease_ttl_s = 0.0
-
-    def _new_daemon(self, instance=None, leases=None):
-        """Everything host-local to one daemon process: the clients and
-        credential live here only, and the breaker registry rides with
-        them so every command the daemon shells out is health-checked
-        per resource."""
-        breakers = BreakerRegistry(self.clock, obs=self.obs,
-                                   origin=instance or "")
-        clients = GridClients(self.fabric, gateway_name="AMP",
-                              breakers=breakers, obs=self.obs)
-        return GridAMPDaemon(self.daemon_db, clients, self.clock,
-                             self.mailer, self.machine_specs,
-                             obs=self.obs,
-                             placement_policy=self.placement_policy,
-                             instance_id=instance, leases=leases)
-
-    def _boot_daemon(self):
-        self.daemon = self._new_daemon()
-        self.clients = self.daemon.clients
-        self.breakers = self.clients.breakers
-        self.monitor = ExternalMonitor(self.daemon, self.mailer,
+        #: Indexes whose daemon crashed during the last fleet round.
+        self.fleet_crashes = []
+        self.start_fleet(1)
+        self.monitor = ExternalMonitor(self.fleet, self.mailer,
                                        clock=self.clock, obs=self.obs)
 
-    def run_daemon_until_idle(self, *, poll_interval_s=300.0,
-                              max_polls=100_000):
-        return self.daemon.run(poll_interval_s=poll_interval_s,
-                               max_polls=max_polls)
+    # ``daemon``, ``clients`` and ``breakers`` name fleet slot 0: the
+    # whole daemon when the fleet is the paper's fleet of one.
+    @property
+    def daemon(self):
+        return self.fleet[0]
+
+    @property
+    def clients(self):
+        return self.daemon.clients
+
+    @property
+    def breakers(self):
+        return self.clients.breakers
 
     # ------------------------------------------------------------------
-    def restart_daemon(self):
-        """Replace the daemon process after a crash (kill → new boot).
-
-        Everything host-local to the dead process is rebuilt from
-        scratch — breaker registry, grid clients (and with them the
-        credential cache), workflows, retry tracker, monitor — while
-        everything durable (database, fabric, observability store,
-        mailer) carries over, exactly the split a real daemon bounce
-        has.  The new :class:`GridAMPDaemon` runs its reconciliation
-        sweep in ``__init__``; the dead process's event-log subscriber
-        is detached first so notifications don't double-deliver.
-        """
-        self.obs.events.unsubscribe("breaker.transition",
-                                    self.daemon._on_breaker_event)
-        self._boot_daemon()
-        return self.daemon
-
-    # ------------------------------------------------------------------
-    # Daemon fleet: lease-partitioned instances (kill/restart harness)
+    # The daemon fleet: lease-partitioned instances, and the
+    # kill/restart harness around them
     # ------------------------------------------------------------------
     def start_fleet(self, n, *, n_slices=None, lease_ttl_s=7200.0):
-        """Boot *n* lease-partitioned daemon instances.
+        """(Re)boot the host with *n* lease-partitioned daemon
+        instances over *n_slices* work slices (default: one each).
 
         Each instance is a separate "process": its own breaker
         registry (tagged with its instance id), grid clients, retry
         tracker, and lease manager — while the database, fabric,
         clock, mailer, and observability store are the shared durable
-        world.  The pre-existing singleton daemon is retired (its
-        event subscriber detached) so notifications don't
-        double-deliver; drive the fleet with ``poll_fleet_once`` /
-        ``run_fleet_until_idle``.
+        world.  Instances already running are killed first.
         """
-        self.obs.events.unsubscribe("breaker.transition",
-                                    self.daemon._on_breaker_event)
+        for index in list(self.fleet):
+            self.kill_daemon(index)
+        self.fleet.clear()
         self.fleet_n_slices = int(n_slices or n)
         self.fleet_lease_ttl_s = float(lease_ttl_s)
-        self.fleet = {}
-        for index in range(n):
-            self._spawn_fleet_daemon(index)
-        return [self.fleet[index] for index in range(n)]
+        return [self._spawn_daemon(index) for index in range(n)]
 
-    def _spawn_fleet_daemon(self, index):
-        from .leases import LeaseManager
-        instance = f"daemon-{index}"
+    def _spawn_daemon(self, index):
+        """Boot the daemon process of one fleet slot.  Everything
+        host-local to a daemon process is built here and only here: the
+        clients and credential, the breaker registry that rides with
+        them so every command the daemon shells out is health-checked
+        per resource, and the lease manager."""
+        instance = instance_name(index)
         leases = LeaseManager(self.daemon_db, self.clock,
                               owner=instance,
                               n_slices=self.fleet_n_slices,
                               ttl_s=self.fleet_lease_ttl_s,
                               obs=self.obs, fabric=self.fabric)
-        self.fleet[index] = self._new_daemon(instance, leases)
+        breakers = BreakerRegistry(self.clock, obs=self.obs,
+                                   origin=instance)
+        clients = GridClients(self.fabric, gateway_name="AMP",
+                              breakers=breakers, obs=self.obs)
+        self.fleet[index] = GridAMPDaemon(
+            self.daemon_db, clients, self.clock, self.mailer,
+            self.machine_specs, instance, leases, self.obs,
+            self.placement_policy)
         return self.fleet[index]
 
     def kill_daemon(self, index):
@@ -246,8 +227,10 @@ class DaemonRuntime:
         All process-local state vanishes (the slot goes to ``None``);
         the instance's leases stay in the database until they expire,
         at which point surviving peers steal the slices and adopt the
-        dead owner's uncommitted intents.  Returns the dead daemon
-        (tests inspect its in-memory state post-mortem).
+        dead owner's uncommitted intents.  The dead process's event-log
+        subscriber is detached so notifications don't double-deliver.
+        Returns the dead daemon (tests inspect its in-memory state
+        post-mortem).
         """
         daemon = self.fleet.get(index)
         if daemon is None:
@@ -257,17 +240,22 @@ class DaemonRuntime:
         self.fleet[index] = None
         return daemon
 
-    def restart_fleet_daemon(self, index):
-        """Boot a replacement process for one fleet slot.
+    def restart_daemon(self, index=0):
+        """Replace one slot's daemon process after a crash (kill → new
+        boot).
 
-        The replacement carries the same instance id, so it may
-        *reclaim* its dead incarnation's unexpired leases immediately
-        (bumping the fencing token) and replay their intents through
-        the takeover path.
+        Everything host-local to the dead process is rebuilt from
+        scratch — breaker registry, grid clients (and with them the
+        credential cache), workflows, retry tracker, lease manager —
+        while everything durable (database, fabric, observability
+        store, mailer) carries over, exactly the split a real daemon
+        bounce has.  The replacement carries the same instance id, so
+        its boot sweep *reclaims* its dead incarnation's unexpired
+        leases immediately (bumping the fencing token) and replays
+        their intents through the takeover path.
         """
-        if self.fleet.get(index) is not None:
-            self.kill_daemon(index)
-        return self._spawn_fleet_daemon(index)
+        self.kill_daemon(index)
+        return self._spawn_daemon(index)
 
     def poll_fleet_once(self, *, on_crash="kill"):
         """One fleet round: every live instance polls, in index order.
@@ -281,7 +269,7 @@ class DaemonRuntime:
         """
         from ..grid.faults import DaemonCrash
         transitions = 0
-        crashed = []
+        self.fleet_crashes = []
         for index in sorted(self.fleet):
             daemon = self.fleet[index]
             if daemon is None:
@@ -292,26 +280,29 @@ class DaemonRuntime:
                 if on_crash != "kill":
                     raise
                 self.kill_daemon(index)
-                crashed.append(index)
-        self.fleet_crashes = crashed
+                self.fleet_crashes.append(index)
         return transitions
 
-    def run_fleet_until_idle(self, *, poll_interval_s=300.0,
-                             max_rounds=100_000, on_crash="kill"):
+    def run_daemon_until_idle(self, *,
+                              poll_interval_s=DEFAULT_POLL_INTERVAL_S,
+                              max_polls=100_000):
         """Drive fleet rounds in virtual time until no work remains.
 
-        Stops when every live instance agrees there is nothing left
-        (the pending count is a global database read, identical from
-        any instance) or when the whole fleet is dead.  Returns the
-        number of rounds driven.
+        Repeatedly: advance the clock one poll interval (processing all
+        due grid/scheduler events), then poll every live instance.
+        Stops when nothing a daemon can make progress on remains (the
+        pending count is a global database read, identical from any
+        instance), when the whole fleet is dead, or after *max_polls*
+        rounds.  A daemon crash propagates to the caller, who decides
+        on the restart.  Returns the number of rounds driven.
         """
         rounds = 0
-        while rounds < max_rounds:
+        while rounds < max_polls:
             alive = [d for d in self.fleet.values() if d is not None]
             if not alive or alive[0].pending_count() == 0:
                 break
             self.clock.advance(poll_interval_s)
-            self.poll_fleet_once(on_crash=on_crash)
+            self.poll_fleet_once(on_crash="raise")
             rounds += 1
         return rounds
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from ..grid.breaker import CLOSED, BreakerEvent
 from ..grid.retry import RetryPolicy, RetryTracker
 from ..hpc.simclock import sim_datetime
-from ..obs import Observability
 from ..obs.registry import QUERY_COUNT_BUCKETS
 from .models import (GRAM_STATES, GridJobRecord, HOLD_RESOURCE,
                      JOURNAL_ABORTED, JOURNAL_COMMITTED, JOURNAL_INTENT,
@@ -47,11 +46,15 @@ from .workflow import DirectRunWorkflow, OptimizationWorkflow
 DEFAULT_POLL_INTERVAL_S = 300.0
 
 
+def instance_name(index):
+    """The instance id of fleet slot *index*; the same name across
+    restarts, which is what lets a replacement reclaim its leases."""
+    return f"daemon-{index}"
+
+
 class GridAMPDaemon:
     def __init__(self, db, clients, clock, mailer, machine_specs,
-                 retry_policy=None, obs=None,
-                 placement_policy="least-wait", instance_id=None,
-                 leases=None):
+                 instance_id, leases, obs, placement_policy):
         self.db = db
         self.clients = clients
         self.clock = clock
@@ -59,27 +62,17 @@ class GridAMPDaemon:
         self.policy = NotificationPolicy(mailer, db)
         #: Fleet identity: ``instance_id`` names this process among its
         #: peers and ``leases`` (a :class:`~repro.core.leases
-        #: .LeaseManager`) partitions the work.  Both ``None`` → the
-        #: classic singleton daemon, byte-identical to every prior PR.
+        #: .LeaseManager`) partitions the work.  The paper's single
+        #: daemon is ``daemon-0`` holding slice 0 of 1.
         self.instance_id = instance_id
         self.leases = leases
-        #: The observability facade every layer below shares.  Resolution
-        #: order: the one the deployment passed in, the one already
-        #: attached to the breaker registry, or a private instance — so a
-        #: bare daemon constructed in a test is still fully observable.
-        breakers = clients.breakers
-        if obs is None and breakers is not None \
-                and breakers.obs is not None:
-            obs = breakers.obs
-        self.obs = obs or Observability(clock)
-        if breakers is not None and breakers.obs is None:
-            breakers.attach_obs(self.obs)
-        if clients.obs is None:
-            clients.obs = self.obs
+        #: The observability facade every layer below shares; the
+        #: host built *clients* and its breaker registry over the same
+        #: one.
+        self.obs = obs
         #: One retry tracker (budget policy + backoff event log) shared
         #: by both workflow kinds, so operator tooling sees one timeline.
-        self.retry = RetryTracker(retry_policy or RetryPolicy(), clock,
-                                  obs=self.obs)
+        self.retry = RetryTracker(RetryPolicy(), clock, obs=self.obs)
         self.workflows = {
             KIND_DIRECT: DirectRunWorkflow(db, clients, self.policy,
                                            machine_specs,
@@ -105,7 +98,8 @@ class GridAMPDaemon:
         from ..sched.ledger import SULedger
         self.ledger = SULedger(db, clock, obs=self.obs)
         self.broker = ResourceBroker(
-            db, machine_specs, clock, breakers=breakers, obs=self.obs,
+            db, machine_specs, clock, breakers=clients.breakers,
+            obs=self.obs,
             fabric=clients.fabric, policy=placement_policy,
             ledger=self.ledger)
         for workflow in self.workflows.values():
@@ -116,14 +110,21 @@ class GridAMPDaemon:
         self.obs.events.subscribe("breaker.transition",
                                   self._on_breaker_event)
         #: Boot-time crash recovery: rehydrate escalation state, then
-        #: replay whatever the previous process left mid-flight.
+        #: take over whatever slices the first lease sweep acquires.
         self.last_recovery = self._boot_recovery()
 
     # ------------------------------------------------------------------
     # Crash recovery: journal reconciliation and state rehydration
     # ------------------------------------------------------------------
     def _boot_recovery(self):
-        """The restart sweep, run once from ``__init__``.
+        """The restart sweep, run once from ``__init__``: a boot is the
+        takeover of whatever the first lease sweep acquires.
+
+        A daemon booting alone claims every slice; a bounced one
+        reclaims its dead incarnation's (same instance id, fencing
+        token + 1) and replays their intents; one joining live peers
+        acquires only what is free, so it never replays a *live*
+        owner's in-flight work.
 
         Order matters: breakers are restored *before* the journal is
         reconciled so that lookups against a machine that was provably
@@ -136,28 +137,10 @@ class GridAMPDaemon:
         with self.obs.tracer.span("daemon.recovery") as span:
             breakers_restored = self._restore_breakers()
             retries_restored = self._restore_retry_state()
-            if self.leases is not None:
-                # Fleet mode: a booting instance owns no slices yet, so
-                # journal/ledger replay is deferred to lease takeover —
-                # replaying a *live* peer's intents here would race its
-                # in-flight work.
-                summary = {"intents": 0, "replayed": 0, "adopted": 0,
-                           "verified": 0, "reissued": 0, "held": 0}
-                adopted = released = 0
-            else:
-                summary = self.reconcile_journal()
-                # The broker's half: adopt reservations whose simulation
-                # stamp was lost mid-placement, release stale holds.
-                adopted, released = self.broker.reconcile()
+            acquired, _ = self.leases.sweep()
+            summary = self._lease_takeover(acquired)
             summary["breakers_restored"] = breakers_restored
             summary["retries_restored"] = retries_restored
-            summary["reservations_adopted"] = adopted
-            summary["reservations_released"] = released
-            if adopted:
-                metrics.counter(
-                    "sched_reservations_adopted_total",
-                    help="Reservations adopted by boot "
-                         "reconciliation").inc(adopted)
             for key, value in sorted(summary.items()):
                 span.set_attr(key, value)
             metrics.counter(
@@ -201,7 +184,7 @@ class GridAMPDaemon:
             state__in=list(SIM_ACTIVE_STATES) + [SIM_HOLD])
         return self.retry.rehydrate(simulations)
 
-    def reconcile_journal(self, slice_filter=None):
+    def reconcile_journal(self, slice_filter):
         """Resolve every uncommitted journal intent against the fabric.
 
         The decision table (per intent, see DESIGN.md §6):
@@ -226,26 +209,19 @@ class GridAMPDaemon:
         already-recorded jobs, one for cancel targets, then bulk
         writes — bounded round trips however long the backlog is.
 
-        *slice_filter* (fleet mode) scopes the sweep to the leased
-        residue classes: a takeover replays only the adopted slices'
-        intents, and the blocked set is cleared only within scope so
-        holds owned by other slices survive untouched.
+        *slice_filter* scopes the sweep to leased residue classes: a
+        takeover replays only the adopted slices' intents, and the
+        blocked set is cleared only within scope so holds owned by
+        other slices survive untouched.
         """
-        intent_qs = (OperationRecord.objects.using(self.db)
-                     .filter(state=JOURNAL_INTENT))
-        if slice_filter is not None:
-            intent_qs = intent_qs.filter(simulation_id__mod=slice_filter)
-        intents = list(intent_qs.select_related("simulation__owner")
+        intents = list(OperationRecord.objects.using(self.db)
+                       .filter(state=JOURNAL_INTENT,
+                               simulation_id__mod=slice_filter)
+                       .select_related("simulation__owner")
                        .order_by("id"))
         summary = {"intents": len(intents), "replayed": 0, "adopted": 0,
                    "verified": 0, "reissued": 0, "held": 0}
-        if slice_filter is None:
-            self.blocked_sims.clear()
-        else:
-            divisor, remainders = slice_filter
-            scoped = set(remainders)
-            self.blocked_sims -= {pk for pk in self.blocked_sims
-                                  if pk % divisor in scoped}
+        self._unblock(*slice_filter)
         if not intents:
             return summary
         submit_keys = [e.idempotency_key for e in intents
@@ -386,19 +362,18 @@ class GridAMPDaemon:
         return None
 
     # ------------------------------------------------------------------
-    def update_grid_jobs(self, slice_filter=None):
+    def update_grid_jobs(self, slice_filter):
         """Level 1: refresh every in-flight grid job's GRAM state.
 
         One JOIN-backed SELECT loads every record with its simulation
         and owner; state changes accumulate and flush in one
         ``bulk_update`` — two round trips however many jobs are active.
-        Fleet instances poll only jobs of their leased slices.
+        Only jobs of the leased slices are polled.
         """
         active = (GridJobRecord.objects.using(self.db)
-                  .filter(state__in=["UNSUBMITTED", "PENDING", "ACTIVE"])
+                  .filter(state__in=["UNSUBMITTED", "PENDING", "ACTIVE"],
+                          simulation_id__mod=slice_filter)
                   .select_related("simulation__owner"))
-        if slice_filter is not None:
-            active = active.filter(simulation_id__mod=slice_filter)
         changed = []
         for record in active:
             if record.gram_job_id is None:
@@ -433,7 +408,7 @@ class GridAMPDaemon:
             GridJobRecord.objects.using(self.db).bulk_update(
                 changed, ["state", "failure_reason"])
 
-    def advance_simulations(self, slice_filter=None):
+    def advance_simulations(self, slice_filter):
         """Level 2: run each active simulation's workflow.
 
         A defect in one simulation's processing must not take the whole
@@ -445,10 +420,9 @@ class GridAMPDaemon:
         import traceback
         transitions = 0
         active = (Simulation.objects.using(self.db)
-                  .filter(state__in=list(SIM_ACTIVE_STATES)))
-        if slice_filter is not None:
-            active = active.filter(pk__mod=slice_filter)
-        active = (active.select_related("owner", "observation")
+                  .filter(state__in=list(SIM_ACTIVE_STATES),
+                          pk__mod=slice_filter)
+                  .select_related("owner", "observation")
                   .prefetch_related("grid_jobs")
                   .order_by("id"))
         active_seen = 0
@@ -478,19 +452,13 @@ class GridAMPDaemon:
                         self.mailer.notify_admin(
                             f"Daemon error on simulation "
                             f"#{simulation.pk}", detail)
-        if self.instance_id:
-            # Per-instance view of the partition; the deployment-wide
-            # total stays with the singleton gauge below.
-            self.obs.metrics.gauge(
-                "daemon_instance_active_simulations",
-                help="Active simulations in each fleet instance's "
-                     "slices").labels(instance=self.instance_id).set(
-                active_seen)
-        else:
-            self.obs.metrics.gauge(
-                "daemon_active_simulations",
-                help="Simulations in active workflow states").set(
-                active_seen)
+        # Each instance's share of the partition; the children sum to
+        # the deployment-wide total.
+        self.obs.metrics.gauge(
+            "daemon_active_simulations",
+            help="Simulations in active workflow states, per daemon "
+                 "instance").labels(instance=self.instance_id).set(
+            active_seen)
         return transitions
 
     def update_machine_telemetry(self):
@@ -574,21 +542,20 @@ class GridAMPDaemon:
         mail timeline matches the event log exactly (no poll-phase lag,
         no double bookkeeping).
 
-        Under a fleet every instance has its own breaker registry but
-        all share one event bus, so each subscriber delivers mail only
-        for transitions its own registry emitted (the ``origin`` tag) —
+        Every instance has its own breaker registry but all share one
+        event bus, so each subscriber delivers mail only for
+        transitions its own registry emitted (the ``origin`` tag) —
         otherwise N instances would send N copies of every alert.
         """
         fields = record.fields
-        if self.instance_id \
-                and fields.get("origin", "") != self.instance_id:
+        if fields.get("origin", "") != self.instance_id:
             return
         self.policy.on_breaker_transition(BreakerEvent(
             time=record.time, resource=fields["resource"],
             from_state=fields["from_state"],
             to_state=fields["to_state"], reason=fields["reason"]))
 
-    def recover_resource_holds(self, slice_filter=None):
+    def recover_resource_holds(self, slice_filter):
         """Auto-resume simulations held for an exhausted retry budget
         once their machine's breaker closes again.
 
@@ -599,10 +566,9 @@ class GridAMPDaemon:
         """
         breakers = self.clients.breakers
         held = (Simulation.objects.using(self.db)
-                .filter(state=SIM_HOLD, hold_category=HOLD_RESOURCE))
-        if slice_filter is not None:
-            held = held.filter(pk__mod=slice_filter)
-        held = held.select_related("owner", "observation")
+                .filter(state=SIM_HOLD, hold_category=HOLD_RESOURCE,
+                        pk__mod=slice_filter)
+                .select_related("owner", "observation"))
         resumed = 0
         for simulation in held:
             if breakers is not None \
@@ -624,33 +590,25 @@ class GridAMPDaemon:
         """
         tracer = self.obs.tracer
         queries_before = self.db.queries_executed
-        attrs = {"poll": self.poll_count}
-        if self.instance_id:
-            attrs["instance"] = self.instance_id
-        with tracer.span("daemon.poll", attrs=attrs) as poll_span:
+        with tracer.span("daemon.poll",
+                         attrs={"poll": self.poll_count,
+                                "instance": self.instance_id}) as poll_span:
             transitions = 0
-            slice_filter = None
-            if self.leases is not None:
-                # Lease protocol first: renew, claim/steal, rebalance.
-                # Everything after this acts only on the owned slices.
-                acquired, dropped = self._phase("acquire_leases",
-                                                self.leases.sweep)
-                if dropped:
-                    lost = set(dropped)
-                    divisor = self.leases.n_slices
-                    self.blocked_sims -= {
-                        pk for pk in self.blocked_sims
-                        if pk % divisor in lost}
-                if acquired:
-                    self._phase(
-                        "lease_takeover",
-                        lambda: self._lease_takeover(acquired))
-                slice_filter = self.leases.slice_filter()
-                poll_span.set_attr("slices", len(slice_filter[1]))
-            if slice_filter is None or slice_filter[1]:
+            # Lease protocol first: renew, claim/steal, rebalance.
+            # Everything after this acts only on the owned slices.
+            acquired, dropped = self._phase("acquire_leases",
+                                            self.leases.sweep)
+            if dropped:
+                self._unblock(self.leases.n_slices, dropped)
+            if acquired:
+                self._phase("lease_takeover",
+                            lambda: self._lease_takeover(acquired))
+            slice_filter = self.leases.slice_filter()
+            poll_span.set_attr("slices", len(slice_filter[1]))
+            if slice_filter[1]:
                 self._phase("update_grid_jobs",
                             lambda: self.update_grid_jobs(slice_filter))
-                if slice_filter is None or 0 in slice_filter[1]:
+                if 0 in slice_filter[1]:
                     # One telemetry publisher per fleet — the slice-0
                     # owner — so machine rows aren't rewritten N times
                     # per round.
@@ -688,37 +646,48 @@ class GridAMPDaemon:
             help="Database round trips per poll cycle",
             buckets=QUERY_COUNT_BUCKETS).observe(
             self.db.queries_executed - queries_before)
-        if self.instance_id:
-            metrics.gauge(
-                "daemon_instance_heartbeat",
-                help="Virtual time of each fleet instance's last "
-                     "completed poll").labels(
-                instance=self.instance_id).set(self.heartbeat)
+        metrics.gauge(
+            "daemon_instance_heartbeat",
+            help="Virtual time of each daemon instance's last "
+                 "completed poll").labels(
+            instance=self.instance_id).set(self.heartbeat)
         return transitions
 
-    def _lease_takeover(self, slices):
-        """Generalised boot recovery: adopt freshly acquired slices.
+    def _unblock(self, divisor, remainders):
+        """Forget the blocked simulations of these residue classes."""
+        scoped = set(remainders)
+        self.blocked_sims -= {pk for pk in self.blocked_sims
+                              if pk % divisor in scoped}
 
-        Runs the same journal/ledger decision tables as a singleton
-        boot, scoped to the just-claimed residue classes — replaying a
-        dead owner's uncommitted intents (safe across owners: the
+    def _lease_takeover(self, slices):
+        """Crash recovery: adopt freshly acquired slices, at boot and
+        whenever a poll's sweep claims or steals one.
+
+        Runs the journal and ledger decision tables scoped to the
+        just-claimed residue classes — replaying a dead owner's
+        uncommitted intents (safe across owners: the
         ``amp-sim-{pk}-{phase}-{attempt}`` keys are process-independent
         and stamped on the remote jobs as ``clientTag``) and adopting
         reservations it left between write and stamp.
         """
         scope = (self.leases.n_slices, sorted(slices))
         self.leases._crash_check("takeover", "before")
-        summary = self.reconcile_journal(slice_filter=scope)
-        adopted, released = self.broker.reconcile(slice_filter=scope)
+        summary = self.reconcile_journal(scope)
+        adopted, released = self.ledger.reconcile(scope)
         self.leases._crash_check("takeover", "after")
         summary["reservations_adopted"] = adopted
         summary["reservations_released"] = released
+        if adopted:
+            self.obs.metrics.counter(
+                "sched_reservations_adopted_total",
+                help="Reservations adopted by takeover "
+                     "reconciliation").inc(adopted)
         self.obs.events.emit("daemon.takeover",
                              instance=self.instance_id,
                              slices=list(scope[1]), **summary)
         self.obs.metrics.counter(
             "daemon_lease_takeovers_total",
-            help="Slice adoptions (scoped journal replays) by fleet "
+            help="Slice adoptions (scoped journal replays) by daemon "
                  "instances").inc()
         return summary
 
@@ -747,65 +716,71 @@ class GridAMPDaemon:
         model failure — genuinely waits for an administrator)."""
         return self.active_count() + self.recoverable_hold_count()
 
-    def run(self, *, poll_interval_s=DEFAULT_POLL_INTERVAL_S,
-            max_polls=100_000, until_idle=True):
-        """Drive the daemon in virtual time.
-
-        Repeatedly: advance the clock one poll interval (processing all
-        due grid/scheduler events), then poll.  Stops when nothing the
-        daemon can make progress on remains (``until_idle``) or after
-        *max_polls*.  Returns the number of polls performed.
-        """
-        polls = 0
-        while polls < max_polls:
-            if until_idle and self.pending_count() == 0:
-                break
-            self.clock.advance(poll_interval_s)
-            self.poll_once()
-            polls += 1
-        return polls
-
 
 class ExternalMonitor:
-    """The out-of-band watchdog for the daemon itself (§4.4).
+    """The out-of-band watchdog for the daemons themselves (§4.4).
 
     "failures of the GridAMP daemon itself are monitored externally and
     immediately brought to the attention of the gateway administrators."
 
+    It watches fleet slots (slot index → daemon, or ``None`` once that
+    process died), so it sees the daemons that exist now — a bounced
+    one included — rather than whichever object was alive when it was
+    built.  A bare daemon is watched as a fleet of one.
+
     The staleness reference is the *injected* clock — by default the
-    same sim clock the daemon stamps its heartbeat from, never any
+    same sim clock the daemons stamp their heartbeats from, never any
     wall-clock path — so monitoring behaves identically under replayed
     fault schedules.  Every check also publishes the heartbeat age as a
     gauge, and a stale heartbeat is a ``monitor.stale`` structured
     event alongside the admin mail.
     """
 
-    def __init__(self, daemon, mailer, *, stale_after_s=1800.0,
+    def __init__(self, fleet, mailer, *, stale_after_s=1800.0,
                  clock=None, obs=None):
-        self.daemon = daemon
+        if not isinstance(fleet, dict):
+            fleet = {0: fleet}
+        self.fleet = fleet
         self.mailer = mailer
         self.stale_after_s = stale_after_s
+        daemon = fleet[min(fleet)]
         self.clock = clock if clock is not None else daemon.clock
         self.obs = obs if obs is not None else daemon.obs
         self.alerts = []
 
+    def heartbeat_ages(self):
+        """``{instance: virtual seconds since it last completed a
+        poll}``; ``None`` for a dead slot, which nothing will ever
+        stamp again."""
+        now = self.clock.now
+        return {instance_name(index):
+                None if daemon is None else now - daemon.heartbeat
+                for index, daemon in sorted(self.fleet.items())}
+
     def heartbeat_age(self):
-        """Virtual seconds since the daemon last completed a poll."""
-        return self.clock.now - self.daemon.heartbeat
+        """The age of the live instance that has been quiet longest."""
+        return max((age for age in self.heartbeat_ages().values()
+                    if age is not None), default=0.0)
 
     def check(self):
-        """Alert when the daemon heartbeat is stale; returns health."""
+        """Alert when any instance is dead or its heartbeat stale;
+        returns health."""
+        ages = self.heartbeat_ages()
         age = self.heartbeat_age()
-        healthy = age <= self.stale_after_s
+        stale = [instance for instance, seconds in ages.items()
+                 if seconds is None or seconds > self.stale_after_s]
         self.obs.metrics.gauge(
             "daemon_heartbeat_age_seconds",
-            help="Monitor-observed age of the daemon heartbeat").set(age)
-        if not healthy:
+            help="Monitor-observed age of the oldest live daemon "
+                 "heartbeat").set(age)
+        if stale:
             self.obs.events.emit("monitor.stale", age=age,
-                                 threshold=self.stale_after_s)
+                                 threshold=self.stale_after_s,
+                                 instances=stale)
             message = self.mailer.notify_admin(
                 "GridAMP daemon heartbeat stale",
-                f"Last heartbeat {age:.0f}s ago "
+                f"No heartbeat from {', '.join(stale)}: oldest live "
+                f"heartbeat {age:.0f}s ago "
                 f"(threshold {self.stale_after_s:.0f}s)")
             self.alerts.append(message)
-        return healthy
+        return not stale

@@ -7,12 +7,17 @@ peer-to-peer channel between instances, exactly the "coordination in
 durable DB state" posture the operation journal and reservation ledger
 already take:
 
-1. **presence** — renew this instance's presence row (its durable
-   heartbeat).  Live fleet size = owners of unexpired presence rows.
+1. **presence** — keep this instance's presence row unexpired.  Live
+   fleet size = owners of unexpired presence rows.
 2. **renew** — extend every held slice lease with a conditional update
    (``WHERE owner = me AND fencing_token = remembered``).  A rowcount
    of zero means the lease was stolen while this process stalled: drop
-   it immediately and never touch its simulations again.
+   it immediately and never touch its simulations again.  Presence
+   and slice leases are renewed once half their lifetime is spent,
+   not on every sweep: a lease the sweep has just read as its own and
+   unexpired stays valid through the poll that follows (stealing
+   needs an expiry), so a steady-state sweep is one read and writes
+   nothing.
 3. **claim/steal** — while holding fewer than the fair share
    (``ceil(n_slices / live_instances)``), claim unowned or expired
    slices in index order.  The conditional update races on the fencing
@@ -39,6 +44,11 @@ import math
 
 from .models import (LEASE_KIND_PRESENCE, LEASE_KIND_SLICE, LeaseRecord,
                      presence_lease_key, slice_lease_key)
+
+
+#: The scope of a fleet of one — slice 0 of 1, every integer key — in
+#: the ``(n_slices, [slice_indexes])`` form of ``slice_filter()``.
+WHOLE_TABLE = (1, (0,))
 
 
 class LeaseManager:
@@ -118,6 +128,10 @@ class LeaseManager:
                 expires_at=now + self.ttl_s)
             row.save(db=self.db)
 
+    def _renewal_due(self, row, now):
+        """Half the lease's lifetime is spent (or all of it)."""
+        return row.expires_at - now <= self.ttl_s / 2
+
     # ------------------------------------------------------------------
     def sweep(self):
         """One lease-protocol round; returns ``(acquired, dropped)``.
@@ -129,8 +143,12 @@ class LeaseManager:
         in-memory state (blocked simulations) for them.
         """
         now = self.clock.now
-        self._ensure_presence(now)
         rows = list(LeaseRecord.objects.using(self.db).order_by("id"))
+        presence_key = presence_lease_key(self.owner)
+        presence = next((row for row in rows
+                         if row.slice_key == presence_key), None)
+        if presence is None or self._renewal_due(presence, now):
+            self._ensure_presence(now)
         slices = {row.slice_index: row for row in rows
                   if row.kind == LEASE_KIND_SLICE
                   and row.n_slices == self.n_slices}
@@ -140,6 +158,10 @@ class LeaseManager:
         for index in sorted(self.held):
             row = slices.get(index)
             token = self.held[index]
+            if row is not None and row.owner == self.owner \
+                    and row.fencing_token == token \
+                    and not self._renewal_due(row, now):
+                continue
             self._crash_check("lease_renew", "before")
             renewed = 0
             if row is not None:

@@ -201,13 +201,12 @@ def build_routes(ctx):
         # (portal-readable, daemon-written) — the operator's one-look
         # answer to "is the fleet healthy and balanced?".
         now = ctx.clock.now if ctx.clock is not None else 0.0
-        fleet = {"instances": [], "slices": [], "enabled": False}
+        fleet = {"instances": [], "slices": []}
         for row in LeaseRecord.objects.using(request.db).order_by("id"):
-            fleet["enabled"] = True
             if row.kind == LEASE_KIND_PRESENCE:
                 fleet["instances"].append({
                     "instance": row.owner,
-                    "heartbeat_age": max(0.0, now - row.renewed_at),
+                    "renewed_age": max(0.0, now - row.renewed_at),
                     "live": row.expires_at > now,
                 })
             elif row.kind == LEASE_KIND_SLICE:

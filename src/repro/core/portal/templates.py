@@ -287,15 +287,14 @@ for {{ brokering.settled_su|floatformat:0 }} service units;
 migrations: {{ brokering.migrations }};
 refusals: {{ brokering.refusals }}.</p>
 {% endif %}
-{% if fleet.enabled %}
 <h3>Daemon fleet</h3>
 <p>{{ fleet.live_count }} live
 instance{{ fleet.live_count|pluralize }}.</p>
-<table><tr><th>Instance</th><th>Heartbeat age</th>
+<table><tr><th>Instance</th><th>Presence renewed</th>
 <th>Status</th></tr>
 {% for i in fleet.instances %}
 <tr><td>{{ i.instance }}</td>
-<td>{{ i.heartbeat_age|floatformat:0 }}s</td>
+<td>{{ i.renewed_age|floatformat:0 }}s ago</td>
 <td>{% if i.live %}live{% else %}expired{% endif %}</td></tr>
 {% endfor %}
 </table>
@@ -307,7 +306,6 @@ instance{{ fleet.live_count|pluralize }}.</p>
 <td>{% if s.expired %}expired{% else %}held{% endif %}</td></tr>
 {% endfor %}
 </table>
-{% endif %}
 {% if ops %}
 <h3>Gateway operations</h3>
 <table><tr><th>Indicator</th><th>Value</th></tr>

@@ -61,9 +61,9 @@ class CircuitBreaker:
         self.clock = clock
         self.policy = policy or BreakerPolicy()
         self.obs = obs
-        #: Which fleet instance's registry this breaker belongs to.
-        #: Singleton deployments leave it empty and their events carry
-        #: no origin field (byte-stable with every pre-fleet log).
+        #: Which daemon instance's registry this breaker belongs to.
+        #: A registry built outside a daemon host leaves it empty and
+        #: its events carry no origin field.
         self.origin = origin
         self.state = CLOSED
         self.consecutive_failures = 0
@@ -148,12 +148,6 @@ class BreakerRegistry:
         #: deliver mail for its own breakers only.
         self.origin = origin
         self._breakers = {}
-
-    def attach_obs(self, obs):
-        """Late-bind the observability facade (deployment wiring)."""
-        self.obs = obs
-        for breaker in self._breakers.values():
-            breaker.obs = obs
 
     def breaker(self, resource):
         breaker = self._breakers.get(resource)

@@ -32,10 +32,10 @@ a constant 1 query on an idle steady-state poll.
 
 from __future__ import annotations
 
+from ..core.leases import WHOLE_TABLE
 from ..core.models import (AllocationRecord, KIND_DIRECT, MACHINE_AUTO,
-                           MachineRecord, RESERVATION_RESERVED,
-                           ReservationRecord, SIM_QUEUED, Simulation,
-                           SubmitAuthorization)
+                           MachineRecord, ReservationRecord, SIM_QUEUED,
+                           Simulation, SubmitAuthorization)
 from ..grid.backends import get_backend
 from ..hpc.accounting import cpu_hours
 from .ledger import SULedger
@@ -115,7 +115,7 @@ class ResourceBroker:
         return cpu_hours(1, core_seconds) * spec.su_charge_factor
 
     # ------------------------------------------------------------------
-    def place_pending(self, slice_filter=None):
+    def place_pending(self, slice_filter=WHOLE_TABLE):
         """One placement sweep; returns a summary dict.
 
         Write ordering (the crash-safety contract): new reservation
@@ -124,8 +124,8 @@ class ResourceBroker:
         boot reconciliation adopts or releases deterministically, and
         never a stamped simulation without its reservation.
 
-        Under a fleet, *slice_filter* (``(n_slices, [indexes])``)
-        scopes both the pending set and the reservation read to the
+        *slice_filter* (``(n_slices, [indexes])``) scopes both the
+        pending set and the reservation read to the calling daemon
         instance's leased residue classes: two daemons placing AUTO
         work concurrently operate on provably disjoint simulations, so
         no reservation can be double-booked across owners (the unique
@@ -133,13 +133,11 @@ class ResourceBroker:
         """
         summary = {"placed": 0, "migrated": 0, "refused": 0,
                    "adopted": 0}
-        pending_qs = (Simulation.objects.using(self.db)
-                      .filter(state=SIM_QUEUED,
-                              machine_name=MACHINE_AUTO))
-        if slice_filter is not None:
-            pending_qs = pending_qs.filter(pk__mod=slice_filter)
-        pending = list(pending_qs.select_related("owner")
-                       .order_by("id"))
+        pending = list(Simulation.objects.using(self.db)
+                       .filter(state=SIM_QUEUED,
+                               machine_name=MACHINE_AUTO,
+                               pk__mod=slice_filter)
+                       .select_related("owner").order_by("id"))
         sick_possible = (self.breakers is None
                          or bool(self.breakers.open_resources()))
         if not pending and not sick_possible:
@@ -151,19 +149,7 @@ class ResourceBroker:
         reservations = self.ledger.active_reservations(slice_filter)
         allocations = {a.pk: a for a in
                        AllocationRecord.objects.using(self.db).all()}
-        if slice_filter is None:
-            reserved_by_alloc = self.ledger.reserved_by_allocation(
-                reservations)
-        else:
-            # The funding check must subtract every instance's active
-            # holds, not just this slice's — otherwise N daemons could
-            # collectively promise the same remaining SUs.  Sweeps are
-            # serialised through the database, so each one sees the
-            # rows its peers already booked.
-            reserved_by_alloc = self.ledger.reserved_by_allocation(
-                ReservationRecord.objects.using(self.db)
-                .filter(state=RESERVATION_RESERVED)
-                .only("allocation_id", "estimated_su"))
+        reserved_by_alloc = self.ledger.reserved_by_allocation()
 
         # Failover candidates: broker-placed work still QUEUED on a
         # machine that is no longer placeable.  Manual submissions are
@@ -382,11 +368,6 @@ class ResourceBroker:
                 help="SUs held by active reservations").set(
                 round(sum(reserved_by_alloc.values()), 6))
         return summary
-
-    # ------------------------------------------------------------------
-    def reconcile(self, slice_filter=None):
-        """Boot/takeover half: heal reservations a dead process left."""
-        return self.ledger.reconcile(slice_filter)
 
     # ------------------------------------------------------------------
     def _emit(self, kind, **fields):

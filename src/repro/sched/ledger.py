@@ -27,6 +27,7 @@ Crash windows (see DESIGN.md §7 for the full ordering argument):
 
 from __future__ import annotations
 
+from ..core.leases import WHOLE_TABLE
 from ..core.models import (AllocationRecord, MACHINE_AUTO,
                            RESERVATION_RELEASED, RESERVATION_RESERVED,
                            RESERVATION_SETTLED, ReservationRecord,
@@ -43,26 +44,32 @@ class SULedger:
     # ------------------------------------------------------------------
     # Reads (set-oriented: the broker calls these once per sweep)
     # ------------------------------------------------------------------
-    def active_reservations(self, slice_filter=None):
-        """Every RESERVED row, with its simulation, in one query.
+    def active_reservations(self, slice_filter):
+        """The RESERVED rows of one scope, with their simulations, in
+        one query.
 
         *slice_filter* — a ``(n_slices, [slice_indexes])`` pair from a
-        fleet instance's lease manager — restricts the read to
+        daemon instance's lease manager — restricts the read to
         reservations whose simulation falls in the owned residue
         classes, so concurrent daemons sweep disjoint sets.
         """
-        qs = (ReservationRecord.objects.using(self.db)
-              .filter(state=RESERVATION_RESERVED))
-        if slice_filter is not None:
-            qs = qs.filter(simulation_id__mod=slice_filter)
-        return list(qs.select_related("simulation__owner")
+        return list(ReservationRecord.objects.using(self.db)
+                    .filter(state=RESERVATION_RESERVED,
+                            simulation_id__mod=slice_filter)
+                    .select_related("simulation__owner")
                     .order_by("id"))
 
-    @staticmethod
-    def reserved_by_allocation(reservations):
-        """``{allocation_id: total estimated SUs}`` over active rows."""
+    def reserved_by_allocation(self):
+        """``{allocation_id: total estimated SUs}`` over every RESERVED
+        row — deployment-wide whatever the caller's scope: a funding
+        check must subtract every instance's active holds, otherwise N
+        daemons could collectively promise the same remaining SUs.
+        Sweeps are serialised through the database, so each one sees
+        the rows its peers already booked."""
         totals = {}
-        for row in reservations:
+        for row in (ReservationRecord.objects.using(self.db)
+                    .filter(state=RESERVATION_RESERVED)
+                    .only("allocation_id", "estimated_su")):
             totals[row.allocation_id] = (
                 totals.get(row.allocation_id, 0.0) + row.estimated_su)
         return totals
@@ -140,7 +147,7 @@ class SULedger:
     # ------------------------------------------------------------------
     # Boot reconciliation (the broker's half of the recovery sweep)
     # ------------------------------------------------------------------
-    def reconcile(self, slice_filter=None):
+    def reconcile(self, slice_filter=WHOLE_TABLE):
         """Heal reservations a dead daemon left behind.
 
         Decision table, per RESERVED row (one SELECT, bulk writes):
@@ -157,9 +164,10 @@ class SULedger:
         - simulation finished, cancelled, or held for an administrator
           → **release**: the hold must not pin SUs nobody will spend.
 
-        Returns ``(adopted, released)``.  Under a fleet, each instance
-        reconciles only its leased residue classes (*slice_filter*),
-        so takeover replay never races a live owner's in-flight work.
+        Returns ``(adopted, released)``.  Each daemon instance
+        reconciles only the residue classes it just took over
+        (*slice_filter*), so the replay never races a live owner's
+        in-flight work.
         """
         rows = self.active_reservations(slice_filter)
         newest = {}
@@ -201,7 +209,7 @@ class SULedger:
         The ledger invariant holds iff ``reserved + used ≤ granted``
         for every row returned.
         """
-        reserved = self.reserved_by_allocation(self.active_reservations())
+        reserved = self.reserved_by_allocation()
         report = []
         for allocation in AllocationRecord.objects.using(self.db).all():
             report.append({

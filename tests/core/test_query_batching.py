@@ -38,6 +38,30 @@ class TestPollRoundTripBudget:
             deployment.daemon.poll_once()
         assert counter.count <= 10, repr(counter)
 
+    def test_steady_state_poll_is_seven_statements_plus_the_sweep(
+            self, deployment, astronomer):
+        """The lease protocol's share of a poll, as numbers: one read
+        while the leases have more than half their lifetime left, and
+        two conditional renewals (presence, slice 0) on top of it once
+        they do not — beside the seven statements of the scan itself."""
+        for _ in range(50):
+            submit_direct(deployment, astronomer)
+        for _ in range(3):
+            deployment.daemon.poll_once()
+        db = deployment.databases.daemon
+        leases = deployment.daemon.leases
+        with db.count_queries() as poll:
+            deployment.daemon.poll_once()
+        with db.count_queries() as sweep:
+            assert leases.sweep() == ([], [])
+        assert sweep.count == 1, repr(sweep)
+        assert poll.count == 7 + sweep.count, repr(poll)
+        deployment.clock.advance(leases.ttl_s / 2)
+        with db.count_queries() as renewing:
+            assert leases.sweep() == ([], [])
+        assert renewing.count == 3, repr(renewing)
+        assert renewing.by_operation["update"] == 2
+
     def test_budget_independent_of_population(self, deployment,
                                               astronomer):
         """The poll cost at 5 active simulations equals the cost at 25 —

@@ -103,7 +103,7 @@ def _populate(path):
                                "y": 0.27, "alpha": 2.0, "age": 5.0}
                    ).save(db=deployment.databases.portal)
     deployment.start_fleet(2)
-    deployment.run_fleet_until_idle()
+    deployment.run_daemon_until_idle()
     assert Simulation.objects.using(deployment.databases.admin).filter(
         state="DONE").count() == 6
     deployment.close()

@@ -375,6 +375,47 @@ class TestRecoveryTelemetryByteStable:
         assert first_summary == second_summary
 
 
+class TestRestartIsAReclaim:
+    """A bounce of the single daemon is the fleet's same-owner reclaim
+    of slice 0: fencing token + 1, and one scoped takeover whose
+    summary is the boot's recovery summary."""
+
+    def test_restart_bumps_the_token_and_takes_over_slice_zero(self):
+        from repro.core.models import LeaseRecord, slice_lease_key
+        deployment = make_deployment()
+        try:
+            user = deployment.create_astronomer("reclaim")
+            submit_direct_sims(deployment, user, 1)
+            db = deployment.databases.admin
+            lease = LeaseRecord.objects.using(db).get(
+                slice_key=slice_lease_key(0, 1))
+            assert lease.owner == "daemon-0"
+            token = lease.fencing_token
+            injector = FaultInjector(deployment.fabric,
+                                     deployment.clock)
+            injector.crash("submit", when="after")
+            assert run_until_crash(deployment)
+            takeovers_before = len(
+                deployment.obs.events.of_kind("daemon.takeover"))
+            daemon = deployment.restart_daemon()
+            assert deployment.daemon is daemon is deployment.fleet[0]
+            lease.refresh_from_db()
+            assert lease.owner == "daemon-0"
+            assert lease.fencing_token == token + 1
+            takeovers = deployment.obs.events.of_kind("daemon.takeover")
+            assert len(takeovers) == takeovers_before + 1
+            fields = takeovers[-1].fields
+            assert fields["instance"] == "daemon-0"
+            assert fields["slices"] == [0]
+            recovery = daemon.last_recovery
+            assert recovery["adopted"] == 1
+            for key in ("intents", "replayed", "adopted", "verified",
+                        "reissued", "held"):
+                assert fields[key] == recovery[key], key
+        finally:
+            close_deployment(deployment)
+
+
 class TestMonitorAcrossRestart:
     """Satellite: the external watchdog sees the crash, the operator
     bounces the daemon, and the heartbeat-age gauge recovers."""
@@ -412,6 +453,46 @@ class TestMonitorAcrossRestart:
             simulation.refresh_from_db()
             assert simulation.state == SIM_DONE
             audit_exactly_once(deployment)
+        finally:
+            close_deployment(deployment)
+
+
+    def test_healthy_fleet_is_healthy(self):
+        """The monitor watches the daemons that exist: after
+        ``start_fleet`` that is the new members, not the retired
+        fleet of one."""
+        deployment = make_deployment()
+        try:
+            user = deployment.create_astronomer("watchfleet")
+            submit_direct_sims(deployment, user, 4)
+            deployment.start_fleet(2)
+            assert deployment.daemon is deployment.fleet[0]
+            fleet_poll(deployment, 8)
+            assert deployment.monitor.check()
+            assert deployment.monitor.heartbeat_age() == 0.0
+            assert not deployment.obs.events.of_kind("monitor.stale")
+        finally:
+            close_deployment(deployment)
+
+    def test_killed_fleet_member_is_reported_by_name(self):
+        deployment = make_deployment()
+        try:
+            user = deployment.create_astronomer("watchkill")
+            submit_direct_sims(deployment, user, 4)
+            deployment.start_fleet(2)
+            fleet_poll(deployment, 2)
+            deployment.kill_daemon(1)
+            fleet_poll(deployment, 1)   # daemon-0 is alive and fresh
+            assert not deployment.monitor.check()
+            (stale,) = deployment.obs.events.of_kind("monitor.stale")
+            assert stale.fields["instances"] == ["daemon-1"]
+            assert any("daemon-1" in mail.body
+                       for mail in deployment.mailer.to_admin()
+                       if "heartbeat" in mail.subject.lower())
+            # The replacement boots, polls, and health returns.
+            deployment.restart_daemon(1)
+            fleet_poll(deployment, 1)
+            assert deployment.monitor.check()
         finally:
             close_deployment(deployment)
 
@@ -471,6 +552,16 @@ def fleet_poll_until_crash(deployment, max_rounds=20, interval_s=1800.0):
     return []
 
 
+def test_fleet_crashes_is_empty_before_the_first_round():
+    deployment = make_deployment()
+    try:
+        assert deployment.fleet_crashes == []
+        deployment.start_fleet(2)
+        assert deployment.fleet_crashes == []
+    finally:
+        close_deployment(deployment)
+
+
 class TestFleetLeaseCrashWindows:
     """A fleet member dying inside the lease protocol itself must leave
     its work adoptable — never orphaned, never double-executed."""
@@ -492,8 +583,8 @@ class TestFleetLeaseCrashWindows:
             assert deployment.fleet[0] is None
             # The unrenewed lease runs out; the survivor steals the
             # slice, replays its journal scope, and drains everything.
-            deployment.run_fleet_until_idle(poll_interval_s=1800.0,
-                                            max_rounds=100)
+            deployment.run_daemon_until_idle(poll_interval_s=1800.0,
+                                             max_polls=100)
             for simulation in simulations:
                 simulation.refresh_from_db()
                 assert simulation.state == SIM_DONE
@@ -519,8 +610,8 @@ class TestFleetLeaseCrashWindows:
             injector.crash("submit", when="after")
             crashed = fleet_poll_until_crash(deployment)
             assert crashed == [0]
-            deployment.run_fleet_until_idle(poll_interval_s=1800.0,
-                                            max_rounds=100)
+            deployment.run_daemon_until_idle(poll_interval_s=1800.0,
+                                             max_polls=100)
             for simulation in simulations:
                 simulation.refresh_from_db()
                 assert simulation.state == SIM_DONE
@@ -556,9 +647,9 @@ class TestFleetLeaseCrashWindows:
             assert all(d is None for d in deployment.fleet.values())
             # Phase 3: the replacement (same id) reclaims its slices
             # immediately and replays the takeover — idempotently.
-            deployment.restart_fleet_daemon(1)
-            deployment.run_fleet_until_idle(poll_interval_s=1800.0,
-                                            max_rounds=100)
+            deployment.restart_daemon(1)
+            deployment.run_daemon_until_idle(poll_interval_s=1800.0,
+                                             max_polls=100)
             for simulation in simulations:
                 simulation.refresh_from_db()
                 assert simulation.state == SIM_DONE

@@ -67,7 +67,7 @@ def drive_fleet(deployment, *, kill_at=None, restart_at=None,
         for index in kill_at.get(rounds, []):
             deployment.kill_daemon(index)
         for index in restart_at.get(rounds, []):
-            deployment.restart_fleet_daemon(index)
+            deployment.restart_daemon(index)
         deployment.clock.advance(interval_s)
         deployment.poll_fleet_once(on_crash="kill")
     return rounds
@@ -189,7 +189,7 @@ class TestPartitionedLedgerInvariants:
                 if rounds == 5:
                     deployment.kill_daemon(0)
                 if rounds == 11:
-                    deployment.restart_fleet_daemon(0)
+                    deployment.restart_daemon(0)
                 deployment.clock.advance(1800.0)
                 deployment.poll_fleet_once(on_crash="kill")
                 self.audit_ledger(deployment)
