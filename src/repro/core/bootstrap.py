@@ -105,7 +105,6 @@ def _register_machines(admin, machines, su_grant):
                 display_name=DISPLAY_NAMES.get(machine.name,
                                                machine.name.title()),
                 site=machine.site, enabled=True,
-                backend=getattr(machine, "backend", "gram"),
                 default_walltime_s=min(6 * 3600.0,
                                        machine.max_walltime_s))
             record.save(db=admin)

@@ -73,38 +73,30 @@ class GridAMPDaemon:
         #: One retry tracker (budget policy + backoff event log) shared
         #: by both workflow kinds, so operator tooling sees one timeline.
         self.retry = RetryTracker(RetryPolicy(), clock, obs=self.obs)
-        self.workflows = {
-            KIND_DIRECT: DirectRunWorkflow(db, clients, self.policy,
-                                           machine_specs,
-                                           retry=self.retry,
-                                           obs=self.obs),
-            KIND_OPTIMIZATION: OptimizationWorkflow(db, clients,
-                                                    self.policy,
-                                                    machine_specs,
-                                                    retry=self.retry,
-                                                    obs=self.obs),
-        }
-        self.heartbeat = clock.now
-        self.poll_count = 0
         #: Simulations frozen behind an unresolved journal intent (a
         #: transient fabric lookup proved nothing either way).  One set
         #: shared with every workflow so ``advance`` honours it.
         self.blocked_sims = set()
-        for workflow in self.workflows.values():
-            workflow.blocked_sims = self.blocked_sims
         # The resource broker and its SU ledger (imported lazily:
         # repro.sched sits above the core package in the import graph).
+        # CLEANUP settles reservations through the same ledger.
         from ..sched.broker import ResourceBroker
         from ..sched.ledger import SULedger
-        self.ledger = SULedger(db, clock, obs=self.obs)
+        self.ledger = SULedger(db, clock, self.obs)
         self.broker = ResourceBroker(
             db, machine_specs, clock, breakers=clients.breakers,
             obs=self.obs,
             fabric=clients.fabric, policy=placement_policy,
             ledger=self.ledger)
-        for workflow in self.workflows.values():
-            # CLEANUP settles reservations through the shared ledger.
-            workflow.ledger = self.ledger
+        collaborators = (db, clients, self.policy, machine_specs,
+                         self.retry, self.obs, self.ledger,
+                         self.blocked_sims)
+        self.workflows = {
+            KIND_DIRECT: DirectRunWorkflow(*collaborators),
+            KIND_OPTIMIZATION: OptimizationWorkflow(*collaborators),
+        }
+        self.heartbeat = clock.now
+        self.poll_count = 0
         # Breaker transitions reach the administrators through the event
         # log — the breaker emits exactly once, notifications subscribe.
         self.obs.events.subscribe("breaker.transition",
@@ -165,8 +157,6 @@ class GridAMPDaemon:
         """Rehydrate circuit breakers from persisted machine telemetry."""
         from .models import MachineRecord
         breakers = self.clients.breakers
-        if breakers is None:
-            return 0
         restored = 0
         for record in MachineRecord.objects.using(self.db).all():
             state = record.breaker_state or CLOSED
@@ -522,10 +512,8 @@ class GridAMPDaemon:
     def _refresh_breaker_columns(self, record):
         """Sync one machine row with its breaker snapshot; True when the
         row changed."""
-        breakers = self.clients.breakers
-        if breakers is None:
-            return False
-        state, failures, opened_at = breakers.snapshot(record.name)
+        state, failures, opened_at = \
+            self.clients.breakers.snapshot(record.name)
         if (record.breaker_state, record.breaker_failures,
                 record.breaker_opened_at) == (state, failures, opened_at):
             return False
@@ -571,9 +559,7 @@ class GridAMPDaemon:
                 .select_related("owner", "observation"))
         resumed = 0
         for simulation in held:
-            if breakers is not None \
-                    and breakers.state_of(simulation.machine_name) \
-                    != CLOSED:
+            if breakers.state_of(simulation.machine_name) != CLOSED:
                 continue
             self.workflows[simulation.kind].resume(simulation)
             self.policy.on_auto_resume(simulation)

@@ -226,11 +226,6 @@ class MachineRecord(orm.Model):
     name = orm.CharField(max_length=40, unique=True)
     display_name = orm.CharField(max_length=80, default="")
     site = orm.CharField(max_length=40, default="")
-    #: Execution backend this machine routes through — must name a
-    #: backend registered in :mod:`repro.grid.backends` (validated at
-    #: save time, so a typo is caught when the administrator writes the
-    #: row, not when the daemon first dispatches to it).
-    backend = orm.CharField(max_length=16, default="gram")
     enabled = orm.BooleanField(default=True)
     #: The production machine ``init_db`` selected from the machine
     #: specs (the paper chose Kraken): the portal's default choice on
@@ -258,17 +253,6 @@ class MachineRecord(orm.Model):
     class Meta:
         table_name = "amp_machine"
         ordering = ["name"]
-
-    def save(self, db=None, force_insert=False):
-        from ..grid.backends import backend_names
-        registered = backend_names()
-        if self.backend not in registered:
-            from ..webstack.orm import ValidationError
-            raise ValidationError(
-                f"{self.name or 'machine'}: unknown execution backend "
-                f"{self.backend!r} — registered backends are "
-                f"{', '.join(registered)}")
-        return super().save(db=db, force_insert=force_insert)
 
     @property
     def is_busy(self):

@@ -151,12 +151,6 @@ def build_routes(ctx):
                 health = "recovering"
             facilities.append({
                 "name": record.display_name or record.name,
-                # Plain-language substrate labels — no middleware
-                # jargon on user-facing pages.
-                "backend": {"gram": "Grid batch",
-                            "local": "Local pool",
-                            "cloud": "Cloud"}.get(record.backend,
-                                                  record.backend),
                 "health": health,
                 "queue_depth": record.queue_depth,
                 "utilisation": record.utilisation,

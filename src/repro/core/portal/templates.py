@@ -247,10 +247,10 @@ STATISTICS = """{% extends "base.html" %}
 <ul>{% for name, n in by_machine %}<li>{{ name }}: {{ n }}</li>
 {% endfor %}</ul>
 <h3>Facility health</h3>
-<table><tr><th>Facility</th><th>Runs on</th><th>Status</th>
+<table><tr><th>Facility</th><th>Status</th>
 <th>Queued jobs</th><th>Utilisation</th></tr>
 {% for f in facilities %}
-<tr><td>{{ f.name }}</td><td>{{ f.backend }}</td>
+<tr><td>{{ f.name }}</td>
 <td>{{ f.health }}</td>
 <td>{{ f.queue_depth }}</td>
 <td>{{ f.utilisation|floatformat:2 }}</td></tr>

@@ -29,7 +29,7 @@ import posixpath
 import re
 
 from ...grid.gridftp import checksum
-from ...grid.retry import RetryPolicy, RetryTracker, classify_operation
+from ...grid.retry import classify_operation
 from ...grid.rsl import fork_spec, format_rsl
 from ...hpc.accounting import cpu_hours
 from ..models import (GridJobRecord, HOLD_MODEL, HOLD_RESOURCE,
@@ -76,35 +76,33 @@ class WorkflowManager:
     retry:
         A :class:`~repro.grid.retry.RetryTracker` (shared across the
         daemon's workflows so one policy and one event log cover every
-        simulation).  Built privately when omitted.
+        simulation).
     obs:
         An :class:`~repro.obs.Observability` facade; state transitions,
         holds, and resumes are emitted as correlation-id-tagged
-        structured events and counted.  Built privately when omitted so
-        standalone workflow tests stay observable too.
+        structured events and counted.
+    ledger:
+        The daemon's :class:`~repro.sched.ledger.SULedger`: CLEANUP
+        settles the broker's reservation through it instead of
+        double-charging.
+    blocked_sims:
+        Simulation pks whose journal holds an unresolved intent (a
+        crash left an operation that could not yet be proven done or
+        not-done).  The daemon's reconciliation sweep owns this set —
+        one set shared by every workflow; blocked simulations are
+        frozen until their intent settles.
     """
 
-    def __init__(self, db, clients, policy, machine_specs, retry=None,
-                 obs=None):
+    def __init__(self, db, clients, policy, machine_specs, retry, obs,
+                 ledger, blocked_sims):
         self.db = db
         self.clients = clients
         self.policy = policy
         self.machine_specs = machine_specs
-        self.retry = retry or RetryTracker(RetryPolicy(),
-                                           clients.fabric.clock)
-        if obs is None:
-            from ...obs import Observability
-            obs = Observability(clients.fabric.clock)
+        self.retry = retry
         self.obs = obs
-        #: Simulation pks whose journal holds an unresolved intent (a
-        #: crash left an operation that could not yet be proven done or
-        #: not-done).  The daemon's reconciliation sweep owns this set;
-        #: blocked simulations are frozen until their intent settles.
-        self.blocked_sims = set()
-        #: The daemon injects its SU ledger so CLEANUP settles the
-        #: broker's reservation instead of double-charging; a bare
-        #: workflow (no broker) charges the legacy path.
-        self.ledger = None
+        self.ledger = ledger
+        self.blocked_sims = blocked_sims
         self.workflow = {
             "QUEUED": ([self.check_queued_sim, self.submit_pre_job],
                        "PREJOB"),
@@ -588,23 +586,14 @@ class WorkflowManager:
 
     def _charge_allocation(self, simulation):
         spec = self.machine_spec(simulation)
-        # Metering backends (cloud) bill for what actually ran —
-        # provisioning included — and their figure wins over the
-        # benchmark-derived estimate used for non-metering substrates.
-        metered = self.clients.reported_cost_su(
-            simulation.machine_name, simulation.remote_directory)
-        if metered is not None:
-            sus = float(metered)
-        else:
-            core_seconds = self.consumed_core_seconds(simulation)
-            sus = 0.0
-            if core_seconds > 0:
-                sus = cpu_hours(1, core_seconds) * spec.su_charge_factor
+        core_seconds = self.consumed_core_seconds(simulation)
+        sus = 0.0
+        if core_seconds > 0:
+            sus = cpu_hours(1, core_seconds) * spec.su_charge_factor
         # Broker-placed work settles through the ledger (idempotently:
         # a re-run after a crash finds the reservation already settled
         # and charges nothing).  True means the ledger owned it.
-        if self.ledger is not None and self.ledger.settle(simulation,
-                                                          sus):
+        if self.ledger.settle(simulation, sus):
             return
         if sus <= 0:
             return

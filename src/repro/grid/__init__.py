@@ -7,10 +7,6 @@ client wrappers the daemon shells through.
 """
 
 from .audit import AuditLog, AuditRecord
-from .backends import (BACKEND_CLOUD, BACKEND_GRAM, BACKEND_LOCAL,
-                       CloudBatchBackend, ComputeBackend, GramBackend,
-                       LocalPoolBackend, backend_names, get_backend,
-                       register_backend)
 from .breaker import (BREAKER_STATES, BreakerEvent, BreakerPolicy,
                       BreakerRegistry, CircuitBreaker)
 from .certificates import (CertificateInvalid, CommunityCredential,
@@ -35,10 +31,6 @@ from .rsl import RSLError, batch_spec, fork_spec, format_rsl, parse_rsl
 
 __all__ = [
     "ACTIVE", "AppExecution", "AuditLog", "AuditRecord",
-    "BACKEND_CLOUD", "BACKEND_GRAM", "BACKEND_LOCAL",
-    "CloudBatchBackend", "ComputeBackend", "GramBackend",
-    "LocalPoolBackend", "backend_names", "get_backend",
-    "register_backend",
     "BREAKER_STATES", "BreakerEvent", "BreakerPolicy", "BreakerRegistry",
     "CertificateInvalid", "CircuitBreaker", "CommandResult",
     "CommunityCredential", "CrashPoint", "CrashSchedule",

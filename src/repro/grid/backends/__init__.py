@@ -1,23 +1,26 @@
-"""Pluggable execution backends behind the grid client layer.
+"""The gateway's one execution substrate: Globus/GRAM (:mod:`.gram`).
 
-Importing this package registers the three built-in backends —
-``gram`` (the paper's Globus path), ``local`` (a real subprocess pool
-on the daemon host), ``cloud`` (provisioning latency, metered billing,
-throttling) — in the shared registry.  Routing is per machine via the
-``MachineRecord.backend`` column; see :mod:`.base` for the contract.
+The paper's daemon drives four CTSS clusters through one middleware
+stack, so there is nothing to route between and no registry.  This is
+still a package, and the two lookups below still exist, only because
+the benchmark's tracer (``benchmarks/gateway/tracing.py``) imports
+``backend_names``/``get_backend`` to time the layer under
+:class:`~repro.grid.clients.GridClients`; folding the eight GRAM
+methods back into the clients waits for that tracer to go (ROADMAP
+item 4g).
 """
 
-from .base import ComputeBackend
-from .cloud import CLOUD_BACKEND, PROVISION_DELAY_S, CloudBatchBackend
 from .gram import GRAM_BACKEND, GramBackend
-from .local import LOCAL_BACKEND, LocalPoolBackend
-from .registry import (BACKEND_CLOUD, BACKEND_GRAM, BACKEND_LOCAL,
-                       backend_names, get_backend, register_backend)
 
-__all__ = [
-    "ComputeBackend", "GramBackend", "LocalPoolBackend",
-    "CloudBatchBackend", "GRAM_BACKEND", "LOCAL_BACKEND",
-    "CLOUD_BACKEND", "BACKEND_GRAM", "BACKEND_LOCAL", "BACKEND_CLOUD",
-    "PROVISION_DELAY_S", "backend_names", "get_backend",
-    "register_backend",
-]
+__all__ = ["GRAM_BACKEND", "GramBackend", "backend_names", "get_backend"]
+
+
+def backend_names():
+    return [GRAM_BACKEND.name]
+
+
+def get_backend(name):
+    if name != GRAM_BACKEND.name:
+        raise KeyError(f"no execution backend named {name!r} "
+                       f"(the only one is {GRAM_BACKEND.name!r})")
+    return GRAM_BACKEND

@@ -1,11 +1,31 @@
-"""The Globus/GRAM backend — the paper's original execution path.
+"""The Globus/GRAM command module — the paper's execution path.
 
-This is the code that used to live inline in :class:`GridClients`,
-moved verbatim behind the :class:`ComputeBackend` seam: identical argv
-vectors (so command logs stay byte-stable), identical error wording,
-identical WS-vs-pre-WS program selection, identical proxy checks.  The
-clients still own proxy issuance; this backend consumes the proxy via
-``clients._require_proxy()`` exactly as the inline methods did.
+Eight operations, each expressed as an **argv vector** and funnelled
+through :meth:`GridClients._run`, so the paper's copy-paste
+debuggability (command log, ``rerun()``, breaker suppression,
+per-command observability) covers every one; results carry the shared
+exit-code taxonomy (0 ok, 75 transient, 1 permanent) by raising the
+:mod:`repro.grid.errors` families.  The clients own proxy issuance;
+this module consumes the proxy via ``clients._require_proxy()``.
+
+Stdout contracts (what the workflow layer parses):
+
+========================  ==========================================
+``submit``                the GRAM job id, as text
+``poll``                  ``"<STATE>"`` or ``"FAILED <reason>"``
+``lookup``                ``"<id> <STATE>"`` or ``""`` (provably
+                          never submitted)
+``cancel``                ``"cancelled"``
+``stage_in``              the payload's md5 digest
+``stage_out``             ``"<n> bytes"`` (payload on ``result.data``)
+``stage_stat``            ``"<size> <md5>"`` or ``"absent"``
+``queue_status``          ``"<depth> <utilisation>"``
+========================  ==========================================
+
+The module holds no state: job tables and sandboxes live on the
+fabric's :class:`~repro.hpc.cluster.ComputeResource` objects, so a
+daemon bounce (which rebuilds the clients) still finds every job by
+tag.
 """
 
 from __future__ import annotations
@@ -13,12 +33,10 @@ from __future__ import annotations
 from ..errors import PermanentGridError, TransientGridError
 from ..gram import FAILED
 from ..rsl import format_rsl, parse_rsl
-from .base import ComputeBackend
-from .registry import BACKEND_GRAM, register_backend
 
 
-class GramBackend(ComputeBackend):
-    name = BACKEND_GRAM
+class GramBackend:
+    name = "gram"
 
     # ------------------------------------------------------------------
     # globusrun (submit)
@@ -157,4 +175,4 @@ class GramBackend(ComputeBackend):
         return clients._run(argv, action, resource=resource_name)
 
 
-GRAM_BACKEND = register_backend(GramBackend())
+GRAM_BACKEND = GramBackend()

@@ -12,14 +12,10 @@ is expressed as an argv vector, returns a :class:`CommandResult` with
 exit code / stdout / stderr, and is recorded in a command log so failures
 can be replayed verbatim (``rerun()``).
 
-Execution substrates are pluggable: each machine's ``backend`` column
-selects a registered :class:`~repro.grid.backends.ComputeBackend`
-(Globus/GRAM, the local subprocess pool, a cloud batch service), and the
-clients route every operation through it.  The Globus-named methods
-(``globusrun``, ``globus_job_status``, ...) are kept as the historical
-entry points and now route by backend too — a ``globusrun`` against a
-cloud machine issues the cloud submission, exactly as the dispatcher
-would for a re-run command line.
+The argv vectors of the eight job and staging operations are built in
+:mod:`repro.grid.backends.gram`; which programs exist, what retry
+budget each draws on and how a logged line of each is replayed is the
+one table at the bottom of this module (:data:`PROGRAMS`).
 """
 
 from __future__ import annotations
@@ -27,9 +23,11 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass
 
-from .backends import get_backend
+from .backends import GRAM_BACKEND
 from .certificates import SAMLAssertion
 from .errors import GridError, PermanentGridError, TransientGridError
+from .retry import (OP_CANCEL, OP_OTHER, OP_POLL, OP_PROXY, OP_QSTAT,
+                    OP_SUBMIT, OP_TRANSFER)
 
 EXIT_OK = 0
 EXIT_TRANSIENT = 75     # EX_TEMPFAIL — retryable
@@ -78,38 +76,12 @@ class GridClients:
         #: client-side (synthetic transient, zero grid traffic).
         self.breakers = breakers
         self.suppressed_count = 0
-        self._backend_names = {}
         #: Optional :class:`~repro.obs.Observability`: every executed or
-        #: suppressed command is counted by program/backend/outcome and
+        #: suppressed command is counted by program/outcome and
         #: logged as a ``grid.command`` event carrying the ambient trace
         #: id, which is how a simulation's correlation id reaches grid
         #: traffic.
         self.obs = obs
-
-    # ------------------------------------------------------------------
-    # Backend routing
-    # ------------------------------------------------------------------
-    def backend_name(self, resource_name):
-        """The backend name a resource routes through (``"gram"`` for
-        anything the fabric does not know — the historical default, so
-        unknown-resource errors surface from the gram path unchanged).
-
-        Memoised per resource: a machine's backend is part of its frozen
-        spec, and resolution sits on the per-command hot path.
-        """
-        cached = self._backend_names.get(resource_name)
-        if cached is not None:
-            return cached
-        try:
-            machine = self.fabric.resource(resource_name).machine
-        except Exception:  # noqa: BLE001 - unknown resource
-            return "gram"
-        name = getattr(machine, "backend", "gram") or "gram"
-        self._backend_names[resource_name] = name
-        return name
-
-    def _backend(self, resource_name):
-        return get_backend(self.backend_name(resource_name))
 
     # ------------------------------------------------------------------
     def _run(self, argv, fn, resource=None):
@@ -154,14 +126,13 @@ class GridClients:
             outcome = "ok" if result.ok else (
                 "transient" if result.transient else "permanent")
         program = str(result.argv[0]) if result.argv else "?"
-        backend = self.backend_name(resource) if resource else "host"
         self.obs.metrics.counter(
             "grid_commands_total",
             help="Grid client commands by program and outcome").labels(
-            program=program, backend=backend, outcome=outcome).inc()
+            program=program, outcome=outcome).inc()
         self.obs.events.emit(
             "grid.command", program=program, resource=resource or "",
-            backend=backend, outcome=outcome,
+            outcome=outcome,
             trace_id=self.obs.tracer.current_trace_id or "",
             command=("" if result.ok else result.command_line))
 
@@ -175,33 +146,12 @@ class GridClients:
         be replayed from the log come back as permanent failures with a
         plain-language message, never as a raised exception."""
         program = argv[0] if argv else ""
-        handlers = {
-            "grid-proxy-init": self._dispatch_proxy_init,
-            "globusrun": self._dispatch_submit,
-            "globusrun-ws": self._dispatch_submit,
-            "amp-localrun": self._dispatch_submit,
-            "amp-cloudrun": self._dispatch_submit,
-            "globus-job-status": self._dispatch_job_status,
-            "amp-localstat": self._dispatch_job_status,
-            "amp-cloudstat": self._dispatch_job_status,
-            "globus-job-cancel": self._dispatch_job_cancel,
-            "amp-localcancel": self._dispatch_job_cancel,
-            "amp-cloudcancel": self._dispatch_job_cancel,
-            "globus-job-lookup": self._dispatch_job_lookup,
-            "amp-locallookup": self._dispatch_job_lookup,
-            "amp-cloudlookup": self._dispatch_job_lookup,
-            "globus-url-copy": self._dispatch_url_copy,
-            "amp-localcopy": self._dispatch_url_copy,
-            "amp-cloudcopy": self._dispatch_url_copy,
-            "globus-job-run": self._dispatch_queue_status,
-            "amp-localq": self._dispatch_queue_status,
-            "amp-cloudq": self._dispatch_queue_status,
-        }
-        if program not in handlers:
+        _, handler = PROGRAMS.get(program, (OP_OTHER, None))
+        if handler is None:
             return CommandResult(list(argv), EXIT_PERMANENT,
                                  stderr=f"command not found: {program}")
         try:
-            return handlers[program](list(argv))
+            return handler(self, list(argv))
         except (ValueError, IndexError, KeyError,
                 NotImplementedError) as exc:
             return CommandResult(
@@ -210,8 +160,7 @@ class GridClients:
                         f"replayed from the log ({exc})"))
 
     # ------------------------------------------------------------------
-    # grid-proxy-init (daemon-host credential management — backend
-    # independent; every backend consumes the resulting proxy)
+    # grid-proxy-init (daemon-host credential management)
     # ------------------------------------------------------------------
     def grid_proxy_init(self, gateway_user, email="", lifetime_s=None):
         """Generate a derivative proxy with GridShib SAML extensions."""
@@ -230,7 +179,10 @@ class GridClients:
 
     def _dispatch_proxy_init(self, argv):
         user = argv[argv.index("-gateway-user") + 1]
-        return self.grid_proxy_init(user)
+        lifetime_s = None
+        if "-valid" in argv:
+            lifetime_s = 60.0 * int(argv[argv.index("-valid") + 1])
+        return self.grid_proxy_init(user, lifetime_s=lifetime_s)
 
     def ensure_proxy(self, gateway_user, email="", *,
                      min_remaining_s=3600.0):
@@ -272,23 +224,18 @@ class GridClients:
     # Job submission
     # ------------------------------------------------------------------
     def submit_job(self, resource_name, rsl_spec, *, service="batch"):
-        """Submit a job through the machine's backend; stdout is the
-        backend job id."""
-        return self._backend(resource_name).submit(
+        """Submit a job to the resource's GRAM service; stdout is the
+        job id."""
+        return GRAM_BACKEND.submit(
             self, resource_name, rsl_spec, service=service)
 
-    #: Historical Globus-named entry point (same routing).
+    #: Historical Globus-named entry point.
     globusrun = submit_job
 
     def _dispatch_submit(self, argv):
         flag = "-F" if "-F" in argv else "-r"
         contact = argv[argv.index(flag) + 1]
-        for separator in ("/jobmanager-", "/pool-", "/batch-"):
-            if separator in contact:
-                resource_name, _, manager = contact.partition(separator)
-                break
-        else:
-            resource_name, manager = contact, "batch"
+        resource_name, _, manager = contact.partition("/jobmanager-")
         return self.submit_job(resource_name, argv[-1],
                                service=manager or "batch")
 
@@ -296,18 +243,12 @@ class GridClients:
     # Queue telemetry
     # ------------------------------------------------------------------
     def queue_status(self, resource_name):
-        """Queue telemetry through the machine's backend:
+        """Queue telemetry (``qstat`` over the fork service):
         ``"<depth> <utilisation>"``."""
-        return self._backend(resource_name).queue_status(
-            self, resource_name)
+        return GRAM_BACKEND.queue_status(self, resource_name)
 
     def _dispatch_queue_status(self, argv):
-        if "-r" in argv:
-            contact = argv[argv.index("-r") + 1]
-        else:
-            contact = argv[1]
-        resource_name = contact.partition("/")[0]
-        return self.queue_status(resource_name)
+        return self.queue_status(argv[1].partition("/")[0])
 
     # ------------------------------------------------------------------
     # Job polling / lookup / cancellation
@@ -315,8 +256,7 @@ class GridClients:
     def job_status(self, resource_name, job_id):
         """Poll one job; stdout is a GRAM-vocabulary state, with the
         failure reason appended after ``FAILED``."""
-        return self._backend(resource_name).poll(
-            self, resource_name, job_id)
+        return GRAM_BACKEND.poll(self, resource_name, job_id)
 
     globus_job_status = job_status
 
@@ -324,7 +264,7 @@ class GridClients:
         return self.job_status(argv[argv.index("-r") + 1], argv[-1])
 
     def job_lookup(self, resource_name, tag):
-        """Recover a backend job id by its submitted ``clientTag``.
+        """Recover a GRAM job id by its submitted ``clientTag``.
 
         The reconciliation primitive: ``stdout`` is ``"<id> <state>"``
         when a job carrying the tag exists on the job manager, or empty
@@ -332,8 +272,7 @@ class GridClients:
         (resource unreachable, breaker open) proves nothing — the caller
         must hold the affected simulation rather than guess.
         """
-        return self._backend(resource_name).lookup(
-            self, resource_name, tag)
+        return GRAM_BACKEND.lookup(self, resource_name, tag)
 
     globus_job_lookup = job_lookup
 
@@ -341,8 +280,7 @@ class GridClients:
         return self.job_lookup(argv[argv.index("-r") + 1], argv[-1])
 
     def job_cancel(self, resource_name, job_id):
-        return self._backend(resource_name).cancel(
-            self, resource_name, job_id)
+        return GRAM_BACKEND.cancel(self, resource_name, job_id)
 
     globus_job_cancel = job_cancel
 
@@ -354,29 +292,26 @@ class GridClients:
     # ------------------------------------------------------------------
     def stage_in(self, resource_name, remote_path, data):
         """local → remote (upload marshaled input files)."""
-        return self._backend(resource_name).stage_in(
+        return GRAM_BACKEND.stage_in(
             self, resource_name, remote_path, data)
 
     def stage_out(self, resource_name, remote_path):
         """remote → local; payload returned on ``result.data``."""
-        return self._backend(resource_name).stage_out(
-            self, resource_name, remote_path)
+        return GRAM_BACKEND.stage_out(self, resource_name, remote_path)
 
     def stage_stat(self, resource_name, remote_path):
         """Size/digest probe of a remote file: ``"<size> <md5>"`` or
         ``"absent"`` — how reconciliation re-verifies a transfer whose
         commit record was lost in a crash."""
-        return self._backend(resource_name).stage_stat(
-            self, resource_name, remote_path)
+        return GRAM_BACKEND.stage_stat(self, resource_name, remote_path)
 
     def _dispatch_url_copy(self, argv):
         def split_url(url):
-            for scheme in ("gsiftp://", "local://", "cloud://"):
-                if url.startswith(scheme):
-                    rest = url[len(scheme):]
-                    resource_name, _, path = rest.partition("/")
-                    return resource_name, "/" + path
-            return None
+            if not url.startswith("gsiftp://"):
+                return None
+            resource_name, _, path = \
+                url[len("gsiftp://"):].partition("/")
+            return resource_name, "/" + path
         src, dst = argv[-2], argv[-1]
         if "-stat" in argv:
             resource_name, path = split_url(argv[-1])
@@ -389,14 +324,25 @@ class GridClients:
             "command log does not keep")
 
     # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def reported_cost_su(self, resource_name, directory):
-        """Backend-metered SU cost of the work under *directory*, or
-        ``None`` when the machine's backend does not meter usage."""
-        return self._backend(resource_name).reported_cost_su(
-            self, resource_name, directory)
-
-    # ------------------------------------------------------------------
     def failed_commands(self):
         return [r for r in self.command_log if not r.ok]
+
+
+#: The installed client vocabulary — the one place a program name is a
+#: key.  Each program maps to its retry-budget operation class (what
+#: :func:`~repro.grid.retry.classify_operation` answers) and to the
+#: wrapper that replays a logged line of it (what
+#: :meth:`GridClients.dispatch` calls).
+#: ``grid-proxy-info`` is reported by :meth:`GridClients.ensure_proxy`
+#: but never logged, so it has a class and nothing to replay.
+PROGRAMS = {
+    "grid-proxy-init": (OP_PROXY, GridClients._dispatch_proxy_init),
+    "grid-proxy-info": (OP_PROXY, None),
+    "globusrun": (OP_SUBMIT, GridClients._dispatch_submit),
+    "globusrun-ws": (OP_SUBMIT, GridClients._dispatch_submit),
+    "globus-job-status": (OP_POLL, GridClients._dispatch_job_status),
+    "globus-job-cancel": (OP_CANCEL, GridClients._dispatch_job_cancel),
+    "globus-job-lookup": (OP_POLL, GridClients._dispatch_job_lookup),
+    "globus-url-copy": (OP_TRANSFER, GridClients._dispatch_url_copy),
+    "globus-job-run": (OP_QSTAT, GridClients._dispatch_queue_status),
+}

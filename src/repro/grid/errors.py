@@ -57,8 +57,3 @@ class OperationTimeout(TransientGridError):
     """An operation exceeded its client-side deadline during a latency
     spike — retryable."""
 
-
-class CloudThrottled(TransientGridError):
-    """A cloud batch endpoint shed the request (rate limit / quota
-    pressure) — cloud middleware's native transient shape, retryable
-    with backoff like any other anticipated transient."""

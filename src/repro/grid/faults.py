@@ -286,13 +286,6 @@ class FaultInjector:
         """Make the gatekeeper refuse the next *n* GRAM submissions."""
         self.fabric.gram(resource_name).inject_submit_rejections(n)
 
-    def throttle_cloud(self, resource_name, n=1):
-        """Make the cloud region shed the next *n* submissions with a
-        rate-limit rejection (the cloud-native transient shape)."""
-        from .backends.cloud import region_for
-        resource = self.fabric.resource(resource_name)
-        region_for(resource, self.clock).throttle(n)
-
     # ------------------------------------------------------------------
     # Credential faults (the toolkit must self-heal: ensure_proxy
     # detects the bad proxy and re-issues)

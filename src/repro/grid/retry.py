@@ -26,9 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-#: Operation classes a retry budget is tracked for, derived from the
-#: command-line program the daemon shelled through (clients.py keeps the
-#: paper's copy-pasteable argv discipline, so argv[0] is authoritative).
+#: Operation classes a retry budget is tracked for.
 OP_PROXY = "proxy"
 OP_SUBMIT = "submit"
 OP_POLL = "poll"
@@ -37,38 +35,19 @@ OP_TRANSFER = "transfer"
 OP_QSTAT = "qstat"
 OP_OTHER = "other"
 
-_PROGRAM_OPS = {
-    "grid-proxy-init": OP_PROXY,
-    "grid-proxy-info": OP_PROXY,
-    "globusrun": OP_SUBMIT,
-    "globusrun-ws": OP_SUBMIT,
-    "globus-job-status": OP_POLL,
-    "globus-job-cancel": OP_CANCEL,
-    "globus-job-lookup": OP_POLL,
-    "globus-url-copy": OP_TRANSFER,
-    "globus-job-run": OP_QSTAT,
-    # Local-pool backend vocabulary.
-    "amp-localrun": OP_SUBMIT,
-    "amp-localstat": OP_POLL,
-    "amp-localcancel": OP_CANCEL,
-    "amp-locallookup": OP_POLL,
-    "amp-localcopy": OP_TRANSFER,
-    "amp-localq": OP_QSTAT,
-    # Cloud-batch backend vocabulary.
-    "amp-cloudrun": OP_SUBMIT,
-    "amp-cloudstat": OP_POLL,
-    "amp-cloudcancel": OP_CANCEL,
-    "amp-cloudlookup": OP_POLL,
-    "amp-cloudcopy": OP_TRANSFER,
-    "amp-cloudq": OP_QSTAT,
-}
-
 
 def classify_operation(argv):
-    """Map a client argv vector to its retry-budget operation class."""
+    """Map a client argv vector to its retry-budget operation class.
+
+    clients.py keeps the paper's copy-pasteable argv discipline, so
+    argv[0] is authoritative; which program draws on which class is a
+    column of the one client vocabulary table (imported here, not at
+    module level: that table is built from the classes above).
+    """
+    from .clients import PROGRAMS
     if not argv:
         return OP_OTHER
-    return _PROGRAM_OPS.get(str(argv[0]), OP_OTHER)
+    return PROGRAMS.get(str(argv[0]), (OP_OTHER, None))[0]
 
 
 def deterministic_jitter(key, attempt):

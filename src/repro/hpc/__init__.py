@@ -11,8 +11,7 @@ from .accounting import (Allocation, AllocationBook, AllocationError,
 from .cluster import ComputeResource, ForkService, build_resources
 from .filesystem import (FilesystemError, QuotaExceeded, RemoteFilesystem,
                          extract_tar_to_dict)
-from .machines import (DISPLAY_NAMES, FROST, KRAKEN, LONESTAR,
-                       MIXED_BACKEND_MACHINES, MIRAGE, NIMBUS, RANGER,
+from .machines import (DISPLAY_NAMES, FROST, KRAKEN, LONESTAR, RANGER,
                        TABLE1_MACHINES, MachineSpec, get_machine,
                        select_production_machine)
 from .scheduler import (CANCELLED, COMPLETED, FAILED, OK_STATES, PENDING,
@@ -27,8 +26,7 @@ __all__ = [
     "BatchJob", "BatchScheduler", "CANCELLED", "COMPLETED", "ComputeResource",
     "DAY", "DISPLAY_NAMES", "Event", "FAILED", "FROST", "FilesystemError",
     "ForkService", "HOUR", "KRAKEN", "LONESTAR", "LedgerEntry", "MINUTE",
-    "MIRAGE", "MIXED_BACKEND_MACHINES", "MachineSpec", "NIMBUS",
-    "OK_STATES", "PENDING", "QuotaExceeded", "RANGER",
+    "MachineSpec", "OK_STATES", "PENDING", "QuotaExceeded", "RANGER",
     "RUNNING", "RemoteFilesystem", "SimClock", "TABLE1_MACHINES",
     "TERMINAL_STATES", "WALLTIME_EXCEEDED", "build_resources", "cpu_hours",
     "extract_tar_to_dict", "get_machine", "select_production_machine",

@@ -45,10 +45,6 @@ class MachineSpec:
     #: systems were oversubscribed at the time).
     oversubscription: float = 1.0
     scheduler_supports_chaining: bool = True
-    #: Execution backend the gateway routes this machine through (a name
-    #: registered in :mod:`repro.grid.backends`: ``gram``/``local``/
-    #: ``cloud``).  Table 1 systems are all GRAM.
-    backend: str = "gram"
 
     @property
     def total_cores(self):
@@ -60,13 +56,12 @@ class MachineSpec:
 
 
 def _m(name, site, nodes, cpn, bench_min, su, wall_h, disk, wsgram,
-       load=0.7, oversub=1.0, backend="gram"):
+       load=0.7, oversub=1.0):
     return MachineSpec(
         name=name, site=site, nodes=nodes, cores_per_node=cpn,
         stellar_benchmark_s=bench_min * MINUTE, su_charge_factor=su,
         max_walltime_s=wall_h * 3600.0, scratch_disk_gb=disk,
-        has_ws_gram=wsgram, background_load=load, oversubscription=oversub,
-        backend=backend)
+        has_ws_gram=wsgram, background_load=load, oversubscription=oversub)
 
 
 #: Table 1 systems.  Benchmark minutes and SU factors are the paper's
@@ -85,35 +80,17 @@ RANGER = _m("ranger", "TACC", nodes=256, cpn=16, bench_min=21.1, su=1.644,
 
 TABLE1_MACHINES = [FROST, KRAKEN, LONESTAR, RANGER]
 
-#: Non-Table-1 substrates for mixed-backend campaigns.  Mirage models a
-#: small departmental analysis cluster run by the gateway team itself
-#: (jobs execute in the daemon host's subprocess pool — real processes,
-#: nominal internal charging); Nimbus models a science-cloud allocation
-#: (provisioning latency, metered billing at a premium SU rate).
-MIRAGE = _m("mirage", "NCAR", nodes=1, cpn=8, bench_min=8.0, su=0.10,
-            wall_h=6.0, disk=50.0, wsgram=False, load=0.10,
-            backend="local")
-NIMBUS = _m("nimbus", "UC/ANL", nodes=64, cpn=8, bench_min=30.0, su=2.40,
-            wall_h=24.0, disk=1000.0, wsgram=False, load=0.05,
-            backend="cloud")
-
-#: The heterogeneous catalog: the paper's grid systems plus one local
-#: pool and one cloud region, for broker placement across backends.
-MIXED_BACKEND_MACHINES = TABLE1_MACHINES + [MIRAGE, NIMBUS]
-
-#: Display names used by the paper's Table 1 (plus the extra substrates).
+#: Display names used by the paper's Table 1.
 DISPLAY_NAMES = {
     "frost": "NCAR Frost",
     "kraken": "NICS Kraken",
     "lonestar": "TACC Lonestar",
     "ranger": "TACC Ranger",
-    "mirage": "NCAR Mirage (local pool)",
-    "nimbus": "UC/ANL Nimbus (cloud)",
 }
 
 
 def get_machine(name):
-    for machine in MIXED_BACKEND_MACHINES:
+    for machine in TABLE1_MACHINES:
         if machine.name == name:
             return machine
     raise KeyError(f"Unknown machine {name!r}")

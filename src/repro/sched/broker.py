@@ -36,9 +36,7 @@ from ..core.leases import WHOLE_TABLE
 from ..core.models import (AllocationRecord, KIND_DIRECT, MACHINE_AUTO,
                            MachineRecord, ReservationRecord, SIM_QUEUED,
                            Simulation, SubmitAuthorization)
-from ..grid.backends import get_backend
 from ..hpc.accounting import cpu_hours
-from .ledger import SULedger
 from .policy import CandidateSite, PlacementPolicy, get_policy
 from .predictor import estimate_queue_wait_s
 
@@ -61,9 +59,8 @@ REFUSAL_MESSAGES = {
 class ResourceBroker:
     """Database-backed placement engine (one per daemon process)."""
 
-    def __init__(self, db, machine_specs, clock, *, breakers=None,
-                 obs=None, fabric=None, policy="least-wait",
-                 ledger=None):
+    def __init__(self, db, machine_specs, clock, *, breakers, obs,
+                 fabric, policy, ledger):
         self.db = db
         self.machine_specs = machine_specs
         self.clock = clock
@@ -72,7 +69,7 @@ class ResourceBroker:
         self.fabric = fabric
         self.policy = (policy if isinstance(policy, PlacementPolicy)
                        else get_policy(policy))
-        self.ledger = ledger or SULedger(db, clock, obs=obs)
+        self.ledger = ledger
 
     # ------------------------------------------------------------------
     def _crash_check(self, op, when):
@@ -83,13 +80,7 @@ class ResourceBroker:
 
     def _placeable(self, record):
         """May the broker place *new* work on this machine row?"""
-        if not record.enabled:
-            return False
-        if self.breakers is not None:
-            return self.breakers.placeable(record.name)
-        # No live registry (bare broker in a test): trust the
-        # persisted telemetry column.
-        return record.breaker_state == "closed"
+        return record.enabled and self.breakers.placeable(record.name)
 
     def estimate_su(self, simulation, spec):
         """Deterministic SU-cost estimate for one simulation on *spec*.
@@ -138,9 +129,7 @@ class ResourceBroker:
                                machine_name=MACHINE_AUTO,
                                pk__mod=slice_filter)
                        .select_related("owner").order_by("id"))
-        sick_possible = (self.breakers is None
-                         or bool(self.breakers.open_resources()))
-        if not pending and not sick_possible:
+        if not pending and not self.breakers.open_resources():
             return summary           # steady state: one query, done
 
         machines = {r.name: r for r in
@@ -198,37 +187,22 @@ class ResourceBroker:
                 spec = self.machine_specs.get(record.name)
                 if spec is None:
                     continue
-                # The machine's backend shapes both halves of the
-                # score: metering substrates carry a billing premium on
-                # the reservation estimate, and substrates with their
-                # own wait model (pool drain, provisioning boot) bypass
-                # the shared batch-queue predictor.  GRAM machines take
-                # the historical path bit-for-bit (multiplier 1.0,
-                # predictor fallback).
-                backend = get_backend(
-                    getattr(spec, "backend", "gram") or "gram")
-                estimated = (self.estimate_su(simulation, spec)
-                             * backend.cost_multiplier)
+                estimated = self.estimate_su(simulation, spec)
                 available = (allocation.su_granted - allocation.su_used
                              - reserved_by_alloc.get(allocation.pk, 0.0))
                 if estimated > available:
                     continue
                 depth = (record.queue_depth
                          + virtual_depth.get(record.name, 0))
-                wait = backend.estimate_wait_s(
+                wait = estimate_queue_wait_s(
                     spec, queue_depth=depth,
                     utilisation=record.utilisation)
-                if wait is None:
-                    wait = estimate_queue_wait_s(
-                        spec, queue_depth=depth,
-                        utilisation=record.utilisation)
                 sites.append(CandidateSite(
                     machine_name=record.name, record=record, spec=spec,
                     allocation=allocation,
                     estimated_wait_s=wait,
                     estimated_su=estimated,
-                    su_available=available,
-                    backend=backend.name))
+                    su_available=available))
             return sites
 
         def book(simulation, site, attempt):
@@ -360,9 +334,7 @@ class ResourceBroker:
         if stamped or refusals:
             Simulation.objects.using(self.db).bulk_update(
                 stamped + refusals, ["machine_name", "status_message"])
-        if self.obs is not None and (summary["placed"]
-                                     or summary["migrated"]
-                                     or summary["adopted"]):
+        if summary["placed"] or summary["migrated"] or summary["adopted"]:
             self.obs.metrics.gauge(
                 "sched_reserved_su",
                 help="SUs held by active reservations").set(
@@ -371,10 +343,8 @@ class ResourceBroker:
 
     # ------------------------------------------------------------------
     def _emit(self, kind, **fields):
-        if self.obs is not None:
-            self.obs.events.emit(kind, **fields)
+        self.obs.events.emit(kind, **fields)
 
     def _count(self, name, help_text, **labels):
-        if self.obs is not None:
-            self.obs.metrics.counter(name, help=help_text).labels(
-                **labels).inc()
+        self.obs.metrics.counter(name, help=help_text).labels(
+            **labels).inc()

@@ -36,7 +36,7 @@ from ..core.models import (AllocationRecord, MACHINE_AUTO,
 
 
 class SULedger:
-    def __init__(self, db, clock, obs=None):
+    def __init__(self, db, clock, obs):
         self.db = db
         self.clock = clock
         self.obs = obs
@@ -135,13 +135,12 @@ class SULedger:
                 return True
             allocation.su_used = allocation.su_used + float(actual_su)
             allocation.save(db=self.db)
-        if self.obs is not None:
-            self.obs.events.emit(
-                "sched.settlement", simulation=simulation.pk,
-                trace_id=simulation.correlation_id,
-                machine=row.machine_name,
-                estimated_su=round(row.estimated_su, 6),
-                settled_su=round(float(actual_su), 6))
+        self.obs.events.emit(
+            "sched.settlement", simulation=simulation.pk,
+            trace_id=simulation.correlation_id,
+            machine=row.machine_name,
+            estimated_su=round(row.estimated_su, 6),
+            settled_su=round(float(actual_su), 6))
         return True
 
     # ------------------------------------------------------------------

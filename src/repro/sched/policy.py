@@ -32,10 +32,6 @@ class CandidateSite:
     estimated_su: float = 0.0
     #: Allocation SUs not yet used *or* reserved by in-flight work.
     su_available: float = 0.0
-    #: Execution backend the machine routes through (``gram``/
-    #: ``local``/``cloud``) — policies may discriminate on it, and the
-    #: wait/cost estimates above are already backend-adjusted.
-    backend: str = "gram"
 
 
 class PlacementPolicy:

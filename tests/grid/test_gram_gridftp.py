@@ -202,6 +202,17 @@ class TestCommandLineContract:
         assert retried.argv == failed.argv
         assert retried.exit_code != failed.exit_code
 
+    def test_proxy_init_replays_with_its_logged_lifetime(self, grid):
+        clock, fabric, clients, kraken = grid
+        issued = clients.grid_proxy_init("metcalfe", "t@ucar.edu",
+                                         lifetime_s=1800)
+        assert issued.command_line == \
+            "grid-proxy-init -gateway-user metcalfe -valid 30"
+        replayed = clients.rerun(issued)
+        assert replayed.ok
+        assert replayed.command_line == issued.command_line
+        assert clients.current_proxy.lifetime_s == 1800
+
     def test_unknown_program_dispatch(self, grid):
         clock, fabric, clients, kraken = grid
         result = clients.dispatch(["rm", "-rf", "/"])

@@ -70,6 +70,66 @@ class TestRetryPolicy:
         assert classify_operation([]) == "other"
 
 
+class TestClientVocabulary:
+    """One table (``clients.PROGRAMS``) says which programs exist, what
+    retry budget each draws on and how a logged line is replayed."""
+
+    def test_every_logged_program_is_classified_and_replayable(self):
+        from repro.core import AMPDeployment
+        from tests.core.conftest import submit_direct, submit_optimization
+        deployment = AMPDeployment()
+        try:
+            user = deployment.create_astronomer("metcalfe",
+                                                password="pw12345")
+            direct = submit_direct(deployment, user, machine="ranger")
+            optimization, _ = submit_optimization(deployment, user)
+            deployment.run_daemon_until_idle()
+            clients = deployment.clients
+            for simulation in (direct, optimization):
+                simulation.refresh_from_db()
+                assert simulation.state == "DONE"
+            assert clients.job_lookup("kraken", "amp-sim-1-PREJOB-1").ok
+            assert clients.stage_stat("kraken", "/scratch/none").ok
+            clients.job_cancel("kraken", 1)
+            logged = list(clients.command_log)
+            assert {"globusrun", "globusrun-ws", "globus-job-lookup",
+                    "globus-job-cancel"} <= {r.argv[0] for r in logged}
+            for result in logged:
+                assert classify_operation(result.argv) != "other", \
+                    result.command_line
+                replayed = clients.dispatch(result.argv)
+                assert "command not found" not in replayed.stderr, \
+                    result.command_line
+        finally:
+            deployment.close()
+
+    def test_table_is_exactly_what_the_gateway_can_emit(self):
+        from repro.grid import GridClients, build_fabric, fork_spec
+        from repro.grid.backends import GRAM_BACKEND
+        from repro.grid.clients import PROGRAMS
+        from repro.hpc import KRAKEN, RANGER
+        clients = GridClients(build_fabric([KRAKEN, RANGER], SimClock()))
+        emitted = {clients.ensure_proxy("metcalfe").argv[0],     # init
+                   clients.ensure_proxy("metcalfe").argv[0]}     # info
+        for machine in ("kraken", "ranger"):      # WS and pre-WS GRAM
+            for result in (
+                    GRAM_BACKEND.submit(clients, machine,
+                                        fork_spec("/x.sh",
+                                                  directory="/")),
+                    GRAM_BACKEND.poll(clients, machine, 1),
+                    GRAM_BACKEND.cancel(clients, machine, 1),
+                    GRAM_BACKEND.lookup(clients, machine, "tag"),
+                    GRAM_BACKEND.stage_in(clients, machine, "/f", b"x"),
+                    GRAM_BACKEND.stage_out(clients, machine, "/f"),
+                    GRAM_BACKEND.stage_stat(clients, machine, "/f"),
+                    GRAM_BACKEND.queue_status(clients, machine)):
+                emitted.add(result.argv[0])
+        assert emitted == set(PROGRAMS)
+        replayable = {name for name, (_, handler) in PROGRAMS.items()
+                      if handler is not None}
+        assert replayable == emitted - {"grid-proxy-info"}
+
+
 class TestRetryTracker:
     def test_schedules_against_sim_clock_and_logs(self):
         clock = SimClock()
