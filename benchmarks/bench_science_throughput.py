@@ -7,12 +7,17 @@ complete in about a second of real time.  These benches pin that down
 so regressions are visible.
 """
 
+import time
+
 import numpy as np
 
 from repro.science import StellarParameters, make_ga, synthetic_target
 from repro.science.astec.model import (population_observables,
                                        run_astec)
 from repro.science.mpikaia.fitness import ChiSquareFitness
+
+#: Calls timed by hand for the per-model floor.
+TIMED_CALLS = 50
 
 _RNG = np.random.default_rng(3)
 _POP = np.column_stack([
@@ -23,13 +28,17 @@ _POP = np.column_stack([
 
 def test_vectorised_population_eval(benchmark):
     """One vectorised evaluation of a full 126-member population."""
-    result = benchmark(
-        lambda: population_observables(_POP[:, 0], _POP[:, 1],
-                                       _POP[:, 2], _POP[:, 3],
-                                       _POP[:, 4]))
+    def evaluate():
+        return population_observables(_POP[:, 0], _POP[:, 1], _POP[:, 2],
+                                      _POP[:, 3], _POP[:, 4])
+    result = benchmark(evaluate)
     assert result["teff"].shape == (126,)
     # Sanity: per-model cost must stay in the microsecond regime.
-    mean_s = benchmark.stats.stats.mean
+    # Timed here, so the floor holds under --benchmark-disable too.
+    start = time.perf_counter()
+    for _ in range(TIMED_CALLS):
+        evaluate()
+    mean_s = (time.perf_counter() - start) / TIMED_CALLS
     per_model_us = mean_s / 126 * 1e6
     print(f"\n{per_model_us:.2f} us per stellar model "
           "(vectorised; the real ASTEC took ~15-110 minutes)")

@@ -83,11 +83,9 @@ def main():
         pk=deployment.allocations["kraken"].pk)
     print(f"\nSUs used on kraken: {allocation.su_used:,.0f} "
           f"of {allocation.su_granted:,.0f}")
-    usage = {}
-    for record in deployment.fabric.audit.records:
-        if record.operation == "gram-submit":
-            usage[record.gateway_user] = \
-                usage.get(record.gateway_user, 0) + 1
+    usage = {user: n for (user, operation), n
+             in deployment.fabric.audit.tally.items()
+             if operation == "gram-submit"}
     print("GRAM submissions per gateway user:", usage)
 
     # The §6 tool on one simulation.

@@ -4,12 +4,17 @@ TeraGrid required end-to-end accountability for community-credential
 gateways; every GRAM/GridFTP operation records the SAML-attributed
 gateway user so resource providers can "disambiguate the real users
 acting behind community credentials" (§3, and the Globus GRAM-auditing
-acknowledgement).
+acknowledgement).  The log keeps the newest
+:data:`~repro.obs.events.KEEP` records; the queries answer for the
+whole run from a tally of every one.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
+
+from ..obs.events import Ring
 
 
 @dataclass(frozen=True)
@@ -25,7 +30,9 @@ class AuditRecord:
 
 class AuditLog:
     def __init__(self):
-        self.records = []
+        self.records = Ring()
+        self.tally = collections.Counter()      # (gateway_user, operation)
+        self.failed = 0
 
     def record(self, clock, operation, resource, gateway_user, *,
                detail="", success=True):
@@ -33,20 +40,21 @@ class AuditLog:
                             resource=resource, gateway_user=gateway_user,
                             detail=detail, success=success)
         self.records.append(entry)
+        self.tally[gateway_user, operation] += 1
+        self.failed += not success
         return entry
 
-    # -- queries -----------------------------------------------------------
+    # -- queries (whole run) -----------------------------------------------
     def by_user(self, gateway_user):
-        return [r for r in self.records if r.gateway_user == gateway_user]
-
-    def by_operation(self, operation):
-        return [r for r in self.records if r.operation == operation]
+        """``{operation: count}`` for one gateway user."""
+        return {operation: n for (user, operation), n in self.tally.items()
+                if user == gateway_user}
 
     def failures(self):
-        return [r for r in self.records if not r.success]
+        return self.failed
 
     def distinct_users(self):
-        return sorted({r.gateway_user for r in self.records})
+        return sorted({user for user, _ in self.tally})
 
     def __len__(self):
         return len(self.records)

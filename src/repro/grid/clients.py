@@ -10,7 +10,8 @@ retry the failed action."
 :class:`GridClients` reproduces that interface exactly: every operation
 is expressed as an argv vector, returns a :class:`CommandResult` with
 exit code / stdout / stderr, and is recorded in a command log so failures
-can be replayed verbatim (``rerun()``).
+can be replayed verbatim (``rerun()``).  The log keeps the newest
+:data:`~repro.obs.events.KEEP` results; ``len()`` counts every command.
 
 The argv vectors of the eight job and staging operations are built in
 :mod:`repro.grid.backends.gram`; which programs exist, what retry
@@ -23,6 +24,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass
 
+from ..obs.events import Ring
 from .backends import GRAM_BACKEND
 from .certificates import SAMLAssertion
 from .errors import GridError, PermanentGridError, TransientGridError
@@ -70,7 +72,7 @@ class GridClients:
         self.fabric = fabric
         self.gateway_name = gateway_name
         self.current_proxy = None
-        self.command_log = []
+        self.command_log = Ring()
         #: Optional :class:`~repro.grid.breaker.BreakerRegistry`: when a
         #: resource's breaker is open, commands against it are suppressed
         #: client-side (synthetic transient, zero grid traffic).
@@ -322,10 +324,6 @@ class GridClients:
         raise NotImplementedError(
             "uploads need the original file contents, which the "
             "command log does not keep")
-
-    # ------------------------------------------------------------------
-    def failed_commands(self):
-        return [r for r in self.command_log if not r.ok]
 
 
 #: The installed client vocabulary — the one place a program name is a

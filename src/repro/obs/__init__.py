@@ -14,7 +14,8 @@ pieces sharing one injected clock:
 - :class:`~repro.obs.events.EventLog` — the structured JSON-lines
   event log that replaces ad-hoc logging and doubles as the internal
   bus (notifications subscribe to breaker transitions instead of being
-  called from the daemon's poll loop).
+  called from the daemon's poll loop); like the spans, grid commands
+  and audit records, it keeps a :class:`Ring` tail.
 
 Everything is clock-injected and id-sequenced, so a fault schedule
 replayed under the same seed yields identical metric values, an
@@ -24,14 +25,14 @@ perturbs determinism.
 
 from __future__ import annotations
 
-from .events import EventLog, EventRecord
+from .events import KEEP, EventLog, EventRecord, Ring
 from .registry import (BACKOFF_BUCKETS, DEFAULT_BUCKETS,
                        QUERY_COUNT_BUCKETS, MetricsRegistry)
 from .tracing import Span, Tracer
 
 __all__ = ["Observability", "correlation_id", "EventLog", "EventRecord",
-           "MetricsRegistry", "Span", "Tracer", "DEFAULT_BUCKETS",
-           "QUERY_COUNT_BUCKETS", "BACKOFF_BUCKETS"]
+           "KEEP", "MetricsRegistry", "Ring", "Span", "Tracer",
+           "DEFAULT_BUCKETS", "QUERY_COUNT_BUCKETS", "BACKOFF_BUCKETS"]
 
 
 def correlation_id(simulation_pk):

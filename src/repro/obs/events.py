@@ -4,8 +4,9 @@ Replaces ad-hoc logging across the reproduction: anything operationally
 interesting — a workflow state transition, a breaker opening, a retry
 being scheduled, a portal submission — is one :class:`EventRecord` with
 a virtual timestamp, a monotone sequence number, a ``kind``, and flat
-JSON-serialisable fields.  ``to_jsonl()`` renders the whole log with
-sorted keys, so two deterministic runs produce byte-identical output.
+JSON-serialisable fields.  The log keeps the newest :data:`KEEP` (a
+:class:`Ring`; ``amp_events_total`` counts all) and ``to_jsonl()``
+renders them with sorted keys: two deterministic runs match byte for byte.
 
 The log is also the gateway's internal bus: components *subscribe* to
 kinds instead of being called directly.  That is what deduplicates the
@@ -19,8 +20,45 @@ off notifications that ride on the bus.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
+
+#: Items each in-memory log (events, spans, grid commands, GRAM audit)
+#: keeps for a daemon that runs as long as the gateway; the rest are counted.
+KEEP = 1000
+
+
+class Ring:
+    """An append-only log that retains its newest :data:`KEEP` items.
+
+    Iteration yields the retained items oldest first, ``reversed()``
+    newest first.  ``len()`` is the number of items *ever appended* —
+    how many happened, not how many are kept — so indices count back
+    from the newest item (``ring[-1]``) and a non-negative one raises.
+    """
+
+    def __init__(self):
+        self._items = collections.deque(maxlen=KEEP)
+        self.appended = 0
+
+    def append(self, item):
+        self._items.append(item)
+        self.appended += 1
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __reversed__(self):
+        return reversed(self._items)
+
+    def __getitem__(self, index):
+        if index >= 0:
+            raise IndexError("a Ring is indexed back from its newest item")
+        return self._items[index]
+
+    def __len__(self):
+        return self.appended
 
 
 class EventRecord:
@@ -48,12 +86,13 @@ class EventRecord:
 
 
 class EventLog:
-    """Append-only structured log with kind-keyed subscriptions."""
+    """Structured log of the newest :data:`KEEP` events, with
+    kind-keyed subscriptions; ``len()`` counts every recorded event."""
 
     def __init__(self, clock, enabled=True):
         self.clock = clock
         self.enabled = enabled
-        self.records = []
+        self.records = Ring()
         self._seq = itertools.count(1)
         self._subscribers = {}
         self._all_subscribers = []
@@ -97,15 +136,6 @@ class EventLog:
     # -- read side ------------------------------------------------------
     def of_kind(self, kind):
         return [r for r in self.records if r.kind == kind]
-
-    def counts_by_kind(self):
-        counts = {}
-        for record in self.records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return counts
-
-    def tail(self, n=20):
-        return self.records[-n:]
 
     def to_jsonl(self, kind=None):
         records = self.records if kind is None else self.of_kind(kind)

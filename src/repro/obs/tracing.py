@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 
+from .events import Ring
+
 
 class Span:
     """One timed, attributed unit of work."""
@@ -100,12 +102,13 @@ class _SpanContext:
 
 
 class Tracer:
-    """Mints spans against one clock; keeps every finished span."""
+    """Mints spans against one clock; keeps the newest finished spans
+    (a :class:`~repro.obs.events.Ring`; ``len(finished)`` counts all)."""
 
     def __init__(self, clock, enabled=True):
         self.clock = clock
         self.enabled = enabled
-        self.finished = []
+        self.finished = Ring()
         self._stack = []
         self._ids = itertools.count(1)
 
@@ -145,13 +148,6 @@ class Tracer:
                 if (trace_id is None or s.trace_id == trace_id)
                 and (name is None or s.name == name)]
 
-    def trace_ids(self):
-        seen = []
-        for span in self.finished:
-            if span.trace_id not in seen:
-                seen.append(span.trace_id)
-        return seen
-
     def tree_lines(self, trace_id=None):
         """Render the span forest as deterministic indented text lines.
 
@@ -179,6 +175,3 @@ class Tracer:
         for root in by_parent.get(None, []):
             walk(root, 0)
         return lines
-
-    def clear(self):
-        self.finished.clear()

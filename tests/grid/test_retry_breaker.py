@@ -76,8 +76,9 @@ class TestClientVocabulary:
 
     def test_every_logged_program_is_classified_and_replayable(self):
         from repro.core import AMPDeployment
+        from tests.conftest import keep_everything
         from tests.core.conftest import submit_direct, submit_optimization
-        deployment = AMPDeployment()
+        deployment = keep_everything(AMPDeployment())
         try:
             user = deployment.create_astronomer("metcalfe",
                                                 password="pw12345")

@@ -23,6 +23,7 @@ from repro.core.models import (JOURNAL_COMMITTED, JOURNAL_INTENT,
                                JOURNAL_OP_SUBMIT, SIM_HOLD)
 from repro.grid import DaemonCrash, FaultInjector
 from repro.grid.breaker import CLOSED
+from tests.conftest import keep_everything
 
 pytestmark = pytest.mark.recovery
 
@@ -353,7 +354,7 @@ class TestRecoveryTelemetryByteStable:
     log — recovery sweeps included."""
 
     def run_schedule(self):
-        deployment = make_deployment()
+        deployment = keep_everything(make_deployment())
         try:
             user = deployment.create_astronomer("replay")
             submit_direct_sims(deployment, user, 3)

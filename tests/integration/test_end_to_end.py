@@ -121,9 +121,7 @@ def test_concurrent_users_accounted_separately(deployment):
     assert "alice" in users and "bob" in users
     # Every simulation completed under the right SAML attribution.
     for user in ("alice", "bob"):
-        operations = {r.operation
-                      for r in deployment.fabric.audit.by_user(user)}
-        assert "gram-submit" in operations
+        assert deployment.fabric.audit.by_user(user)["gram-submit"] >= 1
 
 
 def test_walltime_chaining_c2_shape(deployment):

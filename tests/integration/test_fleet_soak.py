@@ -20,6 +20,7 @@ import pytest
 from repro.core import AMPDeployment, SIM_DONE, Simulation, Star
 from repro.core.models import (KIND_DIRECT, MACHINE_AUTO,
                                RESERVATION_RESERVED, ReservationRecord)
+from tests.conftest import keep_everything
 
 from .test_crash_recovery import (assert_journal_settled,
                                   audit_exactly_once, close_deployment,
@@ -79,7 +80,7 @@ class TestThousandSimSoak:
     and an exactly-once audit at the end."""
 
     def test_thousand_sims_survive_kill_restart_churn(self):
-        deployment = make_deployment()
+        deployment = keep_everything(make_deployment())
         try:
             user = deployment.create_astronomer("soak")
             simulations = submit_soak_sims(deployment, user, 1000)
@@ -114,7 +115,7 @@ class TestThousandSimSoak:
 def _stability_run():
     """One fixed 120-sim fleet scenario; returns its merged event
     streams keyed for order-independent comparison."""
-    deployment = make_deployment()
+    deployment = keep_everything(make_deployment())
     try:
         user = deployment.create_astronomer("stable")
         submit_soak_sims(deployment, user, 120)

@@ -21,6 +21,7 @@ import pytest
 from repro.core import Simulation, Star
 from repro.core.models import (GridJobRecord, KIND_DIRECT,
                                ReservationRecord)
+from tests.conftest import keep_everything
 
 from .test_crash_recovery import (assert_journal_settled,
                                   audit_exactly_once, close_deployment,
@@ -90,7 +91,7 @@ def commands_by_simulation(deployment):
 
 
 def run_partition(n, n_slices):
-    deployment = make_deployment()
+    deployment = keep_everything(make_deployment())
     try:
         user = deployment.create_astronomer("partition")
         submit_campaign(deployment, user)

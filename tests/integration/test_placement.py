@@ -20,6 +20,7 @@ from repro.grid import FaultInjector
 from repro.grid.breaker import CLOSED
 from repro.sched import POLICY_NAMES
 
+from tests.conftest import keep_everything
 from tests.integration.test_crash_recovery import (
     audit_exactly_once, close_deployment, poll, run_through_crashes,
     run_until_crash)
@@ -238,7 +239,7 @@ class TestPlacementTelemetryByteStable:
     byte-identical ``sched.*`` story — placement is replayable."""
 
     def run_schedule(self):
-        deployment = make_deployment()
+        deployment = keep_everything(make_deployment())
         try:
             user = deployment.create_astronomer("replay")
             submit_auto_mixed(deployment, user, direct=8,

@@ -17,11 +17,12 @@ from repro.grid import FaultInjector
 from repro.hpc import DAY, HOUR
 from repro.hpc.workload import BackgroundWorkload
 from repro.science import StellarParameters, synthetic_target
+from tests.conftest import keep_everything
 
 
 @pytest.fixture(scope="module")
 def soaked():
-    deployment = AMPDeployment()
+    deployment = keep_everything(AMPDeployment())
     rng = np.random.default_rng(2026)
 
     # Background load on the two production machines.

@@ -14,6 +14,7 @@ from repro.core import SIM_DONE, AMPDeployment, Simulation, Star
 from repro.grid import FaultInjector
 from repro.grid.breaker import CLOSED, OPEN
 from repro.hpc import HOUR
+from tests.conftest import keep_everything
 
 pytestmark = [pytest.mark.obs, pytest.mark.faults]
 
@@ -24,7 +25,7 @@ FLAP = dict(start_in_s=2 * HOUR, period_s=3 * HOUR,
 
 def run_soak():
     """One complete soak; returns the three determinism surfaces."""
-    deployment = AMPDeployment(seed_catalog=False)
+    deployment = keep_everything(AMPDeployment(seed_catalog=False))
     users = [deployment.create_astronomer(f"soak{i}") for i in range(5)]
     star = Star(name="Replay Star", hd_number=7)
     star.save(db=deployment.databases.admin)

@@ -66,14 +66,14 @@ class TestTracer:
             pass
         assert len(tracer.spans(name="a")) == 2
         assert len(tracer.spans(trace_id="t1", name="a")) == 1
-        assert tracer.trace_ids() == ["t1", "t2"]
+        assert {s.trace_id for s in tracer.finished} == {"t1", "t2"}
 
     def test_disabled_tracer_hands_out_null_spans(self):
         tracer = Tracer(SimClock(), enabled=False)
         with tracer.span("poll") as span:
             assert span is NULL_SPAN
             span.set_attr("x", 1)                # accepted, dropped
-        assert tracer.finished == []
+        assert list(tracer.finished) == []
 
 
 class TestEventLog:
@@ -114,13 +114,14 @@ class TestEventLog:
         assert len(log) == 0                     # nothing recorded
 
     def test_subscribe_all_sees_every_kind(self):
-        log = EventLog(SimClock())
+        obs = Observability(SimClock())
         kinds = []
-        log.subscribe_all(lambda r: kinds.append(r.kind))
-        log.emit("a")
-        log.emit("b")
+        obs.events.subscribe_all(lambda r: kinds.append(r.kind))
+        obs.events.emit("a")
+        obs.events.emit("b")
         assert kinds == ["a", "b"]
-        assert log.counts_by_kind() == {"a": 1, "b": 1}
+        assert {kind: obs.metrics.value("amp_events_total", kind=kind)
+                for kind in kinds} == {"a": 1, "b": 1}
 
 
 class TestObservabilityFacade:

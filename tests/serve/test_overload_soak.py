@@ -18,6 +18,7 @@ import pytest
 from repro.core import AMPDeployment
 from repro.serve import DbFaultInjector, ServeConfig
 from repro.webstack.testclient import Client
+from tests.conftest import keep_everything
 
 pytestmark = pytest.mark.serve
 
@@ -52,7 +53,7 @@ def _run_soak():
     """One full overload scenario; returns (summary, determinism
     surface) where the surface is the byte-stable artefact twin runs
     must agree on."""
-    deployment = _fresh_deployment()
+    deployment = keep_everything(_fresh_deployment())
     try:
         clock = deployment.clock
         injector = DbFaultInjector(clock)
