@@ -110,8 +110,9 @@ def test_daemon_death_detected_externally(benchmark):
     def run():
         deployment = fresh_deployment()
         deployment.daemon.poll_once()
-        monitor = ExternalMonitor(deployment.daemon, deployment.mailer,
-                                  stale_after_s=1800)
+        monitor = ExternalMonitor(deployment.fleet, deployment.mailer,
+                                  clock=deployment.clock,
+                                  obs=deployment.obs, stale_after_s=1800)
         healthy_before = monitor.check()
         deployment.clock.advance(3 * HOUR)  # daemon stops polling
         healthy_after = monitor.check()

@@ -19,6 +19,7 @@ import time
 
 from repro.analysis.reporting import format_table
 from repro.core import Simulation
+from repro.core.leases import WHOLE_TABLE
 from repro.core.models import MACHINE_AUTO
 
 from .conftest import fresh_deployment
@@ -55,13 +56,13 @@ def _sweep_queries(pending, benchmark=None):
         sweep = deployment.daemon.broker.place_pending
         with db.count_queries() as counter:
             if benchmark is not None:
-                summary = benchmark.pedantic(sweep, rounds=1,
-                                             iterations=1)
+                summary = benchmark.pedantic(sweep, args=(WHOLE_TABLE,),
+                                             rounds=1, iterations=1)
             else:
-                summary = sweep()
+                summary = sweep(WHOLE_TABLE)
         assert summary["placed"] == pending
         with db.count_queries() as idle:
-            deployment.daemon.broker.place_pending()
+            deployment.daemon.broker.place_pending(WHOLE_TABLE)
         return counter.count, idle.count
     finally:
         _teardown(deployment)
@@ -97,7 +98,7 @@ def test_steady_state_overhead_under_ten_percent(benchmark):
         place_s = float("inf")
         for _ in range(ROUNDS):
             start = time.perf_counter()
-            deployment.daemon.broker.place_pending()
+            deployment.daemon.broker.place_pending(WHOLE_TABLE)
             place_s = min(place_s, time.perf_counter() - start)
         poll_s = float("inf")
         for _ in range(ROUNDS):
@@ -105,7 +106,7 @@ def test_steady_state_overhead_under_ten_percent(benchmark):
             deployment.daemon.poll_once()
             poll_s = min(poll_s, time.perf_counter() - start)
         benchmark.pedantic(deployment.daemon.broker.place_pending,
-                           rounds=1, iterations=1)
+                           args=(WHOLE_TABLE,), rounds=1, iterations=1)
 
         print("\nSteady-state cost, best of "
               f"{ROUNDS} (50 active simulations):")

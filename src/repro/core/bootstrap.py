@@ -321,14 +321,10 @@ class AMPDeployment(PortalRuntime, DaemonRuntime):
     """
 
     def __init__(self, *, machines=None, su_grant=5_000_000.0,
-                 seed_catalog=True, observability=True,
-                 placement_policy="least-wait", database_uri=None,
-                 slow_statement_s=None):
+                 seed_catalog=True, placement_policy="least-wait",
+                 database_uri=None, slow_statement_s=None):
         clock = SimClock()
-        # ``observability=False`` swaps in the no-op variant (the
-        # overhead bench's uninstrumented baseline); event subscribers
-        # (breaker-transition notifications) run either way.
-        obs = Observability(clock, enabled=observability)
+        obs = Observability(clock)
         self.databases = DeploymentDatabases(build_role_registry(),
                                              uri=database_uri)
         for role in ("admin", "portal", "daemon"):

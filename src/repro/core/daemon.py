@@ -712,26 +712,22 @@ class ExternalMonitor:
     It watches fleet slots (slot index → daemon, or ``None`` once that
     process died), so it sees the daemons that exist now — a bounced
     one included — rather than whichever object was alive when it was
-    built.  A bare daemon is watched as a fleet of one.
+    built.
 
-    The staleness reference is the *injected* clock — by default the
-    same sim clock the daemons stamp their heartbeats from, never any
-    wall-clock path — so monitoring behaves identically under replayed
-    fault schedules.  Every check also publishes the heartbeat age as a
+    The staleness reference is the *injected* clock — the same sim
+    clock the daemons stamp their heartbeats from, never any wall-clock
+    path — so monitoring behaves identically under replayed fault
+    schedules.  Every check also publishes the heartbeat age as a
     gauge, and a stale heartbeat is a ``monitor.stale`` structured
     event alongside the admin mail.
     """
 
-    def __init__(self, fleet, mailer, *, stale_after_s=1800.0,
-                 clock=None, obs=None):
-        if not isinstance(fleet, dict):
-            fleet = {0: fleet}
+    def __init__(self, fleet, mailer, *, clock, obs, stale_after_s=1800.0):
         self.fleet = fleet
         self.mailer = mailer
         self.stale_after_s = stale_after_s
-        daemon = fleet[min(fleet)]
-        self.clock = clock if clock is not None else daemon.clock
-        self.obs = obs if obs is not None else daemon.obs
+        self.clock = clock
+        self.obs = obs
         self.alerts = []
 
     def heartbeat_ages(self):

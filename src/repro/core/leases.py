@@ -54,8 +54,8 @@ WHOLE_TABLE = (1, (0,))
 class LeaseManager:
     """Claims, renews, and rebalances slice leases for one instance."""
 
-    def __init__(self, db, clock, *, owner, n_slices, ttl_s=7200.0,
-                 obs=None, fabric=None):
+    def __init__(self, db, clock, *, owner, n_slices, obs, ttl_s=7200.0,
+                 fabric=None):
         if n_slices < 1:
             raise ValueError("n_slices must be >= 1")
         self.db = db
@@ -86,15 +86,12 @@ class LeaseManager:
             schedule.check(op, when)
 
     def _emit(self, kind, **fields):
-        if self.obs is not None:
-            self.obs.events.emit(kind, owner=self.owner, **fields)
+        self.obs.events.emit(kind, owner=self.owner, **fields)
 
     def _count(self, op):
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "daemon_lease_operations_total",
-                help="Lease protocol operations, by op").labels(
-                op=op).inc()
+        self.obs.metrics.counter(
+            "daemon_lease_operations_total",
+            help="Lease protocol operations, by op").labels(op=op).inc()
 
     # ------------------------------------------------------------------
     def ensure_slices(self):
@@ -238,10 +235,9 @@ class LeaseManager:
                     self._count("release")
                     self._emit("daemon.lease.released", slice=index)
 
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "daemon_lease_slices_held",
-                help="Work-partition slices held per fleet "
-                     "instance").labels(instance=self.owner).set(
-                len(self.held))
+        self.obs.metrics.gauge(
+            "daemon_lease_slices_held",
+            help="Work-partition slices held per fleet "
+                 "instance").labels(instance=self.owner).set(
+            len(self.held))
         return acquired, dropped

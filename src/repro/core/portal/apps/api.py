@@ -69,8 +69,6 @@ def _campaign_payload(campaign, state_counts):
 def build_routes(ctx):
 
     def _record_campaign(campaign, sims):
-        if ctx.obs is None:
-            return
         ctx.obs.metrics.counter(
             "portal_campaigns_total",
             help="Parameter-sweep campaigns accepted by the API").inc()

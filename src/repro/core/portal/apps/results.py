@@ -182,19 +182,17 @@ def build_routes(ctx):
                 brokering["released"] += 1
         brokering["by_machine"] = [
             per_machine[name] for name in sorted(per_machine)]
-        brokering["instrumented"] = ctx.obs is not None
-        if ctx.obs is not None:
-            brokering["placements"] = int(
-                ctx.obs.metrics.total("sched_placements_total"))
-            brokering["migrations"] = int(
-                ctx.obs.metrics.total("sched_migrations_total"))
-            brokering["refusals"] = int(
-                ctx.obs.metrics.total("sched_refusals_total"))
+        metrics = ctx.obs.metrics
+        brokering["placements"] = int(
+            metrics.total("sched_placements_total"))
+        brokering["migrations"] = int(
+            metrics.total("sched_migrations_total"))
+        brokering["refusals"] = int(metrics.total("sched_refusals_total"))
         # Daemon-fleet digest: who is alive and who owns which slice
         # of the work partition, read straight from the lease table
         # (portal-readable, daemon-written) — the operator's one-look
         # answer to "is the fleet healthy and balanced?".
-        now = ctx.clock.now if ctx.clock is not None else 0.0
+        now = ctx.clock.now
         fleet = {"instances": [], "slices": []}
         for row in LeaseRecord.objects.using(request.db).order_by("id"):
             if row.kind == LEASE_KIND_PRESENCE:
@@ -223,7 +221,7 @@ def build_routes(ctx):
             "star_count": Star.objects.using(request.db).count(),
             "allocations": allocations,
             "facilities": facilities,
-            "ops": ctx.obs.health_summary() if ctx.obs else None,
+            "ops": ctx.obs.health_summary(),
         })
 
     def metrics_view(request):
@@ -234,8 +232,6 @@ def build_routes(ctx):
         facade, so a single scrape covers the whole architecture.
         """
         from ....webstack import HttpResponse
-        if ctx.obs is None:
-            raise Http404("Observability not enabled")
         return HttpResponse(
             ctx.obs.metrics.render_prometheus(),
             content_type="text/plain; version=0.0.4; charset=utf-8")

@@ -131,8 +131,6 @@ def build_routes(ctx):
         """The trace begins here: the portal stamps the submission with
         the simulation's correlation id, which the daemon's spans and
         events carry through every later state transition."""
-        if ctx.obs is None:
-            return
         ctx.obs.metrics.counter(
             "portal_submissions_total",
             help="Simulations submitted through the portal").labels(

@@ -36,8 +36,7 @@ class PortalContext:
     facade is read/emit-only and carries no credentials)."""
 
     def __init__(self, catalog, machine_display_names,
-                 default_machine_name, question_bank=None, obs=None,
-                 clock=None):
+                 default_machine_name, *, obs, clock, question_bank=None):
         self.catalog = catalog
         self.machine_display_names = dict(machine_display_names)
         self.default_machine_name = default_machine_name
@@ -106,12 +105,10 @@ def build_portal_app(runtime, *, debug=False, serve=None):
     # views, inert until a client calls them.
     urlpatterns += api.build_routes(ctx)
     engine = Engine(templates=dict(TEMPLATES))
-    middleware = [SSLRequiredMiddleware(), AuthMiddleware(portal_db)]
-    if ctx.obs is not None:
-        # First in the pipeline: request metrics see redirects and
-        # errors from the inner middleware/views too.
-        middleware.insert(0, ObservabilityMiddleware(
-            ctx.obs, db=portal_db))
+    # Observability first in the pipeline: request metrics see
+    # redirects and errors from the inner middleware/views too.
+    middleware = [ObservabilityMiddleware(ctx.obs, portal_db),
+                  SSLRequiredMiddleware(), AuthMiddleware(portal_db)]
     tier = None
     if serve is not None:
         tier = ServingTier(serve, portal_db, middleware,

@@ -282,11 +282,9 @@ for {{ brokering.settled_su|floatformat:0 }} service units;
 {% endfor %}
 </table>
 {% endif %}
-{% if brokering.instrumented %}
 <p>Automatic placements: {{ brokering.placements }};
 migrations: {{ brokering.migrations }};
 refusals: {{ brokering.refusals }}.</p>
-{% endif %}
 <h3>Daemon fleet</h3>
 <p>{{ fleet.live_count }} live
 instance{{ fleet.live_count|pluralize }}.</p>
@@ -306,7 +304,6 @@ instance{{ fleet.live_count|pluralize }}.</p>
 <td>{% if s.expired %}expired{% else %}held{% endif %}</td></tr>
 {% endfor %}
 </table>
-{% if ops %}
 <h3>Gateway operations</h3>
 <table><tr><th>Indicator</th><th>Value</th></tr>
 <tr><td>Daemon polls</td><td>{{ ops.polls }}</td></tr>
@@ -323,7 +320,6 @@ instance{{ fleet.live_count|pluralize }}.</p>
 <tr><td>Spans recorded</td><td>{{ ops.spans }}</td></tr>
 </table>
 <p>Full time-series exposition: <a href="/metrics">/metrics</a>.</p>
-{% endif %}
 {% endblock %}"""
 
 TEMPLATES = {

@@ -55,15 +55,12 @@ class BreakerEvent:
 class CircuitBreaker:
     """Health tracking for one resource."""
 
-    def __init__(self, resource, clock, policy=None, obs=None,
-                 origin=""):
+    def __init__(self, resource, clock, policy=None, *, obs, origin):
         self.resource = resource
         self.clock = clock
         self.policy = policy or BreakerPolicy()
         self.obs = obs
         #: Which daemon instance's registry this breaker belongs to.
-        #: A registry built outside a daemon host leaves it empty and
-        #: its events carry no origin field.
         self.origin = origin
         self.state = CLOSED
         self.consecutive_failures = 0
@@ -81,23 +78,21 @@ class CircuitBreaker:
         elif to_state == CLOSED:
             self.opened_at = None
             self.consecutive_failures = 0
-        if self.obs is not None:
-            # The single emission point for breaker transitions: admin
-            # notifications and the portal both ride on this event.
-            self.obs.metrics.counter(
-                "breaker_transitions_total",
-                help="Circuit-breaker state transitions").labels(
-                resource=self.resource, to_state=to_state).inc()
-            self.obs.metrics.gauge(
-                "breaker_open",
-                help="1 while the resource circuit is open or probing"
-            ).labels(resource=self.resource).set(
-                0.0 if to_state == CLOSED else 1.0)
-            extra = {"origin": self.origin} if self.origin else {}
-            self.obs.events.emit(
-                "breaker.transition", resource=self.resource,
-                from_state=event.from_state, to_state=to_state,
-                reason=reason, **extra)
+        # The single emission point for breaker transitions: admin
+        # notifications and the portal both ride on this event.
+        self.obs.metrics.counter(
+            "breaker_transitions_total",
+            help="Circuit-breaker state transitions").labels(
+            resource=self.resource, to_state=to_state).inc()
+        self.obs.metrics.gauge(
+            "breaker_open",
+            help="1 while the resource circuit is open or probing"
+        ).labels(resource=self.resource).set(
+            0.0 if to_state == CLOSED else 1.0)
+        self.obs.events.emit(
+            "breaker.transition", resource=self.resource,
+            from_state=event.from_state, to_state=to_state,
+            reason=reason, origin=self.origin)
 
     # ------------------------------------------------------------------
     def allow(self):
@@ -139,7 +134,7 @@ class CircuitBreaker:
 class BreakerRegistry:
     """Lazy per-resource breakers sharing one clock and policy."""
 
-    def __init__(self, clock, policy=None, obs=None, origin=""):
+    def __init__(self, clock, policy=None, *, obs, origin):
         self.clock = clock
         self.policy = policy or BreakerPolicy()
         self.obs = obs

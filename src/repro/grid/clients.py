@@ -67,19 +67,18 @@ class GridClients:
         SAML gateway identity attached to every derived proxy.
     """
 
-    def __init__(self, fabric, gateway_name="AMP", breakers=None,
-                 obs=None):
+    def __init__(self, fabric, gateway_name="AMP", *, breakers, obs):
         self.fabric = fabric
         self.gateway_name = gateway_name
         self.current_proxy = None
         self.command_log = Ring()
-        #: Optional :class:`~repro.grid.breaker.BreakerRegistry`: when a
+        #: The :class:`~repro.grid.breaker.BreakerRegistry`: when a
         #: resource's breaker is open, commands against it are suppressed
         #: client-side (synthetic transient, zero grid traffic).
         self.breakers = breakers
         self.suppressed_count = 0
-        #: Optional :class:`~repro.obs.Observability`: every executed or
-        #: suppressed command is counted by program/outcome and
+        #: The :class:`~repro.obs.Observability` facade: every executed
+        #: or suppressed command is counted by program/outcome and
         #: logged as a ``grid.command`` event carrying the ambient trace
         #: id, which is how a simulation's correlation id reaches grid
         #: traffic.
@@ -94,8 +93,7 @@ class GridClients:
         result is logged instead.  Only commands that actually executed
         feed the breaker's failure/success counters.
         """
-        if resource is not None and self.breakers is not None \
-                and not self.breakers.allow(resource):
+        if resource is not None and not self.breakers.allow(resource):
             result = CommandResult(
                 argv, EXIT_TRANSIENT,
                 stderr=(f"{resource}: suppressed while resource "
@@ -111,7 +109,7 @@ class GridClients:
             result = CommandResult(argv, EXIT_TRANSIENT, stderr=str(exc))
         except (PermanentGridError, GridError, KeyError) as exc:
             result = CommandResult(argv, EXIT_PERMANENT, stderr=str(exc))
-        if resource is not None and self.breakers is not None:
+        if resource is not None:
             if result.ok:
                 self.breakers.record_success(resource)
             elif result.transient:
@@ -122,8 +120,6 @@ class GridClients:
 
     def _observe(self, result, resource, outcome=None):
         """Count and log one command against the observability layer."""
-        if self.obs is None:
-            return
         if outcome is None:
             outcome = "ok" if result.ok else (
                 "transient" if result.transient else "permanent")

@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from ..obs import BACKOFF_BUCKETS, correlation_id
+
 #: Operation classes a retry budget is tracked for.
 OP_PROXY = "proxy"
 OP_SUBMIT = "submit"
@@ -114,11 +116,11 @@ class RetryTracker:
 
     policy: RetryPolicy
     clock: object
+    #: The :class:`~repro.obs.Observability` facade: every backoff
+    #: decision feeds retry counters, a backoff-delay histogram, and a
+    #: correlation-id-tagged ``sim.retry`` event.
+    obs: object
     events: list = field(default_factory=list)
-    #: Optional :class:`~repro.obs.Observability`; when attached, every
-    #: backoff decision feeds retry counters, a backoff-delay histogram,
-    #: and a correlation-id-tagged ``sim.retry`` event.
-    obs: object = None
 
     def next_retry(self, simulation_id, operation, attempt):
         """Record failure number *attempt* and return the earliest
@@ -128,22 +130,19 @@ class RetryTracker:
         not_before = self.clock.now + delay
         self.events.append(RetryEvent(simulation_id, operation, attempt,
                                       self.clock.now, not_before))
-        if self.obs is not None:
-            from ..obs import correlation_id
-            from ..obs.registry import BACKOFF_BUCKETS
-            self.obs.metrics.counter(
-                "grid_retries_total",
-                help="Backoff decisions by operation class").labels(
-                operation=operation).inc()
-            self.obs.metrics.histogram(
-                "grid_retry_backoff_seconds",
-                help="Scheduled backoff delays (virtual seconds)",
-                buckets=BACKOFF_BUCKETS).observe(delay)
-            self.obs.events.emit(
-                "sim.retry", simulation=simulation_id,
-                trace_id=correlation_id(simulation_id),
-                operation=operation, attempt=attempt,
-                not_before=not_before)
+        self.obs.metrics.counter(
+            "grid_retries_total",
+            help="Backoff decisions by operation class").labels(
+            operation=operation).inc()
+        self.obs.metrics.histogram(
+            "grid_retry_backoff_seconds",
+            help="Scheduled backoff delays (virtual seconds)",
+            buckets=BACKOFF_BUCKETS).observe(delay)
+        self.obs.events.emit(
+            "sim.retry", simulation=simulation_id,
+            trace_id=correlation_id(simulation_id),
+            operation=operation, attempt=attempt,
+            not_before=not_before)
         return not_before
 
     def exhausted(self, attempt):

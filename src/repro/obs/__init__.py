@@ -50,18 +50,15 @@ def correlation_id(simulation_pk):
 class Observability:
     """The facade every layer is handed: one registry, tracer, and log.
 
-    ``enabled=False`` builds the no-op variant: metrics and spans cost a
-    branch, events are not recorded — but event *subscribers* still run,
-    because notification policy must not depend on whether an operator
-    is watching.
+    There is no off mode: every component takes the facade as a required
+    argument, and a deployment shares one across its layers.
     """
 
-    def __init__(self, clock, enabled=True):
+    def __init__(self, clock):
         self.clock = clock
-        self.enabled = enabled
-        self.metrics = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(clock, enabled=enabled)
-        self.events = EventLog(clock, enabled=enabled)
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(clock)
+        self.events = EventLog(clock)
         # Every event also counts: the statistics page reads totals
         # without scanning the log.
         counter = self.metrics.counter(
@@ -78,8 +75,6 @@ class Observability:
         ``db.slow_statement`` events carrying the placeholder SQL
         (parameter values are never interpolated, so nothing sensitive
         leaks) and count into ``db_slow_statements_total{role}``."""
-        if not self.enabled:
-            return
         family = self.metrics.counter(
             "db_queries_total",
             help="ORM statements by connection role and operation")

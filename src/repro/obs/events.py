@@ -12,10 +12,6 @@ The log is also the gateway's internal bus: components *subscribe* to
 kinds instead of being called directly.  That is what deduplicates the
 breaker-notification path — the breaker emits its transition exactly
 once, here, and the admin-mail policy is just one subscriber.
-
-Subscriber delivery happens even when recording is disabled
-(``enabled=False``): turning off observability must not silently turn
-off notifications that ride on the bus.
 """
 
 from __future__ import annotations
@@ -89,9 +85,8 @@ class EventLog:
     """Structured log of the newest :data:`KEEP` events, with
     kind-keyed subscriptions; ``len()`` counts every recorded event."""
 
-    def __init__(self, clock, enabled=True):
+    def __init__(self, clock):
         self.clock = clock
-        self.enabled = enabled
         self.records = Ring()
         self._seq = itertools.count(1)
         self._subscribers = {}
@@ -99,7 +94,7 @@ class EventLog:
 
     # ------------------------------------------------------------------
     def emit(self, kind, /, **fields):
-        """Record (when enabled) and deliver one event.
+        """Record and deliver one event.
 
         Reserved keys (``seq``/``time``/``kind``) may not appear in
         *fields*; everything else must be JSON-serialisable (non-native
@@ -110,8 +105,7 @@ class EventLog:
                 raise ValueError(f"Reserved event field {reserved!r}")
         record = EventRecord(next(self._seq), self.clock.now, kind,
                              fields)
-        if self.enabled:
-            self.records.append(record)
+        self.records.append(record)
         for subscriber in self._subscribers.get(kind, ()):
             subscriber(record)
         for subscriber in self._all_subscribers:

@@ -17,9 +17,7 @@ failure classes and the batch-layer budgets:
 
 Nothing here reads a clock: time enters only through observed values,
 which in this reproduction all derive from the shared
-:class:`~repro.hpc.simclock.SimClock`.  A registry built with
-``enabled=False`` hands out no-op metrics so instrumented call sites
-cost a single attribute check when observability is off.
+:class:`~repro.hpc.simclock.SimClock`.
 """
 
 from __future__ import annotations
@@ -128,34 +126,6 @@ class Histogram:
         return out
 
 
-class _NullMetric:
-    """Accepts the whole metric API and does nothing (disabled mode)."""
-
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-    def labels(self, **_labels):
-        return self
-
-    def inc(self, amount=1.0):
-        pass
-
-    def dec(self, amount=1.0):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def cumulative_buckets(self):
-        return []
-
-
-NULL_METRIC = _NullMetric()
-
 _KIND_CLASSES = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}
 
 
@@ -215,14 +185,11 @@ class MetricFamily:
 class MetricsRegistry:
     """All metric families, renderable as Prometheus text exposition."""
 
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    def __init__(self):
         self._families = {}
 
     # ------------------------------------------------------------------
     def _family(self, name, kind, help, buckets=None):
-        if not self.enabled:
-            return NULL_METRIC
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(name, kind, help=help, buckets=buckets)

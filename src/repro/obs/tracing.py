@@ -57,25 +57,6 @@ class Span:
                 f"trace={self.trace_id}>")
 
 
-class _NullSpan:
-    """Stands in for a span when tracing is disabled."""
-
-    span_id = trace_id = parent_id = None
-    attrs = {}
-
-    def set_attr(self, key, value):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
 class _SpanContext:
     """Context manager pushing/popping one span on the tracer stack."""
 
@@ -105,9 +86,8 @@ class Tracer:
     """Mints spans against one clock; keeps the newest finished spans
     (a :class:`~repro.obs.events.Ring`; ``len(finished)`` counts all)."""
 
-    def __init__(self, clock, enabled=True):
+    def __init__(self, clock):
         self.clock = clock
-        self.enabled = enabled
         self.finished = Ring()
         self._stack = []
         self._ids = itertools.count(1)
@@ -120,8 +100,6 @@ class Tracer:
         the trace id defaults to the parent's (ambient propagation), or
         to a fresh ``trace-NNNNNN`` for a root span.
         """
-        if not self.enabled:
-            return NULL_SPAN
         span_id = next(self._ids)
         parent = self._stack[-1] if self._stack else None
         if trace_id is None:

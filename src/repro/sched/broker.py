@@ -32,7 +32,6 @@ a constant 1 query on an idle steady-state poll.
 
 from __future__ import annotations
 
-from ..core.leases import WHOLE_TABLE
 from ..core.models import (AllocationRecord, KIND_DIRECT, MACHINE_AUTO,
                            MachineRecord, ReservationRecord, SIM_QUEUED,
                            Simulation, SubmitAuthorization)
@@ -106,7 +105,7 @@ class ResourceBroker:
         return cpu_hours(1, core_seconds) * spec.su_charge_factor
 
     # ------------------------------------------------------------------
-    def place_pending(self, slice_filter=WHOLE_TABLE):
+    def place_pending(self, slice_filter):
         """One placement sweep; returns a summary dict.
 
         Write ordering (the crash-safety contract): new reservation

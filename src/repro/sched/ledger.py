@@ -27,7 +27,6 @@ Crash windows (see DESIGN.md §7 for the full ordering argument):
 
 from __future__ import annotations
 
-from ..core.leases import WHOLE_TABLE
 from ..core.models import (AllocationRecord, MACHINE_AUTO,
                            RESERVATION_RELEASED, RESERVATION_RESERVED,
                            RESERVATION_SETTLED, ReservationRecord,
@@ -146,7 +145,7 @@ class SULedger:
     # ------------------------------------------------------------------
     # Boot reconciliation (the broker's half of the recovery sweep)
     # ------------------------------------------------------------------
-    def reconcile(self, slice_filter=WHOLE_TABLE):
+    def reconcile(self, slice_filter):
         """Heal reservations a dead daemon left behind.
 
         Decision table, per RESERVED row (one SELECT, bulk writes):

@@ -43,7 +43,8 @@ from .health import (BrownoutMiddleware, DEFAULT_BROWNOUT_ROUTES,
                      DbFaultInjector, HealthTracker, build_health_routes)
 from .ratelimit import (DEFAULT_POLICY, DEFAULT_RATE_POLICIES,
                         RateLimiter, RateLimitMiddleware, RatePolicy)
-from .workers import (PreforkServer, WATCHDOG_EXIT, mark_worker_process)
+from .workers import (PreforkServer, WATCHDOG_EXIT, WallClock,
+                      mark_worker_process)
 
 __all__ = [
     "AdmissionController", "AdmissionMiddleware", "AdmissionPolicy",
@@ -58,16 +59,6 @@ __all__ = [
     "SqliteSharedStore", "WATCHDOG_EXIT", "WallClock",
     "build_health_routes", "mark_worker_process",
 ]
-
-
-class WallClock:
-    """Wall-time stand-in for deployments without a virtual clock
-    (the prefork runner serving real HTTP)."""
-
-    @property
-    def now(self):
-        import time
-        return time.monotonic()
 
 
 class ServeConfig:
@@ -113,8 +104,7 @@ class ServeConfig:
 class ServingTier:
     """The one serving pipeline on the portal-role connection *db*,
     assembled around *portal_middleware* — the bare portal's own
-    ``[observability, ssl, auth]`` (no observability entry when the
-    deployment carries no ``obs``).
+    ``[observability, ssl, auth]``.
 
     Every layer is always on; a test that needs a different policy
     sets it on the built component (``rate_limiter.policies``,
@@ -125,11 +115,10 @@ class ServingTier:
     #: (the brownout's raw material).
     STALE_GRACE_S = 300.0
 
-    def __init__(self, config, db, portal_middleware, *, clock,
-                 obs=None):
+    def __init__(self, config, db, portal_middleware, *, clock, obs):
         if config.clock is not None:
             clock = config.clock
-        *observability, ssl, auth = portal_middleware
+        observability, ssl, auth = portal_middleware
         # Attaching feeds the tracker real per-statement signals even
         # with no injector configured.
         self.serve_health = HealthTracker(clock, obs=obs).attach(
@@ -144,7 +133,7 @@ class ServingTier:
         self.routes = build_health_routes(self.serve_health, db)
         self.middleware = [
             # First: request metrics see sheds, 429s and redirects too.
-            *observability,
+            observability,
             # Shed and throttle before any database work.
             AdmissionMiddleware(self.admission),
             RateLimitMiddleware(self.rate_limiter),

@@ -138,7 +138,7 @@ class AdmissionController:
     while it reports degraded, BULK admission tightens further.
     """
 
-    def __init__(self, clock, *, policy=None, obs=None, health=None):
+    def __init__(self, clock, *, obs, policy=None, health=None):
         self.clock = clock
         self.policy = policy or AdmissionPolicy()
         self.route_classes = dict(DEFAULT_ROUTE_CLASSES)
@@ -177,17 +177,14 @@ class AdmissionController:
                 self.shed_total += 1
         if not admitted:
             retry_after = self.policy.retry_after_s.get(priority, 5)
-            if self.obs is not None:
-                self.obs.metrics.counter(
-                    "serve_shed_total",
-                    help="Requests shed by admission control, by route "
-                         "and priority class").labels(
-                    route=route or "<unrouted>",
-                    priority=priority).inc()
-                self.obs.events.emit(
-                    "serve.shed", route=route, priority=priority,
-                    inflight=inflight,
-                    retry_after_s=retry_after)
+            self.obs.metrics.counter(
+                "serve_shed_total",
+                help="Requests shed by admission control, by route "
+                     "and priority class").labels(
+                route=route or "<unrouted>", priority=priority).inc()
+            self.obs.events.emit(
+                "serve.shed", route=route, priority=priority,
+                inflight=inflight, retry_after_s=retry_after)
             return None, retry_after
         self._gauge()
         return AdmissionTicket(priority, route), 0
@@ -203,11 +200,10 @@ class AdmissionController:
         self._gauge()
 
     def _gauge(self):
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "serve_inflight",
-                help="Requests currently admitted and in flight in "
-                     "this worker").set(self.inflight)
+        self.obs.metrics.gauge(
+            "serve_inflight",
+            help="Requests currently admitted and in flight in "
+                 "this worker").set(self.inflight)
 
 
 class AdmissionMiddleware:
@@ -314,7 +310,7 @@ class DeadlineMiddleware:
     single hook slot on the shared connection is race-free.
     """
 
-    def __init__(self, clock, db, *, policy=None, obs=None):
+    def __init__(self, clock, db, *, obs, policy=None):
         self.clock = clock
         self.db = db
         self.policy = policy or DeadlinePolicy()
@@ -350,14 +346,13 @@ class DeadlineMiddleware:
         if response.status_code != 504:
             return response
         route = getattr(request, "route_name", None) or "<unrouted>"
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "serve_deadline_exceeded_total",
-                help="Requests that exhausted their time budget, by "
-                     "route").labels(route=route).inc()
-            self.obs.events.emit(
-                "serve.deadline_exceeded", route=route,
-                budget_s=getattr(request, "budget_s", None))
+        self.obs.metrics.counter(
+            "serve_deadline_exceeded_total",
+            help="Requests that exhausted their time budget, by "
+                 "route").labels(route=route).inc()
+        self.obs.events.emit(
+            "serve.deadline_exceeded", route=route,
+            budget_s=getattr(request, "budget_s", None))
         if request.path.startswith("/api/"):
             from ..webstack.http import JsonResponse
             budget = getattr(request, "budget_s", None)

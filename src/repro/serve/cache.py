@@ -229,7 +229,7 @@ class PortalCache:
     l1_capacity:
         Entries held in this process's L1 LRU.
     obs:
-        Optional :class:`~repro.obs.Observability` facade; hit/miss/
+        The :class:`~repro.obs.Observability` facade; hit/miss/
         eviction/invalidation counters land in its metrics registry.
     stale_grace_s:
         Seconds past expiry an entry remains *servable as stale* via
@@ -238,7 +238,7 @@ class PortalCache:
         discarded at expiry; the serving tier turns it on.
     """
 
-    def __init__(self, clock, *, shared=None, l1_capacity=256, obs=None,
+    def __init__(self, clock, *, obs, shared=None, l1_capacity=256,
                  stale_grace_s=0.0):
         self.clock = clock
         self.shared = shared if shared is not None \
@@ -257,8 +257,6 @@ class PortalCache:
 
     # -- metrics -------------------------------------------------------
     def _count(self, name, **labels):
-        if self.obs is None:
-            return
         helps = {
             "serve_cache_hits_total":
                 "Cache hits by route and layer (l1/l2)",
@@ -276,8 +274,6 @@ class PortalCache:
             **labels).inc()
 
     def _gauge_entries(self):
-        if self.obs is None:
-            return
         self.obs.metrics.gauge(
             "serve_cache_l1_entries",
             help="Entries currently in this worker's L1").set(

@@ -108,9 +108,9 @@ class HealthTracker:
     sim clock, honest under a wall clock.
     """
 
-    def __init__(self, clock, *, window=10, min_samples=4,
+    def __init__(self, clock, *, obs, window=10, min_samples=4,
                  error_threshold=0.5, slow_statement_s=1.0,
-                 recovery_after_s=5.0, obs=None):
+                 recovery_after_s=5.0):
         self.clock = clock
         self.window = int(window)
         self.min_samples = int(min_samples)
@@ -155,10 +155,8 @@ class HealthTracker:
             self.degraded_since = self.clock.now
             self.enter_count += 1
             self._gauge()
-            if self.obs is not None:
-                self.obs.events.emit(
-                    "serve.degraded.enter",
-                    bad=bad, window=len(self._outcomes))
+            self.obs.events.emit("serve.degraded.enter",
+                                 bad=bad, window=len(self._outcomes))
 
     def _exit(self):
         was_degraded_for = None
@@ -168,16 +166,14 @@ class HealthTracker:
         self.degraded_since = None
         self._outcomes.clear()
         self._gauge()
-        if self.obs is not None:
-            self.obs.events.emit("serve.degraded.exit",
-                                 degraded_for_s=was_degraded_for)
+        self.obs.events.emit("serve.degraded.exit",
+                             degraded_for_s=was_degraded_for)
 
     def _gauge(self):
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "serve_degraded",
-                help="1 while the tier serves in degraded (brownout) "
-                     "mode").set(1 if self.degraded else 0)
+        self.obs.metrics.gauge(
+            "serve_degraded",
+            help="1 while the tier serves in degraded (brownout) "
+                 "mode").set(1 if self.degraded else 0)
 
     # -- wiring --------------------------------------------------------
     def attach(self, db, injector=None):
@@ -249,7 +245,7 @@ class BrownoutMiddleware:
     #: Seconds a refused client is asked to wait before retrying.
     RETRY_AFTER_S = 15
 
-    def __init__(self, health, *, obs=None):
+    def __init__(self, health, *, obs):
         self.health = health
         self.routes = DEFAULT_BROWNOUT_ROUTES
         self.obs = obs
@@ -263,12 +259,11 @@ class BrownoutMiddleware:
         route = getattr(request, "route_name", None)
         if route not in self.routes:
             return None
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "serve_brownout_total",
-                help="Expensive requests refused while degraded, by "
-                     "route").labels(route=route).inc()
-            self.obs.events.emit("serve.brownout", route=route)
+        self.obs.metrics.counter(
+            "serve_brownout_total",
+            help="Expensive requests refused while degraded, by "
+                 "route").labels(route=route).inc()
+        self.obs.events.emit("serve.brownout", route=route)
         response = HttpResponse(
             ("<html><body><h1>Reduced service</h1>"
              "<p>The site is temporarily showing only its most "

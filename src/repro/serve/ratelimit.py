@@ -73,8 +73,8 @@ class RateLimiter:
     client's favour).
     """
 
-    def __init__(self, clock, *, policies=None, default=None,
-                 max_buckets=10_000, obs=None):
+    def __init__(self, clock, *, obs, policies=None, default=None,
+                 max_buckets=10_000):
         self.clock = clock
         self.policies = dict(DEFAULT_RATE_POLICIES if policies is None
                              else policies)
@@ -99,7 +99,7 @@ class RateLimiter:
         while len(self._buckets) > self.max_buckets:
             self._buckets.popitem(last=False)
         allowed, retry_after = bucket.consume(policy, now)
-        if not allowed and self.obs is not None:
+        if not allowed:
             self.obs.metrics.counter(
                 "serve_throttled_total",
                 help="Requests refused by the rate limiter, by route"

@@ -34,8 +34,8 @@ crashloop`` fires once the streak reaches ``crashloop_after``), so a
 worker that dies on startup cannot pin a CPU respawning in a tight
 loop.  The parent process never serves requests; it only supervises.
 Worker liveness is exported as gauges (``serve_workers_alive``,
-``serve_worker_up{worker=...}``) on the supervisor's observability
-facade when one is provided.
+``serve_worker_up{worker=...}``) on the supervisor's own observability
+facade (:attr:`PreforkServer.obs`, on wall time).
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ import socket
 import threading
 import time
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer
+
+from ..obs import Observability
 
 #: Exit status a worker uses when its own watchdog fires: the request
 #: handler wedged past the watchdog budget and the worker shot itself
@@ -63,6 +65,15 @@ _WORKER_UP_HELP = "1 while this worker process is serving"
 
 def _worker_up_gauge(obs):
     return obs.metrics.gauge("serve_worker_up", help=_WORKER_UP_HELP)
+
+
+class WallClock:
+    """Wall-time stand-in for deployments without a virtual clock
+    (the prefork runner serving real HTTP)."""
+
+    @property
+    def now(self):
+        return time.monotonic()
 
 
 class _QuietHandler(WSGIRequestHandler):
@@ -138,8 +149,6 @@ class _RequestGuard:
 
 def mark_worker_process(obs, index):
     """Stamp this process's identity gauges (called inside a worker)."""
-    if obs is None:
-        return
     _worker_up_gauge(obs).labels(worker=str(index)).set(1)
 
 
@@ -157,9 +166,6 @@ class PreforkServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port`).
-    obs:
-        Optional supervisor-side observability facade for worker
-        gauges/counters.
     watchdog_s:
         Per-request wall-clock budget inside each worker; a handler
         that outlives it costs the worker its life (exit
@@ -185,7 +191,7 @@ class PreforkServer:
     """
 
     def __init__(self, app_factory, *, workers=2, host="127.0.0.1",
-                 port=0, backlog=64, obs=None, watchdog_s=None,
+                 port=0, backlog=64, watchdog_s=None,
                  max_requests=None, socket_timeout_s=10.0,
                  rapid_exit_s=1.0, respawn_backoff_base_s=0.5,
                  respawn_backoff_max_s=30.0, crashloop_after=3,
@@ -194,7 +200,9 @@ class PreforkServer:
             raise ValueError("workers must be >= 1")
         self.app_factory = app_factory
         self.n_workers = int(workers)
-        self.obs = obs
+        #: The supervisor's own facade: worker gauges, respawn,
+        #: watchdog and crash-loop telemetry.
+        self.obs = Observability(WallClock())
         self.watchdog_s = watchdog_s
         self.max_requests = max_requests
         self.socket_timeout_s = socket_timeout_s
@@ -272,8 +280,7 @@ class PreforkServer:
         self.pids[index] = pid
         self._spawned_at[index] = self._time()
         self._respawn_at.pop(index, None)
-        if self.obs is not None:
-            _worker_up_gauge(self.obs).labels(worker=str(index)).set(1)
+        _worker_up_gauge(self.obs).labels(worker=str(index)).set(1)
         return pid
 
     def start(self):
@@ -283,10 +290,9 @@ class PreforkServer:
         return self
 
     def _update_alive_gauge(self):
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "serve_workers_alive",
-                help="Live worker processes").set(len(self.pids))
+        self.obs.metrics.gauge(
+            "serve_workers_alive",
+            help="Live worker processes").set(len(self.pids))
 
     def _respawn_delay(self, index, exitcode, uptime):
         """Crash-loop accounting; returns seconds to wait before the
@@ -304,7 +310,7 @@ class PreforkServer:
         self._rapid_exits[index] = streak
         delay = min(self.respawn_backoff_max_s,
                     self.respawn_backoff_base_s * (2 ** (streak - 1)))
-        if streak == self.crashloop_after and self.obs is not None:
+        if streak == self.crashloop_after:
             self.obs.events.emit(
                 "serve.worker.crashloop", worker=index,
                 rapid_exits=streak, backoff_s=round(delay, 3))
@@ -330,18 +336,15 @@ class PreforkServer:
             spawned_at = self._spawned_at.pop(index, None)
             uptime = None if spawned_at is None else now - spawned_at
             del self.pids[index]
-            if self.obs is not None:
-                _worker_up_gauge(self.obs).labels(
-                    worker=str(index)).set(0)
+            _worker_up_gauge(self.obs).labels(worker=str(index)).set(0)
             if exitcode == WATCHDOG_EXIT:
                 self.watchdog_exits += 1
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "serve_worker_watchdog_exits_total",
-                        help="Workers that shot themselves after a "
-                             "wedged request").inc()
-                    self.obs.events.emit("serve.worker.watchdog",
-                                         worker=index)
+                self.obs.metrics.counter(
+                    "serve_worker_watchdog_exits_total",
+                    help="Workers that shot themselves after a "
+                         "wedged request").inc()
+                self.obs.events.emit("serve.worker.watchdog",
+                                     worker=index)
             if self._draining:
                 continue
             delay = self._respawn_delay(index, exitcode, uptime)
@@ -357,13 +360,10 @@ class PreforkServer:
                 self._spawn(index)
                 self.respawns += 1
                 respawned.append(index)
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "serve_worker_respawns_total",
-                        help="Workers respawned after unexpected exit"
-                    ).inc()
-                    self.obs.events.emit("serve.worker.respawn",
-                                         worker=index)
+                self.obs.metrics.counter(
+                    "serve_worker_respawns_total",
+                    help="Workers respawned after unexpected exit").inc()
+                self.obs.events.emit("serve.worker.respawn", worker=index)
         self._update_alive_gauge()
         return respawned
 
@@ -396,9 +396,7 @@ class PreforkServer:
             statuses[index] = self._reap(pid, max(0.0, remaining))
             del self.pids[index]
             self._spawned_at.pop(index, None)
-            if self.obs is not None:
-                _worker_up_gauge(self.obs).labels(
-                    worker=str(index)).set(0)
+            _worker_up_gauge(self.obs).labels(worker=str(index)).set(0)
         self._update_alive_gauge()
         self._sock.close()
         return statuses

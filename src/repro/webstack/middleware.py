@@ -68,11 +68,11 @@ class ObservabilityMiddleware:
     obs:
         The :class:`~repro.obs.Observability` facade.
     db:
-        Optional role-scoped :class:`~repro.webstack.orm.Database` whose
+        The role-scoped :class:`~repro.webstack.orm.Database` whose
         query counter the per-request histogram reads.
     """
 
-    def __init__(self, obs, db=None):
+    def __init__(self, obs, db):
         self.obs = obs
         self.db = db
 
@@ -100,8 +100,7 @@ class ObservabilityMiddleware:
 
     def process_request(self, request):
         request._obs_started_at = self.obs.clock.now
-        if self.db is not None:
-            request._obs_queries_before = self.db.queries_executed
+        request._obs_queries_before = self.db.queries_executed
         self.resolve_route(request)
         return None
 
@@ -115,17 +114,15 @@ class ObservabilityMiddleware:
             help="Requests by route and status").labels(
             route=route, status=status).inc()
         started = getattr(request, "_obs_started_at", None)
-        if started is not None:
-            metrics.histogram(
-                "http_request_seconds",
-                help="Request latency (virtual seconds)").labels(
-                route=route).observe(self.obs.clock.now - started)
-        queries_before = getattr(request, "_obs_queries_before", None)
-        if queries_before is not None:
-            metrics.histogram(
-                "http_request_queries",
-                help="Database round trips per request",
-                buckets=QUERY_COUNT_BUCKETS).labels(
-                route=route).observe(
-                self.db.queries_executed - queries_before)
+        if started is None:
+            return response
+        metrics.histogram(
+            "http_request_seconds",
+            help="Request latency (virtual seconds)").labels(
+            route=route).observe(self.obs.clock.now - started)
+        metrics.histogram(
+            "http_request_queries",
+            help="Database round trips per request",
+            buckets=QUERY_COUNT_BUCKETS).labels(route=route).observe(
+            self.db.queries_executed - request._obs_queries_before)
         return response

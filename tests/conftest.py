@@ -1,5 +1,25 @@
 """Helpers shared by every test package."""
 
+import pytest
+
+from repro.grid import BreakerRegistry, GridClients
+from repro.hpc.simclock import SimClock
+from repro.obs import Observability
+
+
+@pytest.fixture()
+def obs():
+    """The one observability facade a test hands every component it
+    builds outside a deployment (every component requires one)."""
+    return Observability(SimClock())
+
+
+def grid_clients(fabric, obs):
+    """Grid clients as a daemon host builds them — with their breaker
+    registry — for a test that drives a fabric without a deployment."""
+    breakers = BreakerRegistry(fabric.clock, obs=obs, origin="daemon-0")
+    return GridClients(fabric, breakers=breakers, obs=obs)
+
 
 def keep_everything(deployment):
     """Give *deployment* whole-run logs instead of bounded rings.

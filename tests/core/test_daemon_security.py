@@ -62,15 +62,17 @@ class TestDaemonPolling:
 class TestExternalMonitor:
     def test_healthy_heartbeat(self, deployment):
         deployment.daemon.poll_once()
-        monitor = ExternalMonitor(deployment.daemon, deployment.mailer,
-                                  stale_after_s=1800)
+        monitor = ExternalMonitor(deployment.fleet, deployment.mailer,
+                                  clock=deployment.clock,
+                                  obs=deployment.obs, stale_after_s=1800)
         assert monitor.check()
         assert monitor.alerts == []
 
     def test_stale_heartbeat_alerts_admin(self, deployment):
         deployment.daemon.poll_once()
-        monitor = ExternalMonitor(deployment.daemon, deployment.mailer,
-                                  stale_after_s=1800)
+        monitor = ExternalMonitor(deployment.fleet, deployment.mailer,
+                                  clock=deployment.clock,
+                                  obs=deployment.obs, stale_after_s=1800)
         deployment.clock.advance(2 * HOUR)   # daemon "crashed"
         assert not monitor.check()
         assert any("heartbeat" in m.subject

@@ -188,9 +188,10 @@ class TestGatewayChaining:
         # At least one surplus job was revoked or ran as a no-op.
         assert len(jobs) >= 2
 
-    def test_chaining_rejected_without_scheduler_support(self):
+    def test_chaining_rejected_without_scheduler_support(self, obs):
         """GRAM refuses dependsOn on machines without chaining."""
-        from repro.grid import GridClients, batch_spec, build_fabric
+        from repro.grid import batch_spec, build_fabric
+        from tests.conftest import grid_clients
         from repro.hpc import KRAKEN, MachineSpec, SimClock
         import dataclasses
         no_chain = dataclasses.replace(KRAKEN, name="nochain",
@@ -199,7 +200,7 @@ class TestGatewayChaining:
         fabric = build_fabric([no_chain], clock)
         from repro.core.remote import deploy_amp
         deploy_amp(fabric.resource("nochain"))
-        clients = GridClients(fabric)
+        clients = grid_clients(fabric, obs)
         clients.grid_proxy_init("u")
         spec = batch_spec("/usr/local/amp/run_ga.sh", count=128,
                           max_wall_time_s=6 * HOUR, directory="/d")

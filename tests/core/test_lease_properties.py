@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.leases import LeaseManager
 from repro.core.models import LEASE_KIND_SLICE, LeaseRecord
 from repro.hpc import SimClock
+from repro.obs import Observability
 from repro.webstack.orm import Database, create_all
 
 pytestmark = pytest.mark.fleet
@@ -43,6 +44,7 @@ class Fleet:
         self.db = Database(":memory:")
         create_all([LeaseRecord], self.db)
         self.clock = SimClock()
+        self.obs = Observability(self.clock)
         self.alive = {}               # owner -> LeaseManager
 
     def close(self):
@@ -51,7 +53,7 @@ class Fleet:
     def spawn(self, owner):
         self.alive[owner] = LeaseManager(
             self.db, self.clock, owner=owner,
-            n_slices=N_SLICES, ttl_s=TTL)
+            n_slices=N_SLICES, obs=self.obs, ttl_s=TTL)
 
     def kill(self, owner):
         self.alive.pop(owner, None)

@@ -27,17 +27,18 @@ class World(SimpleNamespace):
 
 
 @pytest.fixture()
-def world():
+def world(obs):
     db = Database(":memory:")
     create_all([LeaseRecord], db)
     clock = SimClock()
-    yield World(db=db, clock=clock)
+    yield World(db=db, clock=clock, obs=obs)
     db.close()
 
 
 def manager(world, owner, *, n_slices=N_SLICES, ttl=TTL, fabric=None):
     return LeaseManager(world.db, world.clock, owner=owner,
-                        n_slices=n_slices, ttl_s=ttl, fabric=fabric)
+                        n_slices=n_slices, obs=world.obs, ttl_s=ttl,
+                        fabric=fabric)
 
 
 def slice_rows(world):

@@ -13,10 +13,11 @@ import hashlib
 
 import pytest
 
-from repro.grid import (EXIT_PERMANENT, EXIT_TRANSIENT, GridClients,
-                        batch_spec, build_fabric)
+from repro.grid import (EXIT_PERMANENT, EXIT_TRANSIENT, batch_spec,
+                        build_fabric)
 from repro.grid.gram import ACTIVE, DONE, FAILED, PENDING, AppExecution
 from repro.hpc import HOUR, KRAKEN, SimClock
+from tests.conftest import grid_clients
 
 MODEL_SH = "/usr/local/amp/model.sh"
 
@@ -80,10 +81,10 @@ HARNESSES = {GramHarness.name: GramHarness}
 
 
 @pytest.fixture()
-def world():
+def world(obs):
     clock = SimClock()
     fabric = build_fabric([KRAKEN], clock)
-    clients = GridClients(fabric)
+    clients = grid_clients(fabric, obs)
     clients.grid_proxy_init("metcalfe", "t@ucar.edu")
     return clock, fabric, clients
 

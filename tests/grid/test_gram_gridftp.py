@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.grid import (AppExecution, FaultInjector, GridClients,
-                        build_fabric, batch_spec, fork_spec)
+from repro.grid import (AppExecution, FaultInjector, build_fabric,
+                        batch_spec, fork_spec)
 from repro.grid.errors import (CredentialError, ServiceUnreachable,
                                TransferFault)
 from repro.grid.gram import ACTIVE, DONE, FAILED, PENDING
 from repro.hpc import HOUR, KRAKEN, SimClock
+from tests.conftest import grid_clients
 
 
 @pytest.fixture()
-def grid():
+def grid(obs):
     clock = SimClock()
     fabric = build_fabric([KRAKEN], clock)
-    clients = GridClients(fabric)
+    clients = grid_clients(fabric, obs)
     clients.grid_proxy_init("metcalfe", "t@ucar.edu")
     kraken = fabric.resource("kraken")
 
@@ -175,12 +176,12 @@ class TestCommandLineContract:
         assert last.argv[0] == "globusrun-ws"
         assert "jobmanager-fork" in last.command_line
 
-    def test_pre_ws_client_used_without_ws_gram(self, grid):
+    def test_pre_ws_client_used_without_ws_gram(self, grid, obs):
         from repro.grid import build_fabric
         from repro.hpc import RANGER, SimClock
         clock2 = SimClock()
         fabric2 = build_fabric([RANGER], clock2)
-        clients2 = GridClients(fabric2)
+        clients2 = grid_clients(fabric2, obs)
         clients2.grid_proxy_init("u")
         fabric2.resource("ranger").fork.install(
             "/x.sh", lambda resource, **kw: None)

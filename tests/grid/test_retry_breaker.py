@@ -16,6 +16,8 @@ from repro.grid.faults import LatencyWindow
 from repro.grid.retry import (RetryPolicy, RetryTracker,
                               classify_operation, deterministic_jitter)
 from repro.hpc.simclock import SimClock
+from repro.obs import Observability
+from tests.conftest import grid_clients
 
 pytestmark = pytest.mark.faults
 
@@ -104,12 +106,13 @@ class TestClientVocabulary:
         finally:
             deployment.close()
 
-    def test_table_is_exactly_what_the_gateway_can_emit(self):
-        from repro.grid import GridClients, build_fabric, fork_spec
+    def test_table_is_exactly_what_the_gateway_can_emit(self, obs):
+        from repro.grid import build_fabric, fork_spec
         from repro.grid.backends import GRAM_BACKEND
         from repro.grid.clients import PROGRAMS
         from repro.hpc import KRAKEN, RANGER
-        clients = GridClients(build_fabric([KRAKEN, RANGER], SimClock()))
+        clients = grid_clients(build_fabric([KRAKEN, RANGER], SimClock()),
+                               obs)
         emitted = {clients.ensure_proxy("metcalfe").argv[0],     # init
                    clients.ensure_proxy("metcalfe").argv[0]}     # info
         for machine in ("kraken", "ranger"):      # WS and pre-WS GRAM
@@ -132,10 +135,10 @@ class TestClientVocabulary:
 
 
 class TestRetryTracker:
-    def test_schedules_against_sim_clock_and_logs(self):
+    def test_schedules_against_sim_clock_and_logs(self, obs):
         clock = SimClock()
         clock.advance(1000.0)
-        tracker = RetryTracker(RetryPolicy(), clock)
+        tracker = RetryTracker(RetryPolicy(), clock, obs)
         not_before = tracker.next_retry(5, "submit", 1)
         assert not_before > clock.now
         (event,) = tracker.events_for(5)
@@ -145,11 +148,11 @@ class TestRetryTracker:
         assert event.not_before == not_before
         assert tracker.events_for(6) == []
 
-    def test_identical_inputs_identical_schedule(self):
+    def test_identical_inputs_identical_schedule(self, obs):
         schedules = []
         for _ in range(2):
             clock = SimClock()
-            tracker = RetryTracker(RetryPolicy(), clock)
+            tracker = RetryTracker(RetryPolicy(), clock, obs)
             times = []
             for attempt in range(1, 6):
                 times.append(tracker.next_retry(3, "transfer", attempt))
@@ -163,7 +166,8 @@ class TestCircuitBreaker:
         clock = SimClock()
         breaker = CircuitBreaker(
             "kraken", clock,
-            BreakerPolicy(**policy) if policy else BreakerPolicy())
+            BreakerPolicy(**policy) if policy else BreakerPolicy(),
+            obs=Observability(clock), origin="daemon-0")
         return clock, breaker
 
     def test_opens_after_threshold_consecutive_failures(self):
@@ -229,16 +233,17 @@ class TestCircuitBreaker:
 
 
 class TestBreakerRegistry:
-    def test_unknown_resource_reads_closed(self):
-        registry = BreakerRegistry(SimClock())
+    def test_unknown_resource_reads_closed(self, obs):
+        registry = BreakerRegistry(SimClock(), obs=obs, origin="daemon-0")
         assert registry.state_of("nowhere") == CLOSED
         assert registry.snapshot("nowhere") == (CLOSED, 0, None)
         assert registry.events_for("nowhere") == []
 
-    def test_per_resource_isolation_and_event_merge(self):
+    def test_per_resource_isolation_and_event_merge(self, obs):
         clock = SimClock()
         registry = BreakerRegistry(clock,
-                                   BreakerPolicy(failure_threshold=1))
+                                   BreakerPolicy(failure_threshold=1),
+                                   obs=obs, origin="daemon-0")
         registry.record_failure("kraken")
         clock.advance(10.0)
         registry.record_failure("frost")

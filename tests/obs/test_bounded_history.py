@@ -14,11 +14,11 @@ import pytest
 
 from repro.core import AMPDeployment, KIND_DIRECT, Simulation, Star
 from repro.core.models import ALL_MODELS
-from repro.grid import GridClients, build_fabric, fork_spec
-from repro.hpc import KRAKEN, SimClock
-from repro.obs import KEEP, Observability, Ring
+from repro.grid import build_fabric, fork_spec
+from repro.hpc import KRAKEN
+from repro.obs import KEEP, Ring
 from repro.webstack.orm import bind
-from tests.conftest import keep_everything
+from tests.conftest import grid_clients, keep_everything
 
 pytestmark = pytest.mark.obs
 
@@ -139,12 +139,10 @@ class TestLongRun:
                 [render[name](x) for x in full[-KEEP:]], name
 
 
-def test_memory_is_flat_in_run_length():
+def test_memory_is_flat_in_run_length(obs):
     """A grid command costs its log entries only until they rotate out:
     growth from 2 x KEEP to 20 x KEEP commands stays under 1 MB."""
-    clock = SimClock()
-    obs = Observability(clock)
-    clients = GridClients(build_fabric([KRAKEN], clock), obs=obs)
+    clients = grid_clients(build_fabric([KRAKEN], obs.clock), obs)
     clients.grid_proxy_init("metcalfe", "t@ucar.edu")
     clients.fabric.resource("kraken").fork.install(
         "/amp/prejob.sh", lambda resource, **kw: None)

@@ -136,12 +136,27 @@ class TestMetricsEndpoint:
         assert summary["transitions"] >= 5
         assert summary["grid_commands"] > 0
 
-    def test_metrics_404_when_observability_absent(self, deployment):
-        from repro.core.portal.site import build_portal_app
-        deployment.obs = None
-        app = build_portal_app(deployment)
-        client = Client(app)
-        assert client.get("/metrics").status_code == 404
+
+class TestOneFacade:
+    def test_every_component_holds_the_deployments_facade(self,
+                                                          deployment):
+        from repro.serve import (BrownoutMiddleware, DeadlineMiddleware,
+                                 ServeConfig)
+        from repro.webstack.middleware import ObservabilityMiddleware
+        app = deployment.build_portal(serve=ServeConfig())
+        daemon = deployment.daemon
+        breakers = deployment.breakers
+        for name in deployment.machine_specs:
+            breakers.breaker(name)
+        served = {type(m): m for m in app.middleware}
+        holders = [
+            deployment.clients, breakers, *breakers._breakers.values(),
+            daemon.retry, daemon.leases, daemon.ledger, daemon.broker,
+            *daemon.workflows.values(), deployment.monitor,
+            app.serve_cache, app.rate_limiter, app.admission,
+            app.serve_health, served[DeadlineMiddleware],
+            served[BrownoutMiddleware], served[ObservabilityMiddleware]]
+        assert all(holder.obs is deployment.obs for holder in holders)
 
 
 class TestExternalMonitorClock:

@@ -9,8 +9,7 @@ which samples arrived.
 import pytest
 
 from repro.obs.registry import (DEFAULT_BUCKETS, MetricsRegistry,
-                                NULL_METRIC, escape_help,
-                                escape_label_value)
+                                escape_help, escape_label_value)
 
 pytestmark = pytest.mark.obs
 
@@ -137,15 +136,3 @@ class TestExpositionFormat:
         text = reg.render_prometheus()
         assert "c 3\n" in text
         assert "g 2.5" in text
-
-
-class TestDisabledRegistry:
-    def test_disabled_registry_is_all_noops(self):
-        reg = MetricsRegistry(enabled=False)
-        metric = reg.counter("c", help="ignored")
-        assert metric is NULL_METRIC
-        metric.inc()
-        metric.labels(a="b").observe(4)
-        assert reg.render_prometheus() == ""
-        assert reg.value("c") == 0.0
-        assert reg.family_names() == []

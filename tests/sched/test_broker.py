@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import (RESERVATION_RESERVED, RESERVATION_SETTLED,
                         ReservationRecord, Simulation)
+from repro.core.leases import WHOLE_TABLE
 from repro.core.models import (AllocationRecord, MACHINE_AUTO,
                                MachineRecord, SubmitAuthorization)
 from repro.core.notifications import GRID_JARGON
@@ -41,7 +42,7 @@ class TestPlacementSweep:
         """Fifty simultaneous Autos must not pile onto the instantaneous
         winner: the virtual-depth bump spreads them."""
         sims = submit_auto_direct(deployment, astronomer, 50)
-        summary = deployment.daemon.broker.place_pending()
+        summary = deployment.daemon.broker.place_pending(WHOLE_TABLE)
         assert summary["placed"] == 50
         machines = set()
         for sim in sims:
@@ -59,7 +60,7 @@ class TestPlacementSweep:
     def test_placement_emits_events_and_metrics(self, deployment,
                                                 astronomer):
         submit_auto_direct(deployment, astronomer, 4)
-        deployment.daemon.broker.place_pending()
+        deployment.daemon.broker.place_pending(WHOLE_TABLE)
         events = deployment.obs.events.of_kind("sched.placement")
         assert len(events) == 4
         assert all(e.fields["policy"] == "least-wait" for e in events)
@@ -78,7 +79,7 @@ class TestPlacementSweep:
             policy_name="least-wait", estimated_su=1.0, attempt=1)
         ReservationRecord.objects.using(
             deployment.databases.daemon).bulk_create([row])
-        summary = deployment.daemon.broker.place_pending()
+        summary = deployment.daemon.broker.place_pending(WHOLE_TABLE)
         assert summary == {"placed": 0, "migrated": 0, "refused": 0,
                            "adopted": 1}
         sim.refresh_from_db()
@@ -97,7 +98,7 @@ class TestRefusals:
         user = deployment.create_astronomer("newcomer")
         deactivate_auths(deployment, user)
         (sim,) = submit_auto_direct(deployment, user)
-        summary = deployment.daemon.broker.place_pending()
+        summary = deployment.daemon.broker.place_pending(WHOLE_TABLE)
         assert summary["refused"] == 1
         sim.refresh_from_db()
         assert sim.machine_name == MACHINE_AUTO
@@ -115,7 +116,7 @@ class TestRefusals:
         AllocationRecord.objects.using(db).bulk_update(
             drained, ["su_used"])
         (sim,) = submit_auto_direct(deployment, astronomer)
-        summary = deployment.daemon.broker.place_pending()
+        summary = deployment.daemon.broker.place_pending(WHOLE_TABLE)
         assert summary["refused"] == 1
         sim.refresh_from_db()
         assert sim.machine_name == MACHINE_AUTO
@@ -132,7 +133,7 @@ class TestRefusals:
         MachineRecord.objects.using(db).bulk_update(
             disabled, ["enabled"])
         (sim,) = submit_auto_direct(deployment, astronomer)
-        deployment.daemon.broker.place_pending()
+        deployment.daemon.broker.place_pending(WHOLE_TABLE)
         sim.refresh_from_db()
         assert sim.status_message == REFUSAL_MESSAGES["unavailable"]
         self.assert_jargon_free(sim.status_message)
@@ -145,9 +146,9 @@ class TestRefusals:
         deactivate_auths(deployment, user)
         submit_auto_direct(deployment, user)
         broker = deployment.daemon.broker
-        broker.place_pending()
-        broker.place_pending()
-        broker.place_pending()
+        broker.place_pending(WHOLE_TABLE)
+        broker.place_pending(WHOLE_TABLE)
+        broker.place_pending(WHOLE_TABLE)
         assert len(deployment.obs.events.of_kind("sched.refusal")) == 1
         assert deployment.obs.metrics.total("sched_refusals_total") == 1
 
@@ -158,26 +159,26 @@ class TestQueryBudget:
         submit_auto_direct(deployment, astronomer, 50)
         db = deployment.databases.daemon
         with db.count_queries() as counter:
-            deployment.daemon.broker.place_pending()
+            deployment.daemon.broker.place_pending(WHOLE_TABLE)
         assert counter.count <= 10, repr(counter)
 
     def test_budget_flat_in_population(self, deployment, astronomer):
         db = deployment.databases.daemon
         submit_auto_direct(deployment, astronomer, 5)
         with db.count_queries() as small:
-            deployment.daemon.broker.place_pending()
+            deployment.daemon.broker.place_pending(WHOLE_TABLE)
         submit_auto_direct(deployment, astronomer, 45)
         with db.count_queries() as large:
-            deployment.daemon.broker.place_pending()
+            deployment.daemon.broker.place_pending(WHOLE_TABLE)
         assert large.count == small.count
 
     def test_steady_state_is_one_query(self, deployment, astronomer):
         submit_auto_direct(deployment, astronomer, 3)
         broker = deployment.daemon.broker
-        broker.place_pending()
+        broker.place_pending(WHOLE_TABLE)
         db = deployment.databases.daemon
         with db.count_queries() as counter:
-            broker.place_pending()
+            broker.place_pending(WHOLE_TABLE)
         assert counter.count == 1
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro.core import (RESERVATION_RELEASED, RESERVATION_RESERVED,
                         RESERVATION_SETTLED, ReservationRecord,
                         SIM_CANCELLED, SIM_DONE, Simulation)
+from repro.core.leases import WHOLE_TABLE
 from repro.core.models import AllocationRecord, MACHINE_AUTO, SIM_HOLD
 
 from .conftest import submit_auto_direct
@@ -94,7 +95,7 @@ class TestReconciliation:
         the boot sweep finishes the placement the dead process chose."""
         (sim,) = submit_auto_direct(deployment, astronomer)
         book(deployment, sim, "lonestar")
-        adopted, released = deployment.daemon.ledger.reconcile()
+        adopted, released = deployment.daemon.ledger.reconcile(WHOLE_TABLE)
         assert (adopted, released) == (1, 0)
         sim.refresh_from_db()
         assert sim.machine_name == "lonestar"
@@ -111,7 +112,7 @@ class TestReconciliation:
             sim.machine_name = "frost"
             sim.save(db=deployment.databases.admin)
             expected[row.pk] = reason
-        adopted, released = deployment.daemon.ledger.reconcile()
+        adopted, released = deployment.daemon.ledger.reconcile(WHOLE_TABLE)
         assert (adopted, released) == (0, 3)
         db = deployment.databases.daemon
         for pk, reason in expected.items():
@@ -124,7 +125,7 @@ class TestReconciliation:
         (sim,) = submit_auto_direct(deployment, astronomer)
         old = book(deployment, sim, "kraken", attempt=1)
         new = book(deployment, sim, "ranger", attempt=2)
-        adopted, released = deployment.daemon.ledger.reconcile()
+        adopted, released = deployment.daemon.ledger.reconcile(WHOLE_TABLE)
         assert (adopted, released) == (1, 1)
         old.refresh_from_db()
         new.refresh_from_db()
@@ -140,7 +141,7 @@ class TestReconciliation:
         row = book(deployment, sim, "kraken")
         sim.machine_name = "kraken"           # stamp landed before crash
         sim.save(db=deployment.databases.admin)
-        assert deployment.daemon.ledger.reconcile() == (0, 0)
+        assert deployment.daemon.ledger.reconcile(WHOLE_TABLE) == (0, 0)
         row.refresh_from_db()
         assert row.state == RESERVATION_RESERVED
 

@@ -19,8 +19,8 @@ def clock():
 # Controller unit behaviour
 # ----------------------------------------------------------------------
 
-def test_routes_classify_by_expense(clock):
-    admission = AdmissionController(clock)
+def test_routes_classify_by_expense(clock, obs):
+    admission = AdmissionController(clock, obs=obs)
     assert admission.classify("healthz") == PRIORITY_CRITICAL
     assert admission.classify("metrics") == PRIORITY_CRITICAL
     assert admission.classify("api-sim-list") == PRIORITY_INTERACTIVE
@@ -30,9 +30,9 @@ def test_routes_classify_by_expense(clock):
     assert admission.classify("no-such-route") == PRIORITY_INTERACTIVE
 
 
-def test_admits_to_limit_then_sheds(clock):
+def test_admits_to_limit_then_sheds(clock, obs):
     admission = AdmissionController(
-        clock, policy=AdmissionPolicy(max_inflight=4))
+        clock, obs=obs, policy=AdmissionPolicy(max_inflight=4))
     tickets = []
     for _ in range(4):
         ticket, _ = admission.try_admit("metrics")   # CRITICAL: full cap
@@ -46,12 +46,12 @@ def test_admits_to_limit_then_sheds(clock):
     assert ticket is not None
 
 
-def test_bulk_is_cut_off_before_interactive(clock):
+def test_bulk_is_cut_off_before_interactive(clock, obs):
     """The priority shares reserve headroom: once BULK's share is
     full, an expensive render sheds while a cheap API read and a probe
     still get in."""
     admission = AdmissionController(
-        clock, policy=AdmissionPolicy(max_inflight=8))
+        clock, obs=obs, policy=AdmissionPolicy(max_inflight=8))
     for _ in range(4):                       # BULK share: 8 * 0.5 = 4
         ticket, _ = admission.try_admit("home")
         assert ticket is not None
@@ -60,17 +60,17 @@ def test_bulk_is_cut_off_before_interactive(clock):
     assert admission.try_admit("healthz")[0] is not None
 
 
-def test_critical_always_keeps_one_slot(clock):
+def test_critical_always_keeps_one_slot(clock, obs):
     admission = AdmissionController(
-        clock, policy=AdmissionPolicy(
+        clock, obs=obs, policy=AdmissionPolicy(
             max_inflight=1,
             shares={PRIORITY_CRITICAL: 0.0, PRIORITY_INTERACTIVE: 0.0,
                     PRIORITY_BULK: 0.0}))
     assert admission.try_admit("healthz")[0] is not None
 
 
-def test_release_is_idempotent(clock):
-    admission = AdmissionController(clock)
+def test_release_is_idempotent(clock, obs):
+    admission = AdmissionController(clock, obs=obs)
     ticket, _ = admission.try_admit("home")
     admission.release(ticket)
     admission.release(ticket)
@@ -78,11 +78,11 @@ def test_release_is_idempotent(clock):
     assert admission.inflight == 0
 
 
-def test_degraded_mode_tightens_bulk_admission(clock):
+def test_degraded_mode_tightens_bulk_admission(clock, obs):
     class FakeHealth:
         degraded = True
     admission = AdmissionController(
-        clock, policy=AdmissionPolicy(max_inflight=8),
+        clock, obs=obs, policy=AdmissionPolicy(max_inflight=8),
         health=FakeHealth())
     for _ in range(2):                  # 8 * 0.5 share * 0.5 degraded
         assert admission.try_admit("home")[0] is not None

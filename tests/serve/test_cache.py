@@ -12,8 +12,8 @@ def clock():
     return SimClock()
 
 
-def test_read_through_computes_once(clock):
-    cache = PortalCache(clock)
+def test_read_through_computes_once(clock, obs):
+    cache = PortalCache(clock, obs=obs)
     calls = []
 
     def loader():
@@ -25,12 +25,12 @@ def test_read_through_computes_once(clock):
     assert len(calls) == 1
 
 
-def test_write_during_render_is_not_pinned_stale(clock):
+def test_write_during_render_is_not_pinned_stale(clock, obs):
     """A write that bumps a tag while the loader renders must leave
     the stored entry stale: versions are snapshotted pre-render, so
     the next read re-renders instead of serving pre-write content
     until the TTL."""
-    cache = PortalCache(clock)
+    cache = PortalCache(clock, obs=obs)
 
     def loader():
         cache.invalidate({"sims"})      # the interleaved write
@@ -41,16 +41,16 @@ def test_write_during_render_is_not_pinned_stale(clock):
     assert cache.get("k") is None       # already stale, not pinned
 
 
-def test_ttl_expires_against_the_clock(clock):
-    cache = PortalCache(clock)
+def test_ttl_expires_against_the_clock(clock, obs):
+    cache = PortalCache(clock, obs=obs)
     cache.set("k", "v", ttl=30)
     assert cache.get("k") == "v"
     clock.advance(31)
     assert cache.get("k") is None
 
 
-def test_l1_lru_evicts_oldest(clock):
-    cache = PortalCache(clock, l1_capacity=2)
+def test_l1_lru_evicts_oldest(clock, obs):
+    cache = PortalCache(clock, obs=obs, l1_capacity=2)
     cache.set("a", 1, ttl=600)
     cache.set("b", 2, ttl=600)
     cache.get("a")            # refresh a
@@ -60,8 +60,8 @@ def test_l1_lru_evicts_oldest(clock):
     assert cache.get("b") == 2
 
 
-def test_tag_invalidation_is_targeted(clock):
-    cache = PortalCache(clock)
+def test_tag_invalidation_is_targeted(clock, obs):
+    cache = PortalCache(clock, obs=obs)
     cache.set("sim-page", "s", tags={"sim:1", "sims"}, ttl=600)
     cache.set("star-page", "t", tags={"star:7"}, ttl=600)
     cache.invalidate({"sim:1"})
@@ -69,12 +69,12 @@ def test_tag_invalidation_is_targeted(clock):
     assert cache.get("star-page") == "t"
 
 
-def test_shared_tag_invalidation_crosses_instances(clock):
+def test_shared_tag_invalidation_crosses_instances(clock, obs):
     """A 'write' seen by one worker's cache makes every other worker's
     L1 copy stale — the tag version lives in the shared store."""
     shared = InMemorySharedStore()
-    worker_a = PortalCache(clock, shared=shared)
-    worker_b = PortalCache(clock, shared=shared)
+    worker_a = PortalCache(clock, obs=obs, shared=shared)
+    worker_b = PortalCache(clock, obs=obs, shared=shared)
     worker_a.set("k", "v", tags={"sims"}, ttl=600)
     assert worker_b.get("k") == "v"     # promoted into b's L1
     worker_a.invalidate({"sims"})
@@ -82,15 +82,15 @@ def test_shared_tag_invalidation_crosses_instances(clock):
     assert worker_a.get("k") is None
 
 
-def test_sqlite_store_round_trips_entries(tmp_path, clock):
+def test_sqlite_store_round_trips_entries(tmp_path, clock, obs):
     shared = SqliteSharedStore(str(tmp_path / "cache.sqlite"))
-    cache = PortalCache(clock, shared=shared)
+    cache = PortalCache(clock, obs=obs, shared=shared)
     frozen = (200, b"<html>ok</html>", {"Content-Type": "text/html"})
     cache.set("page", frozen, tags={"stars"}, ttl=600)
 
     # A second process (modelled as a second store on the same file).
     shared2 = SqliteSharedStore(str(tmp_path / "cache.sqlite"))
-    other = PortalCache(clock, shared=shared2)
+    other = PortalCache(clock, obs=obs, shared=shared2)
     assert other.get("page") == frozen
     cache.invalidate({"stars"})
     assert other.get("page") is None
@@ -98,12 +98,12 @@ def test_sqlite_store_round_trips_entries(tmp_path, clock):
     shared2.close()
 
 
-def test_sqlite_store_prunes_expired_and_caps_size(tmp_path, clock):
+def test_sqlite_store_prunes_expired_and_caps_size(tmp_path, clock, obs):
     """The shared file does not grow without bound: expired rows are
     swept and the table is capped, soonest-to-expire evicted first."""
     shared = SqliteSharedStore(str(tmp_path / "cache.sqlite"),
                                capacity=4)
-    cache = PortalCache(clock, shared=shared)
+    cache = PortalCache(clock, obs=obs, shared=shared)
     for i in range(8):
         cache.set(f"short{i}", i, ttl=10)
     clock.advance(11)
@@ -121,9 +121,9 @@ def test_sqlite_store_prunes_expired_and_caps_size(tmp_path, clock):
     shared.close()
 
 
-def test_sqlite_prune_is_amortised_over_sets(tmp_path, clock):
+def test_sqlite_prune_is_amortised_over_sets(tmp_path, clock, obs):
     shared = SqliteSharedStore(str(tmp_path / "cache.sqlite"))
-    cache = PortalCache(clock, shared=shared)
+    cache = PortalCache(clock, obs=obs, shared=shared)
     cache.set("k0", "v", ttl=5)
     clock.advance(6)
     # Under PRUNE_EVERY sets: the expired row may linger...
@@ -141,7 +141,8 @@ def test_model_write_purges_via_signals(deployment, astronomer):
     """An ORM save through any role connection bumps the right tags."""
     from repro.serve import PortalCache
     from tests.core.conftest import submit_direct
-    cache = PortalCache(deployment.clock).connect_invalidation()
+    cache = PortalCache(deployment.clock,
+                        obs=deployment.obs).connect_invalidation()
     try:
         cache.set("list", "page", tags={"sims"}, ttl=600)
         cache.set("suggest", "names", tags={"star-suggest"}, ttl=600)
@@ -155,7 +156,8 @@ def test_model_write_purges_via_signals(deployment, astronomer):
 def test_disconnected_cache_ignores_writes(deployment, astronomer):
     from repro.serve import PortalCache
     from tests.core.conftest import submit_direct
-    cache = PortalCache(deployment.clock).connect_invalidation()
+    cache = PortalCache(deployment.clock,
+                        obs=deployment.obs).connect_invalidation()
     cache.close()
     cache.set("list", "page", tags={"sims"}, ttl=600)
     submit_direct(deployment, astronomer)

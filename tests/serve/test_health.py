@@ -19,8 +19,8 @@ def clock():
 # Tracker state machine
 # ----------------------------------------------------------------------
 
-def test_errors_flip_degraded_and_recovery_flips_back(clock):
-    tracker = HealthTracker(clock, window=10, min_samples=4,
+def test_errors_flip_degraded_and_recovery_flips_back(clock, obs):
+    tracker = HealthTracker(clock, obs=obs, window=10, min_samples=4,
                             error_threshold=0.5, recovery_after_s=5.0)
     assert not tracker.degraded
     for _ in range(4):
@@ -35,14 +35,15 @@ def test_errors_flip_degraded_and_recovery_flips_back(clock):
     assert not tracker.degraded
 
 
-def test_slow_statements_count_as_unhealthy(clock):
-    tracker = HealthTracker(clock, min_samples=4, slow_statement_s=1.0)
+def test_slow_statements_count_as_unhealthy(clock, obs):
+    tracker = HealthTracker(clock, obs=obs, min_samples=4,
+                            slow_statement_s=1.0)
     for _ in range(4):
         tracker.record_db_ok(latency_s=3.0)     # slow = bad
     assert tracker.degraded
 
 
-def test_genuine_database_errors_flip_degraded_and_back(clock):
+def test_genuine_database_errors_flip_degraded_and_back(clock, obs):
     """No injector anywhere: a genuinely failing sqlite statement
     feeds the tracker, and genuine healthy statements recover it."""
     import sqlite3
@@ -50,7 +51,7 @@ def test_genuine_database_errors_flip_degraded_and_back(clock):
     from repro.webstack.orm.connection import Database
     db = Database(":memory:")
     db.executescript("CREATE TABLE t (x INTEGER)")
-    tracker = HealthTracker(clock, min_samples=4,
+    tracker = HealthTracker(clock, obs=obs, min_samples=4,
                             recovery_after_s=5.0).attach(db)
     for _ in range(4):
         with pytest.raises(sqlite3.OperationalError):
@@ -62,14 +63,14 @@ def test_genuine_database_errors_flip_degraded_and_back(clock):
     assert not tracker.degraded
 
 
-def test_constraint_violations_are_not_db_sickness(clock):
+def test_constraint_violations_are_not_db_sickness(clock, obs):
     """An IntegrityError is the application's problem, not the
     database's: it must not push the tier toward brownout."""
     from repro.webstack.orm.connection import Database
     from repro.webstack.orm.exceptions import IntegrityError
     db = Database(":memory:")
     db.executescript("CREATE TABLE t (x INTEGER PRIMARY KEY)")
-    tracker = HealthTracker(clock, min_samples=2).attach(db)
+    tracker = HealthTracker(clock, obs=obs, min_samples=2).attach(db)
     db.execute("INSERT INTO t (x) VALUES (1)", operation="insert",
                table="t")
     for _ in range(4):
@@ -79,7 +80,7 @@ def test_constraint_violations_are_not_db_sickness(clock):
     assert not tracker.degraded
 
 
-def test_probe_is_not_ready_on_raw_sqlite_error(clock):
+def test_probe_is_not_ready_on_raw_sqlite_error(clock, obs):
     """A probe failure outside the ORM exception hierarchy still
     answers not-ready (the structured 503), never a traceback page."""
     import sqlite3
@@ -88,11 +89,11 @@ def test_probe_is_not_ready_on_raw_sqlite_error(clock):
         def ping(self):
             raise sqlite3.OperationalError("disk I/O error")
 
-    assert HealthTracker(clock).probe(BrokenDb()) is False
+    assert HealthTracker(clock, obs=obs).probe(BrokenDb()) is False
 
 
-def test_mixed_traffic_below_threshold_stays_healthy(clock):
-    tracker = HealthTracker(clock, window=10, min_samples=4,
+def test_mixed_traffic_below_threshold_stays_healthy(clock, obs):
+    tracker = HealthTracker(clock, obs=obs, window=10, min_samples=4,
                             error_threshold=0.5)
     for _ in range(7):
         tracker.record_db_ok(0.01)
@@ -232,8 +233,8 @@ def test_full_service_recovers_after_fault_clears(chaos_portal,
     assert response.get("X-Cache") == "miss"   # rendered live again
 
 
-def test_stale_grace_bounds_how_old_a_page_can_be(clock):
-    cache = PortalCache(clock, stale_grace_s=300.0)
+def test_stale_grace_bounds_how_old_a_page_can_be(clock, obs):
+    cache = PortalCache(clock, obs=obs, stale_grace_s=300.0)
     cache.set("page", "rendered", ttl=60.0)
     clock.advance(61)
     assert cache.get("page") is None           # expired for fresh reads
@@ -242,8 +243,8 @@ def test_stale_grace_bounds_how_old_a_page_can_be(clock):
     assert cache.get_stale("page") is None
 
 
-def test_stale_grace_zero_preserves_seed_behaviour(clock):
-    cache = PortalCache(clock)                 # grace defaults to 0
+def test_stale_grace_zero_preserves_seed_behaviour(clock, obs):
+    cache = PortalCache(clock, obs=obs)        # grace defaults to 0
     cache.set("page", "rendered", ttl=60.0)
     clock.advance(61)
     assert cache.get("page") is None

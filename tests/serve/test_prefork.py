@@ -137,6 +137,12 @@ def test_killed_worker_is_respawned(server):
         time.sleep(0.05)
     assert server.pids[0] != dead_pid
     assert server.respawns == 1
+    # The supervisor counts it on its own facade: no argument needed.
+    metrics = server.obs.metrics
+    assert [metrics.value("serve_worker_up", worker=str(index))
+            for index in range(2)] == [1, 1]
+    assert [r.fields["worker"] for r in
+            server.obs.events.of_kind("serve.worker.respawn")] == [0]
     # The replacement (and the survivor) keep serving.
     for _ in range(10):
         assert _get(server.url + "/stars/")[0] == 200

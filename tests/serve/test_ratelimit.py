@@ -15,8 +15,9 @@ def clock():
     return SimClock()
 
 
-def test_bucket_exhausts_then_refills(clock):
-    limiter = RateLimiter(clock, policies={}, default=RatePolicy(3, 1.0))
+def test_bucket_exhausts_then_refills(clock, obs):
+    limiter = RateLimiter(clock, obs=obs, policies={},
+                          default=RatePolicy(3, 1.0))
     for _ in range(3):
         allowed, _ = limiter.check("home", "addr:a")
         assert allowed
@@ -28,35 +29,37 @@ def test_bucket_exhausts_then_refills(clock):
     assert allowed
 
 
-def test_clients_have_independent_budgets(clock):
-    limiter = RateLimiter(clock, policies={}, default=RatePolicy(1, 0.1))
+def test_clients_have_independent_budgets(clock, obs):
+    limiter = RateLimiter(clock, obs=obs, policies={},
+                          default=RatePolicy(1, 0.1))
     assert limiter.check("home", "addr:a")[0]
     assert not limiter.check("home", "addr:a")[0]
     assert limiter.check("home", "addr:b")[0]
 
 
-def test_per_route_policy_overrides_default(clock):
+def test_per_route_policy_overrides_default(clock, obs):
     limiter = RateLimiter(
-        clock, policies={"api-campaign-create": RatePolicy(1, 0.01)},
+        clock, obs=obs,
+        policies={"api-campaign-create": RatePolicy(1, 0.01)},
         default=RatePolicy(100, 10.0))
     assert limiter.check("api-campaign-create", "addr:a")[0]
     assert not limiter.check("api-campaign-create", "addr:a")[0]
     assert limiter.check("sim-list", "addr:a")[0]
 
 
-def test_bucket_table_is_lru_bounded(clock):
-    limiter = RateLimiter(clock, policies={},
+def test_bucket_table_is_lru_bounded(clock, obs):
+    limiter = RateLimiter(clock, obs=obs, policies={},
                           default=RatePolicy(1, 0.001), max_buckets=10)
     for i in range(50):
         limiter.check("home", f"addr:{i}")
     assert len(limiter._buckets) <= 10
 
 
-def test_deterministic_under_sim_clock():
+def test_deterministic_under_sim_clock(obs):
     """Two identical request sequences produce identical decisions."""
     def run():
         clock = SimClock()
-        limiter = RateLimiter(clock, policies={},
+        limiter = RateLimiter(clock, obs=obs, policies={},
                               default=RatePolicy(2, 0.5))
         decisions = []
         for step in range(8):
@@ -142,11 +145,11 @@ def test_spoofed_client_flood_respects_max_buckets(clock, deployment):
         "serve_throttled_total", route="home") == throttled
 
 
-def test_evicted_client_refills_in_its_own_favour(clock):
+def test_evicted_client_refills_in_its_own_favour(clock, obs):
     """Dropping the least-recently-active bucket forgets that client's
     spending — the error is a fresh (full) budget, never a stricter
     one."""
-    limiter = RateLimiter(clock, policies={},
+    limiter = RateLimiter(clock, obs=obs, policies={},
                           default=RatePolicy(1, 0.0001), max_buckets=4)
     assert limiter.check("home", "addr:victim")[0]
     assert not limiter.check("home", "addr:victim")[0]   # spent
@@ -175,11 +178,11 @@ def test_probes_and_metrics_are_never_throttled_or_cached(
             assert response.get("X-Cache") is None
 
 
-def test_exempt_routes_never_enter_the_cache_rules(deployment):
+def test_exempt_routes_never_enter_the_cache_rules(deployment, obs):
     """Even a hand-written rule set cannot opt a probe into caching."""
     from repro.serve import CacheMiddleware, CacheRule, PortalCache
     from repro.serve.cache import EXEMPT_ROUTES
-    cache = PortalCache(SimClock())
+    cache = PortalCache(SimClock(), obs=obs)
     middleware = CacheMiddleware(cache, rules={
         "metrics": CacheRule(60, lambda kwargs: {"stats"}),
         "healthz": CacheRule(60, lambda kwargs: set()),

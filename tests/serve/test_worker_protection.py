@@ -132,7 +132,7 @@ def test_worker_recycles_cleanly_after_max_requests():
 # Crash-loop backoff
 # ----------------------------------------------------------------------
 
-def test_crashlooping_worker_respawns_with_backoff(deployment):
+def test_crashlooping_worker_respawns_with_backoff():
     """A worker that dies on startup is not respawned in a tight loop:
     each rapid exit doubles the delay, and a crash-loop event fires
     once the streak hits the threshold."""
@@ -140,8 +140,7 @@ def test_crashlooping_worker_respawns_with_backoff(deployment):
         raise RuntimeError("broken app factory")
 
     server = PreforkServer(
-        factory, workers=1, obs=deployment.obs,
-        rapid_exit_s=5.0, respawn_backoff_base_s=0.2,
+        factory, workers=1, rapid_exit_s=5.0, respawn_backoff_base_s=0.2,
         respawn_backoff_max_s=2.0, crashloop_after=3)
     server.start()
     try:
@@ -153,7 +152,7 @@ def test_crashlooping_worker_respawns_with_backoff(deployment):
         # Backoff (0.2 + 0.4 + 0.8 + ...) keeps it to a handful.
         assert 1 <= server.respawns <= 8
         assert server._rapid_exits.get(0, 0) >= 3
-        events = deployment.obs.events.of_kind("serve.worker.crashloop")
+        events = server.obs.events.of_kind("serve.worker.crashloop")
         assert len(events) == 1
         assert events[0].fields["rapid_exits"] == 3
     finally:
