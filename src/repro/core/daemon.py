@@ -356,14 +356,19 @@ class GridAMPDaemon:
         """Level 1: refresh every in-flight grid job's GRAM state.
 
         One JOIN-backed SELECT loads every record with its simulation
-        and owner; state changes accumulate and flush in one
-        ``bulk_update`` — two round trips however many jobs are active.
-        Only jobs of the leased slices are polled.
+        and owner — only the columns this loop decides on, so the
+        wide simulation and user rows are never hydrated; state changes
+        accumulate and flush in one ``bulk_update`` — two round trips
+        however many jobs are active.  Only jobs of the leased slices
+        are polled.
         """
         active = (GridJobRecord.objects.using(self.db)
                   .filter(state__in=["UNSUBMITTED", "PENDING", "ACTIVE"],
                           simulation_id__mod=slice_filter)
-                  .select_related("simulation__owner"))
+                  .select_related("simulation__owner")
+                  .only("simulation", "resource", "gram_job_id", "state",
+                        "failure_reason", "simulation__owner__username",
+                        "simulation__owner__email"))
         changed = []
         for record in active:
             if record.gram_job_id is None:

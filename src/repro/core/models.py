@@ -15,6 +15,7 @@ purpose-blind poll loop.
 
 from __future__ import annotations
 
+from ..obs import correlation_id
 from ..webstack import orm
 from ..webstack.auth import AUTH_MODELS, User
 
@@ -403,7 +404,6 @@ class Simulation(orm.Model):
         """The simulation's trace id, threaded from portal submission
         through every daemon span, state-transition event, and grid
         command (see :mod:`repro.obs`)."""
-        from ..obs import correlation_id
         return correlation_id(self.pk)
 
     @property

@@ -30,6 +30,8 @@ tag.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..errors import PermanentGridError, TransientGridError
 from ..gram import FAILED
 from ..rsl import format_rsl, parse_rsl
@@ -160,7 +162,10 @@ class GramBackend:
             holder["data"] = clients.fabric.gridftp(resource_name).get(
                 proxy, remote_path)
             return f"{len(holder['data'])} bytes"
-        result = clients._run(argv, action, resource=resource_name)
+        logged = clients._run(argv, action, resource=resource_name)
+        # The caller's copy carries the payload; the command log keeps
+        # the one without, so the log never holds output tarballs.
+        result = dataclasses.replace(logged)
         result.data = holder.get("data")
         return result
 

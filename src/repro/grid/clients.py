@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..obs.events import Ring
 from .backends import GRAM_BACKEND
-from .certificates import SAMLAssertion
+from .certificates import CertificateInvalid, SAMLAssertion
 from .errors import GridError, PermanentGridError, TransientGridError
 from .retry import (OP_CANCEL, OP_OTHER, OP_POLL, OP_PROXY, OP_QSTAT,
                     OP_SUBMIT, OP_TRANSFER)
@@ -70,7 +70,13 @@ class GridClients:
     def __init__(self, fabric, gateway_name="AMP", *, breakers, obs):
         self.fabric = fabric
         self.gateway_name = gateway_name
-        self.current_proxy = None
+        #: The proxy wallet: one proxy per gateway user, and the user the
+        #: daemon is acting for now (whose proxy signs every command).
+        #: ``_verified`` holds the users whose entry passed verification
+        #: since it last changed.
+        self._wallet = {}
+        self._verified = set()
+        self._active_user = None
         self.command_log = Ring()
         #: The :class:`~repro.grid.breaker.BreakerRegistry`: when a
         #: resource's breaker is open, commands against it are suppressed
@@ -170,6 +176,7 @@ class GridClients:
             saml = SAMLAssertion(gateway_name=self.gateway_name,
                                  gateway_user=gateway_user,
                                  user_email=email)
+            self._active_user = gateway_user
             self.current_proxy = self.fabric.proxy_factory.issue(
                 saml, lifetime_s=lifetime_s)
             return f"proxy issued for {self.current_proxy.subject}"
@@ -184,28 +191,44 @@ class GridClients:
 
     def ensure_proxy(self, gateway_user, email="", *,
                      min_remaining_s=3600.0):
-        """Re-issue the proxy when absent, near expiry, or for another
-        user.
+        """Act for *gateway_user* from now on: make their wallet proxy
+        the active one, re-issuing it when absent, near expiry, or
+        failing verification.
 
         The daemon calls this before acting on behalf of a user: proxies
         are short-lived by design, and every request must be SAML-
-        attributed to the *right* gateway user.  A proxy that expired or
+        attributed to the *right* gateway user.  The remaining lifetime
+        is checked on every call; the signature chain once per wallet
+        entry, because an entry only changes through issuance or an
+        assignment to :attr:`current_proxy`.  A proxy that expired or
         was damaged mid-run (fault injection, clock skew) is detected
         here and silently replaced — credential trouble must self-heal
         before it can surface as a permanent failure.
         """
-        proxy = self.current_proxy
+        self._active_user = gateway_user
+        proxy = self._wallet.get(gateway_user)
         now = self.fabric.clock.now
         if (proxy is not None
-                and proxy.saml.gateway_user == gateway_user
                 and proxy.expires_at - now >= min_remaining_s
-                and self._proxy_verifies(proxy)):
+                and (gateway_user in self._verified
+                     or self._proxy_verifies(proxy))):
+            self._verified.add(gateway_user)
             return CommandResult(["grid-proxy-info"], EXIT_OK,
                                  stdout="proxy still valid")
         return self.grid_proxy_init(gateway_user, email)
 
+    @property
+    def current_proxy(self):
+        """The active user's wallet proxy (None before any issuance)."""
+        return self._wallet.get(self._active_user)
+
+    @current_proxy.setter
+    def current_proxy(self, proxy):
+        # A replaced entry is verified afresh on its next ensure_proxy.
+        self._wallet[self._active_user] = proxy
+        self._verified.discard(self._active_user)
+
     def _proxy_verifies(self, proxy):
-        from .certificates import CertificateInvalid
         try:
             self.fabric.proxy_factory.verify(proxy)
         except CertificateInvalid:

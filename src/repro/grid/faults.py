@@ -287,11 +287,11 @@ class FaultInjector:
         self.fabric.gram(resource_name).inject_submit_rejections(n)
 
     # ------------------------------------------------------------------
-    # Credential faults (the toolkit must self-heal: ensure_proxy
-    # detects the bad proxy and re-issues)
+    # Credential faults (the toolkit must self-heal: the next
+    # ensure_proxy for that user detects the bad proxy and re-issues)
     # ------------------------------------------------------------------
     def expire_proxy(self, clients):
-        """Force the daemon's current proxy to expire mid-run."""
+        """Force the active user's wallet proxy to expire mid-run."""
         proxy = clients.current_proxy
         if proxy is None:
             return None
@@ -305,7 +305,8 @@ class FaultInjector:
         return expired
 
     def tamper_proxy(self, clients):
-        """Break the signature chain of the daemon's current proxy."""
+        """Break the signature chain of the active user's wallet
+        proxy."""
         proxy = clients.current_proxy
         if proxy is None:
             return None

@@ -143,6 +143,9 @@ class MetricFamily:
         self.help = help
         self.buckets = tuple(buckets) if buckets else None
         self._children = {}
+        #: Children by label items in the keyword order a call site
+        #: passed them, so a repeated call skips the sort.
+        self._by_call = {}
 
     def _make_child(self):
         if self.kind == HISTOGRAM:
@@ -150,11 +153,15 @@ class MetricFamily:
         return _KIND_CLASSES[self.kind]()
 
     def labels(self, **labels):
-        key = tuple(sorted(labels.items()))
-        child = self._children.get(key)
+        items = tuple(labels.items())
+        child = self._by_call.get(items)
         if child is None:
-            child = self._make_child()
-            self._children[key] = child
+            key = tuple(sorted(items))
+            child = self._children.get(key)
+            if child is None:
+                child = self._make_child()
+                self._children[key] = child
+            self._by_call[items] = child
         return child
 
     # Bare-family convenience: ``counter("x").inc()``.

@@ -23,20 +23,23 @@ from .events import Ring
 
 
 class Span:
-    """One timed, attributed unit of work."""
+    """One timed, attributed unit of work; as a context manager it is
+    open on its tracer's stack for the ``with`` block.  The span owns
+    the *attrs* dict it is given."""
 
-    __slots__ = ("span_id", "trace_id", "parent_id", "name", "start",
-                 "end", "attrs", "status")
+    __slots__ = ("tracer", "span_id", "trace_id", "parent_id", "name",
+                 "start", "end", "attrs", "status")
 
-    def __init__(self, span_id, trace_id, parent_id, name, start,
-                 attrs=None):
+    def __init__(self, tracer, span_id, trace_id, parent_id, name, start,
+                 attrs):
+        self.tracer = tracer
         self.span_id = span_id
         self.trace_id = trace_id
         self.parent_id = parent_id
         self.name = name
         self.start = start
         self.end = None
-        self.attrs = dict(attrs or {})
+        self.attrs = attrs
         self.status = "ok"
 
     @property
@@ -56,29 +59,19 @@ class Span:
         return (f"<Span #{self.span_id} {self.name!r} "
                 f"trace={self.trace_id}>")
 
-
-class _SpanContext:
-    """Context manager pushing/popping one span on the tracer stack."""
-
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer, span):
-        self.tracer = tracer
-        self.span = span
-
     def __enter__(self):
-        self.tracer._stack.append(self.span)
-        return self.span
+        self.tracer._stack.append(self)
+        return self
 
     def __exit__(self, exc_type, exc, tb):
-        span = self.span
-        span.end = self.tracer.clock.now
+        tracer = self.tracer
+        self.end = tracer.clock.now
         if exc_type is not None:
-            span.status = "error"
-            span.set_attr("error", exc_type.__name__)
-        popped = self.tracer._stack.pop()
-        assert popped is span, "span stack corrupted"
-        self.tracer.finished.append(span)
+            self.status = "error"
+            self.attrs["error"] = exc_type.__name__
+        popped = tracer._stack.pop()
+        assert popped is self, "span stack corrupted"
+        tracer.finished.append(self)
         return False
 
 
@@ -98,17 +91,21 @@ class Tracer:
 
         The parent is whatever span is currently open on this tracer;
         the trace id defaults to the parent's (ambient propagation), or
-        to a fresh ``trace-NNNNNN`` for a root span.
+        to a fresh ``trace-NNNNNN`` for a root span.  *attrs* becomes
+        the span's own dict: pass a fresh one.
         """
         span_id = next(self._ids)
-        parent = self._stack[-1] if self._stack else None
-        if trace_id is None:
-            trace_id = (parent.trace_id if parent is not None
-                        else f"trace-{span_id:06d}")
-        span = Span(span_id, trace_id,
-                    parent.span_id if parent is not None else None,
-                    name, self.clock.now, attrs=attrs)
-        return _SpanContext(self, span)
+        if self._stack:
+            parent = self._stack[-1]
+            parent_id = parent.span_id
+            if trace_id is None:
+                trace_id = parent.trace_id
+        else:
+            parent_id = None
+            if trace_id is None:
+                trace_id = f"trace-{span_id:06d}"
+        return Span(self, span_id, trace_id, parent_id, name,
+                    self.clock.now, {} if attrs is None else attrs)
 
     @property
     def current_span(self):

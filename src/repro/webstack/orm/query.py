@@ -538,10 +538,28 @@ class QuerySet:
         Unloaded columns are deferred: touching one later triggers a
         single-column fetch for that instance.  Use for listings that
         render a few columns of wide rows (e.g. ``Simulation.results``).
+
+        A ``rel__field`` name is a column of a ``select_related`` node
+        (call ``select_related`` first).  Once any is given, every
+        joined model is projected the same way: its named columns, its
+        pk and the foreign keys of deeper joins.
         """
         clone = self._clone()
+        nodes = None
         for name in names:
-            self._validate_field_name(name, "only()")
+            path, _, field_name = name.rpartition("__")
+            if not path:
+                self._validate_field_name(name, "only()")
+                continue
+            if nodes is None:
+                nodes = {node["path"]: node["target"]
+                         for node in self._join_plan()}
+            target = nodes.get(path)
+            if target is None \
+                    or target._meta.field_by_any_name(field_name) is None:
+                raise FieldError(
+                    f"only() path {name!r} names no column of a "
+                    f"select_related node of {self.model.__name__}")
         clone._only = set(names)
         return clone
 
@@ -608,7 +626,7 @@ class QuerySet:
         deferred = {meta.field_by_any_name(n) for n in self._defer}
         if self._only is not None:
             wanted = {meta.field_by_any_name(n)
-                      for n in self._only} - deferred
+                      for n in self._only if "__" not in n} - deferred
         else:
             wanted = set(meta.fields) - deferred
         join_fks = {meta.field_by_any_name(p.split("__")[0])
@@ -616,6 +634,27 @@ class QuerySet:
         return [field for field in meta.fields
                 if field.primary_key or field in wanted
                 or field in join_fks]
+
+    def _project_joins(self, plan):
+        """Set each join node's ``fields``: the columns to SELECT for
+        its model, or None for all of them (no ``rel__field`` in
+        ``only()``)."""
+        named = {}
+        for name in self._only or ():
+            path, _, field_name = name.rpartition("__")
+            if path:
+                named.setdefault(path, set()).add(field_name)
+        for node in plan:
+            node["fields"] = None
+            if not named:
+                continue
+            tmeta = node["target"]._meta
+            wanted = {tmeta.field_by_any_name(n)
+                      for n in named.get(node["path"], ())}
+            wanted |= {child["field"] for child in plan
+                       if child["parent_path"] == node["path"]}
+            node["fields"] = [f for f in tmeta.fields
+                              if f.primary_key or f in wanted]
 
     def _compiled(self, kind, extra, emit, base_alias=None):
         """The one place a statement is compiled: ``(sql, params, entry)``.
@@ -669,6 +708,7 @@ class QuerySet:
     def _emit_select(self, compiler, where):
         meta = self.model._meta
         plan = self._join_plan()
+        self._project_joins(plan)
         fields = self._projected_fields()
         base_fields = fields if fields is not None else meta.fields
         if plan:
@@ -676,7 +716,8 @@ class QuerySet:
                     for f in base_fields]
             for node in plan:
                 prefix = node["path"]
-                for f in node["target"]._meta.fields:
+                for f in (node["fields"]
+                          or node["target"]._meta.fields):
                     cols.append(f'"{node["alias"]}"."{f.column}" '
                                 f'AS "{prefix}__{f.column}"')
             sql = (f'SELECT {", ".join(cols)} '
@@ -728,7 +769,7 @@ class QuerySet:
                 node["field"].attname,
                 node["target"]._compile_hydrator(
                     lambda column, prefix=prefix:
-                    index.get(prefix + column))))
+                    index.get(prefix + column), node["fields"])))
             slots[node["path"]] = len(steps)
 
         def hydrate_joined(row, db):

@@ -82,6 +82,34 @@ class TestPollRoundTripBudget:
         assert large.count == small.count
 
 
+class TestScanPollCommands:
+    def test_steady_state_scan_signs_with_each_owners_wallet_proxy(
+            self, deployment):
+        """N RUNNING simulations of K owners, nothing due: one status
+        command per job, each attributed to its owner, and not one
+        proxy issued — every owner's proxy is already in the wallet."""
+        owners = [deployment.create_astronomer(f"owner{k}")
+                  for k in range(3)]
+        n = 12
+        for index in range(n):
+            submit_direct(deployment, owners[index % len(owners)])
+        for _ in range(3):
+            deployment.daemon.poll_once()
+        assert Simulation.objects.using(deployment.databases.admin) \
+            .filter(state="RUNNING").count() == n
+        clients, audit = deployment.clients, deployment.fabric.audit
+        logged, polls = len(clients.command_log), dict(audit.tally)
+        assert deployment.daemon.poll_once() == 0
+        new = len(clients.command_log) - logged
+        programs = [result.argv[0]
+                    for result in list(clients.command_log)[-new:]]
+        assert programs.count("grid-proxy-init") == 0
+        assert programs.count("globus-job-status") == n
+        for owner in owners:
+            key = (owner.username, "gram-poll")
+            assert audit.tally[key] - polls.get(key, 0) == n // len(owners)
+
+
 class TestCatalogBatching:
     def test_local_search_hit_is_one_query(self, deployment):
         db = deployment.databases.portal

@@ -124,6 +124,68 @@ class TestGramBatch:
         assert clients.current_proxy.saml.gateway_user == "woitaszek"
 
 
+def proxy_inits(clients):
+    return [r.argv[2] for r in clients.command_log
+            if r.argv[0] == "grid-proxy-init"]
+
+
+class TestProxyWallet:
+    """One proxy per gateway user: acting for another user switches
+    proxies, it does not re-issue them."""
+
+    def test_two_users_alternating_issue_two_proxies(self, grid, obs):
+        clock, fabric, _, kraken = grid
+        clients = grid_clients(fabric, obs)
+        factory = fabric.proxy_factory
+        verify, verified = factory.verify, []
+
+        def counting_verify(proxy):
+            verified.append(proxy)
+            return verify(proxy)
+        factory.verify = counting_verify
+        for _ in range(100):
+            for user in ("metcalfe", "woitaszek"):
+                assert clients.ensure_proxy(user).ok
+                assert clients.current_proxy.saml.gateway_user == user
+        assert proxy_inits(clients) == ["metcalfe", "woitaszek"]
+        # Each proxy is verified once, when it entered the wallet.
+        assert len(verified) == 2
+
+    @pytest.mark.parametrize("fault", ["expire_proxy", "tamper_proxy"])
+    def test_damaged_proxy_is_reissued_for_its_user_only(self, grid,
+                                                         fault):
+        clock, fabric, clients, kraken = grid
+        clients.ensure_proxy("woitaszek")
+        other = clients.current_proxy
+        clients.ensure_proxy("metcalfe")
+        damaged = getattr(FaultInjector(fabric, clock), fault)(clients)
+        assert clients.current_proxy is damaged
+        # The GRAM service verifies every request it is handed.
+        rejected = clients.globus_job_status("kraken", 1)
+        assert not rejected.ok and not rejected.transient
+        with pytest.raises(CredentialError):
+            fabric.gram("kraken").poll(damaged, 1)
+        issued = proxy_inits(clients)
+        clients.ensure_proxy("woitaszek")
+        assert clients.current_proxy is other
+        clients.ensure_proxy("metcalfe")
+        assert proxy_inits(clients) == issued + ["metcalfe"]
+        assert clients.current_proxy is not damaged
+        fabric.proxy_factory.verify(clients.current_proxy)
+
+    def test_proxy_near_expiry_is_reissued(self, grid):
+        clock, fabric, clients, kraken = grid
+        first = clients.current_proxy
+        clock.advance(first.lifetime_s - 3600.0 - 60.0)
+        clients.ensure_proxy("metcalfe")
+        assert clients.current_proxy is first
+        clock.advance(120.0)        # under an hour left: renew
+        clients.ensure_proxy("metcalfe")
+        assert clients.current_proxy is not first
+        assert clients.current_proxy.issued_at == clock.now
+        assert proxy_inits(clients) == ["metcalfe", "metcalfe"]
+
+
 class TestGridFTP:
     def test_put_get_round_trip(self, grid):
         clock, fabric, clients, kraken = grid
@@ -132,6 +194,17 @@ class TestGridFTP:
         assert put.ok
         got = clients.stage_out("kraken", "/stage/input.txt")
         assert got.data == b"mass=1.0"
+
+    def test_logged_stage_out_keeps_no_payload(self, grid):
+        clock, fabric, clients, kraken = grid
+        kraken.filesystem.mkdir("/stage")
+        clients.stage_in("kraken", "/stage/out.tar", b"x" * 4096)
+        got = clients.stage_out("kraken", "/stage/out.tar")
+        logged = clients.command_log[-1]
+        assert got.data == b"x" * 4096
+        assert (logged.argv, logged.exit_code, logged.stdout) == \
+            (got.argv, got.exit_code, got.stdout)
+        assert getattr(logged, "data", None) is None
 
     def test_missing_remote_file_is_permanent(self, grid):
         clock, fabric, clients, kraken = grid

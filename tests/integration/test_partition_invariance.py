@@ -74,8 +74,8 @@ def commands_by_simulation(deployment):
     from the event log every instance's clients write to, keyed by the
     simulation's correlation id.  Commands under a poll's own trace
     (the telemetry probes) belong to no simulation, and proxy renewals
-    are per daemon process (each keeps its own credential cache), so
-    both are left out."""
+    are per user, per process (each daemon keeps its own proxy wallet),
+    so both are left out."""
     sequences = {
         simulation.correlation_id: []
         for simulation in Simulation.objects.using(

@@ -94,10 +94,27 @@ def reference_instance(model, row, database, fields=None):
     return obj
 
 
+def joined_projection(queryset, node, plan):
+    """The fields a join node loads, written out: all of them, unless
+    ``only()`` names a related column — then the node's named columns,
+    its pk and the foreign keys that deeper joins follow."""
+    named = [name.rpartition("__") for name in queryset._only or ()
+             if "__" in name]
+    if not named:
+        return None
+    meta = node["target"]._meta
+    wanted = {meta.field_by_any_name(field_name)
+              for path, _, field_name in named if path == node["path"]}
+    wanted |= {child["field"] for child in plan
+               if child["parent_path"] == node["path"]}
+    return [f for f in meta.fields if f.primary_key or f in wanted]
+
+
 def reference_fetch(queryset):
     """What ``QuerySet._fetch`` must return, one field at a time."""
     sql, params, _ = queryset._build_select()
     database = queryset.db
+    plan = queryset._join_plan()
     instances = []
     for raw in database.execute(
             sql, params, operation="select",
@@ -106,7 +123,7 @@ def reference_fetch(queryset):
         obj = reference_instance(queryset.model, row, database,
                                  queryset._projected_fields())
         hydrated = {None: obj}
-        for node in queryset._join_plan():
+        for node in plan:
             parent = hydrated.get(node["parent_path"])
             if parent is None:
                 hydrated[node["path"]] = None
@@ -120,7 +137,8 @@ def reference_fetch(queryset):
             related = reference_instance(
                 node["target"],
                 {key[len(prefix):]: value for key, value in row.items()
-                 if key.startswith(prefix)}, database)
+                 if key.startswith(prefix)}, database,
+                joined_projection(queryset, node, plan))
             cache[node["field"].name] = related
             hydrated[node["path"]] = related
         instances.append(obj)
@@ -193,15 +211,35 @@ SHAPES = {
 }
 
 
+def related_columns(model, related):
+    """``path__field`` for every non-pk column of every node the
+    ``select_related`` paths join (``book__author`` joins two)."""
+    names = []
+    for raw in related:
+        target, walked = model, []
+        for part in raw.split("__"):
+            walked.append(part)
+            target = target._meta.field_by_any_name(part).resolve_target()
+            names += [f"{'__'.join(walked)}__{f.name}"
+                      for f in target._meta.fields if not f.primary_key]
+    return sorted(set(names))
+
+
 @st.composite
 def queryset_recipes(draw):
-    """(model, select_related paths, projection kind, projected names)."""
+    """(model, select_related paths, projection kind, projected names);
+    ``only_related`` projects joined models too."""
     model = draw(st.sampled_from(MODELS))
     related = draw(st.sampled_from(SHAPES[model]))
-    kind = draw(st.sampled_from(["all", "only", "defer"]))
+    kinds = ["all", "only", "defer"] + (["only_related"] if related else [])
+    kind = draw(st.sampled_from(kinds))
     names = draw(st.lists(
         st.sampled_from([f.name for f in model._meta.fields
                          if not f.primary_key]), unique=True))
+    if kind == "only_related":
+        names += draw(st.lists(
+            st.sampled_from(related_columns(model, related)),
+            min_size=1, unique=True))
     return model, related, kind, names
 
 
@@ -210,7 +248,7 @@ def build(recipe, database):
     queryset = model.objects.using(database).order_by("id")
     if related:
         queryset = queryset.select_related(*related)
-    if kind == "only":
+    if kind in ("only", "only_related"):
         queryset = queryset.only(*names)
     elif kind == "defer":
         queryset = queryset.defer(*names)
@@ -264,6 +302,21 @@ def test_reference_and_hydrator_on_one_row_of_each_kind():
     assert third.book.__dict__["_fk_cache"]["author"].pk is None
     assert [snapshot(obj) for obj in loans] \
         == [snapshot(obj) for obj in (first, second, third)]
+
+    # A related projection: the middle hop keeps only its pk and the FK
+    # the next join follows.
+    slim = (Loan.objects.using(database).order_by("id")
+            .select_related("book__author")
+            .only("borrower", "book__author__name"))
+    expected = reference_fetch(slim)
+    book = expected[0].__dict__["_fk_cache"]["book"]
+    assert book.__dict__["author_id"] == 1
+    assert book.__dict__["_deferred_fields"] == {
+        "title", "pages", "rating", "tags", "published", "summary",
+        "status"}
+    assert book.__dict__["_fk_cache"]["author"].name == "Ada"
+    assert [snapshot(obj) for obj in slim] \
+        == [snapshot(obj) for obj in expected]
 
     insert(database, Book, {"id": 3, "author_id": 1, "tags": "{bad"})
     books = Book.objects.using(database)

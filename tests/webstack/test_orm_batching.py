@@ -3,7 +3,7 @@ round-trip counter that keeps call sites honest."""
 
 import pytest
 
-from repro.webstack.orm import FieldError
+from repro.webstack.orm import FieldError, compiled_cache
 
 from .conftest import Author, Book
 
@@ -143,6 +143,61 @@ class TestProjection:
         _library(db, authors=1, books_each=1)
         book = Book.objects.using(db).only("title").first()
         assert book.pk is not None
+
+
+class TestRelatedProjection:
+    """``only("rel__field")``: a joined model loads just the named
+    columns and its pk."""
+
+    @staticmethod
+    def slim(db):
+        return (Book.objects.using(db).select_related("author")
+                .only("title", "author__name"))
+
+    def test_sql_selects_only_the_named_joined_columns(self, db):
+        sql, _, _ = self.slim(db)._build_select()
+        assert '"sr1"."name"' in sql and '"sr1"."id"' in sql
+        assert '"sr1"."email"' not in sql
+        assert '"sr1"."active"' not in sql
+        # The base model keeps its own projection and the join's FK.
+        assert '"t0"."author_id"' in sql and '"t0"."pages"' not in sql
+
+    def test_deferred_joined_column_loads_lazily(self, db):
+        authors, _ = _library(db, authors=2, books_each=1)
+        with db.count_queries() as fetch:
+            books = list(self.slim(db).order_by("id"))
+            names = [book.author.name for book in books]
+        assert fetch.count == 1
+        assert names == [author.name for author in authors]
+        author = books[0].author
+        assert author._deferred_fields == {"email", "active"}
+        with db.count_queries() as lazy:
+            assert author.email == authors[0].email
+        assert lazy.count == 1
+
+    def test_path_naming_no_joined_column_is_rejected(self, db):
+        joined = Book.objects.using(db).select_related("author")
+        for name in ("author__nope", "publisher__name", "title__name"):
+            with pytest.raises(FieldError):
+                joined.only(name)
+        with pytest.raises(FieldError):
+            # A related path needs its select_related node first.
+            Book.objects.using(db).only("author__name")
+
+    def test_each_projection_is_its_own_compiled_entry(self, db):
+        _library(db, authors=1, books_each=1)
+        joined = Book.objects.using(db).select_related("author")
+        shapes = [joined.only("title", "author__name"),
+                  joined.only("title", "author__email"),
+                  joined.only("title")]
+        compiled_cache.clear()
+        sqls = {queryset._build_select()[0] for queryset in shapes}
+        assert len(sqls) == 3
+        assert compiled_cache.compiles == 3
+        for queryset in shapes:          # warm: every shape is a hit
+            queryset.all()._build_select()
+        assert compiled_cache.stats()["hits"] == 3
+        assert compiled_cache.compiles == 3
 
 
 class TestBulkWrites:
