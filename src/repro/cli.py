@@ -137,7 +137,6 @@ def cmd_serve(args):
         database = args.db or f"{run_dir}/portal.sqlite"
         app_factory = build_prefork_app_factory(
             database, f"{run_dir}/cache.sqlite",
-            db_fault_trigger=args.db_fault_trigger,
             watchdog_s=args.watchdog or None)
         server = PreforkServer(
             app_factory, workers=args.workers, host=args.host,
@@ -245,9 +244,6 @@ def build_parser():
     p.add_argument("--socket-timeout", type=float, default=10.0,
                    help="per-connection socket timeout seconds "
                         "(0 disables)")
-    p.add_argument("--db-fault-trigger", default=None,
-                   help="path of a trigger file: while it exists, "
-                        "database statements fail (overload demo)")
     p.set_defaults(fn=cmd_serve)
     return parser
 

@@ -209,7 +209,8 @@ class DaemonRuntime:
                               owner=instance,
                               n_slices=self.fleet_n_slices,
                               ttl_s=self.fleet_lease_ttl_s,
-                              obs=self.obs, fabric=self.fabric)
+                              obs=self.obs,
+                              crash_schedule=self.fabric.crash_schedule)
         breakers = BreakerRegistry(self.clock, obs=self.obs,
                                    origin=instance)
         clients = GridClients(self.fabric, gateway_name="AMP",

@@ -85,9 +85,8 @@ class GridAMPDaemon:
         self.ledger = SULedger(db, clock, self.obs)
         self.broker = ResourceBroker(
             db, machine_specs, clock, breakers=clients.breakers,
-            obs=self.obs,
-            fabric=clients.fabric, policy=placement_policy,
-            ledger=self.ledger)
+            obs=self.obs, crash_schedule=clients.fabric.crash_schedule,
+            policy=placement_policy, ledger=self.ledger)
         collaborators = (db, clients, self.policy, machine_specs,
                          self.retry, self.obs, self.ledger,
                          self.blocked_sims)
@@ -662,10 +661,10 @@ class GridAMPDaemon:
         reservations it left between write and stamp.
         """
         scope = (self.leases.n_slices, sorted(slices))
-        self.leases._crash_check("takeover", "before")
+        self.leases.crash_schedule.check("takeover", "before")
         summary = self.reconcile_journal(scope)
         adopted, released = self.ledger.reconcile(scope)
-        self.leases._crash_check("takeover", "after")
+        self.leases.crash_schedule.check("takeover", "after")
         summary["reservations_adopted"] = adopted
         summary["reservations_released"] = released
         if adopted:

@@ -54,8 +54,8 @@ WHOLE_TABLE = (1, (0,))
 class LeaseManager:
     """Claims, renews, and rebalances slice leases for one instance."""
 
-    def __init__(self, db, clock, *, owner, n_slices, obs, ttl_s=7200.0,
-                 fabric=None):
+    def __init__(self, db, clock, *, owner, n_slices, obs, crash_schedule,
+                 ttl_s=7200.0):
         if n_slices < 1:
             raise ValueError("n_slices must be >= 1")
         self.db = db
@@ -64,7 +64,9 @@ class LeaseManager:
         self.n_slices = int(n_slices)
         self.ttl_s = float(ttl_s)
         self.obs = obs
-        self.fabric = fabric
+        #: The fabric's :class:`~repro.grid.faults.CrashSchedule`,
+        #: checked at every claim/renew CAS and takeover replay.
+        self.crash_schedule = crash_schedule
         #: slice_index -> the fencing token under which we hold it.
         self.held = {}
         self.ensure_slices()
@@ -79,12 +81,6 @@ class LeaseManager:
         return (self.n_slices, self.held_slices())
 
     # ------------------------------------------------------------------
-    def _crash_check(self, op, when):
-        """Fault-harness hook, same contract as the workflow layer's."""
-        schedule = getattr(self.fabric, "crash_schedule", None)
-        if schedule is not None:
-            schedule.check(op, when)
-
     def _emit(self, kind, **fields):
         self.obs.events.emit(kind, owner=self.owner, **fields)
 
@@ -159,14 +155,14 @@ class LeaseManager:
                     and row.fencing_token == token \
                     and not self._renewal_due(row, now):
                 continue
-            self._crash_check("lease_renew", "before")
+            self.crash_schedule.check("lease_renew", "before")
             renewed = 0
             if row is not None:
                 renewed = LeaseRecord.objects.using(self.db).filter(
                     pk=row.pk, owner=self.owner,
                     fencing_token=token).update(
                     renewed_at=now, expires_at=now + self.ttl_s)
-            self._crash_check("lease_renew", "after")
+            self.crash_schedule.check("lease_renew", "after")
             if renewed:
                 self._count("renew")
             else:
@@ -194,13 +190,13 @@ class LeaseManager:
             if not (row.is_claimable(now) or reclaim):
                 continue
             token = row.fencing_token + 1
-            self._crash_check("lease_claim", "before")
+            self.crash_schedule.check("lease_claim", "before")
             claimed = LeaseRecord.objects.using(self.db).filter(
                 pk=row.pk, fencing_token=row.fencing_token).update(
                 owner=self.owner, fencing_token=token,
                 acquired_at=now, renewed_at=now,
                 expires_at=now + self.ttl_s)
-            self._crash_check("lease_claim", "after")
+            self.crash_schedule.check("lease_claim", "after")
             if not claimed:
                 continue                # another contender won the race
             self.held[index] = token

@@ -15,8 +15,7 @@ from __future__ import annotations
 import os
 import sqlite3
 
-from ...serve import (DbFaultInjector, ServeConfig, ServingTier,
-                      SqliteSharedStore, WallClock)
+from ...serve import ServeConfig, ServingTier, SqliteSharedStore, WallClock
 from ...webstack import WebApplication, path, render
 from ...webstack.auth import AuthMiddleware
 from ...webstack.middleware import (ObservabilityMiddleware,
@@ -159,7 +158,7 @@ def _init_db_in_child(database_path):
 
 
 def build_prefork_app_factory(database_path, cache_path, *,
-                              db_fault_trigger=None, watchdog_s=None):
+                              watchdog_s=None):
     """Worker app factory for real-HTTP prefork serving.
 
     Returns an ``app_factory(index)`` that builds one
@@ -173,11 +172,6 @@ def build_prefork_app_factory(database_path, cache_path, *,
 
     Parameters
     ----------
-    db_fault_trigger:
-        Optional path of a *trigger file*: while it exists, every
-        worker's database statements fail as if the database were
-        down (the cross-process chaos switch the prefork readiness
-        test uses).
     watchdog_s:
         The server's per-request watchdog, when one is armed (see
         :class:`~repro.serve.ServeConfig`).
@@ -193,17 +187,11 @@ def build_prefork_app_factory(database_path, cache_path, *,
         _init_db_in_child(database_path)
 
     def app_factory(index):
-        clock = WallClock()
-        db_fault = None
-        if db_fault_trigger is not None:
-            db_fault = DbFaultInjector(clock,
-                                       trigger_file=db_fault_trigger)
         runtime = PortalRuntime(open_role(database_path, "portal"))
         return runtime.build_portal(serve=ServeConfig(
-            clock=clock,
+            clock=WallClock(),
             shared_store=SqliteSharedStore(cache_path),
             worker_index=index,
-            db_fault=db_fault,
             watchdog_s=watchdog_s))
 
     return app_factory

@@ -292,13 +292,9 @@ class WorkflowManager:
     # queries the fabric to decide — per row — whether the side effect
     # happened (adopt/verify) or provably did not (re-issue).  The
     # idempotency key doubles as the GRAM ``clientTag``, which is what
-    # makes orphaned jobs findable after the fact.
-
-    def _crash_check(self, op, when):
-        """Fault-harness hook: die here if a CrashPoint is scheduled."""
-        schedule = getattr(self.clients.fabric, "crash_schedule", None)
-        if schedule is not None:
-            schedule.check(op, when)
+    # makes orphaned jobs findable after the fact.  Each of the two
+    # windows checks the fabric's crash schedule, so the fault harness
+    # can kill the daemon there.
 
     def _journal_key(self, simulation, op, phase):
         """Next attempt number and idempotency key for (sim, op, phase).
@@ -320,7 +316,7 @@ class WorkflowManager:
             resource=simulation.machine_name, state=JOURNAL_INTENT,
             intent_at=self.retry.clock.now, **meta)
         entry.save(db=self.db)
-        self._crash_check(op, "before")
+        self.clients.fabric.crash_schedule.check(op, "before")
         return entry
 
     def _journal_settle(self, entry, state, outcome, **updates):
@@ -425,7 +421,7 @@ class WorkflowManager:
             service=service, rsl=rsl_text)
         raw = self.clients.submit_job(simulation.machine_name, spec,
                                       service=service)
-        self._crash_check(JOURNAL_OP_SUBMIT, "after")
+        self.clients.fabric.crash_schedule.check(JOURNAL_OP_SUBMIT, "after")
         result = self._journal_classify(simulation, entry, raw)
         if result is None:
             return None
@@ -475,7 +471,8 @@ class WorkflowManager:
                 payload_digest=checksum(data))
             raw = self.clients.stage_in(simulation.machine_name,
                                         remote_path, content)
-            self._crash_check(JOURNAL_OP_STAGE_IN, "after")
+            self.clients.fabric.crash_schedule.check(
+                JOURNAL_OP_STAGE_IN, "after")
             result = self._journal_classify(simulation, entry, raw)
             if result is None:
                 return False
@@ -501,7 +498,7 @@ class WorkflowManager:
             simulation, JOURNAL_OP_STAGE_OUT, phase, attempt, key,
             remote_path=remote_path)
         raw = self.clients.stage_out(simulation.machine_name, remote_path)
-        self._crash_check(JOURNAL_OP_STAGE_OUT, "after")
+        self.clients.fabric.crash_schedule.check(JOURNAL_OP_STAGE_OUT, "after")
         result = self._journal_classify(simulation, entry, raw)
         if result is None:
             return None

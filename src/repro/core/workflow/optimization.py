@@ -177,7 +177,8 @@ class OptimizationWorkflow(WorkflowManager):
                 gram_job_id=job.gram_job_id, job_record_id=job.pk)
             self.clients.job_cancel(simulation.machine_name,
                                            job.gram_job_id)
-            self._crash_check(JOURNAL_OP_CANCEL, "after")
+            self.clients.fabric.crash_schedule.check(
+                JOURNAL_OP_CANCEL, "after")
             job.state = "FAILED"
             job.failure_reason = self._SURPLUS
             job.save(db=self.db)

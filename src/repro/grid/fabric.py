@@ -2,7 +2,8 @@
 
 The "grid" a GridAMP daemon talks to: per-resource GRAM and GridFTP
 services sharing one audit log, a community credential with its proxy
-factory, and the CTSS registry.  Build one with :func:`build_fabric`.
+factory, the CTSS registry, and the crash schedule every journaled
+boundary checks.  Build one with :func:`build_fabric`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from .audit import AuditLog
 from .certificates import CommunityCredential, ProxyFactory
 from .ctss import advertised_stack
 from .errors import UnknownResourceError
+from .faults import CrashSchedule
 from .gram import GramService
 from .gridftp import GridFTPService
 
@@ -23,6 +25,9 @@ class GridFabric:
             "/C=US/O=NCAR/OU=AMP/CN=amp-community")
         self.proxy_factory = ProxyFactory(self.credential, clock)
         self.audit = AuditLog()
+        #: Lives with the fabric because the fabric survives a daemon
+        #: kill: a restarted daemon meets the points still pending.
+        self.crash_schedule = CrashSchedule()
         self._resources = {}
         self._gram = {}
         self._gridftp = {}

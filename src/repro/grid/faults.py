@@ -98,7 +98,7 @@ class LatencyWindow:
 def check_latency(resource, now):
     """Service-side hook: raise if the resource's latency window says
     this operation times out.  Installed by ``latency_spike``."""
-    window = getattr(resource, "latency_window", None)
+    window = resource.latency_window
     if window is not None and window.active(now) \
             and window.should_timeout():
         from .errors import OperationTimeout
@@ -147,8 +147,8 @@ class CrashPoint:
 
 class CrashSchedule:
     """The registry of pending crash points, consulted at every
-    journaled boundary (installed on the fabric by the injector, so the
-    workflow layer reaches it without new wiring)."""
+    journaled boundary (the fabric builds one, so it outlives any
+    daemon it kills)."""
 
     def __init__(self):
         self.points = []
@@ -247,14 +247,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Daemon crashes (kill-restart-resume harness)
     # ------------------------------------------------------------------
-    def crash_schedule(self):
-        """The fabric-wide crash schedule, created on first use."""
-        schedule = getattr(self.fabric, "crash_schedule", None)
-        if schedule is None:
-            schedule = CrashSchedule()
-            self.fabric.crash_schedule = schedule
-        return schedule
-
     def crash(self, op, *, when="before", skip=0):
         """Kill the daemon at the next matching journaled boundary.
 
@@ -268,7 +260,7 @@ class FaultInjector:
         """
         if when not in ("before", "after"):
             raise ValueError("when must be 'before' or 'after'")
-        return self.crash_schedule().add(
+        return self.fabric.crash_schedule.add(
             CrashPoint(op=op, when=when, skip=int(skip)))
 
     # ------------------------------------------------------------------

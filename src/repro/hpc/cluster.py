@@ -61,6 +61,9 @@ class ComputeResource:
         #: When False the resource is "unreachable" — GRAM/GridFTP client
         #: calls fail with a transient error (fault injection).
         self.reachable = True
+        #: A :class:`~repro.grid.faults.LatencyWindow` while one is
+        #: scheduled: every n-th GRAM/GridFTP operation times out.
+        self.latency_window = None
 
     def install_application(self, name, fn):
         """Install a batch executable (the PI's deployment step)."""

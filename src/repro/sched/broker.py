@@ -59,24 +59,20 @@ class ResourceBroker:
     """Database-backed placement engine (one per daemon process)."""
 
     def __init__(self, db, machine_specs, clock, *, breakers, obs,
-                 fabric, policy, ledger):
+                 crash_schedule, policy, ledger):
         self.db = db
         self.machine_specs = machine_specs
         self.clock = clock
         self.breakers = breakers
         self.obs = obs
-        self.fabric = fabric
+        #: The fabric's crash schedule, checked around the reservation
+        #: write (the ``reserve`` boundary).
+        self.crash_schedule = crash_schedule
         self.policy = (policy if isinstance(policy, PlacementPolicy)
                        else get_policy(policy))
         self.ledger = ledger
 
     # ------------------------------------------------------------------
-    def _crash_check(self, op, when):
-        """Fault-harness hook, same contract as the workflow layer's."""
-        schedule = getattr(self.fabric, "crash_schedule", None)
-        if schedule is not None:
-            schedule.check(op, when)
-
     def _placeable(self, record):
         """May the broker place *new* work on this machine row?"""
         return record.enabled and self.breakers.placeable(record.name)
@@ -322,11 +318,11 @@ class ResourceBroker:
                         from_machine=from_machine)
 
         # -- durable writes, in crash-safe order ----------------------
-        self._crash_check("reserve", "before")
+        self.crash_schedule.check("reserve", "before")
         if new_rows:
             ReservationRecord.objects.using(self.db).bulk_create(
                 new_rows)
-        self._crash_check("reserve", "after")
+        self.crash_schedule.check("reserve", "after")
         if released:
             ReservationRecord.objects.using(self.db).bulk_update(
                 released, self.ledger.RESERVATION_FIELDS)

@@ -18,12 +18,11 @@ grown into a real subsystem (see DESIGN.md §10):
   excess load *before* any database work, by priority class) and
   per-request deadlines enforced at the connection layer;
 - :mod:`repro.serve.health` — database health tracking, brownout
-  degradation, fault injection, and the ``/healthz``/``/readyz``
-  probe endpoints;
+  degradation, and the ``/healthz``/``/readyz`` probe endpoints;
 - :mod:`repro.serve.api` — helpers for the JSON campaign API (error
   bodies, parameter-sweep validation/expansion).
 
-:class:`ServeConfig` holds the five values that differ between
+:class:`ServeConfig` holds the four values that differ between
 deployments; ``build_portal_app(..., serve=ServeConfig())`` puts the
 tier — every layer, always on, in the order :class:`ServingTier` writes
 down — in front of the portal application.
@@ -40,7 +39,7 @@ from .cache import (CacheMiddleware, CacheRule, DEFAULT_CACHE_RULES,
                     EXEMPT_ROUTES, InMemorySharedStore, PortalCache,
                     SqliteSharedStore)
 from .health import (BrownoutMiddleware, DEFAULT_BROWNOUT_ROUTES,
-                     DbFaultInjector, HealthTracker, build_health_routes)
+                     HealthTracker, build_health_routes)
 from .ratelimit import (DEFAULT_POLICY, DEFAULT_RATE_POLICIES,
                         RateLimiter, RateLimitMiddleware, RatePolicy)
 from .workers import (PreforkServer, WATCHDOG_EXIT, WallClock,
@@ -50,7 +49,7 @@ __all__ = [
     "AdmissionController", "AdmissionMiddleware", "AdmissionPolicy",
     "BrownoutMiddleware", "CacheMiddleware", "CacheRule",
     "DEFAULT_BROWNOUT_ROUTES", "DEFAULT_CACHE_RULES", "DEFAULT_POLICY",
-    "DEFAULT_RATE_POLICIES", "DEFAULT_ROUTE_CLASSES", "DbFaultInjector",
+    "DEFAULT_RATE_POLICIES", "DEFAULT_ROUTE_CLASSES",
     "DeadlineMiddleware", "DeadlinePolicy", "DeadlineScopeMiddleware",
     "EXEMPT_ROUTES", "HealthTracker", "InMemorySharedStore",
     "PRIORITY_BULK", "PRIORITY_CRITICAL", "PRIORITY_INTERACTIVE",
@@ -80,10 +79,6 @@ class ServeConfig:
     worker_index:
         This process's worker number, stamped on the
         ``serve_worker_up`` gauge (the in-process tier is worker 0).
-    db_fault:
-        Optional ``callable(operation, table)`` installed behind the
-        health tracker's fault hook — the chaos/test injection point
-        (see :class:`~repro.serve.health.DbFaultInjector`).
     watchdog_s:
         The server's per-request watchdog, when one is armed: deadline
         budgets (including the maximum a client may request via
@@ -93,11 +88,10 @@ class ServeConfig:
     """
 
     def __init__(self, *, clock=None, shared_store=None, worker_index=0,
-                 db_fault=None, watchdog_s=None):
+                 watchdog_s=None):
         self.clock = clock
         self.shared_store = shared_store
         self.worker_index = worker_index
-        self.db_fault = db_fault
         self.watchdog_s = watchdog_s
 
 
@@ -119,10 +113,8 @@ class ServingTier:
         if config.clock is not None:
             clock = config.clock
         observability, ssl, auth = portal_middleware
-        # Attaching feeds the tracker real per-statement signals even
-        # with no injector configured.
-        self.serve_health = HealthTracker(clock, obs=obs).attach(
-            db, injector=config.db_fault)
+        # Attaching feeds the tracker real per-statement signals.
+        self.serve_health = HealthTracker(clock, obs=obs).attach(db)
         self.admission = AdmissionController(
             clock, obs=obs, health=self.serve_health)
         self.rate_limiter = RateLimiter(clock, obs=obs)

@@ -7,9 +7,8 @@ honestly — rather than black out.  Three pieces:
 - :class:`HealthTracker` — a sliding window over per-statement
   latency/error signals (fed by the connection ``statement_observer``
   installed with :meth:`HealthTracker.attach`, which wraps the actual
-  execution — genuine sqlite failures and real latency count, not
-  just injected ones).  Too many errors or
-  slow statements flip the tier into **degraded** mode
+  execution — genuine sqlite failures and real latency count).  Too
+  many errors or slow statements flip the tier into **degraded** mode
   (``serve_degraded`` gauge, ``serve.degraded.enter``/``exit``
   events); a quiet period followed by a healthy statement flips it
   back.
@@ -21,68 +20,20 @@ honestly — rather than black out.  Three pieces:
   answers) and ``/readyz`` (readiness: an actual database probe plus
   the tracker's verdict), the supervisor-facing split between "alive"
   and "fit to serve".
-
-:class:`DbFaultInjector` is the chaos harness's database fault: it
-adds latency (virtual seconds under the sim clock, real sleep under a
-wall clock) and/or raises
-:class:`~repro.webstack.orm.exceptions.DatabaseUnavailable`, either
-programmatically or when a trigger file exists (so a prefork smoke
-test can flip an outage across process boundaries).
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-
-
-class DbFaultInjector:
-    """Deterministic database chaos for the serving tier.
-
-    Parameters
-    ----------
-    clock:
-        The serving clock; injected latency advances it when it can be
-        advanced (the sim clock), and sleeps real time otherwise.
-    latency_s:
-        Virtual/real seconds every statement takes while set.
-    fail:
-        While True, every statement raises ``DatabaseUnavailable``.
-    trigger_file:
-        Optional path: while the file exists, statements fail — the
-        cross-process injection switch (a supervisor or CI step touches
-        the file; every worker's injector sees it).
-    """
-
-    def __init__(self, clock=None, *, latency_s=0.0, fail=False,
-                 trigger_file=None):
-        self.clock = clock
-        self.latency_s = float(latency_s)
-        self.fail = bool(fail)
-        self.trigger_file = trigger_file
-
-    def __call__(self, operation, table):
-        from ..webstack.orm.exceptions import DatabaseUnavailable
-        if self.latency_s > 0.0 and self.clock is not None:
-            advance = getattr(self.clock, "advance", None)
-            if advance is not None:
-                advance(self.latency_s)
-            else:                         # wall clock: real latency
-                import time
-                time.sleep(self.latency_s)
-        if self.fail or (self.trigger_file is not None
-                         and os.path.exists(self.trigger_file)):
-            raise DatabaseUnavailable(
-                "The database did not answer (injected outage).")
 
 
 def _signals_db_sickness(error):
     """True for failures that mean the database itself is sick.
 
-    Connection-level errors (including the injected
-    ``DatabaseUnavailable``) and raw sqlite errors count; constraint
-    violations are application-level and deadline exhaustion is a
-    per-request budget, so neither feeds the degradation window.
+    Connection-level errors (``DatabaseUnavailable`` among them) and
+    raw sqlite errors count; constraint violations are
+    application-level and deadline exhaustion is a per-request budget,
+    so neither feeds the degradation window.
     """
     import sqlite3
     from ..webstack.orm.exceptions import ConnectionError, IntegrityError
@@ -176,13 +127,11 @@ class HealthTracker:
                  "mode").set(1 if self.degraded else 0)
 
     # -- wiring --------------------------------------------------------
-    def attach(self, db, injector=None):
-        """Wire this tracker into *db*: the optional chaos *injector*
-        becomes the connection's ``fault_hook`` and the tracker itself
-        its ``statement_observer``, so every statement the connection
-        actually runs feeds the latency/error window — injected faults
-        and genuine sqlite errors alike, injected latency and real
-        execution time alike."""
+    def attach(self, db):
+        """Wire this tracker into *db* as its ``statement_observer``,
+        so every statement the connection actually runs feeds the
+        latency/error window: genuine sqlite errors and real execution
+        time."""
         clock = self.clock
 
         def begin(operation, table):
@@ -199,14 +148,13 @@ class HealthTracker:
 
             return finish
 
-        db.fault_hook = injector
         db.statement_observer = begin
         return self
 
     def probe(self, db):
         """One trivial statement through the hooks; True when the
         database answered (the readiness check's evidence).  *Any*
-        failure — injected outage, raw sqlite error, spent deadline —
+        failure — unavailable database, raw sqlite error, spent deadline —
         means not-ready: the caller must get the structured 503, never
         an unhandled traceback."""
         try:

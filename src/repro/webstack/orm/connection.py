@@ -132,10 +132,6 @@ class Database:
         #: parameter values are never handed to the log.
         self.slow_statement_s = None
         self.on_slow_statement = None
-        # Statement log: (operation, table) tuples, used by the security
-        # audit in tests/benches to prove what each role actually did.
-        self.statement_log = []
-        self.log_statements = False
         # Cheap per-connection round-trip counter: one increment per
         # statement the ORM executes.  ``count_queries()`` snapshots it
         # so tests and benches can assert round-trip budgets.
@@ -145,28 +141,20 @@ class Database:
         # the observability layer attaches one to feed per-role query
         # counters without the ORM importing it.
         self.on_execute = None
-        # Serving-tier resilience hooks (see repro.serve).  Both are
-        # ``callable(operation, table)`` and default to None (zero cost
-        # when the tier is off):
+        # Serving-tier resilience hooks (see repro.serve), None when the
+        # tier is off:
         #
-        # - ``deadline_hook`` — installed per request by the deadline
-        #   middleware; raises :class:`DeadlineExceeded` once the
-        #   request's time budget is spent, so no further statement
-        #   starts (and a statement whose injected latency spent the
-        #   budget is discarded).
-        # - ``fault_hook`` — the overload chaos harness's injection
-        #   point: adds (virtual) latency and/or raises
-        #   :class:`DatabaseUnavailable`.
-        #
-        # ``statement_observer`` is the health tracker's intake: a
-        # begin-callback called with ``(operation, table)`` before a
-        # statement runs, returning a finish-callback called with the
-        # exception (or None) once the statement ends.  Because it
-        # wraps the *actual* execution — not just the injection hooks
-        # — the tracker sees genuine sqlite errors and real statement
-        # latency, not only injected ones.
+        # - ``deadline_hook(operation, table)`` — installed per request
+        #   by the deadline middleware; raises :class:`DeadlineExceeded`
+        #   once the request's time budget is spent, so no further
+        #   statement starts.
+        # - ``statement_observer`` — the health tracker's intake: a
+        #   begin-callback called with ``(operation, table)`` before a
+        #   statement runs, returning a finish-callback called with the
+        #   exception (or None) once the statement ends.  Because it
+        #   wraps the *actual* execution, the tracker sees genuine
+        #   sqlite errors and real statement latency.
         self.deadline_hook = None
-        self.fault_hook = None
         self.statement_observer = None
 
     # ------------------------------------------------------------------
@@ -217,36 +205,23 @@ class Database:
 
     def _through_hooks(self, operation, table, run, *, counted=True):
         """The one statement funnel (after the caller's grant check):
-        deadline → fault → deadline → count → *run*, all inside the
-        ``statement_observer`` so the health tracker sees injected and
-        genuine failures alike.  :meth:`execute`, :meth:`executescript`
-        and :meth:`ping` differ only in their grant and in *run*."""
+        observer → deadline → count → *run*, with the
+        ``statement_observer``'s finish-callback told how the statement
+        ended.  :meth:`execute`, :meth:`executescript` and :meth:`ping`
+        differ only in their grant and in *run*."""
         observer = self.statement_observer
         finish = observer(operation, table) if observer is not None \
             else None
         try:
-            deadline = self.deadline_hook
-            if deadline is not None:
+            if self.deadline_hook is not None:
                 # Budget check before any work starts.
-                deadline(operation, table)
-            if self.fault_hook is not None:
-                # Chaos injection: may advance the (virtual) clock to
-                # model a slow database, or raise DatabaseUnavailable.
-                self.fault_hook(operation, table)
-                if deadline is not None:
-                    # Injected latency may have spent the budget: the
-                    # statement "ran", but its requester is out of time
-                    # — discard the result rather than keep building a
-                    # page nobody will wait for.
-                    deadline(operation, table)
+                self.deadline_hook(operation, table)
             if counted:
                 self.queries_executed += 1
                 self.queries_by_operation[operation] = \
                     self.queries_by_operation.get(operation, 0) + 1
                 if self.on_execute is not None:
                     self.on_execute(operation, table)
-                if self.log_statements:
-                    self.statement_log.append((operation, table))
             result = run()
         except BaseException as exc:
             if finish is not None:
@@ -307,11 +282,11 @@ class Database:
         """Run a raw script; restricted to roles with ``allow_raw_sql``.
 
         Scripts flow through the same hook chain as :meth:`execute` —
-        grant check first, then deadline/fault hooks, the
-        ``statement_observer``, the query counters, and the statement
-        log (as one ``("script", "<script>")`` round trip) — so a
-        schema-bootstrap script can neither dodge an injected outage
-        nor hide from the health tracker or a round-trip budget.
+        grant check first, then the ``statement_observer``, the
+        deadline hook and the query counters (as one
+        ``("script", "<script>")`` round trip) — so a schema-bootstrap
+        script can hide from neither the health tracker nor a
+        round-trip budget.
         """
         if not self._grant.allow_raw_sql:
             raise PermissionDenied(
@@ -348,9 +323,9 @@ class Database:
     def ping(self):
         """One trivial statement through the resilience hooks.
 
-        The readiness probe: exercises ``deadline_hook``/``fault_hook``
-        (so an injected outage fails the probe exactly like it fails a
-        page render) and a constant ``SELECT 1`` on the raw connection.
+        The readiness probe: exercises ``statement_observer`` and
+        ``deadline_hook`` (so whatever fails a page render fails the
+        probe too) and a constant ``SELECT 1`` on the raw connection.
         Touches no table, needs no grant, and does not count against
         any round-trip budget.
         """

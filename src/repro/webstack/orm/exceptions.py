@@ -61,10 +61,9 @@ class DeadlineExceeded(ORMError):
 class DatabaseUnavailable(ConnectionError):
     """The database did not answer (outage, injected or real).
 
-    Raised by a connection's ``fault_hook`` — the serving tier's chaos
-    harness — or by wrappers around genuinely failing connections.  The
-    serving tier turns it into a 503 (or a stale cached copy of the
-    page, when one is on hand).
+    Raised by wrappers around a failing connection (the test suite's
+    database fault injector is one).  The serving tier turns it into a
+    503 (or a stale cached copy of the page, when one is on hand).
     """
 
 

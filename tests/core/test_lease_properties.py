@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.leases import LeaseManager
 from repro.core.models import LEASE_KIND_SLICE, LeaseRecord
+from repro.grid.faults import CrashSchedule
 from repro.hpc import SimClock
 from repro.obs import Observability
 from repro.webstack.orm import Database, create_all
@@ -53,7 +54,8 @@ class Fleet:
     def spawn(self, owner):
         self.alive[owner] = LeaseManager(
             self.db, self.clock, owner=owner,
-            n_slices=N_SLICES, obs=self.obs, ttl_s=TTL)
+            n_slices=N_SLICES, obs=self.obs, ttl_s=TTL,
+            crash_schedule=CrashSchedule())
 
     def kill(self, owner):
         self.alive.pop(owner, None)

@@ -35,10 +35,11 @@ def world(obs):
     db.close()
 
 
-def manager(world, owner, *, n_slices=N_SLICES, ttl=TTL, fabric=None):
+def manager(world, owner, *, n_slices=N_SLICES, ttl=TTL,
+            crash_schedule=None):
     return LeaseManager(world.db, world.clock, owner=owner,
                         n_slices=n_slices, obs=world.obs, ttl_s=ttl,
-                        fabric=fabric)
+                        crash_schedule=crash_schedule or CrashSchedule())
 
 
 def slice_rows(world):
@@ -177,24 +178,19 @@ class TestRebalance:
 
 
 class TestCrashWindows:
-    def fabric(self):
-        return SimpleNamespace(crash_schedule=CrashSchedule())
-
     def test_crash_before_claim_leaves_slice_unclaimed(self, world):
-        fabric = self.fabric()
-        fabric.crash_schedule.add(
-            CrashPoint(op="lease_claim", when="before"))
-        m = manager(world, "d0", fabric=fabric)
+        schedule = CrashSchedule()
+        schedule.add(CrashPoint(op="lease_claim", when="before"))
+        m = manager(world, "d0", crash_schedule=schedule)
         with pytest.raises(DaemonCrash):
             m.sweep()
         assert m.held_slices() == []
         assert all(row.owner == "" for row in slice_rows(world).values())
 
     def test_crash_after_claim_is_db_claimed_but_not_held(self, world):
-        fabric = self.fabric()
-        fabric.crash_schedule.add(
-            CrashPoint(op="lease_claim", when="after"))
-        m = manager(world, "d0", fabric=fabric)
+        schedule = CrashSchedule()
+        schedule.add(CrashPoint(op="lease_claim", when="after"))
+        m = manager(world, "d0", crash_schedule=schedule)
         with pytest.raises(DaemonCrash):
             m.sweep()
         # The CAS landed durably, then the process died before
@@ -208,11 +204,10 @@ class TestCrashWindows:
         assert 0 in acquired              # adoptable after expiry
 
     def test_crash_mid_renewal_leaves_lease_stealable(self, world):
-        fabric = self.fabric()
-        m = manager(world, "d0", fabric=fabric)
+        schedule = CrashSchedule()
+        m = manager(world, "d0", crash_schedule=schedule)
         m.sweep()
-        fabric.crash_schedule.add(
-            CrashPoint(op="lease_renew", when="before"))
+        schedule.add(CrashPoint(op="lease_renew", when="before"))
         world.clock.advance(TTL / 2)
         with pytest.raises(DaemonCrash):
             m.sweep()

@@ -250,6 +250,35 @@ class TestFiftySimCrashSweep:
             close_deployment(deployment)
 
 
+class TestCrashScheduleLivesWithTheFabric:
+    """Each deployment's fabric builds its own crash schedule: it starts
+    empty, and a point scheduled on one deployment is invisible to a
+    twin built beside it in the same process."""
+
+    def test_twin_deployment_never_meets_anothers_crash_point(self):
+        first = make_deployment()
+        twin = None
+        try:
+            schedule = first.fabric.crash_schedule
+            assert schedule.points == [] and schedule.crashes == []
+            point = FaultInjector(first.fabric, first.clock).crash(
+                "submit", when="before")
+            twin = make_deployment()
+            assert twin.fabric.crash_schedule.points == []
+            user = twin.create_astronomer("twin")
+            (simulation,) = submit_direct_sims(twin, user, 1)
+            twin.run_daemon_until_idle(poll_interval_s=1800.0,
+                                       max_polls=400)
+            simulation.refresh_from_db()
+            assert simulation.state == SIM_DONE
+            assert twin.fabric.crash_schedule.crashes == []
+            assert schedule.pending == [point] and point.hits == 0
+        finally:
+            if twin is not None:
+                close_deployment(twin)
+            close_deployment(first)
+
+
 class TestEscalationStateSurvivesRestart:
     """A daemon bounce must not refresh retry budgets or forget open
     breakers: a simulation holding after budget exhaustion stays held

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.serve import (DbFaultInjector, DeadlineMiddleware,
-                         DeadlinePolicy, ServeConfig)
+from repro.serve import DeadlineMiddleware, DeadlinePolicy, ServeConfig
 from repro.webstack.testclient import Client
+
+from .chaos import DbFaultInjector
 
 
 def test_budget_defaults_and_clamps():
@@ -55,8 +56,9 @@ def slow_db_portal(deployment):
     health tracker is told such statements are not slow, so these
     tests see pure deadline behaviour (the brownout's interaction with
     slow statements is covered in test_health.py)."""
-    injector = DbFaultInjector(deployment.clock, latency_s=12.0)
-    app = deployment.build_portal(serve=ServeConfig(db_fault=injector))
+    app = deployment.build_portal(serve=ServeConfig())
+    injector = DbFaultInjector(deployment.clock,
+                               latency_s=12.0).install(app.db)
     app.serve_health.slow_statement_s = 3600.0
     deadlines, = (m for m in app.middleware
                   if isinstance(m, DeadlineMiddleware))

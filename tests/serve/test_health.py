@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.hpc.simclock import SimClock
-from repro.serve import (DbFaultInjector, HealthTracker, PortalCache,
-                         ServeConfig)
+from repro.serve import HealthTracker, PortalCache, ServeConfig
 from repro.webstack.testclient import Client
+
+from .chaos import DbFaultInjector
 
 
 @pytest.fixture()
@@ -125,9 +126,44 @@ def test_degraded_events_and_gauge(clock, deployment):
 @pytest.fixture()
 def chaos_portal(deployment):
     """Portal with the full tier and a controllable database fault."""
-    injector = DbFaultInjector(deployment.clock)
-    app = deployment.build_portal(serve=ServeConfig(db_fault=injector))
-    return app, injector
+    app = deployment.build_portal(serve=ServeConfig())
+    return app, DbFaultInjector(deployment.clock).install(app.db)
+
+
+def test_injector_reports_through_the_observer_it_wraps(clock):
+    """An injected outage reaches the wrapped observer's finish, and a
+    statement whose injected latency spends the budget is stopped by
+    the one deadline check before it reaches SQLite."""
+    from repro.webstack.orm.connection import Database
+    from repro.webstack.orm.exceptions import (DatabaseUnavailable,
+                                               DeadlineExceeded)
+    db = Database(":memory:")
+    finished = []
+
+    def observer(operation, table):
+        return finished.append
+
+    db.statement_observer = observer
+    injector = DbFaultInjector(clock, fail=True).install(db)
+    with pytest.raises(DatabaseUnavailable):
+        db.execute("SELECT 1", operation="select", table="sqlite_master")
+    assert [type(error) for error in finished] == [DatabaseUnavailable]
+
+    injector.fail = False
+    injector.latency_s = 12.0
+    started = clock.now
+
+    def deadline(operation, table):
+        if clock.now - started > 10.0:
+            raise DeadlineExceeded("budget gone")
+
+    db.deadline_hook = deadline
+    with pytest.raises(DeadlineExceeded):
+        db.executescript("CREATE TABLE t (x INTEGER);")
+    assert clock.now == started + 12.0
+    assert type(finished[-1]) is DeadlineExceeded
+    db.deadline_hook = None
+    assert "t" not in db.table_names()
 
 
 def test_readyz_flips_during_outage_and_back(chaos_portal, deployment):

@@ -16,9 +16,11 @@ virtual clock (marked ``serve``):
 import pytest
 
 from repro.core import AMPDeployment
-from repro.serve import DbFaultInjector, ServeConfig
+from repro.serve import ServeConfig
 from repro.webstack.testclient import Client
 from tests.conftest import keep_everything
+
+from .chaos import DbFaultInjector
 
 pytestmark = pytest.mark.serve
 
@@ -56,9 +58,8 @@ def _run_soak():
     deployment = keep_everything(_fresh_deployment())
     try:
         clock = deployment.clock
-        injector = DbFaultInjector(clock)
-        app = deployment.build_portal(
-            serve=ServeConfig(db_fault=injector))
+        app = deployment.build_portal(serve=ServeConfig())
+        injector = DbFaultInjector(clock).install(app.db)
         client = Client(app)
         admission = app.admission
         budget_s = 15.0                      # DeadlinePolicy default

@@ -1,4 +1,4 @@
-"""The one serving pipeline: its order, its five settings, and what
+"""The one serving pipeline: its order, its four settings, and what
 ``build_portal`` does when asked for a differently built app."""
 
 import inspect
@@ -26,7 +26,7 @@ def test_pipeline_order_and_settings_are_pinned(deployment):
     assert _names(deployment.build_portal(serve=ServeConfig())) == PIPELINE
     assert _names(build_portal_app(deployment)) == BARE
     assert list(inspect.signature(ServeConfig).parameters) == [
-        "clock", "shared_store", "worker_index", "db_fault", "watchdog_s"]
+        "clock", "shared_store", "worker_index", "watchdog_s"]
 
 
 def test_served_request_after_bare_build_is_refused(deployment):

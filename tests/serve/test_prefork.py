@@ -14,6 +14,8 @@ import pytest
 from repro.core import build_prefork_app_factory
 from repro.serve import PreforkServer
 
+from .chaos import DbFaultInjector
+
 pytestmark = pytest.mark.serve
 
 
@@ -59,9 +61,15 @@ def test_readiness_flips_across_trigger_file_outage(tmp_path):
     after the tracker's (default, 5 s) quiet period."""
     import time
     trigger = tmp_path / "db-outage.trigger"
-    factory = build_prefork_app_factory(
+    build = build_prefork_app_factory(
         str(tmp_path / "portal.sqlite"), str(tmp_path / "cache.sqlite"),
-        db_fault_trigger=str(trigger), watchdog_s=60.0)
+        watchdog_s=60.0)
+
+    def factory(index):
+        app = build(index)
+        DbFaultInjector(trigger_file=str(trigger)).install(app.db)
+        return app
+
     server = PreforkServer(factory, workers=2, watchdog_s=60.0).start()
     try:
         assert _status(server.url + "/readyz") == 200

@@ -2,8 +2,8 @@
 one topology.
 
 ``execute``, ``executescript`` and ``ping`` all pass through the same
-hook chain (observer → deadline → fault → deadline → count); the
-deployment builds three plain role connections behind one write gate.
+hook chain (observer → deadline → count → run); the deployment builds
+three plain role connections behind one write gate.
 Everything here runs on in-memory stores (tier-1 fast); what the same
 topology does on a real WAL file is covered by the ``db``-marked suite
 in ``test_wal_concurrency.py``.
@@ -53,13 +53,11 @@ def test_every_entry_point_runs_the_hooks_in_one_order(entry):
 
     db.statement_observer = observer
     db.deadline_hook = lambda operation, table: calls.append("deadline")
-    db.fault_hook = lambda operation, table: calls.append("fault")
     db.on_execute = lambda operation, table: calls.append("count")
     before = db.queries_executed
     ENTRY_POINTS[entry](db)
     counted = [] if entry == "ping" else ["count"]
-    assert calls == ["observe", "deadline", "fault", "deadline",
-                     *counted, ("finish", None)]
+    assert calls == ["observe", "deadline", *counted, ("finish", None)]
     # The probe never counts against a round-trip budget.
     assert db.queries_executed == before + len(counted)
 
@@ -77,40 +75,30 @@ def test_executescript_runs_the_full_hook_chain():
         return finished.append
 
     db.statement_observer = observer
-    db.log_statements = True
     before = db.queries_executed
     db.executescript("CREATE TABLE t (x INTEGER);")
     assert seen == [("script", "<script>")]
     assert finished == [None]
     assert db.queries_executed == before + 1
     assert db.queries_by_operation.get("script") == 1
-    assert ("script", "<script>") in db.statement_log
 
 
-def test_executescript_respects_fault_and_deadline_hooks():
+def test_executescript_respects_the_deadline_hook():
     db = Database(":memory:")
     errors = []
 
     def observer(operation, table):
         return errors.append
 
-    def boom(operation, table):
-        raise RuntimeError("db down")
-
     def spent(operation, table):
         raise TimeoutError("budget gone")
 
     db.statement_observer = observer
-    db.fault_hook = boom
-    with pytest.raises(RuntimeError, match="db down"):
-        db.executescript("CREATE TABLE t (x INTEGER);")
-    db.fault_hook = None
     db.deadline_hook = spent
     with pytest.raises(TimeoutError, match="budget gone"):
         db.executescript("CREATE TABLE t (x INTEGER);")
-    assert [type(error) for error in errors] == [RuntimeError,
-                                                 TimeoutError]
-    # Neither script reached SQLite: the table must not exist.
+    assert [type(error) for error in errors] == [TimeoutError]
+    # The script never reached SQLite: the table must not exist.
     db.deadline_hook = None
     assert "t" not in db.table_names()
 

@@ -94,10 +94,14 @@ class TestRoleSeparation:
         Author.objects.using(deployment.admin).filter(pk=author.pk).delete()
 
     def test_statement_log_records_operations(self, deployment):
-        deployment.portal.log_statements = True
+        ops = []
+
+        def record(operation, table):
+            ops.append((operation, table))
+
+        deployment.portal.statement_observer = record
         Author.objects.using(deployment.portal).create(name="Logged")
         Author.objects.using(deployment.portal).count()
-        ops = deployment.portal.statement_log
         assert ("insert", "ws_author") in ops
         assert ("select", "ws_author") in ops
 
