@@ -58,20 +58,29 @@ def test_cache_hot_vs_cold_throughput(benchmark):
     and keeps hot-path p99 within a stated budget.
 
     Measured with the virtual clock frozen (no TTL expiry, no daemon
-    writes mid-measurement), so hot requests are pure cache hits."""
+    writes mid-measurement), so hot requests are pure cache hits.  The
+    cold side is the same served portal with its cache middleware
+    stripped: the tier has no switches, so the bench builds its own
+    baseline."""
     import time as wall
 
     deployment, _ = _populated_portal()
-    app = deployment.build_portal()        # bare app (seed behaviour)
-    from repro.serve import RateLimitMiddleware, ServeConfig
+    from repro.serve import CacheMiddleware, RateLimitMiddleware
     from repro.core.portal.site import build_portal_app
-    served = build_portal_app(deployment, serve=ServeConfig())
-    # No limiter: under the frozen virtual clock buckets never refill,
-    # and this bench measures the cache, not the limiter.
-    served.middleware = [m for m in served.middleware
-                         if not isinstance(m, RateLimitMiddleware)]
-    anon_cold = Client(app)
-    anon_hot = Client(served)
+
+    def served(without=()):
+        # No limiter: under the frozen virtual clock buckets never
+        # refill, and this bench measures the cache, not the limiter.
+        app = build_portal_app(deployment)
+        dropped = (RateLimitMiddleware,) + without
+        app.middleware = [m for m in app.middleware
+                          if not isinstance(m, dropped)]
+        return app
+
+    cold = served(without=(CacheMiddleware,))
+    hot = served()
+    anon_cold = Client(cold)
+    anon_hot = Client(hot)
     paths = ["/", "/stars/", "/simulations/", "/statistics/"]
 
     def measure(client, n=80):
@@ -104,7 +113,8 @@ def test_cache_hot_vs_cold_throughput(benchmark):
           f"hot p99 budget: 25 ms)")
     assert hot_rps >= 5 * cold_rps
     assert hot_p99 <= 0.025
-    served.serve_cache.close()
+    cold.serve_cache.close()
+    hot.serve_cache.close()
 
 
 def test_bulk_campaign_round_trip_budget(benchmark):
@@ -143,6 +153,9 @@ def test_bulk_campaign_round_trip_budget(benchmark):
     assert counter.count <= 60
 
     def tiny_campaign():
+        # One campaign a virtual minute: the endpoint's rate policy
+        # refills one token per 60 s, and the clock is otherwise frozen.
+        deployment.clock.advance(60.0)
         response = client.post("/api/v1/campaigns", json_body={
             "star": star.pk,
             "sweep": {"mass": [1.0, 1.1], "z": 0.018, "y": 0.27,

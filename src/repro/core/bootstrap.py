@@ -213,8 +213,7 @@ class DaemonRuntime:
                               crash_schedule=self.fabric.crash_schedule)
         breakers = BreakerRegistry(self.clock, obs=self.obs,
                                    origin=instance)
-        clients = GridClients(self.fabric, gateway_name="AMP",
-                              breakers=breakers, obs=self.obs)
+        clients = GridClients(self.fabric, breakers=breakers, obs=self.obs)
         self.fleet[index] = GridAMPDaemon(
             self.daemon_db, clients, self.clock, self.mailer,
             self.machine_specs, instance, leases, self.obs,

@@ -46,21 +46,23 @@ class PortalRuntime:
         self.catalog = StarCatalog(db, self.simbad)
         self.portal_app = None   # built lazily by build_portal()
 
-    def build_portal(self, *, debug=False, serve=None):
-        """Construct (once) the public portal web application.
+    def build_portal(self, *, serve=None):
+        """Construct (once) the public portal web application, behind
+        the serving tier.
 
-        ``serve`` is a :class:`~repro.serve.ServeConfig` for the
-        serving tier; the default ``None`` builds the bare pipeline.
-        The app is cached: later calls without ``serve`` return it,
-        and a call whose ``serve`` is not what it was built with
-        raises instead of handing back a differently built app.
+        ``serve`` is the :class:`~repro.serve.ServeConfig` to build
+        with; without one the tier runs on ``ServeConfig()``.  The app
+        is cached: later calls without ``serve`` return it, and a call
+        whose ``serve`` is not what it was built with raises instead
+        of handing back a differently built app.
         """
         if self.portal_app is None:
+            from ...serve import ServeConfig
             from .site import build_portal_app
-            self.portal_app = build_portal_app(self, debug=debug,
-                                               serve=serve)
-            self._portal_serve = serve
-        elif serve is not None and serve is not self._portal_serve:
+            self._portal_serve = serve or ServeConfig()
+            self.portal_app = build_portal_app(self,
+                                               serve=self._portal_serve)
+        elif serve and serve is not self._portal_serve:
             raise ValueError(
                 f"the portal is already built with "
                 f"serve={self._portal_serve!r}; it cannot be rebuilt "
@@ -69,7 +71,7 @@ class PortalRuntime:
 
     @property
     def serve_cache(self):
-        """The portal's response cache, when the serving tier is on."""
+        """The portal's response cache, once the portal is built."""
         return getattr(self.portal_app, "serve_cache", None)
 
     def close(self):

@@ -1,13 +1,14 @@
 """Assemble the portal: project settings + installed applications.
 
 The Django-style "project": one engine with the shared template set, the
-auth middleware on the portal-role database, and the four applications'
-URL patterns composed into one site.  The public deployment mounts *no*
-admin routes — the admin runs only on the developers' environment with
-the admin role (see :func:`build_admin_app`).  Importing this module
-loads everything a portal worker serves with, which is why the prefork
-supervisor imports it (for :func:`build_prefork_app_factory`) before it
-forks: the workers share those pages.
+serving tier's middleware on the portal-role database, and the
+applications' URL patterns composed into one site.  The public
+deployment mounts *no* admin routes — the admin runs only on the
+developers' environment with the admin role (see
+:func:`build_admin_app`).  Importing this module loads everything a
+portal worker serves with, which is why the prefork supervisor imports
+it (for :func:`build_prefork_app_factory`) before it forks: the
+workers share those pages.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import sqlite3
 from ...serve import ServeConfig, ServingTier, SqliteSharedStore, WallClock
 from ...webstack import WebApplication, path, render
 from ...webstack.auth import AuthMiddleware
-from ...webstack.middleware import (ObservabilityMiddleware,
-                                    SSLRequiredMiddleware)
 from ...webstack.templates import Engine
 from ..models import (MachineRecord, SIM_DONE, Simulation, Star)
 from ..security import open_role
@@ -35,11 +34,11 @@ class PortalContext:
     facade is read/emit-only and carries no credentials)."""
 
     def __init__(self, catalog, machine_display_names,
-                 default_machine_name, *, obs, clock, question_bank=None):
+                 default_machine_name, *, obs, clock):
         self.catalog = catalog
         self.machine_display_names = dict(machine_display_names)
         self.default_machine_name = default_machine_name
-        self.question_bank = question_bank or amp_question_bank()
+        self.question_bank = amp_question_bank()
         self.obs = obs
         #: The deployment's virtual clock (read-only): the statistics
         #: page computes lease expiry / heartbeat ages against it.
@@ -62,8 +61,9 @@ def home_view(request):
     })
 
 
-def build_portal_app(runtime, *, debug=False, serve=None):
-    """The public portal WebApplication, bound to the portal role.
+def build_portal_app(runtime, *, serve=None):
+    """The public portal WebApplication, bound to the portal role,
+    behind the serving tier.
 
     *runtime* is a :class:`~repro.core.portal.runtime.PortalRuntime`
     (an ``AMPDeployment`` is one): its ``portal_db``, ``catalog``,
@@ -74,14 +74,12 @@ def build_portal_app(runtime, *, debug=False, serve=None):
     Parameters
     ----------
     serve:
-        ``None`` for the bare portal (routes + observability + SSL +
-        auth), or a :class:`~repro.serve.ServeConfig` for the serving
-        tier: :class:`~repro.serve.ServingTier` wraps the same three
-        middleware in its one pipeline and mounts ``/healthz`` +
-        ``/readyz``.  Either way the returned app carries
-        ``serve_cache`` / ``rate_limiter`` / ``admission`` /
-        ``serve_health`` (``None`` on the bare portal) for tests and
-        teardown.
+        The deployment's :class:`~repro.serve.ServeConfig` (default
+        ``ServeConfig()``: the runtime's clock, an in-process cache
+        store).  :class:`~repro.serve.ServingTier` builds the one
+        pipeline and mounts ``/healthz`` + ``/readyz``; the returned
+        app carries the tier's ``serve_cache`` / ``rate_limiter`` /
+        ``admission`` / ``serve_health`` for tests and teardown.
     """
     portal_db = runtime.portal_db
     machines = list(MachineRecord.objects.using(portal_db)
@@ -104,22 +102,15 @@ def build_portal_app(runtime, *, debug=False, serve=None):
     # views, inert until a client calls them.
     urlpatterns += api.build_routes(ctx)
     engine = Engine(templates=dict(TEMPLATES))
-    # Observability first in the pipeline: request metrics see
-    # redirects and errors from the inner middleware/views too.
-    middleware = [ObservabilityMiddleware(ctx.obs, portal_db),
-                  SSLRequiredMiddleware(), AuthMiddleware(portal_db)]
-    tier = None
-    if serve is not None:
-        tier = ServingTier(serve, portal_db, middleware,
-                           clock=ctx.clock, obs=ctx.obs)
-        urlpatterns += tier.routes
-        middleware = tier.middleware
-    app = WebApplication(
-        urlpatterns, engine=engine, middleware=middleware,
-        db=portal_db, debug=debug)
-    for handle in ("serve_cache", "rate_limiter", "admission",
-                   "serve_health"):
-        setattr(app, handle, getattr(tier, handle, None))
+    tier = ServingTier(serve or ServeConfig(), portal_db,
+                       clock=ctx.clock, obs=ctx.obs)
+    urlpatterns += tier.routes
+    app = WebApplication(urlpatterns, engine=engine,
+                         middleware=tier.middleware, db=portal_db)
+    app.serve_cache = tier.serve_cache
+    app.rate_limiter = tier.rate_limiter
+    app.admission = tier.admission
+    app.serve_health = tier.serve_health
     return app
 
 

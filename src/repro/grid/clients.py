@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_TRANSIENT = 75     # EX_TEMPFAIL — retryable
 EXIT_PERMANENT = 1
 
+#: The SAML gateway identity attached to every derived proxy.
+GATEWAY_NAME = "AMP"
+
 
 @dataclass
 class CommandResult:
@@ -63,13 +66,10 @@ class GridClients:
     ----------
     fabric:
         A :class:`GridFabric` (services per resource + proxy factory).
-    gateway_name:
-        SAML gateway identity attached to every derived proxy.
     """
 
-    def __init__(self, fabric, gateway_name="AMP", *, breakers, obs):
+    def __init__(self, fabric, *, breakers, obs):
         self.fabric = fabric
-        self.gateway_name = gateway_name
         #: The proxy wallet: one proxy per gateway user, and the user the
         #: daemon is acting for now (whose proxy signs every command).
         #: ``_verified`` holds the users whose entry passed verification
@@ -173,7 +173,7 @@ class GridClients:
             argv += ["-valid", str(int(lifetime_s // 60))]
 
         def action():
-            saml = SAMLAssertion(gateway_name=self.gateway_name,
+            saml = SAMLAssertion(gateway_name=GATEWAY_NAME,
                                  gateway_user=gateway_user,
                                  user_email=email)
             self._active_user = gateway_user

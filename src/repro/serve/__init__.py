@@ -22,14 +22,17 @@ grown into a real subsystem (see DESIGN.md §10):
 - :mod:`repro.serve.api` — helpers for the JSON campaign API (error
   bodies, parameter-sweep validation/expansion).
 
+Every portal application is built behind the tier — every layer,
+always on, in the order :class:`ServingTier` writes down.
 :class:`ServeConfig` holds the four values that differ between
-deployments; ``build_portal_app(..., serve=ServeConfig())`` puts the
-tier — every layer, always on, in the order :class:`ServingTier` writes
-down — in front of the portal application.
+deployments; its defaults are the in-process deployment's.
 """
 
 from __future__ import annotations
 
+from ..webstack.auth import AuthMiddleware
+from ..webstack.middleware import (ObservabilityMiddleware,
+                                   SSLRequiredMiddleware)
 from .admission import (AdmissionController, AdmissionMiddleware,
                         AdmissionPolicy, DEFAULT_ROUTE_CLASSES,
                         DeadlineMiddleware, DeadlinePolicy,
@@ -96,40 +99,35 @@ class ServeConfig:
 
 
 class ServingTier:
-    """The one serving pipeline on the portal-role connection *db*,
-    assembled around *portal_middleware* — the bare portal's own
-    ``[observability, ssl, auth]``.
+    """The one serving pipeline on the portal-role connection *db*:
+    the portal's observability, SSL and auth middleware with the tier's
+    layers around them, plus the ``/healthz`` + ``/readyz`` routes.
 
     Every layer is always on; a test that needs a different policy
     sets it on the built component (``rate_limiter.policies``,
     ``serve_health.min_samples``, a middleware's ``policy``, ...).
     """
 
-    #: Seconds past expiry a cached page stays servable as *stale*
-    #: (the brownout's raw material).
-    STALE_GRACE_S = 300.0
-
-    def __init__(self, config, db, portal_middleware, *, clock, obs):
+    def __init__(self, config, db, *, clock, obs):
         if config.clock is not None:
             clock = config.clock
-        observability, ssl, auth = portal_middleware
         # Attaching feeds the tracker real per-statement signals.
         self.serve_health = HealthTracker(clock, obs=obs).attach(db)
         self.admission = AdmissionController(
             clock, obs=obs, health=self.serve_health)
         self.rate_limiter = RateLimiter(clock, obs=obs)
         self.serve_cache = PortalCache(
-            clock, shared=config.shared_store, obs=obs,
-            stale_grace_s=self.STALE_GRACE_S).connect_invalidation()
+            clock, shared=config.shared_store,
+            obs=obs).connect_invalidation()
         #: ``/healthz`` + ``/readyz``, mounted beside the portal's routes.
         self.routes = build_health_routes(self.serve_health, db)
         self.middleware = [
             # First: request metrics see sheds, 429s and redirects too.
-            observability,
+            ObservabilityMiddleware(obs, db),
             # Shed and throttle before any database work.
             AdmissionMiddleware(self.admission),
             RateLimitMiddleware(self.rate_limiter),
-            ssl,
+            SSLRequiredMiddleware(),
             DeadlineMiddleware(
                 clock, db, obs=obs,
                 policy=DeadlinePolicy().clamped_to_watchdog(
@@ -138,7 +136,7 @@ class ServingTier:
             # both spare a sick database the session lookup and render.
             CacheMiddleware(self.serve_cache, health=self.serve_health),
             BrownoutMiddleware(self.serve_health, obs=obs),
-            auth,
+            AuthMiddleware(db),
             # Innermost: first in the reversed response chain, so the
             # deadline hook is disarmed before session saves / cache
             # fills.

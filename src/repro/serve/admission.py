@@ -134,11 +134,11 @@ class AdmissionController:
     the decision costs a dict lookup and a comparison — overload makes
     the tier *faster* at saying no, not slower at saying yes.
 
-    ``health`` (optional) is a :class:`~repro.serve.health.HealthTracker`;
+    ``health`` is the tier's :class:`~repro.serve.health.HealthTracker`;
     while it reports degraded, BULK admission tightens further.
     """
 
-    def __init__(self, clock, *, obs, policy=None, health=None):
+    def __init__(self, clock, *, obs, health, policy=None):
         self.clock = clock
         self.policy = policy or AdmissionPolicy()
         self.route_classes = dict(DEFAULT_ROUTE_CLASSES)
@@ -165,8 +165,8 @@ class AdmissionController:
         """Returns ``(ticket, 0)`` on admission, ``(None, retry_after_s)``
         on shed (counting and event-logging the shed)."""
         priority = self.classify(route)
-        degraded = self.health is not None and self.health.degraded
-        limit = self.policy.limit_for(priority, degraded=degraded)
+        limit = self.policy.limit_for(priority,
+                                      degraded=self.health.degraded)
         with self._lock:
             inflight = self.inflight
             admitted = inflight < limit

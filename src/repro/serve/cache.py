@@ -34,6 +34,11 @@ import pickle
 import threading
 from collections import OrderedDict
 
+#: Seconds past expiry a cached page stays servable as *stale* (the
+#: brownout's raw material): :meth:`PortalCache.get_stale` serves it and
+#: :meth:`SqliteSharedStore.prune` keeps its row that long.
+STALE_GRACE_S = 300.0
+
 
 class CacheEntry:
     """One cached value plus the metadata that decides its freshness."""
@@ -120,10 +125,6 @@ class SqliteSharedStore:
         self._local = threading.local()
         self.evictions = 0
         self._sets_since_prune = 0
-        # Seconds an *expired* row is retained for stale serving (the
-        # brownout's raw material).  0 = sweep at expiry, the default;
-        # :class:`PortalCache` raises it to its own stale grace.
-        self.retain_stale_s = 0.0
         self._connection().executescript(
             "CREATE TABLE IF NOT EXISTS cache_entries ("
             " key TEXT PRIMARY KEY, value BLOB, expires_at REAL,"
@@ -168,7 +169,9 @@ class SqliteSharedStore:
             "DELETE FROM cache_entries WHERE key = ?", (key,))
 
     def prune(self, now, *, force=False):
-        """Drop expired rows and cap the table; returns rows removed.
+        """Drop rows past expiry plus :data:`STALE_GRACE_S` (younger
+        ones may still be served stale) and cap the table; returns rows
+        removed.
 
         Runs a real sweep only every :data:`PRUNE_EVERY` calls (every
         call on ``force=True``); when over *capacity* afterwards, the
@@ -181,7 +184,7 @@ class SqliteSharedStore:
         conn = self._connection()
         removed = conn.execute(
             "DELETE FROM cache_entries WHERE expires_at <= ?",
-            (now - self.retain_stale_s,)).rowcount
+            (now - STALE_GRACE_S,)).rowcount
         excess = conn.execute(
             "SELECT COUNT(*) FROM cache_entries").fetchone()[0] \
             - self.capacity
@@ -231,15 +234,13 @@ class PortalCache:
     obs:
         The :class:`~repro.obs.Observability` facade; hit/miss/
         eviction/invalidation counters land in its metrics registry.
-    stale_grace_s:
-        Seconds past expiry an entry remains *servable as stale* via
-        :meth:`get_stale` (stale-while-revalidate / serve-stale-on-
-        error).  0 disables stale retention entirely — entries are
-        discarded at expiry; the serving tier turns it on.
+
+    An entry stays *servable as stale* via :meth:`get_stale`
+    (stale-while-revalidate / serve-stale-on-error) for
+    :data:`STALE_GRACE_S` past its expiry.
     """
 
-    def __init__(self, clock, *, obs, shared=None, l1_capacity=256,
-                 stale_grace_s=0.0):
+    def __init__(self, clock, *, obs, shared=None, l1_capacity=256):
         self.clock = clock
         self.shared = shared if shared is not None \
             else InMemorySharedStore()
@@ -247,12 +248,6 @@ class PortalCache:
         self._l1 = OrderedDict()
         self._lock = threading.Lock()
         self.obs = obs
-        self.stale_grace_s = float(stale_grace_s)
-        if self.stale_grace_s > 0 and hasattr(self.shared,
-                                              "retain_stale_s"):
-            # The shared sweep must not reap rows we may still serve.
-            self.shared.retain_stale_s = max(
-                self.shared.retain_stale_s, self.stale_grace_s)
         self._receivers = []
 
     # -- metrics -------------------------------------------------------
@@ -296,9 +291,7 @@ class PortalCache:
         """May *entry* still be served as stale?  Expiry plus grace is
         the only bound — a stale serve deliberately ignores tag
         versions, because during a brownout "recent" beats "nothing"."""
-        if entry is None or self.stale_grace_s <= 0:
-            return False
-        return self.clock.now <= entry.expires_at + self.stale_grace_s
+        return self.clock.now <= entry.expires_at + STALE_GRACE_S
 
     def get(self, key, route="<anon>"):
         """Fresh cached value for *key*, or None (counting the miss)."""
@@ -334,7 +327,7 @@ class PortalCache:
         The degraded-mode read: TTL expiry and tag invalidation are
         both ignored (a superseded page from minutes ago is still the
         honest best answer while the database is down); only entries
-        older than ``expires_at + stale_grace_s`` are refused.  Counts
+        older than ``expires_at + STALE_GRACE_S`` are refused.  Counts
         a stale hit only when the entry would *not* have been served
         by :meth:`get`.
         """
@@ -586,14 +579,14 @@ class CacheMiddleware:
     Responses are stored as plain tuples, which is what lets the
     shared store hold them across process boundaries.
 
-    With a *health* tracker attached, the cache also brownouts
-    gracefully: while degraded, expired-but-recent copies are served
-    with ``X-Cache: stale``; and any request that ends in a 5xx is
-    answered with its stale copy when one exists (serve-stale-on-
-    error), regardless of mode.
+    The cache also brownouts gracefully: while the *health* tracker
+    reports degraded, expired-but-recent copies are served with
+    ``X-Cache: stale``; and any request that ends in a 5xx is answered
+    with its stale copy when one exists (serve-stale-on-error),
+    regardless of mode.
     """
 
-    def __init__(self, cache, rules=None, *, health=None):
+    def __init__(self, cache, rules=None, *, health):
         self.cache = cache
         self.rules = dict(DEFAULT_CACHE_RULES if rules is None
                           else rules)
@@ -622,7 +615,7 @@ class CacheMiddleware:
         frozen = self.cache.get(key, route=route)
         if frozen is not None:
             return self._frozen_response(request, frozen, "hit")
-        if self.health is not None and self.health.degraded:
+        if self.health.degraded:
             # Brownout: a recent saved copy beats both an error page
             # and another trip to a struggling database.
             frozen = self.cache.get_stale(key, route=route)

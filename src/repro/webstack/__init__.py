@@ -11,7 +11,7 @@ DESIGN.md §2).  It provides the pieces the paper exercises:
 - the auth framework (users, PBKDF2 hashing, sessions, login),
 - an auto-generated admin interface,
 - a WSGI-callable :class:`~repro.webstack.application.WebApplication`
-  plus an in-process test client and a development server.
+  plus an in-process test client.
 
 Crucially — and this is the paper's architectural point — the ORM and
 models work identically *outside* any web context, so the GridAMP daemon

@@ -141,8 +141,8 @@ class Database:
         # the observability layer attaches one to feed per-role query
         # counters without the ORM importing it.
         self.on_execute = None
-        # Serving-tier resilience hooks (see repro.serve), None when the
-        # tier is off:
+        # Serving-tier resilience hooks (see repro.serve), None on a
+        # connection no tier fronts (the daemon's, the admin's):
         #
         # - ``deadline_hook(operation, table)`` — installed per request
         #   by the deadline middleware; raises :class:`DeadlineExceeded`

@@ -5,7 +5,6 @@ import urllib.request
 import pytest
 
 from repro.webstack.middleware import SSLRequiredMiddleware
-from repro.webstack.server import DevServer
 from repro.webstack.testclient import Client
 
 
@@ -68,27 +67,36 @@ class TestSSLEnforcement:
 
 
 class TestPortalOverRealSocket:
-    def test_full_site_serves_over_http_socket(self, deployment,
-                                               astronomer):
-        """The WSGI app behind an actual HTTP server — what Apache
-        fronted in production."""
+    def test_full_site_serves_over_http_socket(self, tmp_path):
+        """The portal behind the prefork server ``cli serve`` runs, over
+        one database file — what Apache fronted in production."""
+        from repro.core import AMPDeployment, build_prefork_app_factory
+        from repro.serve import PreforkServer
         from .conftest import submit_direct
         from .test_workflow import drive
+        database = str(tmp_path / "portal.sqlite")
+        deployment = AMPDeployment(database_uri=database)
+        astronomer = deployment.create_astronomer("metcalfe",
+                                                  password="pw12345")
         sim = submit_direct(deployment, astronomer)
         drive(deployment, sim)
-        server = DevServer(deployment.build_portal()).start_background()
+        deployment.close()
+        server = PreforkServer(build_prefork_app_factory(
+            database, str(tmp_path / "cache.sqlite")), workers=1).start()
         try:
-            with urllib.request.urlopen(f"{server.url}/") as response:
+            with urllib.request.urlopen(f"{server.url}/",
+                                        timeout=10) as response:
                 body = response.read().decode()
             assert "Asteroseismic Modeling Portal" in body
             with urllib.request.urlopen(
-                    f"{server.url}/api/suggest/?q=16") as response:
+                    f"{server.url}/api/suggest/?q=16",
+                    timeout=10) as response:
                 assert b"16 Cyg" in response.read()
             # The RSS feed over the wire.
             with urllib.request.urlopen(
                     f"{server.url}/feeds/star/{sim.star_id}/"
-                    "results.rss") as response:
+                    "results.rss", timeout=10) as response:
                 assert response.headers["Content-Type"].startswith(
                     "application/rss+xml")
         finally:
-            server.stop()
+            server.shutdown(timeout=10)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.hpc.simclock import SimClock
 from repro.serve import (AdmissionController, AdmissionPolicy,
-                         PRIORITY_BULK, PRIORITY_CRITICAL,
+                         HealthTracker, PRIORITY_BULK, PRIORITY_CRITICAL,
                          PRIORITY_INTERACTIVE, ServeConfig)
 
 
@@ -15,12 +15,17 @@ def clock():
     return SimClock()
 
 
+@pytest.fixture()
+def health(clock, obs):
+    return HealthTracker(clock, obs=obs)
+
+
 # ----------------------------------------------------------------------
 # Controller unit behaviour
 # ----------------------------------------------------------------------
 
-def test_routes_classify_by_expense(clock, obs):
-    admission = AdmissionController(clock, obs=obs)
+def test_routes_classify_by_expense(clock, obs, health):
+    admission = AdmissionController(clock, obs=obs, health=health)
     assert admission.classify("healthz") == PRIORITY_CRITICAL
     assert admission.classify("metrics") == PRIORITY_CRITICAL
     assert admission.classify("api-sim-list") == PRIORITY_INTERACTIVE
@@ -30,9 +35,10 @@ def test_routes_classify_by_expense(clock, obs):
     assert admission.classify("no-such-route") == PRIORITY_INTERACTIVE
 
 
-def test_admits_to_limit_then_sheds(clock, obs):
+def test_admits_to_limit_then_sheds(clock, obs, health):
     admission = AdmissionController(
-        clock, obs=obs, policy=AdmissionPolicy(max_inflight=4))
+        clock, obs=obs, health=health,
+        policy=AdmissionPolicy(max_inflight=4))
     tickets = []
     for _ in range(4):
         ticket, _ = admission.try_admit("metrics")   # CRITICAL: full cap
@@ -46,12 +52,13 @@ def test_admits_to_limit_then_sheds(clock, obs):
     assert ticket is not None
 
 
-def test_bulk_is_cut_off_before_interactive(clock, obs):
+def test_bulk_is_cut_off_before_interactive(clock, obs, health):
     """The priority shares reserve headroom: once BULK's share is
     full, an expensive render sheds while a cheap API read and a probe
     still get in."""
     admission = AdmissionController(
-        clock, obs=obs, policy=AdmissionPolicy(max_inflight=8))
+        clock, obs=obs, health=health,
+        policy=AdmissionPolicy(max_inflight=8))
     for _ in range(4):                       # BULK share: 8 * 0.5 = 4
         ticket, _ = admission.try_admit("home")
         assert ticket is not None
@@ -60,17 +67,17 @@ def test_bulk_is_cut_off_before_interactive(clock, obs):
     assert admission.try_admit("healthz")[0] is not None
 
 
-def test_critical_always_keeps_one_slot(clock, obs):
+def test_critical_always_keeps_one_slot(clock, obs, health):
     admission = AdmissionController(
-        clock, obs=obs, policy=AdmissionPolicy(
+        clock, obs=obs, health=health, policy=AdmissionPolicy(
             max_inflight=1,
             shares={PRIORITY_CRITICAL: 0.0, PRIORITY_INTERACTIVE: 0.0,
                     PRIORITY_BULK: 0.0}))
     assert admission.try_admit("healthz")[0] is not None
 
 
-def test_release_is_idempotent(clock, obs):
-    admission = AdmissionController(clock, obs=obs)
+def test_release_is_idempotent(clock, obs, health):
+    admission = AdmissionController(clock, obs=obs, health=health)
     ticket, _ = admission.try_admit("home")
     admission.release(ticket)
     admission.release(ticket)

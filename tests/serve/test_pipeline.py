@@ -13,8 +13,6 @@ PIPELINE = ["ObservabilityMiddleware", "AdmissionMiddleware",
             "RateLimitMiddleware", "SSLRequiredMiddleware",
             "DeadlineMiddleware", "CacheMiddleware", "BrownoutMiddleware",
             "AuthMiddleware", "DeadlineScopeMiddleware"]
-BARE = ["ObservabilityMiddleware", "SSLRequiredMiddleware",
-        "AuthMiddleware"]
 
 
 def _names(app):
@@ -23,21 +21,19 @@ def _names(app):
 
 def test_pipeline_order_and_settings_are_pinned(deployment):
     from repro.core.portal.site import build_portal_app
-    assert _names(deployment.build_portal(serve=ServeConfig())) == PIPELINE
-    assert _names(build_portal_app(deployment)) == BARE
+    assert _names(deployment.build_portal()) == PIPELINE
+    other = build_portal_app(deployment)
+    assert _names(other) == PIPELINE
+    other.serve_cache.close()
     assert list(inspect.signature(ServeConfig).parameters) == [
         "clock", "shared_store", "worker_index", "watchdog_s"]
 
 
-def test_served_request_after_bare_build_is_refused(deployment):
-    bare = deployment.build_portal()
-    assert bare.serve_cache is None
-    config = ServeConfig()
-    with pytest.raises(ValueError) as excinfo:
-        deployment.build_portal(serve=config)
-    assert "serve=None" in str(excinfo.value)
-    assert repr(config) in str(excinfo.value)
-    assert deployment.build_portal() is bare
+def test_default_build_is_the_served_pipeline(deployment):
+    app = deployment.build_portal()
+    for handle in ("serve_cache", "rate_limiter", "admission",
+                   "serve_health"):
+        assert getattr(app, handle) is not None, handle
 
 
 def test_second_config_after_served_build_is_refused(deployment):

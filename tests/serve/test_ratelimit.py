@@ -180,15 +180,17 @@ def test_probes_and_metrics_are_never_throttled_or_cached(
 
 def test_exempt_routes_never_enter_the_cache_rules(deployment, obs):
     """Even a hand-written rule set cannot opt a probe into caching."""
-    from repro.serve import CacheMiddleware, CacheRule, PortalCache
+    from repro.serve import (CacheMiddleware, CacheRule, HealthTracker,
+                             PortalCache)
     from repro.serve.cache import EXEMPT_ROUTES
-    cache = PortalCache(SimClock(), obs=obs)
+    clock = SimClock()
+    cache = PortalCache(clock, obs=obs)
     middleware = CacheMiddleware(cache, rules={
         "metrics": CacheRule(60, lambda kwargs: {"stats"}),
         "healthz": CacheRule(60, lambda kwargs: set()),
         "readyz": CacheRule(60, lambda kwargs: set()),
         "home": CacheRule(60, lambda kwargs: {"home"}),
-    })
+    }, health=HealthTracker(clock, obs=obs))
     for route in EXEMPT_ROUTES:
         assert route not in middleware.rules
     assert "home" in middleware.rules

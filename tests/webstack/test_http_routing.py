@@ -243,19 +243,3 @@ class TestApplication:
         response = Client(app).get("/")
         assert response.status_code == 500
         assert ran == [500]
-
-
-class TestDevServer:
-    def test_serves_over_real_socket(self):
-        import urllib.request
-
-        from repro.webstack.server import DevServer
-
-        app = WebApplication(
-            [path("ping/", lambda r: HttpResponse(b"pong"))])
-        server = DevServer(app).start_background()
-        try:
-            with urllib.request.urlopen(f"{server.url}/ping/") as fh:
-                assert fh.read() == b"pong"
-        finally:
-            server.stop()
