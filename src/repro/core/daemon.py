@@ -14,13 +14,28 @@ The poll cycle implements the paper's two-level status management:
    callbacks fire here.
 2. **Workflow advancement** — each active simulation's workflow manager
    "simply retrieves the last-known status of the appropriate job and
-   waits or proceeds accordingly."
+   waits or proceeds accordingly."  A simulation that can only wait —
+   its state's check reads a job level 1 just found still in flight —
+   is *waiting*: level 1's rows name it, and level 2 loads only the
+   others.  Every job is still polled every cycle.
 
 Database access is *set-oriented* end to end: each phase loads its
 working set in one JOIN-backed query (``select_related``/
 ``prefetch_related``) and writes accumulated state changes back with one
 ``bulk_update``, so a steady-state poll costs a bounded number of round
-trips regardless of how many jobs and simulations are in flight.
+trips regardless of how many jobs and simulations are in flight.  The
+budget, per poll:
+
+- lease sweep: one SELECT (three statements when a renewal is due);
+- level 1: one SELECT, plus one ``bulk_update`` when a job changed;
+- telemetry: one SELECT, plus one ``bulk_update`` of the machine rows;
+- placement and hold recovery: one SELECT each while nothing is
+  unplaced or recoverable;
+- level 2: one SELECT, plus one prefetch of jobs when any simulation
+  is not waiting.
+
+A scan poll — every simulation waiting — is therefore seven
+statements; a working poll adds the transitions' own writes.
 
 Daemon failures are detected *externally*: :class:`ExternalMonitor`
 watches the heartbeat the poll loop stamps.
@@ -28,13 +43,15 @@ watches the heartbeat the poll loop stamps.
 
 from __future__ import annotations
 
+import traceback
+
 from ..grid.breaker import CLOSED, BreakerEvent
 from ..grid.retry import RetryPolicy, RetryTracker
 from ..hpc.simclock import sim_datetime
 from ..obs.registry import QUERY_COUNT_BUCKETS
-from .models import (GRAM_STATES, GridJobRecord, HOLD_RESOURCE,
-                     JOURNAL_ABORTED, JOURNAL_COMMITTED, JOURNAL_INTENT,
-                     JOURNAL_OP_CANCEL, JOURNAL_OP_STAGE_IN,
+from .models import (GRAM_IN_FLIGHT, GRAM_STATES, GridJobRecord,
+                     HOLD_RESOURCE, JOURNAL_ABORTED, JOURNAL_COMMITTED,
+                     JOURNAL_INTENT, JOURNAL_OP_CANCEL, JOURNAL_OP_STAGE_IN,
                      JOURNAL_OP_STAGE_OUT, JOURNAL_OP_SUBMIT,
                      KIND_DIRECT, KIND_OPTIMIZATION, OUTCOME_ADOPTED,
                      OUTCOME_REISSUED, OUTCOME_REPLAYED, OUTCOME_VERIFIED,
@@ -355,18 +372,25 @@ class GridAMPDaemon:
         """Level 1: refresh every in-flight grid job's GRAM state.
 
         One JOIN-backed SELECT loads every record with its simulation
-        and owner — only the columns this loop decides on, so the
-        wide simulation and user rows are never hydrated; state changes
-        accumulate and flush in one ``bulk_update`` — two round trips
-        however many jobs are active.  Only jobs of the leased slices
-        are polled.
+        and owner — only the columns this loop and :meth:`waiting_set`
+        decide on, so the wide simulation and user rows are never
+        hydrated; state changes accumulate and flush in one
+        ``bulk_update`` — two round trips however many jobs are active.
+        Only jobs of the leased slices are polled.
+
+        Returns the waiting set of the refreshed jobs.
         """
         active = (GridJobRecord.objects.using(self.db)
-                  .filter(state__in=["UNSUBMITTED", "PENDING", "ACTIVE"],
+                  .filter(state__in=list(GRAM_IN_FLIGHT),
                           simulation_id__mod=slice_filter)
                   .select_related("simulation__owner")
-                  .only("simulation", "resource", "gram_job_id", "state",
-                        "failure_reason", "simulation__owner__username",
+                  .only("simulation", "purpose", "resource",
+                        "gram_job_id", "state", "failure_reason",
+                        "simulation__state", "simulation__kind",
+                        "simulation__machine_name",
+                        "simulation__retry_not_before",
+                        "simulation__retry_counts",
+                        "simulation__owner__username",
                         "simulation__owner__email"))
         changed = []
         for record in active:
@@ -401,9 +425,33 @@ class GridAMPDaemon:
         if changed:
             GridJobRecord.objects.using(self.db).bulk_update(
                 changed, ["state", "failure_reason"])
+        return self.waiting_set(active)
 
-    def advance_simulations(self, slice_filter):
+    def waiting_set(self, jobs):
+        """The simulations level 2 need not load: ``{pk: job}`` for
+        each simulation whose workflow is
+        :meth:`~repro.core.workflow.base.WorkflowManager.waiting` on
+        one of level 1's refreshed *jobs*.  Its ``advance`` could only
+        refresh the owner's proxy, so level 2 does just that, from
+        level 1's columns.
+        """
+        waiting = {}
+        for job in jobs:
+            simulation = job.simulation
+            workflow = self.workflows.get(simulation.kind)
+            if workflow is not None and workflow.waiting(simulation, job):
+                waiting[simulation.pk] = job
+        return waiting
+
+    def advance_simulations(self, slice_filter, waiting):
         """Level 2: run each active simulation's workflow.
+
+        One query loads the active simulations outside *waiting*
+        (level 1's waiting set) with their jobs; when every active
+        simulation is waiting it returns no row and loads no job.  A
+        waiting simulation only has its owner's proxy refreshed, under
+        the same ``sim.advance`` span and in the same pk order, so the
+        grid commands go out exactly as if it had been loaded.
 
         A defect in one simulation's processing must not take the whole
         daemon down with it: unexpected exceptions hold that simulation
@@ -411,49 +459,75 @@ class GridAMPDaemon:
         continues — the per-simulation analogue of the paper's "daemon
         failures are monitored externally" posture.
         """
-        import traceback
-        transitions = 0
-        active = (Simulation.objects.using(self.db)
+        active = {simulation.pk: simulation for simulation in
+                  Simulation.objects.using(self.db)
                   .filter(state__in=list(SIM_ACTIVE_STATES),
                           pk__mod=slice_filter)
+                  .exclude(pk__in_json=sorted(waiting))
                   .select_related("owner", "observation")
                   .prefetch_related("grid_jobs")
-                  .order_by("id"))
-        active_seen = 0
-        for simulation in active:
-            active_seen += 1
-            workflow = self.workflows[simulation.kind]
-            # One span per advance, under the simulation's correlation
-            # id: the nested grid commands inherit the trace ambiently.
-            with self.obs.tracer.span(
-                    "sim.advance", trace_id=simulation.correlation_id,
-                    attrs={"simulation": simulation.pk,
-                           "state": simulation.state}) as span:
-                try:
-                    if workflow.advance(simulation):
-                        transitions += 1
-                        span.set_attr("advanced_to", simulation.state)
-                except Exception:  # noqa: BLE001 - daemon survival boundary
-                    detail = traceback.format_exc()
-                    self.obs.events.emit(
-                        "daemon.error", simulation=simulation.pk,
-                        trace_id=simulation.correlation_id,
-                        error=detail.splitlines()[-1])
-                    try:
-                        workflow.hold(simulation,
-                                      f"internal daemon error:\n{detail}")
-                    except Exception:  # noqa: BLE001 - last resort
-                        self.mailer.notify_admin(
-                            f"Daemon error on simulation "
-                            f"#{simulation.pk}", detail)
+                  .order_by("id")}
+        for pk, job in waiting.items():
+            active[pk] = job.simulation
+        transitions = sum(self._advance(active[pk], waiting.get(pk))
+                          for pk in sorted(active))
         # Each instance's share of the partition; the children sum to
         # the deployment-wide total.
         self.obs.metrics.gauge(
             "daemon_active_simulations",
             help="Simulations in active workflow states, per daemon "
                  "instance").labels(instance=self.instance_id).set(
-            active_seen)
+            len(active))
         return transitions
+
+    def _advance(self, simulation, job):
+        """One simulation's level-2 step; True when it transitioned.
+
+        *job* is what a waiting simulation waits on (None for a loaded
+        one): its span names the job, and only the owner's proxy is
+        refreshed.  Should that refresh fail, the simulation is loaded
+        after all and the engine records the failure.
+        """
+        workflow = self.workflows[simulation.kind]
+        attrs = {"simulation": simulation.pk, "state": simulation.state}
+        if job is not None:
+            attrs.update(waiting_on=job.purpose, job=job.pk,
+                         gram_state=job.state)
+        # One span per advance, under the simulation's correlation id:
+        # the nested grid commands inherit the trace ambiently.
+        with self.obs.tracer.span(
+                "sim.advance", trace_id=simulation.correlation_id,
+                attrs=attrs) as span:
+            try:
+                if job is None:
+                    advanced = workflow.advance(simulation)
+                else:
+                    owner = simulation.owner
+                    refresh = self.clients.ensure_proxy(owner.username,
+                                                        owner.email)
+                    if refresh.ok:
+                        return False
+                    simulation = (Simulation.objects.using(self.db)
+                                  .select_related("owner", "observation")
+                                  .get(pk=simulation.pk))
+                    advanced = workflow.proceed(simulation, refresh)
+                if advanced:
+                    span.set_attr("advanced_to", simulation.state)
+                return advanced
+            except Exception:  # noqa: BLE001 - daemon survival boundary
+                detail = traceback.format_exc()
+                self.obs.events.emit(
+                    "daemon.error", simulation=simulation.pk,
+                    trace_id=simulation.correlation_id,
+                    error=detail.splitlines()[-1])
+                try:
+                    workflow.hold(simulation,
+                                  f"internal daemon error:\n{detail}")
+                except Exception:  # noqa: BLE001 - last resort
+                    self.mailer.notify_admin(
+                        f"Daemon error on simulation "
+                        f"#{simulation.pk}", detail)
+                return False
 
     def update_machine_telemetry(self):
         """Publish per-machine queue depth/utilisation into the DB.
@@ -596,8 +670,9 @@ class GridAMPDaemon:
             slice_filter = self.leases.slice_filter()
             poll_span.set_attr("slices", len(slice_filter[1]))
             if slice_filter[1]:
-                self._phase("update_grid_jobs",
-                            lambda: self.update_grid_jobs(slice_filter))
+                waiting = self._phase(
+                    "update_grid_jobs",
+                    lambda: self.update_grid_jobs(slice_filter))
                 if 0 in slice_filter[1]:
                     # One telemetry publisher per fleet — the slice-0
                     # owner — so machine rows aren't rewritten N times
@@ -612,6 +687,8 @@ class GridAMPDaemon:
                     self._phase(
                         "reconcile_pending",
                         lambda: self.reconcile_journal(slice_filter))
+                    # It may have written any of their jobs: load all.
+                    waiting = {}
                 # Placement runs after the telemetry refresh (fresh
                 # queue depths and breaker columns) and before any
                 # workflow may advance a newly placed simulation out of
@@ -622,9 +699,12 @@ class GridAMPDaemon:
                 self._phase(
                     "recover_resource_holds",
                     lambda: self.recover_resource_holds(slice_filter))
+                # Placement writes only QUEUED simulations and hold
+                # recovery only HOLD ones: never a waiting one.
                 transitions = self._phase(
                     "advance_simulations",
-                    lambda: self.advance_simulations(slice_filter))
+                    lambda: self.advance_simulations(slice_filter,
+                                                     waiting))
             poll_span.set_attr("transitions", transitions)
         self.heartbeat = self.clock.now
         self.poll_count += 1

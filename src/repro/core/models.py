@@ -59,6 +59,8 @@ JOB_CLEANUP = "cleanup"
 
 # GRAM-level job states (mirrors repro.grid.gram).
 GRAM_STATES = ("UNSUBMITTED", "PENDING", "ACTIVE", "DONE", "FAILED")
+#: The states of a job still in flight: level 1 polls these.
+GRAM_IN_FLIGHT = GRAM_STATES[:3]
 
 # Operation-journal lifecycle (crash recovery).  An entry is written
 # durably *before* the side-effecting grid call (INTENT) and marked

@@ -32,8 +32,8 @@ from ...grid.gridftp import checksum
 from ...grid.retry import classify_operation
 from ...grid.rsl import fork_spec, format_rsl
 from ...hpc.accounting import cpu_hours
-from ..models import (GridJobRecord, HOLD_MODEL, HOLD_RESOURCE,
-                      JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
+from ..models import (GRAM_IN_FLIGHT, GridJobRecord, HOLD_MODEL,
+                      HOLD_RESOURCE, JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
                       JOURNAL_ABORTED, JOURNAL_COMMITTED, JOURNAL_INTENT,
                       JOURNAL_OP_STAGE_IN, JOURNAL_OP_STAGE_OUT,
                       JOURNAL_OP_SUBMIT, MACHINE_AUTO,
@@ -116,31 +116,62 @@ class WorkflowManager:
                         "DONE"),
         }
 
+    #: The job purpose each state's check waits on.  While the
+    #: simulation's job of that purpose is in flight the check returns
+    #: False and touches nothing, so ``advance`` does no more than
+    #: refresh the owner's proxy (see :meth:`waiting`).  A check with
+    #: side effects of its own declares nothing.
+    waits_on = {"PREJOB": JOB_PREJOB, "POSTJOB": JOB_POSTJOB,
+                "CLEANUP": JOB_CLEANUP}
+
     # ------------------------------------------------------------------
     # The engine
     # ------------------------------------------------------------------
-    def advance(self, simulation):
-        """Run the current state's function list; transition if all pass.
-
-        Returns True when a state transition happened.
-        """
+    def ready(self, simulation):
+        """``advance``'s guards: False while the simulation may not act."""
         if simulation.state not in self.workflow:
             return False
         if simulation.machine_name == MACHINE_AUTO:
             return False            # awaiting broker placement
         if simulation.pk in self.blocked_sims:
             return False            # unresolved journal intent: frozen
-        if not self.retry_due(simulation):
-            return False            # backing off after a transient
+        return self.retry_due(simulation)   # False: backing off
+
+    def waiting(self, simulation, job):
+        """True when ``advance(simulation)`` can do nothing but refresh
+        the owner's proxy: every guard passes, no retry count is there
+        to clear, and the check of the simulation's state waits on
+        *job*, which is still in flight.
+
+        *job* must be the simulation's latest job of its purpose.  For
+        the purposes in :attr:`waits_on` it is the only one: each is
+        submitted once, by a ``submit_*`` step that first looks for it.
+        """
+        return (job.state in GRAM_IN_FLIGHT
+                and self.waits_on.get(simulation.state) == job.purpose
+                and simulation.retry_counts is None
+                and self.ready(simulation))
+
+    def advance(self, simulation):
+        """Run the current state's function list; transition if all pass.
+
+        Returns True when a state transition happened.
+        """
+        if not self.ready(simulation):
+            return False
+        # Every cycle acts under a fresh SAML-attributed proxy for the
+        # simulation's owner (proxies are short-lived by design).
+        owner = simulation.owner
+        return self.proceed(
+            simulation, self.clients.ensure_proxy(owner.username,
+                                                  owner.email))
+
+    def proceed(self, simulation, refresh):
+        """``advance`` past its guards, with the owner's proxy
+        *refresh* already issued; True when a transition happened."""
         functions, next_state = self.workflow[simulation.state]
         try:
-            # Every cycle acts under a fresh SAML-attributed proxy for
-            # the simulation's owner (proxies are short-lived by design).
-            owner = simulation.owner
-            refresh = self._grid_call(
-                simulation,
-                self.clients.ensure_proxy(owner.username, owner.email))
-            if refresh is None:
+            if self._grid_call(simulation, refresh) is None:
                 return False
             for fn in functions:
                 if not fn(simulation):

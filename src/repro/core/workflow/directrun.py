@@ -18,6 +18,8 @@ from .base import WorkflowManager
 
 class DirectRunWorkflow(WorkflowManager):
     kind = KIND_DIRECT
+    #: RUNNING's check only reads the one model job's last-known state.
+    waits_on = {**WorkflowManager.waits_on, "RUNNING": JOB_MODEL}
 
     def input_files(self, simulation):
         return generate_input_files(simulation)

@@ -30,6 +30,8 @@ from .base import ModelFailure, WorkflowManager
 
 class OptimizationWorkflow(WorkflowManager):
     kind = KIND_OPTIMIZATION
+    # RUNNING waits on nothing: its check downloads progress files,
+    # extends chains and revokes surplus jobs whatever the jobs' states.
 
     # ------------------------------------------------------------------
     def _config(self, simulation):

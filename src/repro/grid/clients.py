@@ -89,6 +89,9 @@ class GridClients:
         #: id, which is how a simulation's correlation id reaches grid
         #: traffic.
         self.obs = obs
+        #: ``grid_commands_total`` children by (program, outcome),
+        #: looked up once: every command counts.
+        self._command_counts = {}
 
     # ------------------------------------------------------------------
     def _run(self, argv, fn, resource=None):
@@ -130,10 +133,15 @@ class GridClients:
             outcome = "ok" if result.ok else (
                 "transient" if result.transient else "permanent")
         program = str(result.argv[0]) if result.argv else "?"
-        self.obs.metrics.counter(
-            "grid_commands_total",
-            help="Grid client commands by program and outcome").labels(
-            program=program, outcome=outcome).inc()
+        child = self._command_counts.get((program, outcome))
+        if child is None:
+            child = self._command_counts[program, outcome] = \
+                self.obs.metrics.counter(
+                    "grid_commands_total",
+                    help="Grid client commands by program and "
+                         "outcome").labels(program=program,
+                                           outcome=outcome)
+        child.inc()
         self.obs.events.emit(
             "grid.command", program=program, resource=resource or "",
             outcome=outcome,

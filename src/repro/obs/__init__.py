@@ -60,11 +60,19 @@ class Observability:
         self.tracer = Tracer(clock)
         self.events = EventLog(clock)
         # Every event also counts: the statistics page reads totals
-        # without scanning the log.
+        # without scanning the log.  Counting runs once per event, so
+        # each kind's child is looked up once and kept.
         counter = self.metrics.counter(
             "amp_events_total", help="Structured events by kind")
-        self.events.subscribe_all(
-            lambda record: counter.labels(kind=record.kind).inc())
+        by_kind = {}
+
+        def count(record):
+            child = by_kind.get(record.kind)
+            if child is None:
+                child = by_kind[record.kind] = counter.labels(
+                    kind=record.kind)
+            child.inc()
+        self.events.subscribe_all(count)
 
     # ------------------------------------------------------------------
     def observe_database(self, db, slow_statement_s=None):
@@ -79,9 +87,15 @@ class Observability:
             "db_queries_total",
             help="ORM statements by connection role and operation")
         role = db.role
-        db.on_execute = (
-            lambda operation, table:
-            family.labels(role=role, operation=operation).inc())
+        by_operation = {}
+
+        def count(operation, table):
+            child = by_operation.get(operation)
+            if child is None:
+                child = by_operation[operation] = family.labels(
+                    role=role, operation=operation)
+            child.inc()
+        db.on_execute = count
         if slow_statement_s is None:
             return
         slow_family = self.metrics.counter(

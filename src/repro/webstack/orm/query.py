@@ -19,6 +19,9 @@ SDSS/SkyServer, "When Database Systems Meet the Grid"):
 - ``prefetch_count(name)`` — one grouped ``COUNT(*)`` per reverse
   relation, for pages that print how many rows there are and never
   read them;
+- ``field__in_json=values`` — ``IN`` over one JSON-array parameter:
+  one statement shape (and one prepared statement) whatever the
+  number of values, where ``field__in`` compiles one per count;
 - ``only()``/``defer()`` — column projection (unloaded columns load
   lazily on first access);
 - ``bulk_update(objs, fields)`` — one CASE-WHEN UPDATE per batch instead
@@ -27,6 +30,7 @@ SDSS/SkyServer, "When Database Systems Meet the Grid"):
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 
@@ -73,7 +77,8 @@ def _like_escape(value):
 # text is byte-identical call after call, sqlite3's per-connection
 # prepared-statement cache reuses the prepared statement too.
 
-_ALL_LOOKUPS = frozenset(_LOOKUPS) | {"in", "isnull", "range", "mod"}
+_ALL_LOOKUPS = frozenset(_LOOKUPS) | {"in", "in_json", "isnull", "range",
+                                      "mod"}
 
 
 def _split_lookup(name):
@@ -106,6 +111,10 @@ def _shape_q(q, values):
                         payload[key] = value
                     leaf.append((key, "in", len(value)))
                     values.extend(value)
+                elif lookup == "in_json":
+                    # One parameter however many elements: one shape.
+                    leaf.append((key, "in_json"))
+                    values.append(list(value))
                 elif lookup == "isnull":
                     leaf.append((key, "isnull", bool(value)))
                 elif lookup == "range":
@@ -313,6 +322,9 @@ class QueryCompiler:
         if lookup == "in":
             marks = ", ".join("?" * detail)
             return f'{ref} IN ({marks})', [marshal] * detail
+        if lookup == "in_json":
+            return (f'{ref} IN (SELECT value FROM json_each(?))',
+                    [lambda v: json.dumps([marshal(x) for x in v])])
         if lookup == "range":
             return f'{ref} BETWEEN ? AND ?', [marshal, marshal]
         if lookup == "mod":

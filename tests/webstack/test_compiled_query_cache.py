@@ -83,6 +83,25 @@ def test_in_lookup_arity_is_part_of_the_key(authors):
     assert hits() == before + 1
 
 
+def test_in_json_is_one_shape_for_every_arity(authors):
+    """``in_json`` binds the values as one JSON array: any count, one
+    cache entry, and the rows ``in`` selects (also under ``exclude``,
+    and for an empty list)."""
+    ids = sorted(author.pk for author in authors.values())
+    assert Author.objects.filter(pk__in_json=ids[:2]).count() == 2
+    size = compiled_cache.stats()["size"]
+    before = hits()
+    for count in (0, 1, 3, 4):
+        assert [a.pk for a in Author.objects.filter(
+            pk__in_json=ids[:count]).order_by("id")] == ids[:count]
+        assert Author.objects.exclude(
+            pk__in_json=ids[:count]).count() == len(ids) - count
+    assert compiled_cache.stats()["size"] == size + 2   # select, count
+    assert hits() == before + 6
+    assert Author.objects.filter(
+        name__in_json=["Ada", "Annie"]).count() == 2
+
+
 def test_empty_in_shape_matches_nothing_and_caches(authors):
     assert Author.objects.filter(name__in=[]).count() == 0
     before = hits()

@@ -17,11 +17,12 @@ so drift on the host lands on both.  Then one traced pair
 
 The file holds an environment stamp (Python, ``nproc``, kernel, CPU and
 both revisions); per workload and end-to-end metric, every run's value,
-each side's median and q1-q3, and the change's wins k/n; the runs'
+each side's median and q1-q3, the change's wins k/n, and the median
+and q1-q3 of the per-pair change/base ratios; the runs'
 ``correct``/``failed`` outcomes; and the traced pair's counts.
 ``--check`` validates files against that schema, recomputing every
-median, quartile and win count from the recorded values, and runs
-nothing.  Stdlib only.
+median, quartile, win count and ratio (in files that record ratios)
+from the recorded values, and runs nothing.  Stdlib only.
 
 This script lives in ``tools/`` only because ``benchmarks/gateway/``
 is frozen outside benchmark work.  ROADMAP item 1(b) moves it behind
@@ -130,6 +131,9 @@ def wins(base, change, better):
 
 
 def metric_table(runs):
+    """Per end-to-end metric: each side's summary, the change's wins,
+    and the summary of the per-pair change/base ratios (pairs whose
+    base is 0 have none; no such pair, no ``ratio``)."""
     table = {}
     for metric in contract()["end_to_end"]:
         name, better = metric["name"], metric["better"]
@@ -139,6 +143,10 @@ def metric_table(runs):
                        **{side: summarise(values[side]) for side in SIDES},
                        "wins": wins(values["base"], values["change"],
                                     better)}
+        ratios = [c / b for b, c in zip(values["base"], values["change"])
+                  if b]
+        if ratios:
+            table[name]["ratio"] = summarise(ratios)
     return table
 
 
@@ -194,10 +202,14 @@ def print_report(report):
         print(f"== {workload} ({report['pairs']} pairs) ==")
         for name, row in entry["metrics"].items():
             base, change = row["base"], row["change"]
+            ratio = row.get("ratio")
+            paired = (f" ratio {ratio['median']:.3f} [{ratio['q1']:.3f}-"
+                      f"{ratio['q3']:.3f}]" if ratio else "")
             print(f"  {name:<16} {base['median']:>10.4g} -> "
                   f"{change['median']:<10.4g} [{change['q1']:.4g}-"
                   f"{change['q3']:.4g}] base [{base['q1']:.4g}-"
-                  f"{base['q3']:.4g}] wins {row['wins']} {row['unit']}")
+                  f"{base['q3']:.4g}] wins {row['wins']}{paired} "
+                  f"{row['unit']}")
         for name, pair in entry.get("exact_counts", {}).items():
             print(f"  {name:<46} {pair['base']:.6g} -> "
                   f"{pair['change']:.6g}")
@@ -253,6 +265,9 @@ def check(report):
         need(set(recorded) == set(expected),
              f"{where}: metrics are not BENCHMARK.json's end_to_end")
         for name in set(recorded) & set(expected):
+            if "ratio" not in recorded[name]:
+                # Written before the ratios were recorded.
+                expected[name].pop("ratio", None)
             need(json.dumps(recorded[name], sort_keys=True)
                  == json.dumps(expected[name], sort_keys=True),
                  f"{where}.metrics.{name}: summary does not match the "
