@@ -378,6 +378,13 @@ class GridAMPDaemon:
         ``bulk_update`` — two round trips however many jobs are active.
         Only jobs of the leased slices are polled.
 
+        Each status command carries its simulation's correlation id, so
+        it is traceable back to the portal submission that caused it.
+        A ``daemon.job_poll`` span records each poll but the ones a
+        simulation waits on: that simulation's ``sim.advance`` span
+        names the job and its GRAM state, one span per waiting
+        simulation instead of two.
+
         Returns the waiting set of the refreshed jobs.
         """
         active = (GridJobRecord.objects.using(self.db)
@@ -392,22 +399,16 @@ class GridAMPDaemon:
                         "simulation__retry_counts",
                         "simulation__owner__username",
                         "simulation__owner__email"))
-        changed = []
+        changed, polled = [], []
         for record in active:
             if record.gram_job_id is None:
                 continue
             owner = record.simulation.owner
             self.clients.ensure_proxy(owner.username, owner.email)
-            # The job poll runs inside a span carrying the simulation's
-            # correlation id, so the grid command it issues is traceable
-            # back to the portal submission that caused it.
-            with self.obs.tracer.span(
-                    "daemon.job_poll",
-                    trace_id=record.simulation.correlation_id,
-                    attrs={"job": record.pk,
-                           "resource": record.resource}):
-                result = self.clients.job_status(
-                    record.resource, record.gram_job_id)
+            polled.append(record)
+            result = self.clients.job_status(
+                record.resource, record.gram_job_id,
+                trace_id=record.simulation.correlation_id)
             if not result.ok:
                 # Transient poll failures are silent (retried next cycle);
                 # administrators can read the command log.
@@ -425,7 +426,18 @@ class GridAMPDaemon:
         if changed:
             GridJobRecord.objects.using(self.db).bulk_update(
                 changed, ["state", "failure_reason"])
-        return self.waiting_set(active)
+        waiting = self.waiting_set(active)
+        for record in polled:
+            if waiting.get(record.simulation_id) is not record:
+                # Recorded once the poll is done: the virtual clock has
+                # not moved since, so it spans the same instant.
+                with self.obs.tracer.span(
+                        "daemon.job_poll",
+                        trace_id=record.simulation.correlation_id,
+                        attrs={"job": record.pk,
+                               "resource": record.resource}):
+                    pass
+        return waiting
 
     def waiting_set(self, jobs):
         """The simulations level 2 need not load: ``{pk: job}`` for

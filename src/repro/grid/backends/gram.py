@@ -103,7 +103,7 @@ class GramBackend:
     # ------------------------------------------------------------------
     # globus-job-status (poll)
     # ------------------------------------------------------------------
-    def poll(self, clients, resource_name, job_id):
+    def poll(self, clients, resource_name, job_id, trace_id=None):
         argv = ["globus-job-status", "-r", resource_name, str(job_id)]
 
         def action():
@@ -114,7 +114,8 @@ class GramBackend:
                 reason = gram.failure_reason(int(job_id))
                 return f"{state} {reason}".strip()
             return state
-        return clients._run(argv, action, resource=resource_name)
+        return clients._run(argv, action, resource=resource_name,
+                            trace_id=trace_id)
 
     def lookup(self, clients, resource_name, tag):
         argv = ["globus-job-lookup", "-r", resource_name, str(tag)]

@@ -8,7 +8,7 @@ correlation id).  The trace id is minted once per simulation
 through every daemon state transition and grid command, so an operator
 can ask "show me everything the gateway did for simulation #17".
 
-Span and trace ids come from a per-tracer monotone counter and all
+Span ids and root trace ids come from per-tracer monotone counters and all
 timestamps come from the injected clock, so a fault schedule replayed
 under the same seed produces an *identical* span tree —
 :meth:`Tracer.tree_lines` renders the forest as text precisely so soak
@@ -84,6 +84,7 @@ class Tracer:
         self.finished = Ring()
         self._stack = []
         self._ids = itertools.count(1)
+        self._roots = itertools.count(1)
 
     # ------------------------------------------------------------------
     def span(self, name, *, trace_id=None, attrs=None):
@@ -91,8 +92,9 @@ class Tracer:
 
         The parent is whatever span is currently open on this tracer;
         the trace id defaults to the parent's (ambient propagation), or
-        to a fresh ``trace-NNNNNN`` for a root span.  *attrs* becomes
-        the span's own dict: pass a fresh one.
+        for a root span to a fresh ``trace-NNNNNN``, the root's ordinal
+        (however many spans earlier roots recorded beneath them).
+        *attrs* becomes the span's own dict: pass a fresh one.
         """
         span_id = next(self._ids)
         if self._stack:
@@ -103,7 +105,7 @@ class Tracer:
         else:
             parent_id = None
             if trace_id is None:
-                trace_id = f"trace-{span_id:06d}"
+                trace_id = f"trace-{next(self._roots):06d}"
         return Span(self, span_id, trace_id, parent_id, name,
                     self.clock.now, {} if attrs is None else attrs)
 

@@ -210,6 +210,32 @@ class TestWaitingSpans:
             assert job.state in ("PENDING", "ACTIVE")
             assert span.trace_id == correlation_id(job.simulation_id)
 
+    def test_a_waiting_simulation_costs_one_span_per_poll(
+            self, deployment, astronomer, monkeypatch):
+        """Its ``sim.advance`` span is the record of its job's poll as
+        well: level 1 records no ``daemon.job_poll`` span for it, and
+        the status command still carries its correlation id."""
+        running_campaign(deployment, astronomer, 3)
+        events = deployment.obs.events
+        before = len(events)
+        _, spans = poll_spans(deployment, name=None)
+        advances = [span.trace_id for span in spans
+                    if span.name == "sim.advance"]
+        assert len(advances) == 3
+        assert "daemon.job_poll" not in [span.name for span in spans]
+        new = itertools.islice(reversed(events.records),
+                               len(events) - before)
+        assert sorted(record.fields["trace_id"] for record in new
+                      if record.kind == "grid.command"
+                      and record.fields["program"] == "globus-job-status"
+                      ) == sorted(advances)
+        # The full path loads them all and records every job's poll.
+        monkeypatch.setattr(GridAMPDaemon, "waiting_set",
+                            lambda daemon, jobs: {})
+        _, polls = poll_spans(deployment, name="daemon.job_poll")
+        assert sorted(span.trace_id for span in polls) == sorted(advances)
+        assert all(set(span.attrs) == {"job", "resource"} for span in polls)
+
     def test_a_loaded_simulation_names_no_job(self, deployment,
                                               astronomer, monkeypatch):
         running_campaign(deployment, astronomer, 2)

@@ -67,6 +67,19 @@ class TestTracer:
         assert len(tracer.spans(trace_id="t1", name="a")) == 1
         assert {s.trace_id for s in tracer.finished} == {"t1", "t2"}
 
+    def test_a_root_trace_id_counts_roots_not_spans(self):
+        """A root's trace id is its ordinal among roots, however many
+        spans the roots before it recorded beneath them."""
+        tracer = Tracer(SimClock())
+        with tracer.span("poll") as first:
+            for _ in range(5):
+                with tracer.span("job"):
+                    pass
+        with tracer.span("poll") as second:
+            pass
+        assert (first.trace_id, second.trace_id) == ("trace-000001",
+                                                     "trace-000002")
+
 
 class TestEventLog:
     def test_emit_stamps_seq_time_kind(self):
