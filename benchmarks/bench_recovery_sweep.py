@@ -113,4 +113,4 @@ def test_cold_start_reconciliation(benchmark):
     leftover = OperationRecord.objects.using(
         deployment.databases.admin).filter(state=JOURNAL_INTENT).count()
     assert leftover == 0
-    assert not deployment.daemon.blocked_sims
+    assert not deployment.daemon.journal.blocked

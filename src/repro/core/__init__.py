@@ -21,6 +21,7 @@ _EXPORTS = {
     "portal.site": "build_prefork_app_factory",
     "catalog": "SimbadService StarCatalog",
     "daemon": "ExternalMonitor GridAMPDaemon",
+    "journal": "OperationJournal idempotency_key",
     "leases": "LeaseManager",
     "models": (
         "ALL_MODELS CORE_MODELS AllocationRecord CampaignRecord "
@@ -32,8 +33,7 @@ _EXPORTS = {
         "ReservationRecord SIM_ACTIVE_STATES SIM_CANCELLED SIM_CLEANUP "
         "SIM_DONE SIM_HOLD SIM_POSTJOB SIM_PREJOB SIM_QUEUED SIM_RUNNING "
         "SIM_STATES Simulation Star SubmitAuthorization UserProfile "
-        "idempotency_key presence_lease_key reservation_key "
-        "slice_lease_key"),
+        "presence_lease_key reservation_key slice_lease_key"),
     "notifications": ("AUDIENCE_ADMIN AUDIENCE_USER JargonLeak Mailer "
                       "NotificationPolicy"),
     "security": "audit_role_separation build_role_registry open_role",

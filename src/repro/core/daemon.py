@@ -37,6 +37,12 @@ budget, per poll:
 A scan poll — every simulation waiting — is therefore seven
 statements; a working poll adds the transitions' own writes.
 
+This module keeps the poll loop, boot recovery and telemetry.  The
+write-ahead protocol lives in :mod:`repro.core.journal`: the daemon
+builds one :class:`~repro.core.journal.OperationJournal`, its workflows
+send every grid side effect through it, and boot, takeover and the
+``reconcile_pending`` phase call its ``reconcile(scope)``.
+
 Daemon failures are detected *externally*: :class:`ExternalMonitor`
 watches the heartbeat the poll loop stamps.
 """
@@ -49,14 +55,10 @@ from ..grid.breaker import CLOSED, BreakerEvent
 from ..grid.retry import RetryPolicy, RetryTracker
 from ..hpc.simclock import sim_datetime
 from ..obs.registry import QUERY_COUNT_BUCKETS
+from .journal import OperationJournal
 from .models import (GRAM_IN_FLIGHT, GRAM_STATES, GridJobRecord,
-                     HOLD_RESOURCE, JOURNAL_ABORTED, JOURNAL_COMMITTED,
-                     JOURNAL_INTENT, JOURNAL_OP_CANCEL, JOURNAL_OP_STAGE_IN,
-                     JOURNAL_OP_STAGE_OUT, JOURNAL_OP_SUBMIT,
-                     KIND_DIRECT, KIND_OPTIMIZATION, OUTCOME_ADOPTED,
-                     OUTCOME_REISSUED, OUTCOME_REPLAYED, OUTCOME_VERIFIED,
-                     OperationRecord, SIM_ACTIVE_STATES, SIM_HOLD,
-                     Simulation)
+                     HOLD_RESOURCE, KIND_DIRECT, KIND_OPTIMIZATION,
+                     SIM_ACTIVE_STATES, SIM_HOLD, Simulation)
 from .notifications import NotificationPolicy
 from .workflow import DirectRunWorkflow, OptimizationWorkflow
 
@@ -90,10 +92,11 @@ class GridAMPDaemon:
         #: One retry tracker (budget policy + backoff event log) shared
         #: by both workflow kinds, so operator tooling sees one timeline.
         self.retry = RetryTracker(RetryPolicy(), clock, obs=self.obs)
-        #: Simulations frozen behind an unresolved journal intent (a
-        #: transient fabric lookup proved nothing either way).  One set
-        #: shared with every workflow so ``advance`` honours it.
-        self.blocked_sims = set()
+        #: The write-ahead journal every workflow's grid side effects
+        #: go through; its ``blocked`` set freezes the simulations whose
+        #: intents a transient lookup could not resolve.
+        self.journal = OperationJournal(
+            db, clients, clock, clients.fabric.crash_schedule, self.obs)
         # The resource broker and its SU ledger (imported lazily:
         # repro.sched sits above the core package in the import graph).
         # CLEANUP settles reservations through the same ledger.
@@ -105,8 +108,7 @@ class GridAMPDaemon:
             obs=self.obs, crash_schedule=clients.fabric.crash_schedule,
             policy=placement_policy, ledger=self.ledger)
         collaborators = (db, clients, self.policy, machine_specs,
-                         self.retry, self.obs, self.ledger,
-                         self.blocked_sims)
+                         self.retry, self.obs, self.ledger, self.journal)
         self.workflows = {
             KIND_DIRECT: DirectRunWorkflow(*collaborators),
             KIND_OPTIMIZATION: OptimizationWorkflow(*collaborators),
@@ -122,7 +124,7 @@ class GridAMPDaemon:
         self.last_recovery = self._boot_recovery()
 
     # ------------------------------------------------------------------
-    # Crash recovery: journal reconciliation and state rehydration
+    # Crash recovery: state rehydration and slice takeover
     # ------------------------------------------------------------------
     def _boot_recovery(self):
         """The restart sweep, run once from ``__init__``: a boot is the
@@ -189,183 +191,6 @@ class GridAMPDaemon:
         simulations = Simulation.objects.using(self.db).filter(
             state__in=list(SIM_ACTIVE_STATES) + [SIM_HOLD])
         return self.retry.rehydrate(simulations)
-
-    def reconcile_journal(self, slice_filter):
-        """Resolve every uncommitted journal intent against the fabric.
-
-        The decision table (per intent, see DESIGN.md §6):
-
-        - **replayed** — the database already holds the side effect's
-          record (crash landed between the job-record save and the
-          journal commit); re-point the entry and move on.
-        - **adopted** — GRAM holds a job carrying the intent's
-          ``clientTag``: the submission happened but its record was
-          lost; adopt the orphan as a fresh :class:`GridJobRecord`.
-        - **verified** — the staged file's remote size/digest matches
-          the journaled payload: the upload landed intact.
-        - **reissued** — the fabric provably has no trace (no tagged
-          job / file absent or mismatched / a side-effect-free
-          download): abort the intent and let the workflow re-issue
-          under the next attempt's key.
-        - **held** — a transient lookup proved nothing either way; the
-          simulation is frozen (``blocked_sims``) until a later sweep
-          can decide.
-
-        Access is set-oriented: one SELECT for the intents, one for
-        already-recorded jobs, one for cancel targets, then bulk
-        writes — bounded round trips however long the backlog is.
-
-        *slice_filter* scopes the sweep to leased residue classes: a
-        takeover replays only the adopted slices' intents, and the
-        blocked set is cleared only within scope so holds owned by
-        other slices survive untouched.
-        """
-        intents = list(OperationRecord.objects.using(self.db)
-                       .filter(state=JOURNAL_INTENT,
-                               simulation_id__mod=slice_filter)
-                       .select_related("simulation__owner")
-                       .order_by("id"))
-        summary = {"intents": len(intents), "replayed": 0, "adopted": 0,
-                   "verified": 0, "reissued": 0, "held": 0}
-        self._unblock(*slice_filter)
-        if not intents:
-            return summary
-        submit_keys = [e.idempotency_key for e in intents
-                       if e.op == JOURNAL_OP_SUBMIT]
-        existing_jobs = {}
-        if submit_keys:
-            existing_jobs = {
-                record.idempotency_key: record
-                for record in GridJobRecord.objects.using(self.db)
-                .filter(idempotency_key__in=submit_keys)}
-        cancel_ids = [e.job_record_id for e in intents
-                      if e.op == JOURNAL_OP_CANCEL
-                      and e.job_record_id is not None]
-        cancel_jobs = {}
-        if cancel_ids:
-            cancel_jobs = {record.pk: record
-                           for record in GridJobRecord.objects
-                           .using(self.db).filter(id__in=cancel_ids)}
-        settled, adoptions, finalized = [], [], []
-        for entry in intents:
-            owner = entry.simulation.owner
-            self.clients.ensure_proxy(owner.username, owner.email)
-            outcome = self._reconcile_entry(entry, existing_jobs,
-                                            cancel_jobs, adoptions,
-                                            finalized)
-            if outcome is None:
-                self.blocked_sims.add(entry.simulation_id)
-                summary["held"] += 1
-                continue
-            summary[outcome] += 1
-            if outcome != OUTCOME_ADOPTED:
-                settled.append(entry)
-        if adoptions:
-            GridJobRecord.objects.using(self.db).bulk_create(
-                [record for _, record in adoptions])
-            for entry, record in adoptions:
-                self._settle_entry(entry, JOURNAL_COMMITTED,
-                                   OUTCOME_ADOPTED,
-                                   gram_job_id=record.gram_job_id,
-                                   job_record_id=record.pk)
-                settled.append(entry)
-        if finalized:
-            GridJobRecord.objects.using(self.db).bulk_update(
-                finalized, ["state", "failure_reason"])
-        if settled:
-            OperationRecord.objects.using(self.db).bulk_update(
-                settled, ["state", "outcome", "resolved_at",
-                          "gram_job_id", "job_record_id", "detail"])
-        if summary["replayed"] or summary["verified"]:
-            self.obs.events.emit("journal.replayed",
-                                 replayed=summary["replayed"],
-                                 verified=summary["verified"])
-        if summary["adopted"]:
-            self.obs.events.emit("journal.orphans_adopted",
-                                 count=summary["adopted"])
-        return summary
-
-    def _settle_entry(self, entry, state, outcome, **updates):
-        for name, value in updates.items():
-            setattr(entry, name, value)
-        entry.state = state
-        entry.outcome = outcome
-        entry.resolved_at = self.clock.now
-
-    def _reconcile_entry(self, entry, existing_jobs, cancel_jobs,
-                         adoptions, finalized):
-        """Apply the decision table to one intent.
-
-        Returns the outcome string, or None when a transient lookup
-        means the entry cannot be resolved yet (→ hold the simulation).
-        """
-        if entry.op == JOURNAL_OP_SUBMIT:
-            record = existing_jobs.get(entry.idempotency_key)
-            if record is not None:
-                # The job record made it to the database; only the
-                # journal commit was lost.
-                self._settle_entry(entry, JOURNAL_COMMITTED,
-                                   OUTCOME_REPLAYED,
-                                   gram_job_id=record.gram_job_id,
-                                   job_record_id=record.pk)
-                return OUTCOME_REPLAYED
-            result = self.clients.job_lookup(
-                entry.resource, entry.idempotency_key)
-            if not result.ok:
-                return None
-            if result.stdout:
-                gram_id_text, _, gram_state = result.stdout.partition(" ")
-                record = GridJobRecord(
-                    simulation_id=entry.simulation_id,
-                    purpose=entry.purpose, ga_index=entry.ga_index,
-                    sequence=entry.sequence, resource=entry.resource,
-                    service=entry.service,
-                    gram_job_id=int(gram_id_text), rsl=entry.rsl,
-                    idempotency_key=entry.idempotency_key,
-                    state=(gram_state if gram_state in GRAM_STATES
-                           else "PENDING"))
-                adoptions.append((entry, record))
-                return OUTCOME_ADOPTED
-            self._settle_entry(entry, JOURNAL_ABORTED, OUTCOME_REISSUED)
-            return OUTCOME_REISSUED
-        if entry.op == JOURNAL_OP_STAGE_IN:
-            result = self.clients.stage_stat(entry.resource,
-                                             entry.remote_path)
-            if not result.ok:
-                return None
-            expected = f"{entry.payload_size} {entry.payload_digest}"
-            if result.stdout == expected:
-                self._settle_entry(entry, JOURNAL_COMMITTED,
-                                   OUTCOME_VERIFIED)
-                return OUTCOME_VERIFIED
-            # Absent or partial/mismatched: the upload provably did not
-            # land intact — re-issue.
-            self._settle_entry(entry, JOURNAL_ABORTED, OUTCOME_REISSUED,
-                               detail=result.stdout[:200])
-            return OUTCOME_REISSUED
-        if entry.op == JOURNAL_OP_STAGE_OUT:
-            # Downloads have no remote side effect; re-issuing is free.
-            self._settle_entry(entry, JOURNAL_ABORTED, OUTCOME_REISSUED)
-            return OUTCOME_REISSUED
-        if entry.op == JOURNAL_OP_CANCEL:
-            # Cancels are idempotent on the fabric: re-issue, then
-            # finalise the revoked record exactly as the dead process
-            # would have, *before* the first poll can misread the raw
-            # GRAM "cancelled" reason as a model failure.
-            result = self.clients.job_cancel(entry.resource,
-                                                    entry.gram_job_id)
-            if not result.ok and result.transient:
-                return None
-            job = cancel_jobs.get(entry.job_record_id)
-            if job is not None and not job.is_terminal:
-                job.state = "FAILED"
-                job.failure_reason = OptimizationWorkflow._SURPLUS
-                finalized.append(job)
-            self._settle_entry(entry, JOURNAL_COMMITTED,
-                               OUTCOME_REPLAYED)
-            return OUTCOME_REPLAYED
-        # Unknown op (forward compatibility): hold rather than guess.
-        return None
 
     # ------------------------------------------------------------------
     def update_grid_jobs(self, slice_filter):
@@ -675,7 +500,7 @@ class GridAMPDaemon:
             acquired, dropped = self._phase("acquire_leases",
                                             self.leases.sweep)
             if dropped:
-                self._unblock(self.leases.n_slices, dropped)
+                self.journal.unblock(self.leases.n_slices, dropped)
             if acquired:
                 self._phase("lease_takeover",
                             lambda: self._lease_takeover(acquired))
@@ -691,14 +516,14 @@ class GridAMPDaemon:
                     # per round.
                     self._phase("update_machine_telemetry",
                                 self.update_machine_telemetry)
-                if self.blocked_sims:
+                if self.journal.blocked:
                     # Intents a transient lookup could not resolve at
                     # boot/takeover: retry the sweep until every blocked
                     # simulation is provably settled (steady-state polls
                     # skip this).
                     self._phase(
                         "reconcile_pending",
-                        lambda: self.reconcile_journal(slice_filter))
+                        lambda: self.journal.reconcile(slice_filter))
                     # It may have written any of their jobs: load all.
                     waiting = {}
                 # Placement runs after the telemetry refresh (fresh
@@ -735,12 +560,6 @@ class GridAMPDaemon:
             instance=self.instance_id).set(self.heartbeat)
         return transitions
 
-    def _unblock(self, divisor, remainders):
-        """Forget the blocked simulations of these residue classes."""
-        scoped = set(remainders)
-        self.blocked_sims -= {pk for pk in self.blocked_sims
-                              if pk % divisor in scoped}
-
     def _lease_takeover(self, slices):
         """Crash recovery: adopt freshly acquired slices, at boot and
         whenever a poll's sweep claims or steals one.
@@ -754,7 +573,7 @@ class GridAMPDaemon:
         """
         scope = (self.leases.n_slices, sorted(slices))
         self.leases.crash_schedule.check("takeover", "before")
-        summary = self.reconcile_journal(scope)
+        summary = self.journal.reconcile(scope)
         adopted, released = self.ledger.reconcile(scope)
         self.leases.crash_schedule.check("takeover", "after")
         summary["reservations_adopted"] = adopted

@@ -56,6 +56,8 @@ JOB_SOLUTION = "solution"
 JOB_MODEL = "model"
 JOB_POSTJOB = "postjob"
 JOB_CLEANUP = "cleanup"
+#: ``failure_reason`` of a chained job the gateway itself revoked.
+JOB_REVOKED = "superfluous chained job cancelled by gateway"
 
 # GRAM-level job states (mirrors repro.grid.gram).
 GRAM_STATES = ("UNSUBMITTED", "PENDING", "ACTIVE", "DONE", "FAILED")
@@ -114,18 +116,6 @@ def reservation_key(simulation_pk, attempt):
     would have and the unique constraint refuses a double-reserve.
     """
     return f"amp-sim-{int(simulation_pk)}-reservation-{int(attempt)}"
-
-
-def idempotency_key(simulation_pk, phase, attempt):
-    """The deterministic identity of one side-effecting grid operation.
-
-    ``amp-sim-{pk}-{phase}-{attempt}``: stable across daemon restarts
-    (``attempt`` is derived from the durable journal, never from
-    in-memory state), unique per retry, and carried onto the remote
-    side (the RSL ``clientTag``) so an orphaned GRAM job can be matched
-    back to the intent that produced it.
-    """
-    return f"amp-sim-{int(simulation_pk)}-{phase}-{int(attempt)}"
 
 
 # Daemon-fleet lease kinds.  A *slice* lease grants its owner one
@@ -473,10 +463,6 @@ class OperationRecord(orm.Model):
         # Boot reconciliation scans by state; attempt numbering counts
         # per (simulation, op, phase).
         indexes = [("state",), ("simulation_id", "op", "phase")]
-
-    @property
-    def is_settled(self):
-        return self.state != JOURNAL_INTENT
 
 
 class ReservationRecord(orm.Model):

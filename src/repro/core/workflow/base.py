@@ -34,12 +34,9 @@ from ...grid.rsl import fork_spec, format_rsl
 from ...hpc.accounting import cpu_hours
 from ..models import (GRAM_IN_FLIGHT, GridJobRecord, HOLD_MODEL,
                       HOLD_RESOURCE, JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
-                      JOURNAL_ABORTED, JOURNAL_COMMITTED, JOURNAL_INTENT,
                       JOURNAL_OP_STAGE_IN, JOURNAL_OP_STAGE_OUT,
-                      JOURNAL_OP_SUBMIT, MACHINE_AUTO,
-                      OUTCOME_COMMITTED, OUTCOME_FAILED,
-                      OUTCOME_TRANSIENT, OperationRecord, SIM_DONE,
-                      SIM_HOLD, SubmitAuthorization, idempotency_key)
+                      JOURNAL_OP_SUBMIT, MACHINE_AUTO, SIM_DONE, SIM_HOLD,
+                      SubmitAuthorization)
 from ..remote import CLEANUP_SH, POSTJOB_SH, PREJOB_SH, output_tarball_path
 from ..staging import StagingError
 
@@ -85,16 +82,15 @@ class WorkflowManager:
         The daemon's :class:`~repro.sched.ledger.SULedger`: CLEANUP
         settles the broker's reservation through it instead of
         double-charging.
-    blocked_sims:
-        Simulation pks whose journal holds an unresolved intent (a
-        crash left an operation that could not yet be proven done or
-        not-done).  The daemon's reconciliation sweep owns this set —
-        one set shared by every workflow; blocked simulations are
-        frozen until their intent settles.
+    journal:
+        The daemon's :class:`~repro.core.journal.OperationJournal`:
+        every side-effecting grid call goes through its ``call``, and a
+        simulation in its ``blocked`` set is frozen until reconciliation
+        settles its intent.
     """
 
     def __init__(self, db, clients, policy, machine_specs, retry, obs,
-                 ledger, blocked_sims):
+                 ledger, journal):
         self.db = db
         self.clients = clients
         self.policy = policy
@@ -102,7 +98,7 @@ class WorkflowManager:
         self.retry = retry
         self.obs = obs
         self.ledger = ledger
-        self.blocked_sims = blocked_sims
+        self.journal = journal
         self.workflow = {
             "QUEUED": ([self.check_queued_sim, self.submit_pre_job],
                        "PREJOB"),
@@ -133,7 +129,7 @@ class WorkflowManager:
             return False
         if simulation.machine_name == MACHINE_AUTO:
             return False            # awaiting broker placement
-        if simulation.pk in self.blocked_sims:
+        if simulation.pk in self.journal.blocked:
             return False            # unresolved journal intent: frozen
         return self.retry_due(simulation)   # False: backing off
 
@@ -311,73 +307,6 @@ class WorkflowManager:
             f"{self.retry.policy.max_attempts}): "
             f"{result.command_line}\n{result.stderr}")
 
-    # ------------------------------------------------------------------
-    # The operation journal: intent → side effect → commit
-    # ------------------------------------------------------------------
-    # Every side-effecting grid call (submit, stage-in, stage-out,
-    # cancel) is journaled write-ahead: an INTENT row lands in the
-    # database *before* the call goes out, and is only marked COMMITTED
-    # once the call's consequences (the GridJobRecord, the staged file)
-    # are durably recorded too.  A daemon that dies between the two
-    # leaves an INTENT row behind; the restart reconciliation sweep
-    # queries the fabric to decide — per row — whether the side effect
-    # happened (adopt/verify) or provably did not (re-issue).  The
-    # idempotency key doubles as the GRAM ``clientTag``, which is what
-    # makes orphaned jobs findable after the fact.  Each of the two
-    # windows checks the fabric's crash schedule, so the fault harness
-    # can kill the daemon there.
-
-    def _journal_key(self, simulation, op, phase):
-        """Next attempt number and idempotency key for (sim, op, phase).
-
-        The attempt counter is derived from durable journal rows, never
-        from in-memory state: a bounced daemon computes the same next
-        key the dead one would have, so a re-issue after a crash reuses
-        the fabric's view of "attempt N" instead of inventing a fork.
-        """
-        attempt = OperationRecord.objects.using(self.db).filter(
-            simulation_id=simulation.pk, op=op, phase=phase).count() + 1
-        return attempt, idempotency_key(simulation.pk, phase, attempt)
-
-    def _journal_open(self, simulation, op, phase, attempt, key, **meta):
-        """Write the INTENT row, then honour any pre-call crash point."""
-        entry = OperationRecord(
-            simulation_id=simulation.pk, op=op, phase=phase,
-            attempt=attempt, idempotency_key=key,
-            resource=simulation.machine_name, state=JOURNAL_INTENT,
-            intent_at=self.retry.clock.now, **meta)
-        entry.save(db=self.db)
-        self.clients.fabric.crash_schedule.check(op, "before")
-        return entry
-
-    def _journal_settle(self, entry, state, outcome, **updates):
-        for name, value in updates.items():
-            setattr(entry, name, value)
-        entry.state = state
-        entry.outcome = outcome
-        entry.resolved_at = self.retry.clock.now
-        entry.save(db=self.db)
-        return entry
-
-    def _journal_classify(self, simulation, entry, raw):
-        """Run the usual transient/permanent classification, settling
-        the journal entry on the non-OK paths.
-
-        An aborted entry is *settled*: reconciliation never replays it
-        (the retry machinery owns what happens next, exactly as it did
-        before the journal existed).
-        """
-        try:
-            result = self._grid_call(simulation, raw)
-        except ModelFailure as exc:
-            self._journal_settle(entry, JOURNAL_ABORTED, OUTCOME_FAILED,
-                                 detail=str(exc)[:500])
-            raise
-        if result is None:
-            self._journal_settle(entry, JOURNAL_ABORTED, OUTCOME_TRANSIENT)
-            return None
-        return result
-
     @staticmethod
     def _phase_slug(text):
         """A deterministic, key-safe slug for path-derived phases."""
@@ -435,39 +364,30 @@ class WorkflowManager:
 
     def _journaled_submit(self, simulation, purpose, spec, *, service,
                           phase, ga_index=0, sequence=0):
-        """The single journaled submission path (fork and batch).
+        """The single submission path (fork and batch).
 
-        The idempotency key is stamped into the RSL as ``clientTag``
+        The journal's key is stamped into the RSL as ``clientTag``
         *before* the intent row is written, so whatever GRAM ends up
         holding is findable by the exact key the journal recorded.
         """
-        attempt, key = self._journal_key(simulation, JOURNAL_OP_SUBMIT,
-                                         phase)
-        spec = dict(spec)
-        spec["clientTag"] = key
-        rsl_text = format_rsl(spec)
-        entry = self._journal_open(
-            simulation, JOURNAL_OP_SUBMIT, phase, attempt, key,
-            purpose=purpose, ga_index=ga_index, sequence=sequence,
-            service=service, rsl=rsl_text)
-        raw = self.clients.submit_job(simulation.machine_name, spec,
-                                      service=service)
-        self.clients.fabric.crash_schedule.check(JOURNAL_OP_SUBMIT, "after")
-        result = self._journal_classify(simulation, entry, raw)
-        if result is None:
-            return None
-        record = GridJobRecord(
-            simulation_id=simulation.pk, purpose=purpose,
-            ga_index=ga_index, sequence=sequence,
-            resource=simulation.machine_name, service=service,
-            gram_job_id=int(result.stdout), rsl=rsl_text,
-            idempotency_key=key, state="PENDING")
-        record.save(db=self.db)
-        self._remember_job(simulation, record)
-        self._journal_settle(entry, JOURNAL_COMMITTED, OUTCOME_COMMITTED,
-                             gram_job_id=record.gram_job_id,
-                             job_record_id=record.pk)
-        return record
+        def tagged(key):
+            return {**spec, "clientTag": key}
+
+        def record(result, entry):
+            job = self.journal.job_record(entry, int(result.stdout),
+                                          "PENDING")
+            job.save(db=self.db)
+            self._remember_job(simulation, job)
+            return job, {"gram_job_id": job.gram_job_id,
+                         "job_record_id": job.pk}
+
+        return self.journal.call(
+            simulation, JOURNAL_OP_SUBMIT, phase,
+            lambda key: self.clients.submit_job(
+                simulation.machine_name, tagged(key), service=service),
+            self._grid_call, record, purpose=purpose, ga_index=ga_index,
+            sequence=sequence, service=service,
+            rsl=lambda key: format_rsl(tagged(key)))
 
     def _check_job(self, simulation, record, *, label):
         """Generic completion check on a job record (last-known state)."""
@@ -493,22 +413,15 @@ class WorkflowManager:
             remote_path = posixpath.join(directory, rel_path)
             data = (content.encode("utf-8")
                     if isinstance(content, str) else content)
-            phase = f"stagein-{self._phase_slug(rel_path)}"
-            attempt, key = self._journal_key(
-                simulation, JOURNAL_OP_STAGE_IN, phase)
-            entry = self._journal_open(
-                simulation, JOURNAL_OP_STAGE_IN, phase, attempt, key,
-                remote_path=remote_path, payload_size=len(data),
-                payload_digest=checksum(data))
-            raw = self.clients.stage_in(simulation.machine_name,
-                                        remote_path, content)
-            self.clients.fabric.crash_schedule.check(
-                JOURNAL_OP_STAGE_IN, "after")
-            result = self._journal_classify(simulation, entry, raw)
-            if result is None:
+            if self.journal.call(
+                    simulation, JOURNAL_OP_STAGE_IN,
+                    f"stagein-{self._phase_slug(rel_path)}",
+                    lambda _key: self.clients.stage_in(
+                        simulation.machine_name, remote_path, content),
+                    self._grid_call, remote_path=remote_path,
+                    payload_size=len(data),
+                    payload_digest=checksum(data)) is None:
                 return False
-            self._journal_settle(entry, JOURNAL_COMMITTED,
-                                 OUTCOME_COMMITTED)
         return True
 
     def _stage_out(self, simulation, remote_path):
@@ -522,21 +435,17 @@ class WorkflowManager:
         rel = remote_path
         if rel.startswith(simulation.remote_directory):
             rel = rel[len(simulation.remote_directory):]
-        phase = f"stageout-{self._phase_slug(rel)}"
-        attempt, key = self._journal_key(
-            simulation, JOURNAL_OP_STAGE_OUT, phase)
-        entry = self._journal_open(
-            simulation, JOURNAL_OP_STAGE_OUT, phase, attempt, key,
-            remote_path=remote_path)
-        raw = self.clients.stage_out(simulation.machine_name, remote_path)
-        self.clients.fabric.crash_schedule.check(JOURNAL_OP_STAGE_OUT, "after")
-        result = self._journal_classify(simulation, entry, raw)
-        if result is None:
-            return None
-        self._journal_settle(entry, JOURNAL_COMMITTED, OUTCOME_COMMITTED,
-                             payload_size=len(result.data),
-                             payload_digest=checksum(result.data))
-        return result.data
+
+        def record(result, _entry):
+            return result.data, {"payload_size": len(result.data),
+                                 "payload_digest": checksum(result.data)}
+
+        return self.journal.call(
+            simulation, JOURNAL_OP_STAGE_OUT,
+            f"stageout-{self._phase_slug(rel)}",
+            lambda _key: self.clients.stage_out(simulation.machine_name,
+                                                remote_path),
+            self._grid_call, record, remote_path=remote_path)
 
     def machine_spec(self, simulation):
         try:

@@ -19,9 +19,8 @@ from __future__ import annotations
 import posixpath
 
 from ...grid.rsl import batch_spec
-from ..models import (JOB_GA, JOB_SOLUTION, JOURNAL_COMMITTED,
-                      JOURNAL_OP_CANCEL, KIND_OPTIMIZATION,
-                      OUTCOME_COMMITTED)
+from ..models import (JOB_GA, JOB_REVOKED, JOB_SOLUTION, JOURNAL_OP_CANCEL,
+                      KIND_OPTIMIZATION)
 from ..remote import RUN_GA_SH, SOLUTION_SH
 from ..staging import (generate_input_files, interpret_output_tarball,
                        interpret_progress)
@@ -116,9 +115,6 @@ class OptimizationWorkflow(WorkflowManager):
             return False
         return self._check_solution_job(simulation)
 
-    #: failure_reason marker for chain jobs the gateway itself revoked.
-    _SURPLUS = "superfluous chained job cancelled by gateway"
-
     def _advance_ga_chain(self, simulation, ga_index):
         """One GA run's chain: 'running' | 'finished' (or raises).
 
@@ -136,7 +132,7 @@ class OptimizationWorkflow(WorkflowManager):
             return "running"
         for job in jobs:
             if job.state == "FAILED" \
-                    and self._SURPLUS not in job.failure_reason \
+                    and JOB_REVOKED not in job.failure_reason \
                     and "CANCELLED" not in job.failure_reason:
                 raise ModelFailure(
                     f"GA run {ga_index} job #{job.pk} failed: "
@@ -162,30 +158,27 @@ class OptimizationWorkflow(WorkflowManager):
         needs (the chained-submission analogue of qdel).
 
         Cancels are journaled like every other side effect: a crash
-        between the cancel and the FAILED/_SURPLUS record save would
+        between the cancel and the FAILED/JOB_REVOKED record save would
         otherwise let the next poll read the raw GRAM "cancelled by
         client" reason and mistake the gateway's own revocation for a
         model failure.  Reconciliation finalises the record from the
         intent row instead.
         """
-        for job in jobs:
-            if job.is_terminal:
-                continue
-            attempt, key = self._journal_key(
-                simulation, JOURNAL_OP_CANCEL, f"cancel-{job.pk}")
-            entry = self._journal_open(
-                simulation, JOURNAL_OP_CANCEL, f"cancel-{job.pk}",
-                attempt, key, purpose=job.purpose,
-                gram_job_id=job.gram_job_id, job_record_id=job.pk)
-            self.clients.job_cancel(simulation.machine_name,
-                                           job.gram_job_id)
-            self.clients.fabric.crash_schedule.check(
-                JOURNAL_OP_CANCEL, "after")
+        def revoke(_result, _entry):
             job.state = "FAILED"
-            job.failure_reason = self._SURPLUS
+            job.failure_reason = JOB_REVOKED
             job.save(db=self.db)
-            self._journal_settle(entry, JOURNAL_COMMITTED,
-                                 OUTCOME_COMMITTED)
+            return True, {}
+
+        for job in jobs:
+            if not job.is_terminal:
+                self.journal.call(
+                    simulation, JOURNAL_OP_CANCEL, f"cancel-{job.pk}",
+                    lambda _key: self.clients.job_cancel(
+                        simulation.machine_name, job.gram_job_id),
+                    lambda _simulation, raw: raw, revoke,
+                    purpose=job.purpose, gram_job_id=job.gram_job_id,
+                    job_record_id=job.pk)
 
     def _fetch_progress(self, simulation, ga_index):
         """Download and interpret a GA's partial progress file."""

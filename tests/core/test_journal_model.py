@@ -1,0 +1,251 @@
+"""Model-based test of the operation journal (hypothesis).
+
+A random interleaving of journaled submits, uploads, downloads and
+cancels for three simulations on two machines, crash points armed
+before or after a command (a crash restarts the daemon: a fresh
+journal whose boot reconciles every slice), outages that make commands
+and reconciliation lookups transient, clock advances, and reconciles of
+one slice or all must keep the journal's invariants:
+
+* after a reconcile, every INTENT row of its scope is settled or its
+  simulation is blocked — and because a restart reconciles and a
+  blocked simulation issues nothing, every INTENT row's simulation is
+  blocked after every step;
+* the attempts for each (simulation, op, phase) run 1…n with no gaps;
+* every idempotency key is unique;
+* at most one committed submit, one job record and one GRAM job carry
+  any one tag.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule)
+
+from repro.core import AMPDeployment, KIND_DIRECT, Simulation, Star
+from repro.core.journal import OperationJournal
+from repro.core.models import (GRAM_IN_FLIGHT, GridJobRecord, JOB_MODEL,
+                               JOB_REVOKED, JOURNAL_COMMITTED,
+                               JOURNAL_INTENT, JOURNAL_OP_CANCEL,
+                               JOURNAL_OP_STAGE_IN, JOURNAL_OP_STAGE_OUT,
+                               JOURNAL_OP_SUBMIT, JOURNAL_OPS,
+                               OperationRecord)
+from repro.core.workflow import ModelFailure
+from repro.grid import DaemonCrash, FaultInjector
+from repro.grid.gram import AppExecution
+from repro.grid.gridftp import checksum
+from repro.grid.rsl import batch_spec, format_rsl
+
+pytestmark = pytest.mark.recovery
+
+MACHINES = ("kraken", "frost")
+N_SIMULATIONS = 3
+#: (divisor, remainders): one slice of two, the other, or everything.
+SCOPES = ((1, (0,)), (2, (0,)), (2, (1,)))
+#: A batch executable that computes for half an hour and writes nothing.
+IDLE = "/usr/local/amp/bin/idle.sh"
+simulations = st.integers(0, N_SIMULATIONS - 1)
+
+
+def classify(_simulation, result):
+    """The workflows' transient/permanent triage, minus retry budgets."""
+    if result.ok:
+        return result
+    if result.transient:
+        return None
+    raise ModelFailure(result.stderr)
+
+
+class JournalMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.deployment = AMPDeployment(seed_catalog=False)
+        deployment = self.deployment
+        self.db = deployment.databases.daemon
+        self.clients = deployment.clients
+        owner = deployment.create_astronomer("journal")
+        star = Star(name="Journal Star", hd_number=186427)
+        star.save(db=deployment.databases.admin)
+        Simulation.objects.using(deployment.databases.portal).bulk_create([
+            Simulation(star_id=star.pk, owner_id=owner.pk,
+                       kind=KIND_DIRECT,
+                       machine_name=MACHINES[index % len(MACHINES)],
+                       parameters={"mass": 1.0, "z": 0.018, "y": 0.27,
+                                   "alpha": 2.1, "age": 4.0})
+            for index in range(N_SIMULATIONS)])
+        self.simulations = list(Simulation.objects.using(self.db)
+                                .select_related("owner").order_by("id"))
+        for machine in MACHINES:
+            deployment.fabric.resource(machine).install_application(
+                IDLE, lambda _resource, **_: AppExecution(runtime_s=1800.0))
+        for simulation in self.simulations:       # what a pre-job does
+            deployment.fabric.resource(
+                simulation.machine_name).filesystem.mkdir(
+                simulation.remote_directory)
+        self.injector = FaultInjector(deployment.fabric, deployment.clock)
+        self.outages = {}
+        self.restart()
+
+    def teardown(self):
+        self.deployment.close()
+
+    # ------------------------------------------------------------------
+    def restart(self):
+        """A bounced daemon: a fresh journal, whose boot reconciles
+        every slice."""
+        deployment = self.deployment
+        self.journal = OperationJournal(
+            self.db, self.clients, deployment.clock,
+            deployment.fabric.crash_schedule, deployment.obs)
+        self.reconcile(SCOPES[0])
+
+    def _call(self, index, op, phase, command, record=None, **intent):
+        simulation = self.simulations[index]
+        if simulation.pk in self.journal.blocked:
+            return                      # frozen: issues nothing
+        owner = simulation.owner
+        self.clients.ensure_proxy(owner.username, owner.email)
+        try:
+            self.journal.call(simulation, op, phase, command, classify,
+                              record, **intent)
+        except ModelFailure:
+            pass
+        except DaemonCrash:
+            self.restart()
+
+    def _intents(self):
+        return list(OperationRecord.objects.using(self.db)
+                    .filter(state=JOURNAL_INTENT))
+
+    # ------------------------------------------------------------------
+    @rule(index=simulations, sequence=st.integers(0, 1))
+    def submit(self, index, sequence):
+        simulation = self.simulations[index]
+        spec = batch_spec(IDLE, count=1, max_wall_time_s=3600.0,
+                          directory=simulation.remote_directory)
+
+        def record(result, entry):
+            job = OperationJournal.job_record(entry, int(result.stdout),
+                                              "PENDING")
+            job.save(db=self.db)
+            return job, {"gram_job_id": job.gram_job_id,
+                         "job_record_id": job.pk}
+
+        self._call(index, JOURNAL_OP_SUBMIT, f"{JOB_MODEL}-0-{sequence}",
+                   lambda key: self.clients.submit_job(
+                       simulation.machine_name, {**spec, "clientTag": key}),
+                   record, purpose=JOB_MODEL, sequence=sequence,
+                   service="batch",
+                   rsl=lambda key: format_rsl({**spec, "clientTag": key}))
+
+    @rule(index=simulations, name=st.sampled_from(["amp_in", "params"]),
+          content=st.sampled_from(["1.0", "1.04 0.27"]))
+    def stage_in(self, index, name, content):
+        simulation = self.simulations[index]
+        path = f"{simulation.remote_directory}/{name}"
+        data = content.encode("utf-8")
+        self._call(index, JOURNAL_OP_STAGE_IN, f"stagein-{name}",
+                   lambda _key: self.clients.stage_in(
+                       simulation.machine_name, path, content),
+                   remote_path=path, payload_size=len(data),
+                   payload_digest=checksum(data))
+
+    @rule(index=simulations, name=st.sampled_from(["amp_in", "params"]))
+    def stage_out(self, index, name):
+        simulation = self.simulations[index]
+        path = f"{simulation.remote_directory}/{name}"
+        self._call(index, JOURNAL_OP_STAGE_OUT, f"stageout-{name}",
+                   lambda _key: self.clients.stage_out(
+                       simulation.machine_name, path),
+                   remote_path=path)
+
+    @rule(index=simulations)
+    def cancel(self, index):
+        simulation = self.simulations[index]
+        job = (GridJobRecord.objects.using(self.db)
+               .filter(simulation_id=simulation.pk,
+                       state__in=list(GRAM_IN_FLIGHT))
+               .order_by("id").last())
+        if job is None:
+            return
+
+        def revoke(_result, _entry):
+            job.state = "FAILED"
+            job.failure_reason = JOB_REVOKED
+            job.save(db=self.db)
+            return True, {}
+
+        self._call(index, JOURNAL_OP_CANCEL, f"cancel-{job.pk}",
+                   lambda _key: self.clients.job_cancel(
+                       simulation.machine_name, job.gram_job_id),
+                   revoke, purpose=job.purpose,
+                   gram_job_id=job.gram_job_id, job_record_id=job.pk)
+
+    @rule(op=st.sampled_from(JOURNAL_OPS),
+          when=st.sampled_from(["before", "after"]))
+    def arm_crash(self, op, when):
+        self.injector.crash(op, when=when)
+
+    @rule(machine=st.sampled_from(MACHINES))
+    def toggle_outage(self, machine):
+        if machine in self.outages:
+            self.outages.pop(machine).restore()
+        else:
+            self.outages[machine] = self.injector.permanent_outage(machine)
+
+    @rule(seconds=st.sampled_from([60.0, 900.0, 3600.0]))
+    def advance(self, seconds):
+        self.deployment.clock.advance(seconds)
+
+    @rule(scope=st.sampled_from(SCOPES))
+    def reconcile(self, scope):
+        self.journal.reconcile(scope)
+        divisor, remainders = scope
+        for entry in self._intents():
+            if entry.simulation_id % divisor in remainders:
+                assert entry.simulation_id in self.journal.blocked, entry
+
+    # ------------------------------------------------------------------
+    @invariant()
+    def every_intent_is_blocked(self):
+        for entry in self._intents():
+            assert entry.simulation_id in self.journal.blocked, entry
+
+    @invariant()
+    def attempts_have_no_gaps(self):
+        attempts = {}
+        for entry in OperationRecord.objects.using(self.db).all():
+            attempts.setdefault(
+                (entry.simulation_id, entry.op, entry.phase),
+                []).append(entry.attempt)
+        for phase, numbers in attempts.items():
+            assert sorted(numbers) == list(
+                range(1, len(numbers) + 1)), phase
+
+    @invariant()
+    def keys_are_unique(self):
+        keys = Counter(entry.idempotency_key for entry in
+                       OperationRecord.objects.using(self.db).all())
+        assert not [key for key, n in keys.items() if n > 1]
+
+    @invariant()
+    def one_submit_per_tag(self):
+        committed = Counter(
+            entry.idempotency_key for entry in
+            OperationRecord.objects.using(self.db).filter(
+                op=JOURNAL_OP_SUBMIT, state=JOURNAL_COMMITTED))
+        records = Counter(job.idempotency_key for job in
+                          GridJobRecord.objects.using(self.db).all())
+        fabric = self.deployment.fabric
+        tags = Counter(job.rsl.get("clientTag")
+                       for machine in MACHINES
+                       for job in fabric.gram(machine).jobs.values())
+        for counts in (committed, records, tags):
+            assert max(counts.values(), default=0) <= 1, counts
+
+
+TestJournalMachine = JournalMachine.TestCase
+TestJournalMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)

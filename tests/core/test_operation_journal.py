@@ -101,14 +101,14 @@ class TestWriteAheadJournal:
     def test_blocked_simulation_is_frozen(self, deployment, astronomer):
         sim = submit_direct(deployment, astronomer)
         workflow = deployment.daemon.workflows["direct"]
-        # The daemon and its workflows share one blocked set.
-        assert workflow.blocked_sims is deployment.daemon.blocked_sims
-        workflow.blocked_sims.add(sim.pk)
+        # The daemon and its workflows share one journal.
+        assert workflow.journal is deployment.daemon.journal
+        workflow.journal.blocked.add(sim.pk)
         deployment.clock.advance(1800.0)
         assert workflow.advance(sim) is False
         assert sim.state == "QUEUED"
         assert not self.entries(deployment)
-        workflow.blocked_sims.discard(sim.pk)
+        workflow.journal.blocked.discard(sim.pk)
         self.drive(deployment)
         sim.refresh_from_db()
         assert sim.state == SIM_DONE

@@ -271,7 +271,7 @@ class TestTheRule:
                                     daemon.clock.now + 60.0),
         lambda daemon, job: setattr(job.simulation, "machine_name",
                                     "auto"),
-        lambda daemon, job: daemon.blocked_sims.add(job.simulation_id),
+        lambda daemon, job: daemon.journal.blocked.add(job.simulation_id),
     ], ids=["job-done", "other-purpose", "other-state", "optimization",
             "retry-count", "backing-off", "unplaced", "blocked"])
     def test_anything_else_is_loaded(self, waiting, change):
@@ -297,7 +297,7 @@ class TestTheRule:
         """``reconcile_pending`` may write any job level 1 read."""
         running_campaign(deployment, astronomer, 2)
         daemon = deployment.daemon
-        daemon.blocked_sims.add(10_000)     # no intent: the sweep clears it
+        daemon.journal.blocked.add(10_000)     # no intent: the sweep clears it
         _, spans = poll_spans(deployment, name=None)
         assert "daemon.reconcile_pending" in [span.name for span in spans]
         assert not any("waiting_on" in span.attrs for span in spans

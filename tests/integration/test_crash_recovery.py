@@ -353,21 +353,21 @@ class TestUnresolvableIntentHolds:
             deployment.restart_daemon()
             daemon = deployment.daemon
             assert daemon.last_recovery["held"] == 1
-            assert simulation.pk in daemon.blocked_sims
+            assert simulation.pk in daemon.journal.blocked
             db = deployment.databases.admin
             assert OperationRecord.objects.using(db).filter(
                 state=JOURNAL_INTENT).count() == 1
 
             # Blocked means frozen: no new submissions while unproven.
             poll(deployment, 3)
-            assert simulation.pk in daemon.blocked_sims
+            assert simulation.pk in daemon.journal.blocked
             assert len(fabric_jobs_by_tag(deployment)) == 1
 
             # The fabric returns; the per-poll sweep settles the intent
             # (adoption) and the simulation drains to DONE.
             outage.restore()
             poll(deployment, 2)
-            assert simulation.pk not in daemon.blocked_sims
+            assert simulation.pk not in daemon.journal.blocked
             assert_journal_settled(deployment)
             deployment.run_daemon_until_idle(poll_interval_s=1800.0,
                                              max_polls=400)
