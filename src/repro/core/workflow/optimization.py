@@ -143,7 +143,8 @@ class OptimizationWorkflow(WorkflowManager):
         if progress is None:
             return "running"        # transient while downloading
         if progress["finished"]:
-            self._revoke_surplus_jobs(simulation, jobs)
+            if not self._revoke_surplus_jobs(simulation, jobs):
+                return "running"    # a cancel hit a transient
             return "finished"
         if all(job.is_terminal for job in jobs):
             # Chain exhausted before the iteration target: extend it.
@@ -162,7 +163,9 @@ class OptimizationWorkflow(WorkflowManager):
         otherwise let the next poll read the raw GRAM "cancelled by
         client" reason and mistake the gateway's own revocation for a
         model failure.  Reconciliation finalises the record from the
-        intent row instead.
+        intent row instead.  A cancel is classified like every other
+        call: False while one failed transiently, its job still in
+        flight for the next attempt.
         """
         def revoke(_result, _entry):
             job.state = "FAILED"
@@ -171,14 +174,15 @@ class OptimizationWorkflow(WorkflowManager):
             return True, {}
 
         for job in jobs:
-            if not job.is_terminal:
-                self.journal.call(
+            if not job.is_terminal and self.journal.call(
                     simulation, JOURNAL_OP_CANCEL, f"cancel-{job.pk}",
                     lambda _key: self.clients.job_cancel(
                         simulation.machine_name, job.gram_job_id),
-                    lambda _simulation, raw: raw, revoke,
-                    purpose=job.purpose, gram_job_id=job.gram_job_id,
-                    job_record_id=job.pk)
+                    self._grid_call, revoke, purpose=job.purpose,
+                    gram_job_id=job.gram_job_id,
+                    job_record_id=job.pk) is None:
+                return False
+        return True
 
     def _fetch_progress(self, simulation, ga_index):
         """Download and interpret a GA's partial progress file."""

@@ -7,16 +7,22 @@ grants — while ``tests/integration/test_crash_recovery.py`` exercises
 the crash windows the journal exists for.
 """
 
+import posixpath
+
 import pytest
 
 from repro.core import OperationRecord, idempotency_key
-from repro.core.models import (JOURNAL_ABORTED, JOURNAL_COMMITTED,
-                               JOURNAL_OP_SUBMIT, GridJobRecord,
-                               OUTCOME_COMMITTED, OUTCOME_TRANSIENT,
-                               SIM_DONE)
+from repro.core.models import (GRAM_IN_FLIGHT, JOB_REVOKED,
+                               JOURNAL_ABORTED, JOURNAL_COMMITTED,
+                               JOURNAL_OP_CANCEL, JOURNAL_OP_SUBMIT,
+                               GridJobRecord, OUTCOME_COMMITTED,
+                               OUTCOME_TRANSIENT, SIM_DONE)
+from repro.core.remote import RUN_GA_SH
 from repro.grid import FaultInjector
+from repro.grid.gram import AppExecution
+from tests.conftest import keep_everything
 
-from .conftest import submit_direct
+from .conftest import submit_direct, submit_optimization
 
 
 class TestIdempotencyKey:
@@ -112,6 +118,75 @@ class TestWriteAheadJournal:
         self.drive(deployment)
         sim.refresh_from_db()
         assert sim.state == SIM_DONE
+
+
+class TestSurplusCancel:
+    """A chained run whose surplus-job cancels meet an outage: the
+    cancel is classified like every other call, so a failed one leaves
+    its job in flight and is retried, never recorded as done."""
+
+    def test_failed_cancel_is_retried_after_the_outage(
+            self, deployment, astronomer):
+        keep_everything(deployment)
+        sim, _ = submit_optimization(deployment, astronomer, n_ga_runs=1,
+                                     iterations=60,
+                                     walltime_s=4 * 3600.0)
+        sim.config["use_chaining"] = True
+        sim.save(db=deployment.databases.admin)
+        kraken = deployment.fabric.resource("kraken")
+        run_ga = kraken.applications[RUN_GA_SH]
+
+        def surplus_lingers(resource, *, directory, **kwargs):
+            # A continuation started after its GA reached the target
+            # holds its cores for an hour unless the gateway cancels it.
+            progress = posixpath.join(directory, "ga_0", "progress.json")
+            finished = resource.filesystem.exists(progress) and \
+                resource.filesystem.read_json(progress)["finished"]
+            execution = run_ga(resource, directory=directory, **kwargs)
+            if finished:
+                return AppExecution(runtime_s=3600.0,
+                                    on_finish=execution.on_finish)
+            return execution
+        kraken.install_application(RUN_GA_SH, surplus_lingers)
+
+        gram, injector = deployment.fabric.gram("kraken"), \
+            FaultInjector(deployment.fabric, deployment.clock)
+        cancel, outages = gram.cancel, []
+
+        def gatekeeper_down_at_revocation(proxy, job_id):
+            if not outages:
+                outages.append(injector.permanent_outage("kraken"))
+                deployment.clock.schedule(500.0, outages[0].restore)
+            return cancel(proxy, job_id)
+        gram.cancel = gatekeeper_down_at_revocation
+
+        admin = deployment.databases.admin
+        while not outages:
+            deployment.run_daemon_until_idle(poll_interval_s=300.0,
+                                             max_polls=1)
+        first = OperationRecord.objects.using(admin).filter(
+            op=JOURNAL_OP_CANCEL).order_by("id").first()
+        assert (first.attempt, first.state, first.outcome) == (
+            1, JOURNAL_ABORTED, OUTCOME_TRANSIENT)
+        job = GridJobRecord.objects.using(admin).get(
+            pk=first.job_record_id)
+        assert job.state in GRAM_IN_FLIGHT
+
+        deployment.run_daemon_until_idle(poll_interval_s=300.0,
+                                         max_polls=200)
+        sim.refresh_from_db()
+        assert sim.state == SIM_DONE
+        assert sim.hold_reason == ""
+        revoked = {job.gram_job_id for job in GridJobRecord.objects
+                   .using(admin).filter(failure_reason=JOB_REVOKED)}
+        cancelled = [int(result.argv[-1])
+                     for result in deployment.clients.command_log
+                     if result.argv[0] == "globus-job-cancel"
+                     and result.ok]
+        assert revoked and sorted(cancelled) == sorted(revoked)
+        # GRAM agrees: nothing the gateway revoked still runs.
+        assert all(gram.jobs[gram_job_id].state == "FAILED"
+                   for gram_job_id in revoked)
 
 
 class TestJournalGrants:
