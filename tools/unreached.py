@@ -8,17 +8,28 @@ three-process smoke test — under a ``sys.settrace`` line collector and
 prints, per module, executable and never-executed lines, then the
 functions nothing entered, largest first.  A line listed here is reached
 by unit tests at most.  Stdlib only; ``python3 tools/unreached.py``.
+
+It is also a ratchet (ROADMAP item 12(a)).  ``--write FILE`` records the
+per-module counts (``tools/unreached.json`` is the committed record);
+``--check FILE`` exits 1 when the total of unreached lines rose above the
+record's, unless every module whose count rose is named, together with
+the test that reaches it (a ``tests/…py`` or ``benchmarks/…py`` path),
+on one CHANGES.md line added since the record was written.
 """
 
+import argparse
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+CHANGES = os.path.join(ROOT, "CHANGES.md")
+TEST_PATH = re.compile(r"\b(?:tests|benchmarks)/\S+\.py")
 
 #: Loaded by every interpreter that finds it on ``PYTHONPATH``.  Prefork
 #: workers leave through ``os._exit``, which skips ``atexit``; children
@@ -75,7 +86,10 @@ def code_objects(code):
             yield from code_objects(const)
 
 
-def main():
+def measure():
+    """``(modules, functions)``: ``(missed, executable, module)`` per
+    module and ``(body lines, module, line, name)`` per function no
+    entrypoint entered."""
     with tempfile.TemporaryDirectory(prefix="unreached-") as hook_dir:
         with open(os.path.join(hook_dir, "sitecustomize.py"), "w") as out:
             out.write(HOOK)
@@ -106,6 +120,10 @@ def main():
                                   code.co_firstlineno, code.co_qualname))
         modules.append((len(executable - hit), len(executable),
                         os.path.relpath(path, SRC)))
+    return modules, functions
+
+
+def report(modules, functions):
     print("%6d executable lines under src/, %d reached by no entrypoint"
           % (sum(m[1] for m in modules), sum(m[0] for m in modules)))
     print("\nnever executed / executable, per module")
@@ -117,5 +135,59 @@ def main():
         print("%6d  %s:%d %s" % (size, name, line, qualname))
 
 
+def changes_lines():
+    with open(CHANGES, encoding="utf-8") as changes:
+        return changes.read().splitlines()
+
+
+def check(record, counts):
+    """0 unless the total rose without a CHANGES.md line naming, for
+    each module whose count rose, the test that reaches it."""
+    before = record["unreached"]
+    after = sum(missed for missed, _ in counts.values())
+    print("unreached lines: %d recorded, %d now" % (before, after),
+          file=sys.stderr)
+    if after <= before:
+        if after < before:
+            print("the total fell: record it with --write",
+                  file=sys.stderr)
+        return 0
+    notes = changes_lines()[record["changes_lines"]:]
+    unnamed = []
+    for name, (missed, _) in sorted(counts.items()):
+        recorded = record["modules"].get(name, [0, 0])[0]
+        if missed > recorded and not any(
+                name in line and TEST_PATH.search(line) for line in notes):
+            unnamed.append(name)
+            print("%s: %d -> %d unreached, and no new CHANGES.md line "
+                  "names it with the test that reaches it"
+                  % (name, recorded, missed), file=sys.stderr)
+    return 1 if unnamed else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--write", metavar="FILE",
+                        help="record the per-module counts in FILE")
+    parser.add_argument("--check", metavar="FILE",
+                        help="fail when the total rose above FILE's")
+    args = parser.parse_args(argv)
+    modules, functions = measure()
+    report(modules, functions)
+    counts = {name: [missed, total] for missed, total, name in modules}
+    if args.write:
+        with open(args.write, "w", encoding="utf-8") as out:
+            json.dump({"executable": sum(t for _, t in counts.values()),
+                       "unreached": sum(m for m, _ in counts.values()),
+                       "changes_lines": len(changes_lines()),
+                       "modules": dict(sorted(counts.items()))},
+                      out, indent=1)
+            out.write("\n")
+    if args.check:
+        with open(args.check, encoding="utf-8") as recorded:
+            return check(json.load(recorded), counts)
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
