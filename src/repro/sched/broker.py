@@ -33,8 +33,9 @@ a constant 1 query on an idle steady-state poll.
 from __future__ import annotations
 
 from ..core.models import (AllocationRecord, KIND_DIRECT, MACHINE_AUTO,
-                           MachineRecord, ReservationRecord, SIM_QUEUED,
-                           Simulation, SubmitAuthorization)
+                           MachineRecord, ReservationRecord, SIM_CANCELLED,
+                           SIM_HOLD, SIM_QUEUED, Simulation,
+                           SubmitAuthorization)
 from ..hpc.accounting import cpu_hours
 from .policy import CandidateSite, PlacementPolicy, get_policy
 from .predictor import estimate_queue_wait_s
@@ -135,6 +136,11 @@ class ResourceBroker:
                        AllocationRecord.objects.using(self.db).all()}
         reserved_by_alloc = self.ledger.reserved_by_allocation()
 
+        def free(row):
+            reserved_by_alloc[row.allocation_id] = max(
+                0.0, reserved_by_alloc.get(row.allocation_id, 0.0)
+                - row.estimated_su)
+
         # Failover candidates: broker-placed work still QUEUED on a
         # machine that is no longer placeable.  Manual submissions are
         # never overridden — a user's explicit choice rides the retry
@@ -142,9 +148,18 @@ class ResourceBroker:
         active_by_sim = {}
         for row in reservations:
             active_by_sim[row.simulation_id] = row
-        migrating = []
+        migrating, released = [], []
         for row in reservations:
             simulation = row.simulation
+            if not simulation.is_active:
+                # Finished, cancelled or held: nobody will spend this
+                # hold, so free it before any funding check.
+                free(row)
+                released.append(self.ledger.release(
+                    row, "cancelled" if simulation.state == SIM_CANCELLED
+                    else "held" if simulation.state == SIM_HOLD
+                    else "finished"))
+                continue
             if (simulation.state == SIM_QUEUED
                     and simulation.machine_name == row.machine_name
                     and row is active_by_sim[simulation.pk]):
@@ -152,7 +167,7 @@ class ResourceBroker:
                 if record is None or not self._placeable(record):
                     migrating.append(row)
 
-        if not pending and not migrating:
+        if not pending and not migrating and not released:
             return summary
 
         # One authorization query covers every owner in the sweep.
@@ -166,7 +181,7 @@ class ResourceBroker:
 
         #: Load this sweep is itself creating, per machine.
         virtual_depth = {}
-        new_rows, released, stamped, refusals = [], [], [], []
+        new_rows, stamped, refusals = [], [], []
 
         def candidates_for(simulation, *, exclude=()):
             sites = []
@@ -286,9 +301,7 @@ class ResourceBroker:
             from_machine = row.machine_name
             # The old hold is released either way; free it before the
             # funding check so the re-placement may reuse its own SUs.
-            reserved_by_alloc[row.allocation_id] = max(
-                0.0, reserved_by_alloc.get(row.allocation_id, 0.0)
-                - row.estimated_su)
+            free(row)
             sites = candidates_for(simulation,
                                    exclude=(from_machine,))
             if sites:

@@ -8,8 +8,9 @@ integration suite then runs the whole daemon.
 
 import pytest
 
-from repro.core import (RESERVATION_RESERVED, RESERVATION_SETTLED,
-                        ReservationRecord, Simulation)
+from repro.core import (RESERVATION_RELEASED, RESERVATION_RESERVED,
+                        RESERVATION_SETTLED, ReservationRecord,
+                        SIM_CANCELLED, Simulation)
 from repro.core.leases import WHOLE_TABLE
 from repro.core.models import (AllocationRecord, MACHINE_AUTO,
                                MachineRecord, SubmitAuthorization)
@@ -85,6 +86,42 @@ class TestPlacementSweep:
         sim.refresh_from_db()
         assert sim.machine_name == "lonestar"
         assert len(active_rows(deployment)) == 1
+
+
+class TestHoldsNobodyWillSpend:
+    def test_cancelled_run_frees_its_sus_without_a_restart(
+            self, deployment, astronomer):
+        """A cancelled Auto run's reservation is released by the next
+        sweep that loads reservations, so its SUs fund the next
+        submission — not only after a daemon restart."""
+        (first,) = submit_auto_direct(deployment, astronomer)
+        broker = deployment.daemon.broker
+        broker.place_pending(WHOLE_TABLE)
+        first.refresh_from_db()
+        (row,) = active_rows(deployment)
+        first.state = SIM_CANCELLED
+        first.save(db=deployment.databases.admin)
+        # Only the cancelled run's allocation has SUs left: 1.5 times
+        # one run's estimate, of which the stale hold pins one.
+        estimate = broker.estimate_su(
+            first, deployment.machine_specs[first.machine_name])
+        db = deployment.databases.admin
+        allocations = list(AllocationRecord.objects.using(db).all())
+        for allocation in allocations:
+            allocation.su_used = allocation.su_granted
+            if allocation.pk == row.allocation_id:
+                allocation.su_used -= 1.5 * estimate
+        AllocationRecord.objects.using(db).bulk_update(
+            allocations, ["su_used"])
+
+        (second,) = submit_auto_direct(deployment, astronomer)
+        deployment.daemon.poll_once()
+        second.refresh_from_db()
+        assert second.machine_name == first.machine_name
+        assert second.status_message == ""
+        row.refresh_from_db()
+        assert row.state == RESERVATION_RELEASED
+        assert row.reason == "cancelled"
 
 
 class TestRefusals:
