@@ -137,12 +137,10 @@ class DaemonRuntime:
     paper's single daemon.
     """
 
-    def __init__(self, db, machines=None, *, clock=None, obs=None,
-                 placement_policy="least-wait"):
+    def __init__(self, db, machines=None, *, clock=None, obs=None):
         self.daemon_db = db
         self.machines = list(machines or TABLE1_MACHINES)
         self.machine_specs = {m.name: m for m in self.machines}
-        self.placement_policy = placement_policy
         self.clock = clock if clock is not None else SimClock()
         if obs is None:
             obs = Observability(self.clock)
@@ -216,8 +214,7 @@ class DaemonRuntime:
         clients = GridClients(self.fabric, breakers=breakers, obs=self.obs)
         self.fleet[index] = GridAMPDaemon(
             self.daemon_db, clients, self.clock, self.mailer,
-            self.machine_specs, instance, leases, self.obs,
-            self.placement_policy)
+            self.machine_specs, instance, leases, self.obs)
         return self.fleet[index]
 
     def kill_daemon(self, index):
@@ -321,8 +318,8 @@ class AMPDeployment(PortalRuntime, DaemonRuntime):
     """
 
     def __init__(self, *, machines=None, su_grant=5_000_000.0,
-                 seed_catalog=True, placement_policy="least-wait",
-                 database_uri=None, slow_statement_s=None):
+                 seed_catalog=True, database_uri=None,
+                 slow_statement_s=None):
         clock = SimClock()
         obs = Observability(clock)
         self.databases = DeploymentDatabases(build_role_registry(),
@@ -336,8 +333,7 @@ class AMPDeployment(PortalRuntime, DaemonRuntime):
         PortalRuntime.__init__(self, self.databases.portal,
                                clock=clock, obs=obs)
         DaemonRuntime.__init__(self, self.databases.daemon, machines,
-                               clock=clock, obs=obs,
-                               placement_policy=placement_policy)
+                               clock=clock, obs=obs)
         bind(ALL_MODELS, self.databases.admin)
 
     # ------------------------------------------------------------------

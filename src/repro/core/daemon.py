@@ -73,7 +73,7 @@ def instance_name(index):
 
 class GridAMPDaemon:
     def __init__(self, db, clients, clock, mailer, machine_specs,
-                 instance_id, leases, obs, placement_policy):
+                 instance_id, leases, obs):
         self.db = db
         self.clients = clients
         self.clock = clock
@@ -106,7 +106,7 @@ class GridAMPDaemon:
         self.broker = ResourceBroker(
             db, machine_specs, clock, breakers=clients.breakers,
             obs=self.obs, crash_schedule=clients.fabric.crash_schedule,
-            policy=placement_policy, ledger=self.ledger)
+            ledger=self.ledger)
         collaborators = (db, clients, self.policy, machine_specs,
                          self.retry, self.obs, self.ledger, self.journal)
         self.workflows = {
@@ -564,25 +564,18 @@ class GridAMPDaemon:
         """Crash recovery: adopt freshly acquired slices, at boot and
         whenever a poll's sweep claims or steals one.
 
-        Runs the journal and ledger decision tables scoped to the
-        just-claimed residue classes — replaying a dead owner's
-        uncommitted intents (safe across owners: the
-        ``amp-sim-{pk}-{phase}-{attempt}`` keys are process-independent
-        and stamped on the remote jobs as ``clientTag``) and adopting
-        reservations it left between write and stamp.
+        Runs the journal's decision table scoped to the just-claimed
+        residue classes — replaying a dead owner's uncommitted intents
+        (safe across owners: the ``amp-sim-{pk}-{phase}-{attempt}``
+        keys are process-independent and stamped on the remote jobs as
+        ``clientTag``).  Reservations need no replay: placement and
+        settlement each commit in one transaction, and the placement
+        sweep releases the holds nobody will spend.
         """
         scope = (self.leases.n_slices, sorted(slices))
         self.leases.crash_schedule.check("takeover", "before")
         summary = self.journal.reconcile(scope)
-        adopted, released = self.ledger.reconcile(scope)
         self.leases.crash_schedule.check("takeover", "after")
-        summary["reservations_adopted"] = adopted
-        summary["reservations_released"] = released
-        if adopted:
-            self.obs.metrics.counter(
-                "sched_reservations_adopted_total",
-                help="Reservations adopted by takeover "
-                     "reconciliation").inc(adopted)
         self.obs.events.emit("daemon.takeover",
                              instance=self.instance_id,
                              slices=list(scope[1]), **summary)

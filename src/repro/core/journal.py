@@ -2,13 +2,13 @@
 
 Every side-effecting grid call (submit, stage-in, stage-out, cancel)
 goes through :meth:`OperationJournal.call`: an INTENT row lands in the
-database *before* the command goes out, and is marked COMMITTED only
-once the call's consequence (the job record, the staged file, the
-revoked job) is durably recorded too.  A daemon that dies between the
-two leaves an INTENT row behind; :meth:`OperationJournal.reconcile`
-asks the fabric — per row — whether the side effect happened
-(adopt/verify) or provably did not (re-issue).  The idempotency key
-doubles as the GRAM ``clientTag``, which is what makes orphaned jobs
+database *before* the command goes out, and is marked COMMITTED in
+one transaction with the call's consequence (the job record, the
+revoked job).  A daemon that dies between the two leaves an INTENT row
+behind, and never a consequence without its commit;
+:meth:`OperationJournal.reconcile` asks the fabric — per row — whether
+the side effect happened (adopt/verify) or provably did not
+(re-issue).  The idempotency key doubles as the GRAM ``clientTag``, which is what makes orphaned jobs
 findable after the fact.  Each of the two windows checks the crash
 schedule, so the fault harness can kill the daemon there.  (DESIGN.md
 §6.)
@@ -67,8 +67,8 @@ class OperationJournal:
         ``transient``, raising :class:`ModelFailure` ABORTED ``failed``;
         the retry machinery owns what happens next.  Otherwise
         ``record(result, entry)`` writes the consequence and returns
-        ``(value, columns to commit with)``; without it the value is
-        the result.
+        ``(value, columns to commit with)``, inside the transaction
+        that commits the entry; without it the value is the result.
         """
         attempt = OperationRecord.objects.using(self.db).filter(
             simulation_id=simulation.pk, op=op, phase=phase).count() + 1
@@ -94,9 +94,11 @@ class OperationJournal:
             self._settle(entry, JOURNAL_ABORTED,
                          OUTCOME_TRANSIENT).save(db=self.db)
             return None
-        value, columns = record(result, entry) if record else (result, {})
-        self._settle(entry, JOURNAL_COMMITTED, OUTCOME_COMMITTED,
-                     **columns).save(db=self.db)
+        with self.db.atomic():
+            value, columns = (record(result, entry) if record
+                              else (result, {}))
+            self._settle(entry, JOURNAL_COMMITTED, OUTCOME_COMMITTED,
+                         **columns).save(db=self.db)
         return value
 
     @staticmethod
@@ -130,12 +132,12 @@ class OperationJournal:
 
         The decision table (per intent, see DESIGN.md §6):
 
-        - **replayed** — the database already holds the side effect's
-          record (crash landed between the job-record save and the
-          journal commit); re-point the entry and move on.
+        - **replayed** — a cancel: re-issued (cancels are idempotent on
+          the fabric) and its revoked job record finalised.
         - **adopted** — GRAM holds a job carrying the intent's
-          ``clientTag``: the submission happened but its record was
-          lost; adopt the orphan as a fresh :class:`GridJobRecord`.
+          ``clientTag``: the submission happened but the daemon died
+          before its record committed; adopt the orphan as a fresh
+          :class:`GridJobRecord`.
         - **verified** — the staged file's remote size/digest matches
           the journaled payload: the upload landed intact.
         - **reissued** — the fabric provably has no trace (no tagged
@@ -147,8 +149,8 @@ class OperationJournal:
           reconcile can decide.
 
         Access is set-oriented: one SELECT for the intents, one for
-        already-recorded jobs, one for cancel targets, then bulk
-        writes — bounded round trips however long the backlog is.
+        cancel targets, then bulk writes in one transaction — bounded
+        round trips however long the backlog is.
 
         *scope* is ``(divisor, remainders)``, the leased residue
         classes: a takeover replays only the adopted slices' intents,
@@ -165,14 +167,6 @@ class OperationJournal:
         self.unblock(*scope)
         if not intents:
             return summary
-        submit_keys = [e.idempotency_key for e in intents
-                       if e.op == JOURNAL_OP_SUBMIT]
-        existing_jobs = {}
-        if submit_keys:
-            existing_jobs = {
-                record.idempotency_key: record
-                for record in GridJobRecord.objects.using(self.db)
-                .filter(idempotency_key__in=submit_keys)}
         cancel_ids = [e.job_record_id for e in intents
                       if e.op == JOURNAL_OP_CANCEL
                       and e.job_record_id is not None]
@@ -185,8 +179,8 @@ class OperationJournal:
         for entry in intents:
             owner = entry.simulation.owner
             self.clients.ensure_proxy(owner.username, owner.email)
-            outcome = self._decide(entry, existing_jobs, cancel_jobs,
-                                   adoptions, finalized)
+            outcome = self._decide(entry, cancel_jobs, adoptions,
+                                   finalized)
             if outcome is None:
                 self.blocked.add(entry.simulation_id)
                 summary["held"] += 1
@@ -194,21 +188,22 @@ class OperationJournal:
             summary[outcome] += 1
             if outcome != OUTCOME_ADOPTED:
                 settled.append(entry)
-        if adoptions:
-            GridJobRecord.objects.using(self.db).bulk_create(
-                [record for _, record in adoptions])
-            for entry, record in adoptions:
-                self._settle(entry, JOURNAL_COMMITTED, OUTCOME_ADOPTED,
-                             gram_job_id=record.gram_job_id,
-                             job_record_id=record.pk)
-                settled.append(entry)
-        if finalized:
-            GridJobRecord.objects.using(self.db).bulk_update(
-                finalized, ["state", "failure_reason"])
-        if settled:
-            OperationRecord.objects.using(self.db).bulk_update(
-                settled, ["state", "outcome", "resolved_at",
-                          "gram_job_id", "job_record_id", "detail"])
+        with self.db.atomic():
+            if adoptions:
+                GridJobRecord.objects.using(self.db).bulk_create(
+                    [record for _, record in adoptions])
+                for entry, record in adoptions:
+                    self._settle(entry, JOURNAL_COMMITTED, OUTCOME_ADOPTED,
+                                 gram_job_id=record.gram_job_id,
+                                 job_record_id=record.pk)
+                    settled.append(entry)
+            if finalized:
+                GridJobRecord.objects.using(self.db).bulk_update(
+                    finalized, ["state", "failure_reason"])
+            if settled:
+                OperationRecord.objects.using(self.db).bulk_update(
+                    settled, ["state", "outcome", "resolved_at",
+                              "gram_job_id", "job_record_id", "detail"])
         if summary["replayed"] or summary["verified"]:
             self.obs.events.emit("journal.replayed",
                                  replayed=summary["replayed"],
@@ -218,22 +213,15 @@ class OperationJournal:
                                  count=summary["adopted"])
         return summary
 
-    def _decide(self, entry, existing_jobs, cancel_jobs, adoptions,
-                finalized):
+    def _decide(self, entry, cancel_jobs, adoptions, finalized):
         """Apply the decision table to one intent.
 
         Returns the outcome string, or None when a transient lookup
         means the entry cannot be resolved yet (→ hold the simulation).
         """
         if entry.op == JOURNAL_OP_SUBMIT:
-            record = existing_jobs.get(entry.idempotency_key)
-            if record is not None:
-                # The job record made it to the database; only the
-                # journal commit was lost.
-                self._settle(entry, JOURNAL_COMMITTED, OUTCOME_REPLAYED,
-                             gram_job_id=record.gram_job_id,
-                             job_record_id=record.pk)
-                return OUTCOME_REPLAYED
+            # The job record commits with the journal entry, so an
+            # INTENT row means no record: ask GRAM by the tag.
             result = self.clients.job_lookup(
                 entry.resource, entry.idempotency_key)
             if not result.ok:

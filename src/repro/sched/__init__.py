@@ -8,22 +8,18 @@ books estimated costs write-ahead and settles actual usage at
 CLEANUP; and breaker-aware failover that re-places still-QUEUED work
 when a site goes dark.  The broker's entire state lives in the shared
 database ("When Database Systems Meet the Grid"): a daemon bounce
-loses no placement decision, and the reconciliation sweep adopts
-whatever a crash left half-finished.
+loses no placement decision, and each sweep's writes commit in one
+transaction, so a crash leaves nothing half-finished.
 """
 
 from __future__ import annotations
 
-from .broker import REFUSAL_MESSAGES, ResourceBroker
+from .broker import (CandidateSite, REFUSAL_MESSAGES, ResourceBroker,
+                     least_wait)
 from .ledger import SULedger
-from .policy import (CandidateSite, LeastWaitPolicy,
-                     PackByAllocationPolicy, PlacementPolicy,
-                     POLICY_NAMES, RoundRobinPolicy, get_policy)
 from .predictor import (eligible_waits, estimate_queue_wait_s,
                         loaded_resource, segment_jobs)
 
 __all__ = ["ResourceBroker", "SULedger", "REFUSAL_MESSAGES",
-           "CandidateSite", "PlacementPolicy", "LeastWaitPolicy",
-           "RoundRobinPolicy", "PackByAllocationPolicy", "POLICY_NAMES",
-           "get_policy", "eligible_waits", "estimate_queue_wait_s",
-           "loaded_resource", "segment_jobs"]
+           "CandidateSite", "least_wait", "eligible_waits",
+           "estimate_queue_wait_s", "loaded_resource", "segment_jobs"]

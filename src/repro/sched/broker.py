@@ -3,8 +3,8 @@
 The daemon consults the broker in a dedicated poll phase *before* any
 workflow advances: every QUEUED simulation carrying the portal's
 ``MACHINE_AUTO`` sentinel is matched to the best eligible machine and
-its estimated SU cost is booked in the ledger — write-ahead, so the
-reservation row is durable before the simulation is stamped.  The same
+its estimated SU cost is booked in the ledger — the reservation row
+and the simulation's stamp commit in one transaction.  The same
 sweep handles **failover**: broker-placed work still sitting QUEUED on
 a machine whose circuit breaker has opened (or that an administrator
 disabled) is re-placed onto the next-best site, old reservation
@@ -18,8 +18,8 @@ Eligibility per (simulation, machine):
 3. the owner holds an active :class:`SubmitAuthorization` for it;
 4. the estimated SU cost fits ``granted − used − already-reserved``.
 
-Among eligible sites the configured policy (least-wait, round-robin,
-pack-by-allocation) expresses preference; within one sweep each
+Among eligible sites the least expected queue wait wins; within one
+sweep each
 placement bumps the chosen machine's *virtual* queue depth so the next
 simulation sees the load this sweep is already creating — that is what
 spreads a burst of fifty submissions across sites instead of piling
@@ -32,13 +32,18 @@ a constant 1 query on an idle steady-state poll.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from ..core.models import (AllocationRecord, KIND_DIRECT, MACHINE_AUTO,
                            MachineRecord, ReservationRecord, SIM_CANCELLED,
                            SIM_HOLD, SIM_QUEUED, Simulation,
                            SubmitAuthorization)
 from ..hpc.accounting import cpu_hours
-from .policy import CandidateSite, PlacementPolicy, get_policy
 from .predictor import estimate_queue_wait_s
+
+#: The placement policy's name, as reservation rows, ``sched.placement``
+#: events and the placements metric record it.
+POLICY = "least-wait"
 
 #: Portal-visible refusal messages (plain language — the same no-jargon
 #: rule the mailer enforces).  Keyed by refusal reason.
@@ -56,11 +61,33 @@ REFUSAL_MESSAGES = {
 }
 
 
+@dataclass
+class CandidateSite:
+    """One eligible (machine, allocation) pair, scored for placement."""
+
+    machine_name: str
+    allocation: object = field(repr=False)        # AllocationRecord row
+    #: Analytic queue-wait estimate from the shared predictor, seconds.
+    estimated_wait_s: float = 0.0
+    #: Estimated SU cost of *this* simulation on *this* machine.
+    estimated_su: float = 0.0
+
+
+def least_wait(candidates):
+    """Pick the site with the least expected queue wait; ties break
+    toward the cheaper SU charge, then alphabetically.  A total order
+    over durable inputs, so a bounced daemon re-deciding the same
+    simulation makes the same choice."""
+    return min(candidates,
+               key=lambda c: (c.estimated_wait_s, c.estimated_su,
+                              c.machine_name))
+
+
 class ResourceBroker:
     """Database-backed placement engine (one per daemon process)."""
 
     def __init__(self, db, machine_specs, clock, *, breakers, obs,
-                 crash_schedule, policy, ledger):
+                 crash_schedule, ledger):
         self.db = db
         self.machine_specs = machine_specs
         self.clock = clock
@@ -69,8 +96,6 @@ class ResourceBroker:
         #: The fabric's crash schedule, checked around the reservation
         #: write (the ``reserve`` boundary).
         self.crash_schedule = crash_schedule
-        self.policy = (policy if isinstance(policy, PlacementPolicy)
-                       else get_policy(policy))
         self.ledger = ledger
 
     # ------------------------------------------------------------------
@@ -105,11 +130,13 @@ class ResourceBroker:
     def place_pending(self, slice_filter):
         """One placement sweep; returns a summary dict.
 
-        Write ordering (the crash-safety contract): new reservation
-        rows ``bulk_create`` first, then released rows, then the
-        simulation stamps — a crash at any boundary leaves rows the
-        boot reconciliation adopts or releases deterministically, and
-        never a stamped simulation without its reservation.
+        The sweep's writes — new reservation rows, released rows and
+        the simulation stamps — commit in one transaction, so a crash
+        leaves either all of them or none: never a stamped simulation
+        without its reservation, nor a reservation without its stamp.
+        A RESERVED row is kept only while its simulation is active and
+        carries the row's machine; every other row the sweep loads is
+        released before the funding check.
 
         *slice_filter* (``(n_slices, [indexes])``) scopes both the
         pending set and the reservation read to the calling daemon
@@ -118,8 +145,7 @@ class ResourceBroker:
         no reservation can be double-booked across owners (the unique
         ``reservation_key`` backstops even that).
         """
-        summary = {"placed": 0, "migrated": 0, "refused": 0,
-                   "adopted": 0}
+        summary = {"placed": 0, "migrated": 0, "refused": 0}
         pending = list(Simulation.objects.using(self.db)
                        .filter(state=SIM_QUEUED,
                                machine_name=MACHINE_AUTO,
@@ -145,24 +171,21 @@ class ResourceBroker:
         # machine that is no longer placeable.  Manual submissions are
         # never overridden — a user's explicit choice rides the retry
         # and hold machinery instead.
-        active_by_sim = {}
-        for row in reservations:
-            active_by_sim[row.simulation_id] = row
         migrating, released = [], []
         for row in reservations:
             simulation = row.simulation
-            if not simulation.is_active:
-                # Finished, cancelled or held: nobody will spend this
-                # hold, so free it before any funding check.
+            if not (simulation.is_active
+                    and simulation.machine_name == row.machine_name):
+                # Nobody will spend this hold: free it before any
+                # funding check.
                 free(row)
                 released.append(self.ledger.release(
-                    row, "cancelled" if simulation.state == SIM_CANCELLED
+                    row, "superseded" if simulation.is_active
+                    else "cancelled" if simulation.state == SIM_CANCELLED
                     else "held" if simulation.state == SIM_HOLD
                     else "finished"))
                 continue
-            if (simulation.state == SIM_QUEUED
-                    and simulation.machine_name == row.machine_name
-                    and row is active_by_sim[simulation.pk]):
+            if simulation.state == SIM_QUEUED:
                 record = machines.get(row.machine_name)
                 if record is None or not self._placeable(record):
                     migrating.append(row)
@@ -208,17 +231,14 @@ class ResourceBroker:
                     spec, queue_depth=depth,
                     utilisation=record.utilisation)
                 sites.append(CandidateSite(
-                    machine_name=record.name, record=record, spec=spec,
-                    allocation=allocation,
-                    estimated_wait_s=wait,
-                    estimated_su=estimated,
-                    su_available=available))
+                    machine_name=record.name, allocation=allocation,
+                    estimated_wait_s=wait, estimated_su=estimated))
             return sites
 
         def book(simulation, site, attempt):
             row = self.ledger.build_reservation(
                 simulation, site.allocation, site.machine_name,
-                policy_name=self.policy.name,
+                policy_name=POLICY,
                 estimated_su=site.estimated_su, attempt=attempt)
             new_rows.append(row)
             reserved_by_alloc[site.allocation.pk] = (
@@ -259,14 +279,6 @@ class ResourceBroker:
 
         # -- new placements -------------------------------------------
         for simulation in pending:
-            row = active_by_sim.get(simulation.pk)
-            if row is not None:
-                # A crash landed between reservation and stamp: adopt
-                # the durable decision instead of re-deciding.
-                simulation.machine_name = row.machine_name
-                stamped.append(simulation)
-                summary["adopted"] += 1
-                continue
             if not auths_by_owner.get(simulation.owner_id):
                 refuse(simulation, "unauthorized")
                 continue
@@ -277,7 +289,7 @@ class ResourceBroker:
                 refuse(simulation,
                        "allocation" if healthy else "unavailable")
                 continue
-            site = self.policy.choose(simulation, sites)
+            site = least_wait(sites)
             row = book(simulation, site, next_attempt(simulation.pk))
             simulation.machine_name = site.machine_name
             simulation.status_message = ""
@@ -286,14 +298,13 @@ class ResourceBroker:
             self._emit("sched.placement", simulation=simulation.pk,
                        trace_id=simulation.correlation_id,
                        machine=site.machine_name,
-                       policy=self.policy.name,
+                       policy=POLICY,
                        attempt=row.attempt,
                        estimated_su=round(site.estimated_su, 6),
                        estimated_wait_s=round(site.estimated_wait_s, 3))
             self._count("sched_placements_total",
                         "Broker placements, by machine and policy",
-                        machine=site.machine_name,
-                        policy=self.policy.name)
+                        machine=site.machine_name, policy=POLICY)
 
         # -- failover migration ---------------------------------------
         for row in migrating:
@@ -305,7 +316,7 @@ class ResourceBroker:
             sites = candidates_for(simulation,
                                    exclude=(from_machine,))
             if sites:
-                site = self.policy.choose(simulation, sites)
+                site = least_wait(sites)
                 book(simulation, site, next_attempt(simulation.pk))
                 released.append(self.ledger.release(
                     row, f"migrated to {site.machine_name}"))
@@ -330,19 +341,21 @@ class ResourceBroker:
                         "Failover migrations of QUEUED work",
                         from_machine=from_machine)
 
-        # -- durable writes, in crash-safe order ----------------------
+        # -- durable writes, in one transaction ----------------------
         self.crash_schedule.check("reserve", "before")
-        if new_rows:
-            ReservationRecord.objects.using(self.db).bulk_create(
-                new_rows)
+        with self.db.atomic():
+            if new_rows:
+                ReservationRecord.objects.using(self.db).bulk_create(
+                    new_rows)
+            if released:
+                ReservationRecord.objects.using(self.db).bulk_update(
+                    released, self.ledger.RESERVATION_FIELDS)
+            if stamped or refusals:
+                Simulation.objects.using(self.db).bulk_update(
+                    stamped + refusals, ["machine_name",
+                                         "status_message"])
         self.crash_schedule.check("reserve", "after")
-        if released:
-            ReservationRecord.objects.using(self.db).bulk_update(
-                released, self.ledger.RESERVATION_FIELDS)
-        if stamped or refusals:
-            Simulation.objects.using(self.db).bulk_update(
-                stamped + refusals, ["machine_name", "status_message"])
-        if summary["placed"] or summary["migrated"] or summary["adopted"]:
+        if summary["placed"] or summary["migrated"]:
             self.obs.metrics.gauge(
                 "sched_reserved_su",
                 help="SUs held by active reservations").set(

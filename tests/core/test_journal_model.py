@@ -2,8 +2,9 @@
 
 A random interleaving of journaled submits, uploads, downloads and
 cancels for three simulations on two machines, crash points armed
-before or after a command (a crash restarts the daemon: a fresh
-journal whose boot reconciles every slice), outages that make commands
+before or after a command or a death inside a submit's consequence
+write (a crash restarts the daemon: a fresh journal whose boot
+reconciles every slice), outages that make commands
 and reconciliation lookups transient, clock advances, and reconciles of
 one slice or all must keep the journal's invariants:
 
@@ -13,6 +14,9 @@ one slice or all must keep the journal's invariants:
   blocked after every step;
 * the attempts for each (simulation, op, phase) run 1…n with no gaps;
 * every idempotency key is unique;
+* no INTENT row shares its key with a job record, even the instant a
+  crash lands, before any recovery: the consequence commits with the
+  journal entry;
 * at most one committed submit, one job record and one GRAM job carry
   any one tag.
 """
@@ -113,6 +117,8 @@ class JournalMachine(RuleBasedStateMachine):
         except ModelFailure:
             pass
         except DaemonCrash:
+            # What the dead process left, before any recovery runs.
+            self.no_intent_shares_its_key_with_a_job()
             self.restart()
 
     def _intents(self):
@@ -121,7 +127,7 @@ class JournalMachine(RuleBasedStateMachine):
 
     # ------------------------------------------------------------------
     @rule(index=simulations, sequence=st.integers(0, 1))
-    def submit(self, index, sequence):
+    def submit(self, index, sequence, dies=False):
         simulation = self.simulations[index]
         spec = batch_spec(IDLE, count=1, max_wall_time_s=3600.0,
                           directory=simulation.remote_directory)
@@ -130,6 +136,8 @@ class JournalMachine(RuleBasedStateMachine):
             job = OperationJournal.job_record(entry, int(result.stdout),
                                               "PENDING")
             job.save(db=self.db)
+            if dies:
+                raise DaemonCrash(JOURNAL_OP_SUBMIT, "inside")
             return job, {"gram_job_id": job.gram_job_id,
                          "job_record_id": job.pk}
 
@@ -139,6 +147,12 @@ class JournalMachine(RuleBasedStateMachine):
                    record, purpose=JOB_MODEL, sequence=sequence,
                    service="batch",
                    rsl=lambda key: format_rsl({**spec, "clientTag": key}))
+
+    @rule(index=simulations, sequence=st.integers(0, 1))
+    def submit_dying_in_its_record(self, index, sequence):
+        """The daemon dies inside the consequence write: the job record
+        is saved, the journal entry not yet committed."""
+        self.submit(index, sequence, dies=True)
 
     @rule(index=simulations, name=st.sampled_from(["amp_in", "params"]),
           content=st.sampled_from(["1.0", "1.04 0.27"]))
@@ -212,6 +226,13 @@ class JournalMachine(RuleBasedStateMachine):
     def every_intent_is_blocked(self):
         for entry in self._intents():
             assert entry.simulation_id in self.journal.blocked, entry
+
+    @invariant()
+    def no_intent_shares_its_key_with_a_job(self):
+        jobs = {job.idempotency_key for job in
+                GridJobRecord.objects.using(self.db).all()}
+        assert not [entry for entry in self._intents()
+                    if entry.idempotency_key in jobs]
 
     @invariant()
     def attempts_have_no_gaps(self):

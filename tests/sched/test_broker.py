@@ -1,4 +1,4 @@
-"""The placement engine: sweeps, refusals, adoption, query budget.
+"""The placement engine: sweeps, refusals, releases, query budget.
 
 Each test drives :meth:`ResourceBroker.place_pending` directly (the
 same call the daemon's ``place_simulations`` phase makes) so the sweep
@@ -15,6 +15,7 @@ from repro.core.leases import WHOLE_TABLE
 from repro.core.models import (AllocationRecord, MACHINE_AUTO,
                                MachineRecord, SubmitAuthorization)
 from repro.core.notifications import GRID_JARGON
+from repro.grid import DaemonCrash
 from repro.sched import REFUSAL_MESSAGES
 
 from .conftest import submit_auto_direct
@@ -68,24 +69,34 @@ class TestPlacementSweep:
         assert deployment.obs.metrics.total(
             "sched_placements_total") == 4
 
-    def test_adopts_a_durable_decision_instead_of_redeciding(
-            self, deployment, astronomer):
-        """A crash between the reservation write and the stamp leaves a
-        RESERVED row for an AUTO simulation: the next sweep must finish
-        *that* placement, not book a second one."""
-        (sim,) = submit_auto_direct(deployment, astronomer)
-        ledger = deployment.daemon.ledger
-        row = ledger.build_reservation(
-            sim, deployment.allocations["lonestar"], "lonestar",
-            policy_name="least-wait", estimated_su=1.0, attempt=1)
-        ReservationRecord.objects.using(
-            deployment.databases.daemon).bulk_create([row])
+
+class TestPlacementTransaction:
+    def test_crash_inside_the_transaction_leaves_no_rows_nor_stamps(
+            self, deployment, astronomer, monkeypatch):
+        """Rows, releases and stamps commit together: a daemon killed
+        between the reservation insert and the stamp update leaves
+        neither behind, and the next sweep places from scratch."""
+        sims = submit_auto_direct(deployment, astronomer, 3)
+        db = deployment.databases.daemon
+        counted = db.on_execute
+
+        def crash_on_stamp(operation, table):
+            counted(operation, table)
+            if (operation, table) == ("update",
+                                      Simulation._meta.table_name):
+                raise DaemonCrash("reserve", "inside")
+
+        monkeypatch.setattr(db, "on_execute", crash_on_stamp)
+        with pytest.raises(DaemonCrash):
+            deployment.daemon.broker.place_pending(WHOLE_TABLE)
+        monkeypatch.undo()
+        assert not list(ReservationRecord.objects.using(db).all())
+        for sim in sims:
+            sim.refresh_from_db()
+            assert sim.machine_name == MACHINE_AUTO
         summary = deployment.daemon.broker.place_pending(WHOLE_TABLE)
-        assert summary == {"placed": 0, "migrated": 0, "refused": 0,
-                           "adopted": 1}
-        sim.refresh_from_db()
-        assert sim.machine_name == "lonestar"
-        assert len(active_rows(deployment)) == 1
+        assert summary["placed"] == 3
+        assert [row.attempt for row in active_rows(deployment)] == [1] * 3
 
 
 class TestHoldsNobodyWillSpend:

@@ -1,8 +1,8 @@
 """The SU allocation ledger: reservations, settlement, reconciliation.
 
-The money-side contract of the broker: write-ahead reservations,
-idempotent settlement (crash replays must never charge twice), the
-boot-time decision table, and the invariant
+The money-side contract of the broker: reservations, idempotent
+settlement (crash replays must never charge twice), the sweep's
+release rule, and the invariant
 
     su_used + sum(active reserved estimates) ≤ su_granted
 """
@@ -11,9 +11,9 @@ import pytest
 
 from repro.core import (RESERVATION_RELEASED, RESERVATION_RESERVED,
                         RESERVATION_SETTLED, ReservationRecord,
-                        SIM_CANCELLED, SIM_DONE, Simulation)
+                        SIM_CANCELLED, SIM_DONE)
 from repro.core.leases import WHOLE_TABLE
-from repro.core.models import AllocationRecord, MACHINE_AUTO, SIM_HOLD
+from repro.core.models import AllocationRecord, SIM_HOLD, SIM_RUNNING
 
 from .conftest import submit_auto_direct
 
@@ -62,88 +62,35 @@ class TestSettlement:
         allocation.refresh_from_db()
         assert allocation.su_used == pytest.approx(before + 4.25)
 
-    def test_settle_supersedes_stale_migration_rows(self, deployment,
-                                                    astronomer):
-        """A crash between the migration sweep's two bulk writes can
-        leave both the old and new rows RESERVED; the newest (the
-        machine the simulation actually ran on) settles, the stale one
-        releases uncharged."""
-        (sim,) = submit_auto_direct(deployment, astronomer)
-        stale = book(deployment, sim, "kraken", attempt=1,
-                     estimated_su=5.0)
-        fresh = book(deployment, sim, "ranger", attempt=2,
-                     estimated_su=5.0)
-        assert deployment.daemon.ledger.settle(sim, 5.0) is True
-        stale.refresh_from_db()
-        fresh.refresh_from_db()
-        assert stale.state == RESERVATION_RELEASED
-        assert stale.reason == "superseded"
-        assert fresh.state == RESERVATION_SETTLED
-        db = deployment.databases.daemon
-        kraken = AllocationRecord.objects.using(db).get(
-            pk=stale.allocation_id)
-        ranger = AllocationRecord.objects.using(db).get(
-            pk=fresh.allocation_id)
-        assert kraken.su_used == 0.0          # stale hold never charged
-        assert ranger.su_used == pytest.approx(5.0)
-
 
 class TestReconciliation:
-    def test_adopts_the_reservation_stamp_gap(self, deployment,
-                                              astronomer):
-        """Crash window: reservation durable, simulation still AUTO —
-        the boot sweep finishes the placement the dead process chose."""
-        (sim,) = submit_auto_direct(deployment, astronomer)
-        book(deployment, sim, "lonestar")
-        adopted, released = deployment.daemon.ledger.reconcile(WHOLE_TABLE)
-        assert (adopted, released) == (1, 0)
-        sim.refresh_from_db()
-        assert sim.machine_name == "lonestar"
-
     def test_releases_holds_nobody_will_spend(self, deployment,
                                               astronomer):
-        sims = submit_auto_direct(deployment, astronomer, 3)
+        """The placement sweep keeps a RESERVED row only while its
+        simulation is active on the row's machine; it releases every
+        other row it loads, with the reason the simulation gives."""
+        sims = submit_auto_direct(deployment, astronomer, 4)
         expected = {}
         for sim, (state, reason) in zip(sims, [
                 (SIM_DONE, "finished"), (SIM_CANCELLED, "cancelled"),
-                (SIM_HOLD, "held")]):
+                (SIM_HOLD, "held"), (SIM_RUNNING, "superseded")]):
             row = book(deployment, sim, "frost")
             sim.state = state
-            sim.machine_name = "frost"
+            sim.machine_name = "ranger"
             sim.save(db=deployment.databases.admin)
             expected[row.pk] = reason
-        adopted, released = deployment.daemon.ledger.reconcile(WHOLE_TABLE)
-        assert (adopted, released) == (0, 3)
+        # A pending Auto run makes the sweep load the reservations.
+        submit_auto_direct(deployment, astronomer)
+        summary = deployment.daemon.broker.place_pending(WHOLE_TABLE)
+        assert summary["placed"] == 1
         db = deployment.databases.daemon
         for pk, reason in expected.items():
             row = ReservationRecord.objects.using(db).get(pk=pk)
             assert row.state == RESERVATION_RELEASED
             assert row.reason == reason
-
-    def test_duplicate_rows_keep_only_the_newest(self, deployment,
-                                                 astronomer):
-        (sim,) = submit_auto_direct(deployment, astronomer)
-        old = book(deployment, sim, "kraken", attempt=1)
-        new = book(deployment, sim, "ranger", attempt=2)
-        adopted, released = deployment.daemon.ledger.reconcile(WHOLE_TABLE)
-        assert (adopted, released) == (1, 1)
-        old.refresh_from_db()
-        new.refresh_from_db()
-        assert old.state == RESERVATION_RELEASED
-        assert old.reason == "superseded"
-        assert new.state == RESERVATION_RESERVED
-        sim.refresh_from_db()
-        assert sim.machine_name == "ranger"   # the newest decision wins
-
-    def test_healthy_inflight_rows_are_untouched(self, deployment,
-                                                 astronomer):
-        (sim,) = submit_auto_direct(deployment, astronomer)
-        row = book(deployment, sim, "kraken")
-        sim.machine_name = "kraken"           # stamp landed before crash
-        sim.save(db=deployment.databases.admin)
-        assert deployment.daemon.ledger.reconcile(WHOLE_TABLE) == (0, 0)
-        row.refresh_from_db()
-        assert row.state == RESERVATION_RESERVED
+        assert [row.simulation_id for row in ReservationRecord.objects
+                .using(db).filter(state=RESERVATION_RESERVED)] \
+            == [sims[-1].pk + 1]
 
 
 class TestInvariantReport:

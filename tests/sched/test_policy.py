@@ -1,9 +1,10 @@
-"""Placement policies and the shared queue-wait predictor (pure units).
+"""The least-wait placement choice and the shared queue-wait predictor
+(pure units).
 
-No deployment, no database: a policy sees candidate sites and must make
-a deterministic, total-ordered choice; the predictor must be monotone in
-the telemetry it scores.  These run in tier-1 — the heavier end-to-end
-broker suites carry the ``sched`` marker.
+No deployment, no database: the choice sees candidate sites and must
+make a deterministic, total-ordered pick; the predictor must be
+monotone in the telemetry it scores.  These run in tier-1 — the heavier
+end-to-end broker suites carry the ``sched`` marker.
 """
 
 from types import SimpleNamespace
@@ -12,71 +13,33 @@ import pytest
 
 from repro.hpc.machines import TABLE1_MACHINES
 from repro.hpc.simclock import HOUR
-from repro.sched import (POLICY_NAMES, eligible_waits,
-                         estimate_queue_wait_s, get_policy)
-from repro.sched.policy import CandidateSite
+from repro.sched import (CandidateSite, eligible_waits,
+                         estimate_queue_wait_s, least_wait)
 
 SPECS = {m.name: m for m in TABLE1_MACHINES}
 
 
-def site(name, *, wait=0.0, su=1.0, available=1000.0):
-    return CandidateSite(
-        machine_name=name, record=None, spec=SPECS.get(name),
-        allocation=None, estimated_wait_s=wait, estimated_su=su,
-        su_available=available)
-
-
-def sim(pk):
-    return SimpleNamespace(pk=pk)
+def site(name, *, wait=0.0, su=1.0):
+    return CandidateSite(machine_name=name, allocation=None,
+                         estimated_wait_s=wait, estimated_su=su)
 
 
 class TestPolicies:
-    def test_registry_names(self):
-        assert POLICY_NAMES == ("least-wait", "pack-by-allocation",
-                                "round-robin")
-        with pytest.raises(ValueError):
-            get_policy("fastest-first")
-
     def test_least_wait_prefers_short_queue(self):
-        policy = get_policy("least-wait")
-        chosen = policy.choose(sim(1), [
+        chosen = least_wait([
             site("kraken", wait=3600.0), site("ranger", wait=60.0),
             site("frost", wait=7200.0)])
         assert chosen.machine_name == "ranger"
 
     def test_least_wait_ties_break_on_su_then_name(self):
-        policy = get_policy("least-wait")
-        chosen = policy.choose(sim(1), [
+        chosen = least_wait([
             site("lonestar", wait=0.0, su=1.9),
             site("frost", wait=0.0, su=0.6)])
         assert chosen.machine_name == "frost"
-        chosen = policy.choose(sim(1), [
+        chosen = least_wait([
             site("ranger", wait=0.0, su=1.0),
             site("kraken", wait=0.0, su=1.0)])
         assert chosen.machine_name == "kraken"
-
-    def test_round_robin_is_a_function_of_the_pk(self):
-        policy = get_policy("round-robin")
-        sites = [site(name) for name in ("frost", "kraken", "lonestar",
-                                         "ranger")]
-        first = [policy.choose(sim(pk), sites).machine_name
-                 for pk in range(1, 9)]
-        # Deterministic: re-deciding the same pks gives the same story
-        # (a bounced daemon must not fork placement history)...
-        again = [policy.choose(sim(pk), list(reversed(sites))).machine_name
-                 for pk in range(1, 9)]
-        assert first == again
-        # ...and eight consecutive pks cover every site twice.
-        assert sorted(first) == sorted(
-            ["frost", "kraken", "lonestar", "ranger"] * 2)
-
-    def test_pack_by_allocation_prefers_deepest_grant(self):
-        policy = get_policy("pack-by-allocation")
-        chosen = policy.choose(sim(1), [
-            site("kraken", available=50.0),
-            site("ranger", available=900.0),
-            site("frost", available=900.0)])
-        assert chosen.machine_name == "frost"   # tie → alphabetical
 
 
 class TestPredictor:
