@@ -55,8 +55,8 @@ def _lazy_poll(deployment):
             continue
         owner = record.simulation.owner       # two lazy FK hops per row
         daemon.clients.ensure_proxy(owner.username, owner.email)
-        result = daemon.clients.globus_job_status(record.resource,
-                                                  record.gram_job_id)
+        result = daemon.clients.job_status(record.resource,
+                                           record.gram_job_id)
         if not result.ok:
             continue
         state, _, reason = result.stdout.partition(" ")

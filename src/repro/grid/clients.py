@@ -262,9 +262,6 @@ class GridClients:
         return GRAM_BACKEND.submit(
             self, resource_name, rsl_spec, service=service)
 
-    #: Historical Globus-named entry point.
-    globusrun = submit_job
-
     def _dispatch_submit(self, argv):
         flag = "-F" if "-F" in argv else "-r"
         contact = argv[argv.index(flag) + 1]
@@ -292,8 +289,6 @@ class GridClients:
         carries *trace_id* when given, not the ambient span's."""
         return GRAM_BACKEND.poll(self, resource_name, job_id, trace_id)
 
-    globus_job_status = job_status
-
     def _dispatch_job_status(self, argv):
         return self.job_status(argv[argv.index("-r") + 1], argv[-1])
 
@@ -308,15 +303,11 @@ class GridClients:
         """
         return GRAM_BACKEND.lookup(self, resource_name, tag)
 
-    globus_job_lookup = job_lookup
-
     def _dispatch_job_lookup(self, argv):
         return self.job_lookup(argv[argv.index("-r") + 1], argv[-1])
 
     def job_cancel(self, resource_name, job_id):
         return GRAM_BACKEND.cancel(self, resource_name, job_id)
-
-    globus_job_cancel = job_cancel
 
     def _dispatch_job_cancel(self, argv):
         return self.job_cancel(argv[argv.index("-r") + 1], argv[-1])

@@ -204,10 +204,10 @@ class TestGatewayChaining:
         clients.grid_proxy_init("u")
         spec = batch_spec("/usr/local/amp/run_ga.sh", count=128,
                           max_wall_time_s=6 * HOUR, directory="/d")
-        first = clients.globusrun("nochain", spec)
+        first = clients.submit_job("nochain", spec)
         spec["dependsOn"] = first.stdout
-        second = clients.globusrun("nochain", spec)
-        status = clients.globus_job_status("nochain", second.stdout)
+        second = clients.submit_job("nochain", spec)
+        status = clients.job_status("nochain", second.stdout)
         assert status.stdout.startswith("FAILED")
         assert "chaining" in status.stdout
 

@@ -35,12 +35,12 @@ def grid(obs):
 class TestGramFork:
     def test_fork_runs_immediately(self, grid):
         clock, fabric, clients, kraken = grid
-        result = clients.globusrun(
+        result = clients.submit_job(
             "kraken", fork_spec("/amp/prejob.sh", directory="/run1"),
             service="fork")
         assert result.ok
         assert kraken.filesystem.isdir("/run1")
-        status = clients.globus_job_status("kraken", result.stdout)
+        status = clients.job_status("kraken", result.stdout)
         assert status.stdout == DONE
 
     def test_fork_script_failure_is_failed_state(self, grid):
@@ -49,10 +49,10 @@ class TestGramFork:
         def broken(resource, **kw):
             raise RuntimeError("disk full")
         kraken.fork.install("/amp/broken.sh", broken)
-        result = clients.globusrun(
+        result = clients.submit_job(
             "kraken", fork_spec("/amp/broken.sh", directory="/r"),
             service="fork")
-        status = clients.globus_job_status("kraken", result.stdout)
+        status = clients.job_status("kraken", result.stdout)
         assert status.stdout.startswith(FAILED)
         assert "disk full" in status.stdout
 
@@ -61,44 +61,42 @@ class TestGramBatch:
     def test_batch_lifecycle(self, grid):
         clock, fabric, clients, kraken = grid
         kraken.filesystem.mkdir("/run2")
-        result = clients.globusrun(
+        result = clients.submit_job(
             "kraken", batch_spec("/amp/model.sh", count=128,
                                  max_wall_time_s=6 * HOUR,
                                  directory="/run2"))
         job_id = result.stdout
-        assert clients.globus_job_status("kraken",
-                                         job_id).stdout == PENDING
+        assert clients.job_status("kraken", job_id).stdout == PENDING
         clock.advance(60)
-        assert clients.globus_job_status("kraken",
-                                         job_id).stdout == ACTIVE
+        assert clients.job_status("kraken", job_id).stdout == ACTIVE
         clock.advance(3 * HOUR)
-        assert clients.globus_job_status("kraken", job_id).stdout == DONE
+        assert clients.job_status("kraken", job_id).stdout == DONE
         assert kraken.filesystem.read("/run2/out.txt") == b"done"
 
     def test_unknown_executable_fails(self, grid):
         clock, fabric, clients, kraken = grid
-        result = clients.globusrun(
+        result = clients.submit_job(
             "kraken", batch_spec("/amp/nonexistent.sh", count=1,
                                  max_wall_time_s=HOUR, directory="/"))
-        status = clients.globus_job_status("kraken", result.stdout)
+        status = clients.job_status("kraken", result.stdout)
         assert status.stdout.startswith(FAILED)
 
     def test_cancel(self, grid):
         clock, fabric, clients, kraken = grid
         kraken.filesystem.mkdir("/run3")
-        result = clients.globusrun(
+        result = clients.submit_job(
             "kraken", batch_spec("/amp/model.sh", count=128,
                                  max_wall_time_s=6 * HOUR,
                                  directory="/run3"))
         clock.advance(60)
-        assert clients.globus_job_cancel("kraken", result.stdout).ok
-        status = clients.globus_job_status("kraken", result.stdout)
+        assert clients.job_cancel("kraken", result.stdout).ok
+        status = clients.job_status("kraken", result.stdout)
         assert status.stdout.startswith(FAILED)
 
     def test_no_proxy_is_permanent_error(self, grid):
         clock, fabric, clients, kraken = grid
         clients.current_proxy = None
-        result = clients.globusrun(
+        result = clients.submit_job(
             "kraken", batch_spec("/amp/model.sh", count=1,
                                  max_wall_time_s=HOUR, directory="/"))
         assert not result.ok and not result.transient
@@ -106,7 +104,7 @@ class TestGramBatch:
     def test_expired_proxy_rejected_and_refreshable(self, grid):
         clock, fabric, clients, kraken = grid
         clock.advance(13 * HOUR)   # beyond the 12 h default lifetime
-        result = clients.globus_job_status("kraken", 1)
+        result = clients.job_status("kraken", 1)
         assert not result.ok
         refresh = clients.ensure_proxy("metcalfe")
         assert refresh.ok
@@ -161,7 +159,7 @@ class TestProxyWallet:
         damaged = getattr(FaultInjector(fabric, clock), fault)(clients)
         assert clients.current_proxy is damaged
         # The GRAM service verifies every request it is handed.
-        rejected = clients.globus_job_status("kraken", 1)
+        rejected = clients.job_status("kraken", 1)
         assert not rejected.ok and not rejected.transient
         with pytest.raises(CredentialError):
             fabric.gram("kraken").poll(damaged, 1)
@@ -241,9 +239,9 @@ class TestFaultInjection:
 class TestCommandLineContract:
     def test_every_operation_logged_with_argv(self, grid):
         clock, fabric, clients, kraken = grid
-        clients.globusrun("kraken",
-                          fork_spec("/amp/prejob.sh", directory="/r9"),
-                          service="fork")
+        clients.submit_job("kraken",
+                           fork_spec("/amp/prejob.sh", directory="/r9"),
+                           service="fork")
         last = clients.command_log[-1]
         # Kraken advertises WS-GRAM, so the WS client is used (§2).
         assert last.argv[0] == "globusrun-ws"
@@ -258,9 +256,9 @@ class TestCommandLineContract:
         clients2.grid_proxy_init("u")
         fabric2.resource("ranger").fork.install(
             "/x.sh", lambda resource, **kw: None)
-        result = clients2.globusrun("ranger", fork_spec("/x.sh",
-                                                        directory="/"),
-                                    service="fork")
+        result = clients2.submit_job("ranger", fork_spec("/x.sh",
+                                                         directory="/"),
+                                     service="fork")
         assert result.argv[0] == "globusrun"
 
     def test_failed_command_rerunnable_verbatim(self, grid):
@@ -268,7 +266,7 @@ class TestCommandLineContract:
         command line to retry."""
         clock, fabric, clients, kraken = grid
         kraken.reachable = False
-        failed = clients.globus_job_status("kraken", 1)
+        failed = clients.job_status("kraken", 1)
         assert failed.transient
         kraken.reachable = True
         # Rerun exactly what was logged.
@@ -296,7 +294,7 @@ class TestCommandLineContract:
     def test_failed_commands_query(self, grid):
         clock, fabric, clients, kraken = grid
         kraken.reachable = False
-        clients.globus_job_status("kraken", 1)
+        clients.job_status("kraken", 1)
         kraken.reachable = True
         assert any(not r.ok for r in clients.command_log)
 

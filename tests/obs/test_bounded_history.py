@@ -146,7 +146,7 @@ def test_memory_is_flat_in_run_length(obs):
     clients.grid_proxy_init("metcalfe", "t@ucar.edu")
     clients.fabric.resource("kraken").fork.install(
         "/amp/prejob.sh", lambda resource, **kw: None)
-    job = clients.globusrun(
+    job = clients.submit_job(
         "kraken", fork_spec("/amp/prejob.sh", directory="/run"),
         service="fork").stdout
 
