@@ -8,10 +8,10 @@ revoked job).  A daemon that dies between the two leaves an INTENT row
 behind, and never a consequence without its commit;
 :meth:`OperationJournal.reconcile` asks the fabric — per row — whether
 the side effect happened (adopt/verify) or provably did not
-(re-issue).  The idempotency key doubles as the GRAM ``clientTag``, which is what makes orphaned jobs
-findable after the fact.  Each of the two windows checks the crash
-schedule, so the fault harness can kill the daemon there.  (DESIGN.md
-§6.)
+(re-issue).  The idempotency key doubles as the GRAM ``clientTag``,
+which is what makes orphaned jobs findable after the fact.  Each of
+the two windows checks the crash schedule, so the fault harness can
+kill the daemon there.  (DESIGN.md §6.)
 """
 
 from __future__ import annotations

@@ -19,11 +19,10 @@ Eligibility per (simulation, machine):
 4. the estimated SU cost fits ``granted − used − already-reserved``.
 
 Among eligible sites the least expected queue wait wins; within one
-sweep each
-placement bumps the chosen machine's *virtual* queue depth so the next
-simulation sees the load this sweep is already creating — that is what
-spreads a burst of fifty submissions across sites instead of piling
-them all on the instantaneous winner.
+sweep each placement bumps the chosen machine's *virtual* queue depth
+so the next simulation sees the load this sweep is already creating —
+that is what spreads a burst of fifty submissions across sites instead
+of piling them all on the instantaneous winner.
 
 The sweep is set-oriented end to end: a bounded number of round trips
 (≤ 8) regardless of how many simulations or machines are involved, and
@@ -341,7 +340,7 @@ class ResourceBroker:
                         "Failover migrations of QUEUED work",
                         from_machine=from_machine)
 
-        # -- durable writes, in one transaction ----------------------
+        # -- durable writes, in one transaction -----------------------
         self.crash_schedule.check("reserve", "before")
         with self.db.atomic():
             if new_rows:
