@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.models import (AllocationRecord, KIND_DIRECT, MACHINE_AUTO,
-                           MachineRecord, ReservationRecord, SIM_CANCELLED,
-                           SIM_HOLD, SIM_QUEUED, Simulation,
+from ..core.models import (AllocationRecord, HOLD_RESOURCE, KIND_DIRECT,
+                           MACHINE_AUTO, MachineRecord, ReservationRecord,
+                           SIM_CANCELLED, SIM_HOLD, SIM_QUEUED, Simulation,
                            SubmitAuthorization)
 from ..hpc.accounting import cpu_hours
 from .predictor import estimate_queue_wait_s
@@ -133,9 +133,10 @@ class ResourceBroker:
         the simulation stamps — commit in one transaction, so a crash
         leaves either all of them or none: never a stamped simulation
         without its reservation, nor a reservation without its stamp.
-        A RESERVED row is kept only while its simulation is active and
-        carries the row's machine; every other row the sweep loads is
-        released before the funding check.
+        A RESERVED row is kept only while its simulation is active, or
+        held for a resource (it resumes by itself), and carries the
+        row's machine; every other row the sweep loads is released
+        before the funding check.
 
         *slice_filter* (``(n_slices, [indexes])``) scopes both the
         pending set and the reservation read to the calling daemon
@@ -173,7 +174,11 @@ class ResourceBroker:
         migrating, released = [], []
         for row in reservations:
             simulation = row.simulation
-            if not (simulation.is_active
+            # A resource hold resumes on its machine by itself
+            # (``recover_resource_holds``) and settles then.
+            resumable = (simulation.state == SIM_HOLD
+                         and simulation.hold_category == HOLD_RESOURCE)
+            if not ((simulation.is_active or resumable)
                     and simulation.machine_name == row.machine_name):
                 # Nobody will spend this hold: free it before any
                 # funding check.
@@ -354,7 +359,7 @@ class ResourceBroker:
                     stamped + refusals, ["machine_name",
                                          "status_message"])
         self.crash_schedule.check("reserve", "after")
-        if summary["placed"] or summary["migrated"]:
+        if summary["placed"] or summary["migrated"] or released:
             self.obs.metrics.gauge(
                 "sched_reserved_su",
                 help="SUs held by active reservations").set(

@@ -3,8 +3,8 @@
 The broker's money half.  Placement *books* the estimated SU cost of a
 simulation against its allocation (a RESERVED row, committed with the
 simulation's stamp); CLEANUP *settles* the actual usage; migration, or
-the sweep finding the simulation finished, cancelled or held,
-*releases* the hold without charge.  The funding check the broker runs
+the sweep finding the simulation finished, cancelled or held for an
+administrator, *releases* the hold without charge.  The funding check the broker runs
 ("does this machine's allocation still fit this job?") subtracts both
 ``su_used`` and the sum of active reservations, so fifty QUEUED
 simulations cannot collectively promise the same remaining SUs — the

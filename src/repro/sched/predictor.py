@@ -6,7 +6,7 @@ Two consumers share this module:
   empirically loaded resources and measures eligible-to-start waits of
   real (simulated) batch jobs — :func:`loaded_resource`,
   :func:`segment_jobs`, :func:`eligible_waits`;
-- the **resource broker** (:mod:`repro.sched.policy`) needs a cheap
+- the **resource broker** (:mod:`repro.sched.broker`) needs a cheap
   analytic estimate it can evaluate for every candidate machine on
   every placement sweep, from nothing but the daemon's published
   telemetry — :func:`estimate_queue_wait_s`.

@@ -9,9 +9,10 @@ release rule, and the invariant
 
 import pytest
 
-from repro.core import (RESERVATION_RELEASED, RESERVATION_RESERVED,
-                        RESERVATION_SETTLED, ReservationRecord,
-                        SIM_CANCELLED, SIM_DONE)
+from repro.core import (HOLD_RESOURCE, RESERVATION_RELEASED,
+                        RESERVATION_RESERVED, RESERVATION_SETTLED,
+                        ReservationRecord, SIM_CANCELLED, SIM_DONE,
+                        Simulation)
 from repro.core.leases import WHOLE_TABLE
 from repro.core.models import AllocationRecord, SIM_HOLD, SIM_RUNNING
 
@@ -91,6 +92,44 @@ class TestReconciliation:
         assert [row.simulation_id for row in ReservationRecord.objects
                 .using(db).filter(state=RESERVATION_RESERVED)] \
             == [sims[-1].pk + 1]
+
+    def test_keeps_a_resource_hold_until_it_settles(self, deployment,
+                                                    astronomer):
+        """A resource hold resumes on its machine once the breaker
+        closes, so a sweep while the breaker is open keeps its
+        reservation, and the run settles — charged — when it finishes."""
+        (sim,) = submit_auto_direct(deployment, astronomer)
+        daemon = deployment.daemon
+        deployment.clock.advance(300.0)
+        daemon.poll_once()
+        db = deployment.databases.daemon
+        sim = Simulation.objects.using(db).get(pk=sim.pk)
+        row = ReservationRecord.objects.using(db).get(
+            simulation_id=sim.pk)
+        used = AllocationRecord.objects.using(db).get(
+            pk=row.allocation_id).su_used
+
+        daemon.workflows[sim.kind].hold(sim, "budget exhausted",
+                                        category=HOLD_RESOURCE)
+        breakers = daemon.clients.breakers
+        for _ in range(breakers.policy.failure_threshold):
+            breakers.record_failure(sim.machine_name)
+        assert breakers.open_resources() == [sim.machine_name]
+        deployment.clock.advance(60.0)
+        daemon.poll_once()                # the sweep loads the row
+        row.refresh_from_db()
+        assert row.state == RESERVATION_RESERVED
+
+        deployment.run_daemon_until_idle(poll_interval_s=1800.0,
+                                         max_polls=400)
+        sim.refresh_from_db()
+        row.refresh_from_db()
+        assert sim.state == SIM_DONE
+        assert row.state == RESERVATION_SETTLED
+        assert row.settled_su > 0
+        assert AllocationRecord.objects.using(db).get(
+            pk=row.allocation_id).su_used == pytest.approx(
+                used + row.settled_su)
 
 
 class TestInvariantReport:
