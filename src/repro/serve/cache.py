@@ -209,12 +209,20 @@ class SqliteSharedStore:
         return {tag: found.get(tag, 0) for tag in tags}
 
     def bump_tags(self, tags):
+        """Bump every tag in one transaction: a reader sees all of a
+        write's invalidation or none of it, and the file syncs once."""
         conn = self._connection()
-        for tag in tags:
-            conn.execute(
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            conn.executemany(
                 "INSERT INTO cache_tags (tag, version) VALUES (?, 1)"
                 " ON CONFLICT(tag) DO UPDATE SET version = version + 1",
-                (tag,))
+                ((tag,) for tag in tags))
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
 
 
 class PortalCache:

@@ -8,23 +8,36 @@ builds its *own* application (and therefore its own database
 connection) after the fork via ``app_factory(worker_index)``, so no
 SQLite connection is ever shared across a process boundary.
 
+Each worker runs one small loop (no ``wsgiref``): poll the listening
+socket, accept, read the request head straight off the socket (split
+as bytes and str, no ``email`` parsing) and the body to
+``Content-Length``, build the environ from a base made once per worker
+(``os.environ`` plus the server variables, so ``HTTPS=on`` yields
+``wsgi.url_scheme = "https"``), call the app, and send the status
+line, headers, ``Date``, ``Content-Length`` and body in **one**
+``sendall``.  HTTP/1.0, one request per connection, no ``Server``
+banner.  The loop answers a malformed request line 400, a head over
+:data:`MAX_HEAD_BYTES` 431, and an app that raises 500.
+
 Lifecycle:
 
 - :meth:`PreforkServer.start` forks the workers;
 - :meth:`PreforkServer.supervise_once` reaps and respawns dead workers
   (call it in a loop, or use :meth:`serve_forever`);
-- :meth:`PreforkServer.shutdown` drains gracefully: SIGTERM asks each
-  worker to finish its in-flight request and exit; stragglers past the
-  deadline are killed.
+- :meth:`PreforkServer.shutdown` drains gracefully: SIGTERM sets each
+  worker's drain flag, so it finishes its in-flight request and exits;
+  stragglers past the deadline are killed.
 
 Workers protect themselves so that one bad request cannot take a slot
 out of service permanently:
 
 - a **per-request watchdog** (``watchdog_s``) hard-exits a worker whose
-  request handler wedges — the supervisor respawns a fresh one;
+  request handler wedges — the supervisor respawns a fresh one.  A
+  request arms it by writing a deadline that one long-lived thread
+  per worker checks; no thread is started per request;
 - a **socket timeout** (``socket_timeout_s``) closes connections that
   stop sending (a slow or dead client cannot hold the accept slot);
-- **max-requests recycling** (``max_requests``) retires a worker
+- **max-requests recycling** (``max_requests``) returns from the loop
   cleanly after N requests, bounding the damage of any slow leak.
 
 And the supervisor protects the fleet from a *broken* worker: an exit
@@ -40,12 +53,16 @@ facade (:attr:`PreforkServer.obs`, on wall time).
 
 from __future__ import annotations
 
+import io
 import os
+import select
 import signal
 import socket
+import sys
 import threading
 import time
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer
+import traceback
+from urllib.parse import unquote
 
 from ..obs import Observability
 
@@ -76,75 +93,283 @@ class WallClock:
         return time.monotonic()
 
 
-class _QuietHandler(WSGIRequestHandler):
-    def log_message(self, format, *args):  # noqa: A002 - wsgiref API
+#: A request head (request line plus headers) longer than this is
+#: answered 431 — the per-line limit ``http.server`` applied.
+MAX_HEAD_BYTES = 64 * 1024
+
+#: Milliseconds an idle worker waits on the listening socket before it
+#: looks at its drain flag again.
+_POLL_MS = 50
+
+#: Longest a refused request's unread input is drained before close.
+_LINGER_S = 1.0
+
+_REASONS = {400: "Bad Request", 431: "Request Header Fields Too Large",
+            500: "Internal Server Error"}
+
+#: Environ keys the server sets; a header that would map onto one is
+#: dropped, as ``wsgiref`` drops it (``Content-Type`` and
+#: ``Content-Length`` are read into two of them).
+_CGI_KEYS = frozenset({
+    "SERVER_NAME", "SERVER_PORT", "SERVER_PROTOCOL", "SERVER_SOFTWARE",
+    "GATEWAY_INTERFACE", "SCRIPT_NAME", "REQUEST_METHOD", "PATH_INFO",
+    "QUERY_STRING", "REMOTE_ADDR", "REMOTE_HOST", "CONTENT_TYPE",
+    "CONTENT_LENGTH"})
+
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug",
+           "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date():
+    t = time.gmtime()
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon]}"
+            f" {t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}"
+            " GMT")
+
+
+def _response(status, headers, chunks):
+    """One HTTP/1.0 response as bytes: status line, the app's headers,
+    ``Date`` and ``Content-Length`` unless the app set them, body."""
+    lines = [f"HTTP/1.0 {status}\r\n"]
+    named = set()
+    for name, value in headers:
+        named.add(name.lower())
+        lines.append(f"{name}: {value}\r\n")
+    if "date" not in named:
+        lines.append(f"Date: {_http_date()}\r\n")
+    if "content-length" not in named:
+        lines.append(f"Content-Length: {sum(map(len, chunks))}\r\n")
+    lines.append("\r\n")
+    return b"".join(["".join(lines).encode("iso-8859-1"), *chunks])
+
+
+def _refusal(code):
+    reason = _REASONS[code]
+    return _response(f"{code} {reason}", [("Content-Type", "text/plain")],
+                     [f"{code} {reason}\n".encode()])
+
+
+def _linger(conn):
+    """Half-close after a refusal, then read what the client still
+    sends for up to :data:`_LINGER_S`: closing with unread input would
+    reset the connection before the client reads the answer."""
+    conn.shutdown(socket.SHUT_WR)
+    conn.settimeout(_LINGER_S)
+    until = time.monotonic() + _LINGER_S
+    while time.monotonic() < until and conn.recv(65536):
         pass
 
 
-class _WorkerWSGIServer(WSGIServer):
-    """WSGI server running on an inherited (already-listening) socket."""
+class _Refused(Exception):
+    """A request the loop answers itself, without calling the app."""
 
-    allow_reuse_address = True
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
 
-    def __init__(self, listen_sock, handler_class=_QuietHandler):
-        super().__init__(listen_sock.getsockname(), handler_class,
-                         bind_and_activate=False)
-        self.socket.close()               # the unbound placeholder
+
+class _Worker:
+    """One worker process's serving loop over the inherited socket.
+
+    :meth:`run` polls the listening socket, accepts, and hands each
+    connection to :meth:`serve`: one ``recv`` for the request head
+    (more only for a long head or body), one call of the app, one
+    ``sendall`` for the whole response, then close — HTTP/1.0, one
+    request per connection.  The loop returns once :attr:`draining` is
+    set (SIGTERM) or after ``max_requests`` connections.
+
+    The watchdog is one thread per worker, started by :meth:`run`.  A
+    request arms it by writing :attr:`deadline` and disarms it by
+    clearing it; the thread looks every ``min(1 s, watchdog_s / 4)``
+    and ends the process with ``os._exit(WATCHDOG_EXIT)`` once a
+    deadline has passed.  It sleeps in ``time.sleep``, so it fires
+    while the main thread waits in C with the GIL released (a sleeping
+    view, SQLite's busy wait).
+    """
+
+    def __init__(self, app, listen_sock, *, watchdog_s=None,
+                 max_requests=None, socket_timeout_s=None):
+        self.app = app
         # Every worker wakes on one connection but only one wins the
         # accept(); on a blocking socket the losers would sit in
         # accept() — deaf to the drain flag — until the next client.
-        # Non-blocking, the lost race is an OSError socketserver
-        # already ignores.  (Accepted connections stay blocking.)
+        # Non-blocking, the lost race is an OSError :meth:`accept`
+        # ignores.  (Accepted connections stay blocking.)
         listen_sock.setblocking(False)
-        self.socket = listen_sock
-        host, port = listen_sock.getsockname()[:2]
-        self.server_name = host
-        self.server_port = port
-        self.setup_environ()
-
-
-class _RequestGuard:
-    """WSGI wrapper arming the worker's per-request self-protection.
-
-    Wraps the real app inside the worker: each call arms a watchdog
-    timer that ``os._exit(WATCHDOG_EXIT)``'s the whole process if the
-    request (view *and* response iteration) outlives ``watchdog_s`` —
-    a wedged worker is worth less than a dead one, because the dead
-    one gets respawned.  Also counts requests and asks the server to
-    shut down cleanly once ``max_requests`` have been served (the
-    supervisor respawns; exit 0 carries no crash stigma).
-    """
-
-    def __init__(self, app, server, *, watchdog_s=None,
-                 max_requests=None):
-        self.app = app
-        self.server = server
+        self.sock = listen_sock
         self.watchdog_s = watchdog_s
         self.max_requests = max_requests
-        self.requests_served = 0
+        self.socket_timeout_s = socket_timeout_s
+        #: Set by SIGTERM: finish the request in hand, then return.
+        self.draining = False
+        #: ``time.monotonic()`` past which the watchdog kills the
+        #: process; None between requests.
+        self.deadline = None
+        self._stopped = False
+        host, port = listen_sock.getsockname()[:2]
+        # Made once: each request copies it and adds its own keys.
+        self.base_environ = dict(os.environ)
+        self.base_environ.update({
+            "SERVER_NAME": host, "SERVER_PORT": str(port),
+            "GATEWAY_INTERFACE": "CGI/1.1", "SCRIPT_NAME": "",
+            "CONTENT_LENGTH": "",
+            "wsgi.version": (1, 0), "wsgi.errors": sys.stderr,
+            "wsgi.url_scheme":
+                "https" if os.environ.get("HTTPS") in ("yes", "on", "1")
+                else "http",
+            "wsgi.multithread": False, "wsgi.multiprocess": False,
+            "wsgi.run_once": False})
 
-    def _recycle(self):
-        # shutdown() blocks until serve_forever returns, so it must not
-        # run on the request thread that serve_forever is waiting on.
-        threading.Thread(target=self.server.shutdown,
-                         daemon=True).start()
+    def drain(self, signum=None, frame=None):
+        self.draining = True
 
-    def __call__(self, environ, start_response):
-        timer = None
-        if self.watchdog_s is not None:
-            timer = threading.Timer(self.watchdog_s, os._exit,
-                                    (WATCHDOG_EXIT,))
-            timer.daemon = True
-            timer.start()
+    def accept(self):
+        """The next queued ``(connection, address)``, or None when a
+        sibling won the race for it."""
         try:
-            yield from self.app(environ, start_response)
+            return self.sock.accept()
+        except OSError:
+            return None
+
+    def run(self):
+        """Serve until drained or recycled; returns connections served."""
+        if self.watchdog_s is not None:
+            threading.Thread(target=self._watch, name="watchdog",
+                             daemon=True).start()
+        ready = select.poll()
+        ready.register(self.sock, select.POLLIN)
+        served = 0
+        try:
+            while not self.draining:
+                if not ready.poll(_POLL_MS):
+                    continue
+                accepted = self.accept()
+                if accepted is None:
+                    continue
+                self.serve(*accepted)
+                served += 1
+                if self.max_requests is not None \
+                        and served >= self.max_requests:
+                    break
         finally:
-            if timer is not None:
-                timer.cancel()
-            self.requests_served += 1
-            if self.max_requests is not None \
-                    and self.requests_served >= self.max_requests:
-                self._recycle()
+            self._stopped = True
+        return served
+
+    def _watch(self):
+        tick = min(1.0, self.watchdog_s / 4)
+        while not self._stopped:
+            time.sleep(tick)
+            deadline = self.deadline
+            if deadline is not None and time.monotonic() >= deadline:
+                os._exit(WATCHDOG_EXIT)
+
+    def serve(self, conn, address):
+        """Answer one connection and close it.  A client that times out
+        or goes away mid-request gets nothing."""
+        try:
+            conn.settimeout(self.socket_timeout_s)
+            try:
+                environ = self._read_request(conn, address)
+            except _Refused as refused:
+                conn.sendall(_refusal(refused.code))
+                _linger(conn)
+                return
+            if environ is not None:
+                conn.sendall(self._call_app(environ))
+        except OSError:
+            pass
+        finally:
+            self.deadline = None
+            conn.close()
+
+    def _read_request(self, conn, address):
+        """The WSGI environ for the request on *conn*; None when the
+        client closed before finishing its head."""
+        data = b""
+        while (end := data.find(b"\r\n\r\n")) < 0:
+            if len(data) > MAX_HEAD_BYTES:
+                raise _Refused(431)
+            chunk = conn.recv(65536)
+            if not chunk:
+                return None
+            data += chunk
+        if end > MAX_HEAD_BYTES:
+            raise _Refused(431)
+        lines = data[:end].decode("iso-8859-1").split("\r\n")
+        words = lines[0].split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            raise _Refused(400)
+        method, target, version = words
+        if target.startswith("//"):     # not a scheme-relative URL
+            target = "/" + target.lstrip("/")
+        path, _, query = target.partition("?")
+        request = {"REQUEST_METHOD": method, "SERVER_PROTOCOL": version,
+                   "PATH_INFO": unquote(path, "iso-8859-1"),
+                   "QUERY_STRING": query, "REMOTE_ADDR": address[0]}
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon or name[:1] in " \t":   # also obs-fold lines
+                raise _Refused(400)
+            key = name.replace("-", "_").upper()
+            value = value.strip()
+            if key in ("CONTENT_TYPE", "CONTENT_LENGTH"):
+                request.setdefault(key, value)       # the first wins
+            elif key not in _CGI_KEYS:
+                key = "HTTP_" + key
+                # Repeated headers join with commas.
+                request[key] = (request[key] + "," + value
+                                if key in request else value)
+        request.setdefault("CONTENT_TYPE", "text/plain")
+        body = data[end + 4:]
+        if request.get("CONTENT_LENGTH"):
+            try:
+                length = int(request["CONTENT_LENGTH"])
+            except ValueError:
+                raise _Refused(400) from None
+            if length < 0:
+                raise _Refused(400)
+            parts = [body]
+            received = len(body)
+            while received < length:
+                chunk = conn.recv(min(65536, length - received))
+                if not chunk:
+                    raise _Refused(400)
+                parts.append(chunk)
+                received += len(chunk)
+            body = b"".join(parts)[:length]
+        else:
+            body = b""
+        environ = self.base_environ.copy()
+        environ.update(request)
+        environ["wsgi.input"] = io.BytesIO(body)
+        return environ
+
+    def _call_app(self, environ):
+        """The app's whole response as bytes; 500 if it raises."""
+        started = []
+        chunks = []
+
+        def start_response(status, headers, exc_info=None):
+            # Nothing is sent before the body is complete, so a later
+            # call (with *exc_info*) simply replaces the first.
+            started[:] = [status, headers]
+            return chunks.append
+
+        if self.watchdog_s is not None:
+            self.deadline = time.monotonic() + self.watchdog_s
+        try:
+            result = self.app(environ, start_response)
+            try:
+                chunks.extend(result)
+            finally:
+                if hasattr(result, "close"):
+                    result.close()
+            status, headers = started
+        except Exception:
+            traceback.print_exc()
+            return _refusal(500)
+        return _response(status, headers, chunks)
 
 
 def mark_worker_process(obs, index):
@@ -229,40 +454,23 @@ class PreforkServer:
         return f"http://{self.host}:{self.port}"
 
     # -- worker side ---------------------------------------------------
-    def _handler_class(self):
-        if self.socket_timeout_s is None:
-            return _QuietHandler
-        # BaseRequestHandler honours a class-level ``timeout`` by
-        # calling settimeout() on the accepted connection; a read that
-        # then blocks past it raises, handle_one_request closes the
-        # connection, and the slowloris client is gone.
-        return type("_TimeoutHandler", (_QuietHandler,),
-                    {"timeout": self.socket_timeout_s})
-
     def _worker_main(self, index):   # pragma: no cover - child process
         status = 1
         try:
-            # A drain request during startup (before the server exists,
+            # A drain request during startup (before the loop exists,
             # so before anything can be in flight) is a clean exit —
             # without this, a SIGTERM racing the app build would kill
             # the worker with the signal's default action.
             signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            app = self.app_factory(index)
-            server = _WorkerWSGIServer(
-                self._sock, handler_class=self._handler_class())
-            server.set_app(_RequestGuard(
-                app, server, watchdog_s=self.watchdog_s,
-                max_requests=self.max_requests))
-            # Graceful drain: finish the in-flight request, then stop
-            # accepting.  shutdown() must not run on the signal frame
-            # (it blocks until serve_forever exits), so hand it to a
-            # thread.
-            def drain(signum, frame):
-                threading.Thread(target=server.shutdown,
-                                 daemon=True).start()
-            signal.signal(signal.SIGTERM, drain)
-            server.serve_forever(poll_interval=0.05)
+            worker = _Worker(self.app_factory(index), self._sock,
+                             watchdog_s=self.watchdog_s,
+                             max_requests=self.max_requests,
+                             socket_timeout_s=self.socket_timeout_s)
+            # Graceful drain: the handler only sets the flag; the loop
+            # finishes the request in hand and returns.
+            signal.signal(signal.SIGTERM, worker.drain)
+            worker.run()
             status = 0
         finally:
             # Never unwind into the parent's interpreter state (test

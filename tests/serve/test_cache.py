@@ -181,3 +181,33 @@ def test_hit_miss_counters(deployment):
     text = metrics.render_prometheus()
     assert "serve_cache_hits_total" in text
     assert "serve_cache_l1_entries" in text
+
+
+def test_sqlite_bump_is_one_transaction(tmp_path):
+    """A write's tags are bumped under one BEGIN/COMMIT: a reader sees
+    all of its invalidation or none, and the file syncs once."""
+    shared = SqliteSharedStore(str(tmp_path / "cache.sqlite"))
+    statements = []
+    shared._connection().set_trace_callback(statements.append)
+    tags = [f"sim:{i}" for i in range(28)]
+    shared.bump_tags(tags)
+    assert statements[0] == "BEGIN IMMEDIATE"
+    assert statements[-1] == "COMMIT"
+    assert len(statements) == len(tags) + 2
+    assert all("INSERT INTO cache_tags" in sql
+               for sql in statements[1:-1])
+    assert shared.tag_versions(tags) == dict.fromkeys(tags, 1)
+    shared.close()
+
+
+def test_sqlite_bump_failing_mid_batch_changes_no_version(tmp_path):
+    shared = SqliteSharedStore(str(tmp_path / "cache.sqlite"))
+    shared.bump_tags(["stars", "stats"])
+    with pytest.raises(Exception):
+        shared.bump_tags(["stars", "stats", object(), "sim:1"])
+    assert shared.tag_versions(["stars", "stats", "sim:1"]) == {
+        "stars": 1, "stats": 1, "sim:1": 0}
+    assert not shared._connection().in_transaction
+    shared.bump_tags(["stars"])            # the connection still works
+    assert shared.tag_versions(["stars"]) == {"stars": 2}
+    shared.close()

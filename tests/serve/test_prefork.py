@@ -95,15 +95,15 @@ def test_lost_accept_race_returns_instead_of_blocking():
     not a blocking ``accept()`` that is deaf to the drain flag."""
     import socket
     import threading
-    from repro.serve.workers import _WorkerWSGIServer
+    from repro.serve.workers import _Worker
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
-    server = _WorkerWSGIServer(listener)
+    worker = _Worker(None, listener)
     returned = threading.Event()
 
     def lose_the_race():
-        server._handle_request_noblock()     # nothing is queued
+        assert worker.accept() is None       # nothing is queued
         returned.set()
 
     threading.Thread(target=lose_the_race, daemon=True).start()
