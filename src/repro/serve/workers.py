@@ -8,7 +8,7 @@ builds its *own* application (and therefore its own database
 connection) after the fork via ``app_factory(worker_index)``, so no
 SQLite connection is ever shared across a process boundary.
 
-Each worker runs one small loop (no ``wsgiref``): poll the listening
+Each worker runs one small loop of its own: poll the listening
 socket, accept, read the request head straight off the socket (split
 as bytes and str, no ``email`` parsing) and the body to
 ``Content-Length``, build the environ from a base made once per worker
@@ -108,7 +108,7 @@ _REASONS = {400: "Bad Request", 431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 #: Environ keys the server sets; a header that would map onto one is
-#: dropped, as ``wsgiref`` drops it (``Content-Type`` and
+#: dropped, as the stdlib's WSGI server drops it (``Content-Type`` and
 #: ``Content-Length`` are read into two of them).
 _CGI_KEYS = frozenset({
     "SERVER_NAME", "SERVER_PORT", "SERVER_PROTOCOL", "SERVER_SOFTWARE",
@@ -162,22 +162,17 @@ def _linger(conn):
 
 
 class _Refused(Exception):
-    """A request the loop answers itself, without calling the app."""
-
-    def __init__(self, code):
-        super().__init__(code)
-        self.code = code
+    """A request the loop answers itself (``args[0]``: the status code),
+    without calling the app."""
 
 
 class _Worker:
     """One worker process's serving loop over the inherited socket.
 
-    :meth:`run` polls the listening socket, accepts, and hands each
-    connection to :meth:`serve`: one ``recv`` for the request head
-    (more only for a long head or body), one call of the app, one
-    ``sendall`` for the whole response, then close — HTTP/1.0, one
-    request per connection.  The loop returns once :attr:`draining` is
-    set (SIGTERM) or after ``max_requests`` connections.
+    :meth:`run` accepts and hands each connection to :meth:`serve`:
+    one ``recv`` for the head (more only for a long head or body), one
+    app call, one ``sendall``, close.  It returns once :attr:`draining`
+    is set (SIGTERM) or after ``max_requests`` connections.
 
     The watchdog is one thread per worker, started by :meth:`run`.  A
     request arms it by writing :attr:`deadline` and disarms it by
@@ -221,7 +216,7 @@ class _Worker:
             "wsgi.multithread": False, "wsgi.multiprocess": False,
             "wsgi.run_once": False})
 
-    def drain(self, signum=None, frame=None):
+    def drain(self, *_signal):
         self.draining = True
 
     def accept(self):
@@ -233,7 +228,7 @@ class _Worker:
             return None
 
     def run(self):
-        """Serve until drained or recycled; returns connections served."""
+        """Serve until drained or recycled."""
         if self.watchdog_s is not None:
             threading.Thread(target=self._watch, name="watchdog",
                              daemon=True).start()
@@ -254,7 +249,6 @@ class _Worker:
                     break
         finally:
             self._stopped = True
-        return served
 
     def _watch(self):
         tick = min(1.0, self.watchdog_s / 4)
@@ -272,7 +266,7 @@ class _Worker:
             try:
                 environ = self._read_request(conn, address)
             except _Refused as refused:
-                conn.sendall(_refusal(refused.code))
+                conn.sendall(_refusal(refused.args[0]))
                 _linger(conn)
                 return
             if environ is not None:

@@ -31,8 +31,9 @@ pytestmark = pytest.mark.db
 
 def _cli(*args, **popen):
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    # HTTPS=on is what Apache sets behind TLS (and what wsgiref copies
-    # into every request): sessions are served, not redirected.
+    # HTTPS=on is what Apache sets behind TLS (and what each worker
+    # turns into wsgi.url_scheme "https"): sessions are served, not
+    # redirected.
     env = dict(os.environ, PYTHONPATH=src, HTTPS="on")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *args], env=env,

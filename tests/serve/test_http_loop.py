@@ -156,6 +156,7 @@ def _environ_from_wsgiref(listener, chunks):
     handler.start()
     assert _send(listener.getsockname(), chunks)[0] == 200
     handler.join(timeout=5)
+    assert not handler.is_alive()
     return seen[0]
 
 
@@ -168,6 +169,7 @@ def _environ_from_loop(listener, chunks):
     handler.start()
     assert _send(listener.getsockname(), chunks)[0] == 200
     handler.join(timeout=5)
+    assert not handler.is_alive()
     return seen[0]
 
 
@@ -252,13 +254,43 @@ def test_raising_app_gets_500_and_the_next_request_is_served(serving):
     assert loop.get("/")[0] == 200
 
 
-def test_response_is_one_send_with_date_and_length(serving):
-    loop = serving(_ok(b"hello"), socket_timeout_s=5)
-    status, head, body = loop.get("/")
-    assert status == 200
+class _RecordingConnection:
+    """Stands in for an accepted socket: counts reads and sends."""
+
+    def __init__(self, request):
+        self.incoming = [request]
+        self.reads = 0
+        self.sent = []
+
+    def settimeout(self, seconds):
+        pass
+
+    def recv(self, size):
+        self.reads += 1
+        return self.incoming.pop(0) if self.incoming else b""
+
+    def sendall(self, data):
+        self.sent.append(data)
+
+    def close(self):
+        pass
+
+
+def test_request_is_one_read_and_response_one_send():
+    listener = _listener()
+    try:
+        worker = _Worker(_ok(b"hello"), listener)
+        conn = _RecordingConnection(b"GET / HTTP/1.0\r\nHost: x\r\n\r\n")
+        worker.serve(conn, ("127.0.0.1", 40000))
+    finally:
+        listener.close()
+    assert conn.reads == 1
+    assert len(conn.sent) == 1
+    head, _, body = conn.sent[0].partition(b"\r\n\r\n")
     assert body == b"hello"
     lines = head.split(b"\r\n")
     assert lines[0] == b"HTTP/1.0 200 OK"
+    # Date and Content-Length added; no Server banner.
     names = [line.split(b":", 1)[0].lower() for line in lines[1:]]
     assert sorted(names) == [b"content-length", b"content-type", b"date"]
     assert b"Content-Length: 5" in lines
