@@ -12,17 +12,25 @@ the change is a copy of the working tree (tracked and untracked files,
 ignored ones left out).  Nothing touches the network.  Each of the ``--pairs`` pairs (default
 10) runs the tree's own ``python3 -m benchmarks.gateway --workload W
 --trace 0 --seed S`` once per side, alternating which side goes first,
-so drift on the host lands on both.  Then one traced pair
-(``--trace 1``) per workload records the exact counts.
+so drift on the host lands on both.  Both runs of pair *i* share one
+``PYTHONHASHSEED`` (:func:`hash_seed` of ``--seed`` and *i*), and
+the seed differs from pair to pair: string hashing orders the sets and
+dicts on the daemon's per-job path, so a side that drew its own seed
+could win or lose a pair on the draw.  Then one traced pair
+(``--trace 1``) per workload, pinned the same way, records the exact
+counts.
 
 The file holds an environment stamp (Python, ``nproc``, kernel, CPU and
-both revisions); per workload and end-to-end metric, every run's value,
+both revisions); each pair's hash seed; per workload and end-to-end
+metric, every run's value,
 each side's median and q1-q3, the change's wins k/n, and the median
 and q1-q3 of the per-pair change/base ratios; the runs'
 ``correct``/``failed`` outcomes; and the traced pair's counts.
 ``--check`` validates files against that schema, recomputing every
 median, quartile, win count and ratio (in files that record ratios)
-from the recorded values, and runs nothing.  Stdlib only.
+from the recorded values, and runs nothing.  Files of schema
+``ab_pairs/1``, written before the seeds were pinned, carry none;
+``ab_pairs/2`` files must name one per pair.  Stdlib only.
 
 This script lives in ``tools/`` only because ``benchmarks/gateway/``
 is frozen outside benchmark work.  ROADMAP item 1(b) moves it behind
@@ -41,7 +49,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "ab_pairs/1"
+SCHEMA = "ab_pairs/2"
+#: Schemas ``--check`` accepts: ``ab_pairs/1`` files predate the pinned
+#: hash seed.
+SCHEMAS = ("ab_pairs/1", SCHEMA)
 SIDES = ("base", "change")
 ORDERS = ("base-first", "change-first")
 
@@ -95,12 +106,21 @@ def environment(base, change):
             "cpu": cpu, "base": base, "change": change}
 
 
-def run_gateway(tree, workload, seed, trace):
-    """One ``python3 -m benchmarks.gateway`` run in *tree*: its fixture
-    line and its result object."""
+def hash_seed(seed, index):
+    """The ``PYTHONHASHSEED`` both sides of pair *index* run under: one
+    per pair, different from pair to pair, reproducible from *seed*
+    (the traced pair is index ``pairs``)."""
+    return 1000 * seed + index
+
+
+def run_gateway(tree, workload, seed, trace, pinned):
+    """One ``python3 -m benchmarks.gateway`` run in *tree* under
+    ``PYTHONHASHSEED`` *pinned*: its fixture line and its result
+    object."""
     argv = [sys.executable, "-m", "benchmarks.gateway", "--workload",
             workload, "--trace", str(trace), "--seed", str(seed)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONHASHSEED"] = str(pinned)
     out = subprocess.run(argv, cwd=tree, env=env, capture_output=True,
                          text=True, check=True).stdout
     objects = [json.loads(line) for line in out.splitlines()
@@ -150,11 +170,11 @@ def metric_table(runs):
     return table
 
 
-def traced_pair(trees, workload, seed):
+def traced_pair(trees, workload, seed, pinned):
     """Per-layer values of one traced run per side, split into exact
     counts and the rest; layers neither side exercised are left out."""
-    values = {side: outcome(run_gateway(trees[side], workload, seed,
-                                        1)[1])["metrics"]
+    values = {side: outcome(run_gateway(trees[side], workload, seed, 1,
+                                        pinned)[1])["metrics"]
               for side in SIDES}
     units = {metric["name"]: metric["unit"]
              for metric in contract()["per_layer"]}
@@ -163,7 +183,8 @@ def traced_pair(trees, workload, seed):
         pair = {side: values[side].get(name, 0.0) for side in SIDES}
         if any(pair.values()):
             (counts if unit == "count" else layers)[name] = pair
-    return {"exact_counts": counts, "per_layer": layers}
+    return {"traced_hash_seed": pinned, "exact_counts": counts,
+            "per_layer": layers}
 
 
 def measure(args):
@@ -179,11 +200,12 @@ def measure(args):
             runs, fixture = [], {}
             for index in range(args.pairs):
                 order = ORDERS[index % 2]
-                run = {"order": order}
+                pinned = hash_seed(args.seed, index)
+                run = {"order": order, "hash_seed": pinned}
                 sides = SIDES if order == "base-first" else SIDES[::-1]
                 for side in sides:
                     fixture[side], result = run_gateway(
-                        trees[side], workload, args.seed, 0)
+                        trees[side], workload, args.seed, 0, pinned)
                     run[side] = outcome(result)
                 runs.append(run)
                 print(f"{workload} pair {index + 1}/{args.pairs} done",
@@ -191,7 +213,8 @@ def measure(args):
             report["workloads"][workload] = {
                 "fixture": fixture, "runs": runs,
                 "metrics": metric_table(runs),
-                **traced_pair(trees, workload, args.seed)}
+                **traced_pair(trees, workload, args.seed,
+                              hash_seed(args.seed, args.pairs))}
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return report
@@ -225,9 +248,10 @@ def check(report):
         return condition
 
     if not need(isinstance(report, dict)
-                and report.get("schema") == SCHEMA,
-                f"schema is not {SCHEMA!r}"):
+                and report.get("schema") in SCHEMAS,
+                f"schema is none of {SCHEMAS!r}"):
         return problems
+    pinned = report["schema"] == SCHEMA
     stamp = report.get("environment", {})
     for key in ("python", "nproc", "kernel", "base", "change"):
         need(key in stamp, f"environment lacks {key!r}")
@@ -250,6 +274,11 @@ def check(report):
         for index, run in enumerate(runs):
             need(run.get("order") in ORDERS,
                  f"{where}.runs[{index}]: bad order")
+            if pinned:
+                need(run.get("hash_seed")
+                     == hash_seed(report.get("seed"), index),
+                     f"{where}.runs[{index}]: hash_seed is not the "
+                     "pinned one")
             for side in SIDES:
                 result = run.get(side, {})
                 need(isinstance(result.get("correct"), bool)
@@ -272,6 +301,10 @@ def check(report):
                  == json.dumps(expected[name], sort_keys=True),
                  f"{where}.metrics.{name}: summary does not match the "
                  "recorded runs")
+        if pinned:
+            need(entry.get("traced_hash_seed")
+                 == hash_seed(report.get("seed"), pairs),
+                 f"{where}: traced_hash_seed is not the pinned one")
         for name, pair in entry.get("exact_counts", {}).items():
             need(isinstance(pair, dict) and set(pair) == set(SIDES),
                  f"{where}.exact_counts.{name}: not a base/change pair")
