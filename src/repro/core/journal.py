@@ -227,11 +227,14 @@ class OperationJournal:
             if not result.ok:
                 return None
             if result.stdout:
-                gram_id_text, _, gram_state = result.stdout.partition(" ")
-                adoptions.append((entry, self.job_record(
+                gram_id_text, _, answer = result.stdout.partition(" ")
+                gram_state, _, reason = answer.partition(" ")
+                record = self.job_record(
                     entry, int(gram_id_text),
                     gram_state if gram_state in GRAM_STATES
-                    else "PENDING")))
+                    else "PENDING")
+                record.failure_reason = reason
+                adoptions.append((entry, record))
                 return OUTCOME_ADOPTED
             self._settle(entry, JOURNAL_ABORTED, OUTCOME_REISSUED)
             return OUTCOME_REISSUED

@@ -13,8 +13,9 @@ Stdout contracts (what the workflow layer parses):
 ========================  ==========================================
 ``submit``                the GRAM job id, as text
 ``poll``                  ``"<STATE>"`` or ``"FAILED <reason>"``
-``lookup``                ``"<id> <STATE>"`` or ``""`` (provably
-                          never submitted)
+``lookup``                ``"<id> <STATE>"``, with the failure
+                          reason appended after ``FAILED``, or
+                          ``""`` (provably never submitted)
 ``cancel``                ``"cancelled"``
 ``stage_in``              the payload's md5 digest
 ``stage_out``             ``"<n> bytes"`` (payload on ``result.data``)
@@ -126,6 +127,8 @@ class GramBackend:
             gram_job = gram.find_by_tag(proxy, str(tag))
             if gram_job is None:
                 return ""
+            if gram_job.state == FAILED:
+                return f"{gram_job.id} {FAILED} {gram_job.failure_reason}"
             return f"{gram_job.id} {gram_job.state}"
         return clients._run(argv, action, resource=resource_name)
 

@@ -215,15 +215,22 @@ class GramService:
         """Current GRAM state of a job."""
         self._check_access(proxy, "gram-poll")
         gram_job = self._get(gram_job_id)
+        self._refresh(gram_job)
+        self.audit.record(self.clock, "gram-poll", self.resource.name,
+                          gram_job.gateway_user,
+                          detail=f"job {gram_job_id} -> {gram_job.state}")
+        return gram_job.state
+
+    def _refresh(self, gram_job):
+        """Bring *gram_job*'s state up to date with its batch job's
+        scheduler status (a fork job's is final at submission); every
+        answer about a job's state is read through here."""
         if gram_job.service == "batch" and gram_job.batch_job_id is not None:
             batch_status = self.resource.scheduler.status_of(
                 gram_job.batch_job_id)
             gram_job.state = _BATCH_STATE_MAP[batch_status]
             if gram_job.state == FAILED and not gram_job.failure_reason:
                 gram_job.failure_reason = f"batch status {batch_status}"
-        self.audit.record(self.clock, "gram-poll", self.resource.name,
-                          gram_job.gateway_user,
-                          detail=f"job {gram_job_id} -> {gram_job.state}")
         return gram_job.state
 
     def cancel(self, proxy, gram_job_id):
@@ -250,6 +257,7 @@ class GramService:
         self._check_access(proxy, "gram-lookup")
         for gram_job in self.jobs.values():
             if gram_job.rsl.get("clientTag") == tag:
+                self._refresh(gram_job)
                 self.audit.record(self.clock, "gram-lookup",
                                   self.resource.name,
                                   proxy.saml.gateway_user,

@@ -93,6 +93,22 @@ class TestGramBatch:
         status = clients.job_status("kraken", result.stdout)
         assert status.stdout.startswith(FAILED)
 
+    def test_lookup_reports_the_schedulers_state_without_a_poll(self,
+                                                                 grid):
+        # Only ``poll`` used to refresh a GRAM job's state from the
+        # scheduler, so a lookup after a finished run with no status
+        # command between them answered the state of its submission.
+        clock, fabric, clients, kraken = grid
+        kraken.filesystem.mkdir("/run4")
+        spec = batch_spec("/amp/model.sh", count=128,
+                          max_wall_time_s=6 * HOUR, directory="/run4")
+        spec["clientTag"] = "amp-sim-00000001-submit-1"
+        job_id = clients.submit_job("kraken", spec).stdout
+        clock.advance(4 * HOUR)
+        lookup = clients.job_lookup("kraken", "amp-sim-00000001-submit-1")
+        assert lookup.stdout == f"{job_id} {DONE}"
+        assert clients.job_status("kraken", job_id).stdout == DONE
+
     def test_no_proxy_is_permanent_error(self, grid):
         clock, fabric, clients, kraken = grid
         clients.current_proxy = None
