@@ -8,16 +8,23 @@ database accordingly."  (§4.4)
 The poll cycle implements the paper's two-level status management:
 
 1. **Generic grid-job update** — every non-terminal
-   :class:`~repro.core.models.GridJobRecord` is polled through the
-   command-line clients and its GRAM state stored, "identical for all
-   grid jobs regardless of purpose [...] or execution method"; no
-   callbacks fire here.
+   :class:`~repro.core.models.GridJobRecord` has its GRAM state
+   refreshed through the command-line clients, "identical for all grid
+   jobs regardless of purpose [...] or execution method"; no callbacks
+   fire here.  The machine's ``qstat``, taken first in every poll,
+   lists the state of each of the gateway's jobs still queued or
+   running there; a job is sent ``globus-job-status`` only when its
+   listed state differs from its row or it has left the listing (a
+   machine with no listing has every job polled).  So a recorded state
+   is at most one poll interval stale, and a poll sends one status
+   command per job that changed, not per job in flight.
 2. **Workflow advancement** — each active simulation's workflow manager
    "simply retrieves the last-known status of the appropriate job and
    waits or proceeds accordingly."  A simulation that can only wait —
-   its state's check reads a job level 1 just found still in flight —
-   is *waiting*: level 1's rows name it, and level 2 loads only the
-   others.  Every job is still polled every cycle.
+   its state's check reads a job level 1 found still in flight — is
+   *waiting*: level 1's rows name it, and level 2 loads only the
+   others.  A waiting simulation whose job was not re-polled is not
+   visited at all.
 
 Database access is *set-oriented* end to end: each phase loads its
 working set in one JOIN-backed query (``select_related``/
@@ -27,8 +34,8 @@ trips regardless of how many jobs and simulations are in flight.  The
 budget, per poll:
 
 - lease sweep: one SELECT (three statements when a renewal is due);
-- level 1: one SELECT, plus one ``bulk_update`` when a job changed;
 - telemetry: one SELECT, plus one ``bulk_update`` of the machine rows;
+- level 1: one SELECT, plus one ``bulk_update`` when a job changed;
 - placement and hold recovery: one SELECT each while nothing is
   unplaced or recoverable;
 - level 2: one SELECT, plus one prefetch of jobs when any simulation
@@ -193,7 +200,7 @@ class GridAMPDaemon:
         return self.retry.rehydrate(simulations)
 
     # ------------------------------------------------------------------
-    def update_grid_jobs(self, slice_filter):
+    def update_grid_jobs(self, slice_filter, listings):
         """Level 1: refresh every in-flight grid job's GRAM state.
 
         One JOIN-backed SELECT loads every record with its simulation
@@ -201,7 +208,14 @@ class GridAMPDaemon:
         decide on, so the wide simulation and user rows are never
         hydrated; state changes accumulate and flush in one
         ``bulk_update`` — two round trips however many jobs are active.
-        Only jobs of the leased slices are polled.
+        Only jobs of the leased slices are considered.
+
+        *listings* is :meth:`update_machine_telemetry`'s answer.  A job
+        its machine's listing shows in the state its row records is
+        left alone; every other job — its listed state differs, it has
+        left the listing, or its machine has no listing — is re-polled
+        with ``globus-job-status`` under its owner's proxy, which brings
+        a finished job's final state and ``FAILED`` reason.
 
         Each status command carries its simulation's correlation id, so
         it is traceable back to the portal submission that caused it.
@@ -210,7 +224,9 @@ class GridAMPDaemon:
         names the job and its GRAM state, one span per waiting
         simulation instead of two.
 
-        Returns the waiting set of the refreshed jobs.
+        Returns ``(waiting, unchanged)``: the waiting set of the
+        re-polled jobs, and the pks of the simulations waiting on a job
+        that was not re-polled.
         """
         active = (GridJobRecord.objects.using(self.db)
                   .filter(state__in=list(GRAM_IN_FLIGHT),
@@ -227,6 +243,10 @@ class GridAMPDaemon:
         changed, polled = [], []
         for record in active:
             if record.gram_job_id is None:
+                continue
+            listing = listings.get(record.resource)
+            if listing is not None \
+                    and listing.get(record.gram_job_id) == record.state:
                 continue
             owner = record.simulation.owner
             self.clients.ensure_proxy(owner.username, owner.email)
@@ -252,6 +272,11 @@ class GridAMPDaemon:
             GridJobRecord.objects.using(self.db).bulk_update(
                 changed, ["state", "failure_reason"])
         waiting = self.waiting_set(active)
+        repolled = {record.pk for record in polled}
+        unchanged = {pk for pk, job in waiting.items()
+                     if job.pk not in repolled}
+        for pk in unchanged:
+            del waiting[pk]
         for record in polled:
             if waiting.get(record.simulation_id) is not record:
                 # Recorded once the poll is done: the virtual clock has
@@ -262,7 +287,7 @@ class GridAMPDaemon:
                         attrs={"job": record.pk,
                                "resource": record.resource}):
                     pass
-        return waiting
+        return waiting, unchanged
 
     def waiting_set(self, jobs):
         """The simulations level 2 need not load: ``{pk: job}`` for
@@ -280,15 +305,18 @@ class GridAMPDaemon:
                 waiting[simulation.pk] = job
         return waiting
 
-    def advance_simulations(self, slice_filter, waiting):
+    def advance_simulations(self, slice_filter, waiting, unchanged):
         """Level 2: run each active simulation's workflow.
 
-        One query loads the active simulations outside *waiting*
-        (level 1's waiting set) with their jobs; when every active
-        simulation is waiting it returns no row and loads no job.  A
-        waiting simulation only has its owner's proxy refreshed, under
+        One query loads the active simulations outside *waiting* and
+        *unchanged* (level 1's answer) with their jobs; when every
+        active simulation is waiting it returns no row and loads no
+        job.  A simulation in *waiting* — its job was re-polled and is
+        still in flight — only has its owner's proxy refreshed, under
         the same ``sim.advance`` span and in the same pk order, so the
-        grid commands go out exactly as if it had been loaded.
+        grid commands go out exactly as if it had been loaded.  One in
+        *unchanged* gets no ``_advance``, no span and no proxy refresh:
+        nothing about it moved since the last poll.
 
         A defect in one simulation's processing must not take the whole
         daemon down with it: unexpected exceptions hold that simulation
@@ -300,7 +328,7 @@ class GridAMPDaemon:
                   Simulation.objects.using(self.db)
                   .filter(state__in=list(SIM_ACTIVE_STATES),
                           pk__mod=slice_filter)
-                  .exclude(pk__in_json=sorted(waiting))
+                  .exclude(pk__in_json=sorted(waiting.keys() | unchanged))
                   .select_related("owner", "observation")
                   .prefetch_related("grid_jobs")
                   .order_by("id")}
@@ -314,7 +342,7 @@ class GridAMPDaemon:
             "daemon_active_simulations",
             help="Simulations in active workflow states, per daemon "
                  "instance").labels(instance=self.instance_id).set(
-            len(active))
+            len(active) + len(unchanged))
         return transitions
 
     def _advance(self, simulation, job):
@@ -366,21 +394,29 @@ class GridAMPDaemon:
                         f"#{simulation.pk}", detail)
                 return False
 
-    def update_machine_telemetry(self):
-        """Publish per-machine queue depth/utilisation into the DB.
+    def update_machine_telemetry(self, publish):
+        """Take each machine's ``qstat``: return its job listing and,
+        when *publish*, write its queue depth/utilisation into the DB.
 
         This is the only channel through which the grid-blind portal
         learns about congestion *and resource health* — the daemon
         measures (qstat over the fork service, breaker snapshots from
-        the client toolkit) and writes; the portal reads.  Unparsable
-        qstat output is treated exactly like an unreachable machine: the
-        stale-but-sane values stay until a clean sample arrives.  All
-        sampled machines flush in one ``bulk_update``.
+        the client toolkit) and writes; the portal reads.  Every lease
+        holder lists, for its own jobs; only the slice-0 owner
+        publishes, so machine rows are written once per fleet round.
+        Unparsable qstat output is treated exactly like an unreachable
+        machine: the stale-but-sane values stay until a clean sample
+        arrives.  All sampled machines flush in one ``bulk_update``.
 
         The qstat probe doubles as the circuit breaker's health check:
-        while a breaker is open the client suppresses the command, and
-        once the cooldown elapses this per-poll sample is the natural
-        half-open probe that closes the breaker after recovery.
+        it is the first command against each machine in every poll, so
+        while a breaker is open the client suppresses it, and once the
+        cooldown elapses it is the half-open probe that closes the
+        breaker after recovery.
+
+        Returns ``{machine: {gram_id: state}}`` for each machine whose
+        answer parsed in full (see :func:`parse_queue_status`); a
+        machine missing from it has its jobs polled one by one.
         """
         from .models import MachineRecord
         self.clients.ensure_proxy("amp-operations")
@@ -389,32 +425,28 @@ class GridAMPDaemon:
         # and replayed fault schedules must agree on what "now" is.
         now = sim_datetime(self.clock.now)
         metrics = self.obs.metrics
-        changed = []
+        listings, changed = {}, []
         for record in MachineRecord.objects.using(self.db).all():
             result = self.clients.queue_status(record.name)
+            sample, listing = (parse_queue_status(result.stdout)
+                               if result.ok else (None, None))
+            if listing is not None:
+                listings[record.name] = listing
+            if not publish:
+                continue
             dirty = self._refresh_breaker_columns(record)
-            if result.ok:
-                depth_text, _, utilisation_text = \
-                    result.stdout.partition(" ")
-                try:
-                    depth = int(depth_text)
-                    utilisation = float(utilisation_text)
-                except ValueError:
-                    depth = None      # malformed output: keep stale values
-                if depth is not None and depth >= 0 \
-                        and utilisation == utilisation:
-                    record.queue_depth = depth
-                    record.utilisation = min(max(utilisation, 0.0), 1.0)
-                    record.telemetry_updated = now
-                    metrics.gauge(
-                        "machine_queue_depth",
-                        help="Remote queue depth per facility").labels(
-                        machine=record.name).set(record.queue_depth)
-                    metrics.gauge(
-                        "machine_utilisation",
-                        help="Remote utilisation per facility").labels(
-                        machine=record.name).set(record.utilisation)
-                    dirty = True
+            if sample is not None:
+                record.queue_depth, record.utilisation = sample
+                record.telemetry_updated = now
+                metrics.gauge(
+                    "machine_queue_depth",
+                    help="Remote queue depth per facility").labels(
+                    machine=record.name).set(record.queue_depth)
+                metrics.gauge(
+                    "machine_utilisation",
+                    help="Remote utilisation per facility").labels(
+                    machine=record.name).set(record.utilisation)
+                dirty = True
             if dirty:
                 changed.append(record)
         if changed:
@@ -423,6 +455,7 @@ class GridAMPDaemon:
                 ["queue_depth", "utilisation", "telemetry_updated",
                  "breaker_state", "breaker_failures",
                  "breaker_opened_at"])
+        return listings
 
     def _refresh_breaker_columns(self, record):
         """Sync one machine row with its breaker snapshot; True when the
@@ -507,15 +540,17 @@ class GridAMPDaemon:
             slice_filter = self.leases.slice_filter()
             poll_span.set_attr("slices", len(slice_filter[1]))
             if slice_filter[1]:
-                waiting = self._phase(
+                # Every holder lists each machine's queue before level 1
+                # reads it; one telemetry publisher per fleet — the
+                # slice-0 owner — so machine rows aren't rewritten N
+                # times per round.
+                listings = self._phase(
+                    "update_machine_telemetry",
+                    lambda: self.update_machine_telemetry(
+                        0 in slice_filter[1]))
+                waiting, unchanged = self._phase(
                     "update_grid_jobs",
-                    lambda: self.update_grid_jobs(slice_filter))
-                if 0 in slice_filter[1]:
-                    # One telemetry publisher per fleet — the slice-0
-                    # owner — so machine rows aren't rewritten N times
-                    # per round.
-                    self._phase("update_machine_telemetry",
-                                self.update_machine_telemetry)
+                    lambda: self.update_grid_jobs(slice_filter, listings))
                 if self.journal.blocked:
                     # Intents a transient lookup could not resolve at
                     # boot/takeover: retry the sweep until every blocked
@@ -525,7 +560,7 @@ class GridAMPDaemon:
                         "reconcile_pending",
                         lambda: self.journal.reconcile(slice_filter))
                     # It may have written any of their jobs: load all.
-                    waiting = {}
+                    waiting, unchanged = {}, set()
                 # Placement runs after the telemetry refresh (fresh
                 # queue depths and breaker columns) and before any
                 # workflow may advance a newly placed simulation out of
@@ -541,7 +576,7 @@ class GridAMPDaemon:
                 transitions = self._phase(
                     "advance_simulations",
                     lambda: self.advance_simulations(slice_filter,
-                                                     waiting))
+                                                     waiting, unchanged))
             poll_span.set_attr("transitions", transitions)
         self.heartbeat = self.clock.now
         self.poll_count += 1
@@ -609,6 +644,31 @@ class GridAMPDaemon:
         set plus auto-resumable resource holds (a permanent hold —
         model failure — genuinely waits for an administrator)."""
         return self.active_count() + self.recoverable_hold_count()
+
+
+def parse_queue_status(stdout):
+    """``(sample, listing)`` from a ``qstat`` answer: *sample* is the
+    first line's ``(depth, utilisation)``, *listing* ``{gram_id:
+    state}`` from the lines after it.  Either is None when its lines do
+    not parse, and a listing needs a sample: an answer whose first line
+    is garbage lists nothing."""
+    head, *lines = stdout.split("\n")
+    depth_text, _, utilisation_text = head.partition(" ")
+    try:
+        depth = int(depth_text)
+        utilisation = float(utilisation_text)
+    except ValueError:
+        return None, None
+    if depth < 0 or utilisation != utilisation:
+        return None, None
+    listing = {}
+    for line in lines:
+        gram_id, _, state = line.partition(" ")
+        if state not in GRAM_IN_FLIGHT or not gram_id.isdecimal():
+            listing = None
+            break
+        listing[int(gram_id)] = state
+    return (depth, min(max(utilisation, 0.0), 1.0)), listing
 
 
 class ExternalMonitor:

@@ -20,7 +20,10 @@ Stdout contracts (what the workflow layer parses):
 ``stage_in``              the payload's md5 digest
 ``stage_out``             ``"<n> bytes"`` (payload on ``result.data``)
 ``stage_stat``            ``"<size> <md5>"`` or ``"absent"``
-``queue_status``          ``"<depth> <utilisation>"``
+``queue_status``          ``"<depth> <utilisation>"``, then one
+                          ``"<id> <STATE>"`` line per batch job of
+                          the gateway still ``PENDING`` or
+                          ``ACTIVE`` on the resource
 ========================  ==========================================
 
 The module holds no state: job tables and sandboxes live on the
@@ -97,8 +100,11 @@ class GramBackend:
             except CertificateInvalid as exc:
                 raise PermanentGridError(str(exc))
             scheduler = resource.scheduler
-            return (f"{scheduler.queue_depth()} "
-                    f"{scheduler.utilisation:.4f}")
+            lines = [f"{scheduler.queue_depth()} "
+                     f"{scheduler.utilisation:.4f}"]
+            lines += [f"{gram_id} {state}" for gram_id, state in
+                      clients.fabric.gram(resource_name).in_queue()]
+            return "\n".join(lines)
         return clients._run(argv, action, resource=resource_name)
 
     # ------------------------------------------------------------------

@@ -274,7 +274,8 @@ class GridClients:
     # ------------------------------------------------------------------
     def queue_status(self, resource_name):
         """Queue telemetry (``qstat`` over the fork service):
-        ``"<depth> <utilisation>"``."""
+        ``"<depth> <utilisation>"``, then one ``"<id> <STATE>"`` line
+        per gateway batch job still queued or running there."""
         return GRAM_BACKEND.queue_status(self, resource_name)
 
     def _dispatch_queue_status(self, argv):

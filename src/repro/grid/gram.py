@@ -12,7 +12,8 @@ job managers the paper uses:
 Clients poll job state (``UNSUBMITTED/PENDING/ACTIVE/DONE/FAILED``) —
 GRAM's state vocabulary — and every operation verifies the proxy
 certificate and writes an audit record attributed to the SAML gateway
-user.
+user.  :meth:`GramService.in_queue` lists the batch jobs still queued
+or running, in one answer, for the queue probe.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ class GramService:
         self.clock = clock
         self.audit = audit
         self.jobs = {}
+        #: The batch jobs not yet seen finished, by GRAM id, in
+        #: submission order: what :meth:`in_queue` walks.
+        self._in_queue = {}
         # Per-service id sequence (job ids are only ever resolved
         # against this service's table): a fresh fabric starts at 1, so
         # replayed fault schedules log identical command lines.
@@ -209,6 +213,7 @@ class GramService:
         self.resource.scheduler.submit(batch_job)
         gram_job.batch_job_id = batch_job.id
         gram_job.state = PENDING
+        self._in_queue[gram_job.id] = gram_job
 
     # ------------------------------------------------------------------
     def poll(self, proxy, gram_job_id):
@@ -232,6 +237,20 @@ class GramService:
             if gram_job.state == FAILED and not gram_job.failure_reason:
                 gram_job.failure_reason = f"batch status {batch_status}"
         return gram_job.state
+
+    def in_queue(self):
+        """``[(gram_id, state)]`` of the batch jobs still ``PENDING`` or
+        ``ACTIVE``, in submission order.  A job found finished leaves
+        the index, so a listing costs the jobs in flight, not every job
+        ever submitted."""
+        listed = []
+        for gram_id, gram_job in list(self._in_queue.items()):
+            state = self._refresh(gram_job)
+            if state in (PENDING, ACTIVE):
+                listed.append((gram_id, state))
+            else:
+                del self._in_queue[gram_id]
+        return listed
 
     def cancel(self, proxy, gram_job_id):
         self._check_access(proxy, "gram-cancel")

@@ -15,7 +15,8 @@ import re
 import pytest
 
 from repro.core import Simulation, Star
-from repro.core.models import KIND_DIRECT, SIM_DONE, SIM_QUEUED
+from repro.core.models import (KIND_DIRECT, SIM_DONE, SIM_QUEUED,
+                               MachineRecord)
 from repro.grid.clients import EXIT_OK, CommandResult
 from repro.webstack.orm.query import QuerySet, compiled_cache
 from repro.webstack.testclient import Client
@@ -126,9 +127,12 @@ class TestPollRoundTripBudget:
 class TestScanPollCommands:
     def test_steady_state_scan_signs_with_each_owners_wallet_proxy(
             self, deployment):
-        """N RUNNING simulations of K owners, nothing due: one status
-        command per job, each attributed to its owner, and not one
-        proxy issued — every owner's proxy is already in the wallet."""
+        """N RUNNING simulations of K owners, nothing due: one ``qstat``
+        per machine and not one status command or proxy issued, since
+        every job's listed state is the one its row records; once the
+        jobs finish, one status command per job, each attributed to its
+        owner, and still no proxy issued — every owner's proxy is
+        already in the wallet."""
         owners = [deployment.create_astronomer(f"owner{k}")
                   for k in range(3)]
         n = 12
@@ -139,11 +143,25 @@ class TestScanPollCommands:
         assert Simulation.objects.using(deployment.databases.admin) \
             .filter(state="RUNNING").count() == n
         clients, audit = deployment.clients, deployment.fabric.audit
-        logged, polls = len(clients.command_log), dict(audit.tally)
-        assert deployment.daemon.poll_once() == 0
-        new = len(clients.command_log) - logged
-        programs = [result.argv[0]
-                    for result in list(clients.command_log)[-new:]]
+        machines = MachineRecord.objects.using(
+            deployment.databases.admin).count()
+
+        def poll_programs():
+            logged = len(clients.command_log)
+            transitions = deployment.daemon.poll_once()
+            new = len(clients.command_log) - logged
+            return transitions, [result.argv[0] for result in
+                                 list(clients.command_log)[-new:]]
+
+        polls = dict(audit.tally)
+        transitions, programs = poll_programs()
+        assert transitions == 0
+        assert programs == ["globus-job-run"] * machines
+        assert dict(audit.tally) == polls
+        # Every model job finishes and leaves the listing: each is
+        # re-polled once, under its owner's proxy.
+        deployment.clock.advance(4 * 3600.0)
+        _, programs = poll_programs()
         assert programs.count("grid-proxy-init") == 0
         assert programs.count("globus-job-status") == n
         for owner in owners:

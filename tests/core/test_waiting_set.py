@@ -1,9 +1,9 @@
 """Level 2 loads only the simulations that can move.
 
-A simulation whose state's check waits on a job level 1 just found
-still in flight is *waiting*: its ``advance`` could do nothing but
-refresh the owner's proxy, so level 2 does only that, from level 1's
-columns, and loads the rest.  The twin runs here hold the waiting set
+A simulation whose state's check waits on a job level 1 found still
+in flight is *waiting*: its ``advance`` could do nothing but refresh
+the owner's proxy, so level 2 does only that, from level 1's columns,
+and only in a poll that re-polled the job; it loads the rest.  The twin runs here hold the waiting set
 empty on one side — today's full path for every simulation — and
 demand the same grid commands, events and final rows on both.
 """
@@ -190,12 +190,28 @@ def running_campaign(deployment, astronomer, n):
         state=SIM_RUNNING).count() == n
 
 
+def status_trace_ids(deployment, poll):
+    """*poll*'s result, and the trace ids of the status commands it
+    sent."""
+    events = deployment.obs.events
+    before = len(events)
+    result = poll()
+    new = itertools.islice(reversed(events.records), len(events) - before)
+    return result, sorted(
+        record.fields["trace_id"] for record in new
+        if record.kind == "grid.command"
+        and record.fields["program"] == "globus-job-status")
+
+
 class TestWaitingSpans:
     def test_a_waiting_simulation_is_explained_by_its_span(
             self, deployment, astronomer):
-        """"Why is sim #17 stuck" from the spans alone: the job it
-        waits on, by purpose, pk and last-known GRAM state."""
+        """"Why is sim #17 stuck" from the spans alone: the poll in
+        which its job changed state names the job it waits on, by
+        purpose, pk and GRAM state; a later poll in which nothing
+        changed records no span for it."""
         running_campaign(deployment, astronomer, 3)
+        deployment.clock.advance(60.0)     # every model job starts
         _, spans = poll_spans(deployment)
         jobs = {job.simulation_id: job for job in
                 GridJobRecord.objects.using(deployment.databases.admin)
@@ -206,32 +222,37 @@ class TestWaitingSpans:
             assert span.attrs["state"] == SIM_RUNNING
             assert span.attrs["waiting_on"] == JOB_MODEL
             assert span.attrs["job"] == job.pk
-            assert span.attrs["gram_state"] == job.state
-            assert job.state in ("PENDING", "ACTIVE")
+            assert span.attrs["gram_state"] == job.state == "ACTIVE"
             assert span.trace_id == correlation_id(job.simulation_id)
+        assert poll_spans(deployment) == (0, [])
 
     def test_a_waiting_simulation_costs_one_span_per_poll(
             self, deployment, astronomer, monkeypatch):
         """Its ``sim.advance`` span is the record of its job's poll as
         well: level 1 records no ``daemon.job_poll`` span for it, and
-        the status command still carries its correlation id."""
+        the status command still carries its correlation id.  A poll
+        in which its job did not change costs it no span and no
+        command."""
         running_campaign(deployment, astronomer, 3)
-        events = deployment.obs.events
-        before = len(events)
-        _, spans = poll_spans(deployment, name=None)
+        deployment.clock.advance(60.0)     # every model job starts
+        (_, spans), traced = status_trace_ids(
+            deployment, lambda: poll_spans(deployment, name=None))
         advances = [span.trace_id for span in spans
                     if span.name == "sim.advance"]
         assert len(advances) == 3
         assert "daemon.job_poll" not in [span.name for span in spans]
-        new = itertools.islice(reversed(events.records),
-                               len(events) - before)
-        assert sorted(record.fields["trace_id"] for record in new
-                      if record.kind == "grid.command"
-                      and record.fields["program"] == "globus-job-status"
-                      ) == sorted(advances)
-        # The full path loads them all and records every job's poll.
+        assert traced == sorted(advances)
+        (_, spans), traced = status_trace_ids(
+            deployment, lambda: poll_spans(deployment, name=None))
+        assert traced == []
+        assert not {"sim.advance", "daemon.job_poll"} & {
+            span.name for span in spans}
+        # The full path loads them all and records every re-polled
+        # job's poll: rows that lag their listing are re-polled.
         monkeypatch.setattr(GridAMPDaemon, "waiting_set",
                             lambda daemon, jobs: {})
+        GridJobRecord.objects.using(deployment.databases.admin).filter(
+            purpose=JOB_MODEL).update(state="PENDING")
         _, polls = poll_spans(deployment, name="daemon.job_poll")
         assert sorted(span.trace_id for span in polls) == sorted(advances)
         assert all(set(span.attrs) == {"job", "resource"} for span in polls)
@@ -305,13 +326,17 @@ class TestTheRule:
 
 
 def proxy_failure(monkeypatch, *, full_path):
-    """Two RUNNING simulations; the first one's proxy refresh fails
-    once.  Returns its row afterwards and the poll's spans."""
+    """Two RUNNING simulations whose model jobs have just started; the
+    first one's proxy refresh fails once.  Returns its row afterwards
+    and the poll's spans."""
     with monkeypatch.context() as patch:
         deployment = AMPDeployment()
         try:
             running_campaign(deployment,
                              deployment.create_astronomer("proxy"), 2)
+            # Each waited-on job changes state, so it is re-polled and
+            # its simulation has the owner's proxy refreshed.
+            deployment.clock.advance(60.0)
             if full_path:
                 patch.setattr(GridAMPDaemon, "waiting_set",
                               lambda daemon, jobs: {})
@@ -342,8 +367,9 @@ def proxy_failure(monkeypatch, *, full_path):
 def test_a_failed_proxy_refresh_backs_off_like_the_full_path(
         monkeypatch):
     """The owner's proxy refresh is the one grid call a waiting
-    simulation makes; should it fail, the simulation is loaded and the
-    engine records the transient exactly as the full path would."""
+    simulation makes in a poll that re-polled its job; should it fail,
+    the simulation is loaded and the engine records the transient
+    exactly as the full path would."""
     row, spans = proxy_failure(monkeypatch, full_path=False)
     full_row, full_spans = proxy_failure(monkeypatch, full_path=True)
     assert [span["waiting_on"] for span in spans] == [JOB_MODEL] * 2

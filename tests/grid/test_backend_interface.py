@@ -212,9 +212,35 @@ class TestTelemetryContract:
     def test_queue_status_is_parseable(self, harness):
         result = harness.clients.queue_status(harness.resource_name)
         assert result.ok
-        depth_text, util_text = result.stdout.split()
+        depth_text, util_text = result.stdout.split("\n")[0].split()
         assert int(depth_text) >= 0
         assert 0.0 <= float(util_text) <= 1.0
+
+    def test_queue_status_lists_the_jobs_in_flight(self, harness):
+        """After the telemetry line, one ``"<id> <STATE>"`` line per
+        batch job still queued or running, in submission order; a
+        finished job is no longer listed."""
+        clients = harness.clients
+        job_ids = []
+        for run in ("/scratch/run8", "/scratch/run9"):
+            harness.prepare(run)
+            job_ids.append(harness.submit_model(run).stdout)
+        head, *lines = clients.queue_status(
+            harness.resource_name).stdout.split("\n")
+        assert len(head.split()) == 2
+        assert lines == [f"{job_id} {PENDING}" for job_id in job_ids]
+        harness.advance()
+        _, *lines = clients.queue_status(
+            harness.resource_name).stdout.split("\n")
+        assert lines == [f"{job_id} {ACTIVE}" for job_id in job_ids]
+        assert clients.job_cancel(harness.resource_name, job_ids[0]).ok
+        for _ in range(3):
+            harness.advance()
+        _, *lines = clients.queue_status(
+            harness.resource_name).stdout.split("\n")
+        assert lines == []
+        assert clients.job_status(harness.resource_name,
+                                  job_ids[1]).stdout == DONE
 
     def test_commands_are_logged_for_rerun(self, harness):
         harness.prepare("/scratch/run7")

@@ -83,7 +83,7 @@ def drive(*, whole_run):
                    machine_name="kraken",
                    parameters={"mass": 1.0 + 0.001 * index, "z": 0.018,
                                "y": 0.27, "alpha": 2.1, "age": 4.6})
-        for index in range(150)])
+        for index in range(300)])
     deployment.run_daemon_until_idle(poll_interval_s=30.0)
     bind(ALL_MODELS, None)
     deployment.close()
