@@ -95,9 +95,9 @@ class TestGramBatch:
 
     def test_lookup_reports_the_schedulers_state_without_a_poll(self,
                                                                  grid):
-        # Only ``poll`` used to refresh a GRAM job's state from the
-        # scheduler, so a lookup after a finished run with no status
-        # command between them answered the state of its submission.
+        # No status command between submission and lookup: the answer
+        # must still come from the scheduler, not the state recorded
+        # at submission.
         clock, fabric, clients, kraken = grid
         kraken.filesystem.mkdir("/run4")
         spec = batch_spec("/amp/model.sh", count=128,
@@ -108,6 +108,17 @@ class TestGramBatch:
         lookup = clients.job_lookup("kraken", "amp-sim-00000001-submit-1")
         assert lookup.stdout == f"{job_id} {DONE}"
         assert clients.job_status("kraken", job_id).stdout == DONE
+
+    def test_lookup_of_a_failed_job_carries_its_reason(self, grid):
+        clock, fabric, clients, kraken = grid
+        kraken.filesystem.mkdir("/run5")
+        spec = batch_spec("/amp/model.sh", count=128,
+                          max_wall_time_s=6 * HOUR, directory="/run5")
+        spec["clientTag"] = "amp-sim-00000002-submit-1"
+        job_id = clients.submit_job("kraken", spec).stdout
+        assert clients.job_cancel("kraken", job_id).ok
+        lookup = clients.job_lookup("kraken", "amp-sim-00000002-submit-1")
+        assert lookup.stdout == f"{job_id} {FAILED} cancelled by client"
 
     def test_no_proxy_is_permanent_error(self, grid):
         clock, fabric, clients, kraken = grid
