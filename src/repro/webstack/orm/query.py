@@ -22,6 +22,9 @@ SDSS/SkyServer, "When Database Systems Meet the Grid"):
 - ``field__in_json=values`` — ``IN`` over one JSON-array parameter:
   one statement shape (and one prepared statement) whatever the
   number of values, where ``field__in`` compiles one per count;
+- ``field__in=<queryset>`` — an ``IN (SELECT ...)`` subquery inside
+  the same statement, so a set another table decides is never pulled
+  into Python;
 - ``only()``/``defer()`` — column projection (unloaded columns load
   lazily on first access);
 - ``bulk_update(objs, fields)`` — one CASE-WHEN UPDATE per batch instead
@@ -102,7 +105,9 @@ def _shape_q(q, values):
             leaf = []
             for key, value in payload.items():
                 lookup = _split_lookup(key)[1]
-                if lookup == "in":
+                if lookup == "in" and isinstance(value, QuerySet):
+                    leaf.append((key, "in", value._subquery_shape(values)))
+                elif lookup == "in":
                     if not isinstance(value, (list, tuple)):
                         # Materialize sets/generators once so every
                         # later walk of this queryset sees the same
@@ -286,6 +291,8 @@ class QueryCompiler:
         self.model = model
         self.meta = model._meta
         self.base_alias = base_alias
+        #: The tables the compiled subqueries read.
+        self.reads = set()
 
     def qualify(self, column):
         """Return the quoted (and qualified, under a JOIN) column ref."""
@@ -307,16 +314,27 @@ class QueryCompiler:
                 f"{sorted(f.name for f in self.meta.fields)}")
         return field.column, field, lookup
 
-    def compile_lookup(self, key, lookup, detail=None):
+    def compile_lookup(self, key, lookup, detail=None, negated=False):
         """Compile one leaf of a shape; returns ``(sql, binders)``, one
         binder per ``?`` for the raw value the shape walk collected
         there.  *detail* is the parameter count of ``in``/``mod`` (None
-        for a scalar remainder) or the polarity of ``isnull``."""
+        for a scalar remainder), a subquery's shape or the polarity of
+        ``isnull``.  Under an odd number of NOTs a nullable column must
+        also be non-NULL, as in Django: ``NOT (NULL = ?)`` is NULL, and
+        ``exclude()`` would drop the NULL rows with the matches."""
         col, field, _ = self.resolve_column(key)
         ref = self.qualify(col)
-        marshal = lambda v: field.to_db(field.to_python(v))  # noqa: E731
         if lookup == "isnull":
             return (f'{ref} IS NULL' if detail else f'{ref} IS NOT NULL'), []
+        sql, binders = self._compile_comparison(ref, field, lookup, detail)
+        if negated and field.null:
+            sql = f'({sql} AND {ref} IS NOT NULL)'
+        return sql, binders
+
+    def _compile_comparison(self, ref, field, lookup, detail):
+        marshal = lambda v: field.to_db(field.to_python(v))  # noqa: E731
+        if lookup == "in" and isinstance(detail, tuple):
+            return self._compile_subquery(ref, *detail)
         if lookup in ("in", "mod") and detail == 0:
             return "0 = 1", []  # an empty IN or residue set matches nothing
         if lookup == "in":
@@ -342,26 +360,41 @@ class QueryCompiler:
             binder = marshal
         return _LOOKUPS[lookup].format(col=ref), [binder]
 
-    def compile_q(self, shape):
-        """Compile one Q tree's shape; returns (sql, binders)."""
-        connector, negated, children = shape
+    def _compile_subquery(self, ref, model, column, nullable, shape):
+        """``ref IN (SELECT column FROM model's table WHERE ...)``.  A
+        nullable column drops its NULLs in the subquery: one NULL in the
+        set would make ``IN`` NULL, not false, for every non-member."""
+        inner = QueryCompiler(model)
+        where, binders = inner.compile_where(shape)
+        if nullable:
+            where += (" AND " if where else " WHERE ") \
+                + f'"{column}" IS NOT NULL'
+        self.reads |= inner.reads | {model._meta.table_name}
+        return (f'{ref} IN (SELECT "{column}" FROM '
+                f'"{model._meta.table_name}"{where})', binders)
+
+    def compile_q(self, shape, negated=False):
+        """Compile one Q tree's shape; returns (sql, binders).
+        *negated* is whether an odd number of NOTs encloses it."""
+        connector, own, children = shape
+        negated ^= own
         fragments, binders = [], []
         for kind, payload in children:
             if kind == "leaf":
                 sub = []
                 for leaf in payload:
-                    sql, b = self.compile_lookup(*leaf)
+                    sql, b = self.compile_lookup(*leaf, negated=negated)
                     sub.append(sql)
                     binders.extend(b)
                 if sub:
                     fragments.append("(" + " AND ".join(sub) + ")")
             else:
-                sql, b = self.compile_q(payload)
+                sql, b = self.compile_q(payload, negated)
                 if sql:
                     fragments.append("(" + sql + ")")
                     binders.extend(b)
         sql = f" {connector} ".join(fragments)
-        if sql and negated:
+        if sql and own:
             sql = f"NOT ({sql})"
         return sql, binders
 
@@ -455,7 +488,7 @@ class QuerySet:
 
     def exclude(self, *qs, **lookups):
         combined = Q()
-        combined.children = [("node", q) for q in qs]
+        combined.children = [("node", q) for q in qs if not q.is_empty()]
         if lookups:
             combined.children.append(("leaf", lookups))
         if not combined.children:
@@ -583,6 +616,20 @@ class QuerySet:
         clone._defer = self._defer | frozenset(names)
         return clone
 
+    def _subquery_shape(self, values):
+        """This queryset as the value of an ``in`` lookup: the shape of
+        ``SELECT column FROM table WHERE ...``, its conditions' raw
+        values appended to *values*.  It selects its one ``only()``
+        column, or its pk (Django's ``pk__in=<queryset>``)."""
+        if self._limit is not None or self._offset or self._select_related:
+            raise FieldError("a subquery cannot be sliced or joined")
+        meta = self.model._meta
+        names = self._only or ()
+        field = meta.pk if len(names) != 1 \
+            else meta.field_by_any_name(next(iter(names)))
+        return (self.model, field.column, field.null,
+                tuple(_shape_q(q, values) for q in self._conditions))
+
     def _validate_field_name(self, name, where):
         if self.model._meta.field_by_any_name(name) is None:
             raise FieldError(
@@ -692,8 +739,11 @@ class QuerySet:
             where, binders = compiler.compile_where(shape)
             entry = emit(compiler, where)
             entry["binders"] = binders
+            entry["reads"] = tuple(sorted(compiler.reads))
             compiled_cache.compiles += 1
             compiled_cache.put(key, entry)
+        for table in entry["reads"]:
+            self.db.check_permission("select", table)
         # strict: a walk and a compile that disagreed would fail here
         # rather than bind a shifted value.
         params = [bind(v) for bind, v

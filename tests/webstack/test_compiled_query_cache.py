@@ -102,6 +102,42 @@ def test_in_json_is_one_shape_for_every_arity(authors):
         name__in_json=["Ada", "Annie"]).count() == 2
 
 
+def test_a_subquery_is_one_shape_and_binds_in_order(authors):
+    """``field__in=<queryset>`` compiles into the statement: the inner
+    conditions are part of the shape, and their values bind between
+    the outer ones, where their marks are."""
+    for name, author in authors.items():
+        Book.objects.create(author=author, title=name, pages=len(name))
+
+    def books(pages, active, title):
+        return Book.objects.filter(
+            pages__gte=pages,
+            author__in=Author.objects.filter(active=active),
+            title__startswith=title)
+
+    assert [b.title for b in books(4, True, "A")] == ["Annie"]
+    before = hits()
+    assert [b.title for b in books(3, True, "A")] == ["Ada", "Annie"]
+    assert [b.title for b in books(6, False, "E")] == ["Edsger"]
+    assert [b.title for b in books(0, False, "A")] == []
+    assert hits() == before + 3
+    _, params, _ = books(6, False, "E")._build_select()
+    assert params == [6, 0, "E%"]
+
+
+def test_a_subquery_selects_its_one_only_column_without_nulls(authors):
+    """A queryset narrowed by ``only(name)`` selects that column, and a
+    nullable one drops its NULLs: ``IN`` over a set holding NULL would
+    be NULL for every non-member, and ``exclude`` would keep none."""
+    inactive = Author.objects.filter(active=False).only("email")
+    assert Author.objects.filter(email__in=inactive).count() == 0
+    assert Author.objects.exclude(email__in=inactive).count() == 4
+    everyone = Author.objects.only("email")
+    assert Author.objects.exclude(email__in=everyone).count() == 1
+    with pytest.raises(FieldError):
+        Author.objects.filter(pk__in=Author.objects.all()[:2]).count()
+
+
 def test_empty_in_shape_matches_nothing_and_caches(authors):
     assert Author.objects.filter(name__in=[]).count() == 0
     before = hits()

@@ -106,6 +106,25 @@ class TestRoleSeparation:
         assert ("select", "ws_author") in ops
 
 
+    def test_a_subquery_needs_select_on_the_table_it_reads(self):
+        registry = RoleRegistry()
+        registry.define("portal", Grant({"ws_book": {"select"}}))
+        registry.define("daemon", Grant({"ws_author": {"select"},
+                                         "ws_book": {"select"}}))
+        dep = DeploymentDatabases(registry)
+        try:
+            create_all(MODELS, dep.admin)
+            authors = Author.objects.filter(name="A")
+            for _ in range(2):           # the cold compile and a hit
+                with pytest.raises(PermissionDenied):
+                    Book.objects.using(dep.portal).filter(
+                        author__in=authors).count()
+                assert Book.objects.using(dep.daemon).filter(
+                    author__in=authors).count() == 0
+        finally:
+            dep.close()
+
+
 class TestSharedMemoryUri:
     def test_unique_by_default(self):
         assert shared_memory_uri() != shared_memory_uri()

@@ -69,24 +69,39 @@ class TestOrmRoundTrip:
 
 
 class TestQueryAlgebra:
-    @given(data=st.lists(st.integers(min_value=0, max_value=50),
+    @given(data=st.lists(st.tuples(st.integers(min_value=0, max_value=50),
+                                   st.none() | st.integers(min_value=0,
+                                                           max_value=5)),
                          min_size=0, max_size=25),
-           threshold=st.integers(min_value=0, max_value=50))
+           threshold=st.integers(min_value=0, max_value=50),
+           rating=st.integers(min_value=0, max_value=5))
     @settings(max_examples=30, deadline=None)
-    def test_filter_exclude_partition(self, data, threshold):
-        """filter(cond) and exclude(cond) partition the table."""
+    def test_filter_exclude_partition(self, data, threshold, rating):
+        """filter(cond) and exclude(cond) partition the table, on a
+        nullable column too: a NULL row fails the condition, so
+        ``exclude`` keeps it (Django's semantics, not SQL's)."""
         database = Database(":memory:")
         create_all(MODELS, database)
         author = Author(name="x")
         author.save(db=database)
-        for pages in data:
-            Book(author_id=author.pk, title="t", pages=pages).save(
-                db=database)
+        for pages, stars in data:
+            Book(author_id=author.pk, title="t", pages=pages,
+                 rating=stars).save(db=database)
         qs = Book.objects.using(database)
-        matched = qs.filter(pages__gte=threshold).count()
-        rest = qs.exclude(pages__gte=threshold).count()
-        assert matched + rest == len(data)
-        assert matched == sum(1 for p in data if p >= threshold)
+        for lookups, holds in (
+                ({"pages__gte": threshold}, lambda p, r: p >= threshold),
+                ({"rating__gte": rating},
+                 lambda p, r: r is not None and r >= rating),
+                ({"rating": rating, "pages__lt": threshold},
+                 lambda p, r: r == rating and p < threshold),
+                ({"rating__in_json": [rating, 0]},
+                 lambda p, r: r in (rating, 0))):
+            matched = qs.filter(**lookups).count()
+            rest = qs.exclude(**lookups).count()
+            assert matched + rest == len(data), lookups
+            assert matched == sum(1 for row in data if holds(*row))
+            assert qs.exclude(Q(**lookups)).count() == rest
+            assert qs.filter(~~Q(**lookups)).count() == matched
         database.close()
 
     @given(data=st.lists(st.integers(min_value=0, max_value=20),
