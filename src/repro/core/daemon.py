@@ -5,7 +5,8 @@ grid resources.  It reads simulation information from the centralized
 database, performs the necessary grid client actions, and updates the
 database accordingly."  (§4.4)
 
-The poll cycle implements the paper's two-level status management:
+The poll cycle implements the paper's two-level status management,
+both levels in the database:
 
 1. **Generic grid-job update** — every non-terminal
    :class:`~repro.core.models.GridJobRecord` has its GRAM state
@@ -13,18 +14,20 @@ The poll cycle implements the paper's two-level status management:
    jobs regardless of purpose [...] or execution method"; no callbacks
    fire here.  The machine's ``qstat``, taken first in every poll,
    lists the state of each of the gateway's jobs still queued or
-   running there; a job is sent ``globus-job-status`` only when its
-   listed state differs from its row or it has left the listing (a
-   machine with no listing has every job polled).  So a recorded state
-   is at most one poll interval stale, and a poll sends one status
-   command per job that changed, not per job in flight.
+   running there, and level 1's SELECT excludes every job listed in
+   the state its row records: only a job whose listed state differs
+   or that has left the listing is loaded and sent
+   ``globus-job-status`` (a machine with no listing has every job
+   polled).  So a recorded state is at most one poll interval stale,
+   and a poll loads and polls the jobs that changed, not every job in
+   flight.
 2. **Workflow advancement** — each active simulation's workflow manager
    "simply retrieves the last-known status of the appropriate job and
    waits or proceeds accordingly."  A simulation that can only wait —
-   its state's check reads a job level 1 found still in flight — is
-   *waiting*: level 1's rows name it, and level 2 loads only the
-   others.  A waiting simulation whose job was not re-polled is not
-   visited at all.
+   its state's check reads a job still in flight — is *waiting*, a
+   condition each workflow states in SQL; level 2's SELECT leaves the
+   waiting simulations out but for those whose job level 1 just
+   re-polled, and advances the rest.
 
 Database access is *set-oriented* end to end: each phase loads its
 working set in one JOIN-backed query (``select_related``/
@@ -38,11 +41,12 @@ budget, per poll:
 - level 1: one SELECT, plus one ``bulk_update`` when a job changed;
 - placement and hold recovery: one SELECT each while nothing is
   unplaced or recoverable;
-- level 2: one SELECT, plus one prefetch of jobs when any simulation
-  is not waiting.
+- level 2: one ``COUNT`` for the active gauge and one SELECT, plus one
+  prefetch of jobs when it loads a simulation.
 
-A scan poll — every simulation waiting — is therefore seven
-statements; a working poll adds the transitions' own writes.
+A scan poll — no job changed, every simulation waiting — is therefore
+eight statements that hydrate no job and no simulation, however many
+are in flight; a working poll adds the transitions' own writes.
 
 This module keeps the poll loop, boot recovery and telemetry.  The
 write-ahead protocol lives in :mod:`repro.core.journal`: the daemon
@@ -62,6 +66,7 @@ from ..grid.breaker import CLOSED, BreakerEvent
 from ..grid.retry import RetryPolicy, RetryTracker
 from ..hpc.simclock import sim_datetime
 from ..obs.registry import QUERY_COUNT_BUCKETS
+from ..webstack.orm import Q
 from .journal import OperationJournal
 from .models import (GRAM_IN_FLIGHT, GRAM_STATES, GridJobRecord,
                      HOLD_RESOURCE, KIND_DIRECT, KIND_OPTIMIZATION,
@@ -201,56 +206,39 @@ class GridAMPDaemon:
 
     # ------------------------------------------------------------------
     def update_grid_jobs(self, slice_filter, listings):
-        """Level 1: refresh every in-flight grid job's GRAM state.
+        """Level 1: refresh the GRAM state of the in-flight grid jobs
+        that changed, in the leased slices.
 
-        One JOIN-backed SELECT loads every record with its simulation
-        and owner — only the columns this loop and :meth:`waiting_set`
-        decide on, so the wide simulation and user rows are never
-        hydrated; state changes accumulate and flush in one
-        ``bulk_update`` — two round trips however many jobs are active.
-        Only jobs of the leased slices are considered.
-
-        *listings* is :meth:`update_machine_telemetry`'s answer.  A job
-        its machine's listing shows in the state its row records is
-        left alone; every other job — its listed state differs, it has
-        left the listing, or its machine has no listing — is re-polled
-        with ``globus-job-status`` under its owner's proxy, which brings
-        a finished job's final state and ``FAILED`` reason.
-
-        Each status command carries its simulation's correlation id, so
-        it is traceable back to the portal submission that caused it.
-        A ``daemon.job_poll`` span records each poll but the ones a
-        simulation waits on: that simulation's ``sim.advance`` span
-        names the job and its GRAM state, one span per waiting
-        simulation instead of two.
-
-        Returns ``(waiting, unchanged)``: the waiting set of the
-        re-polled jobs, and the pks of the simulations waiting on a job
-        that was not re-polled.
+        *listings* is :meth:`update_machine_telemetry`'s answer.  Each
+        machine and listed state adds a term to the SELECT's
+        ``exclude``, so a job listed in the state its row records is
+        never hydrated; every other job — its listed state differs, it
+        has left the listing, or its machine has no listing — is
+        re-polled with ``globus-job-status`` under its owner's proxy
+        and its simulation's correlation id, and recorded as a
+        ``daemon.job_poll`` span.  The answer brings a finished job's
+        final state and ``FAILED`` reason; changes flush in one
+        ``bulk_update``.  Returns the pks of the re-polled jobs.
         """
-        active = (GridJobRecord.objects.using(self.db)
-                  .filter(state__in=list(GRAM_IN_FLIGHT),
-                          simulation_id__mod=slice_filter)
-                  .select_related("simulation__owner")
-                  .only("simulation", "purpose", "resource",
-                        "gram_job_id", "state", "failure_reason",
-                        "simulation__state", "simulation__kind",
-                        "simulation__machine_name",
-                        "simulation__retry_not_before",
-                        "simulation__retry_counts",
-                        "simulation__owner__username",
-                        "simulation__owner__email"))
-        changed, polled = [], []
-        for record in active:
-            if record.gram_job_id is None:
-                continue
-            listing = listings.get(record.resource)
-            if listing is not None \
-                    and listing.get(record.gram_job_id) == record.state:
-                continue
+        listed = Q()
+        for machine, states in sorted(listings.items()):
+            for state, gram_ids in sorted(states.items()):
+                listed |= Q(resource=machine, state=state,
+                            gram_job_id__in_json=gram_ids)
+        polled = list(GridJobRecord.objects.using(self.db)
+                      .filter(state__in=list(GRAM_IN_FLIGHT),
+                              simulation_id__mod=slice_filter,
+                              gram_job_id__isnull=False)
+                      .exclude(listed)
+                      .select_related("simulation__owner")
+                      .only("simulation", "resource", "gram_job_id",
+                            "state", "failure_reason",
+                            "simulation__owner__username",
+                            "simulation__owner__email"))
+        changed = []
+        for record in polled:
             owner = record.simulation.owner
             self.clients.ensure_proxy(owner.username, owner.email)
-            polled.append(record)
             result = self.clients.job_status(
                 record.resource, record.gram_job_id,
                 trace_id=record.simulation.correlation_id)
@@ -271,52 +259,26 @@ class GridAMPDaemon:
         if changed:
             GridJobRecord.objects.using(self.db).bulk_update(
                 changed, ["state", "failure_reason"])
-        waiting = self.waiting_set(active)
-        repolled = {record.pk for record in polled}
-        unchanged = {pk for pk, job in waiting.items()
-                     if job.pk not in repolled}
-        for pk in unchanged:
-            del waiting[pk]
         for record in polled:
-            if waiting.get(record.simulation_id) is not record:
-                # Recorded once the poll is done: the virtual clock has
-                # not moved since, so it spans the same instant.
-                with self.obs.tracer.span(
-                        "daemon.job_poll",
-                        trace_id=record.simulation.correlation_id,
-                        attrs={"job": record.pk,
-                               "resource": record.resource}):
-                    pass
-        return waiting, unchanged
+            # Recorded once the poll is done: the virtual clock has not
+            # moved since, so it spans the same instant.
+            with self.obs.tracer.span(
+                    "daemon.job_poll",
+                    trace_id=record.simulation.correlation_id,
+                    attrs={"job": record.pk, "resource": record.resource}):
+                pass
+        return [record.pk for record in polled]
 
-    def waiting_set(self, jobs):
-        """The simulations level 2 need not load: ``{pk: job}`` for
-        each simulation whose workflow is
-        :meth:`~repro.core.workflow.base.WorkflowManager.waiting` on
-        one of level 1's refreshed *jobs*.  Its ``advance`` could only
-        refresh the owner's proxy, so level 2 does just that, from
-        level 1's columns.
-        """
-        waiting = {}
-        for job in jobs:
-            simulation = job.simulation
-            workflow = self.workflows.get(simulation.kind)
-            if workflow is not None and workflow.waiting(simulation, job):
-                waiting[simulation.pk] = job
-        return waiting
-
-    def advance_simulations(self, slice_filter, waiting, unchanged):
+    def advance_simulations(self, slice_filter, repolled):
         """Level 2: run each active simulation's workflow.
 
-        One query loads the active simulations outside *waiting* and
-        *unchanged* (level 1's answer) with their jobs; when every
-        active simulation is waiting it returns no row and loads no
-        job.  A simulation in *waiting* — its job was re-polled and is
-        still in flight — only has its owner's proxy refreshed, under
-        the same ``sim.advance`` span and in the same pk order, so the
-        grid commands go out exactly as if it had been loaded.  One in
-        *unchanged* gets no ``_advance``, no span and no proxy refresh:
-        nothing about it moved since the last poll.
+        One query loads, with their jobs, the active simulations but
+        the waiting ones: each workflow's ``waiting_condition``, over
+        the in-flight jobs not in *repolled* — so a simulation whose
+        job level 1 just re-polled is advanced like any other, and a
+        scan poll loads none.  *repolled* is None while the journal has
+        blocked simulations: its sweep may have written any job, so
+        every active simulation is loaded.
 
         A defect in one simulation's processing must not take the whole
         daemon down with it: unexpected exceptions hold that simulation
@@ -324,58 +286,39 @@ class GridAMPDaemon:
         continues — the per-simulation analogue of the paper's "daemon
         failures are monitored externally" posture.
         """
-        active = {simulation.pk: simulation for simulation in
-                  Simulation.objects.using(self.db)
-                  .filter(state__in=list(SIM_ACTIVE_STATES),
-                          pk__mod=slice_filter)
-                  .exclude(pk__in_json=sorted(waiting.keys() | unchanged))
-                  .select_related("owner", "observation")
-                  .prefetch_related("grid_jobs")
-                  .order_by("id")}
-        for pk, job in waiting.items():
-            active[pk] = job.simulation
-        transitions = sum(self._advance(active[pk], waiting.get(pk))
-                          for pk in sorted(active))
+        active = Simulation.objects.using(self.db).filter(
+            state__in=list(SIM_ACTIVE_STATES), pk__mod=slice_filter)
         # Each instance's share of the partition; the children sum to
         # the deployment-wide total.
         self.obs.metrics.gauge(
             "daemon_active_simulations",
             help="Simulations in active workflow states, per daemon "
                  "instance").labels(instance=self.instance_id).set(
-            len(active) + len(unchanged))
-        return transitions
+            active.count())
+        waiting = Q()
+        if repolled is not None:
+            jobs = (GridJobRecord.objects
+                    .filter(state__in=list(GRAM_IN_FLIGHT))
+                    .exclude(pk__in_json=repolled))
+            for workflow in self.workflows.values():
+                waiting |= workflow.waiting_condition(self.clock.now, jobs)
+        return sum(self._advance(simulation) for simulation in
+                   active.exclude(waiting)
+                   .select_related("owner", "observation")
+                   .prefetch_related("grid_jobs")
+                   .order_by("id"))
 
-    def _advance(self, simulation, job):
-        """One simulation's level-2 step; True when it transitioned.
-
-        *job* is what a waiting simulation waits on (None for a loaded
-        one): its span names the job, and only the owner's proxy is
-        refreshed.  Should that refresh fail, the simulation is loaded
-        after all and the engine records the failure.
-        """
+    def _advance(self, simulation):
+        """One simulation's level-2 step; True when it transitioned."""
         workflow = self.workflows[simulation.kind]
-        attrs = {"simulation": simulation.pk, "state": simulation.state}
-        if job is not None:
-            attrs.update(waiting_on=job.purpose, job=job.pk,
-                         gram_state=job.state)
         # One span per advance, under the simulation's correlation id:
         # the nested grid commands inherit the trace ambiently.
         with self.obs.tracer.span(
                 "sim.advance", trace_id=simulation.correlation_id,
-                attrs=attrs) as span:
+                attrs={"simulation": simulation.pk,
+                       "state": simulation.state}) as span:
             try:
-                if job is None:
-                    advanced = workflow.advance(simulation)
-                else:
-                    owner = simulation.owner
-                    refresh = self.clients.ensure_proxy(owner.username,
-                                                        owner.email)
-                    if refresh.ok:
-                        return False
-                    simulation = (Simulation.objects.using(self.db)
-                                  .select_related("owner", "observation")
-                                  .get(pk=simulation.pk))
-                    advanced = workflow.proceed(simulation, refresh)
+                advanced = workflow.advance(simulation)
                 if advanced:
                     span.set_attr("advanced_to", simulation.state)
                 return advanced
@@ -414,8 +357,8 @@ class GridAMPDaemon:
         cooldown elapses it is the half-open probe that closes the
         breaker after recovery.
 
-        Returns ``{machine: {gram_id: state}}`` for each machine whose
-        answer parsed in full (see :func:`parse_queue_status`); a
+        Returns ``{machine: {state: [gram_id, ...]}}`` for each machine
+        whose answer parsed in full (see :func:`parse_queue_status`); a
         machine missing from it has its jobs polled one by one.
         """
         from .models import MachineRecord
@@ -548,7 +491,7 @@ class GridAMPDaemon:
                     "update_machine_telemetry",
                     lambda: self.update_machine_telemetry(
                         0 in slice_filter[1]))
-                waiting, unchanged = self._phase(
+                repolled = self._phase(
                     "update_grid_jobs",
                     lambda: self.update_grid_jobs(slice_filter, listings))
                 if self.journal.blocked:
@@ -560,7 +503,7 @@ class GridAMPDaemon:
                         "reconcile_pending",
                         lambda: self.journal.reconcile(slice_filter))
                     # It may have written any of their jobs: load all.
-                    waiting, unchanged = {}, set()
+                    repolled = None
                 # Placement runs after the telemetry refresh (fresh
                 # queue depths and breaker columns) and before any
                 # workflow may advance a newly placed simulation out of
@@ -571,12 +514,10 @@ class GridAMPDaemon:
                 self._phase(
                     "recover_resource_holds",
                     lambda: self.recover_resource_holds(slice_filter))
-                # Placement writes only QUEUED simulations and hold
-                # recovery only HOLD ones: never a waiting one.
                 transitions = self._phase(
                     "advance_simulations",
                     lambda: self.advance_simulations(slice_filter,
-                                                     waiting, unchanged))
+                                                     repolled))
             poll_span.set_attr("transitions", transitions)
         self.heartbeat = self.clock.now
         self.poll_count += 1
@@ -648,10 +589,10 @@ class GridAMPDaemon:
 
 def parse_queue_status(stdout):
     """``(sample, listing)`` from a ``qstat`` answer: *sample* is the
-    first line's ``(depth, utilisation)``, *listing* ``{gram_id:
-    state}`` from the lines after it.  Either is None when its lines do
-    not parse, and a listing needs a sample: an answer whose first line
-    is garbage lists nothing."""
+    first line's ``(depth, utilisation)``, *listing* ``{state:
+    [gram_id, ...]}`` from the lines after it.  Either is None when its
+    lines do not parse, and a listing needs a sample: an answer whose
+    first line is garbage lists nothing."""
     head, *lines = stdout.split("\n")
     depth_text, _, utilisation_text = head.partition(" ")
     try:
@@ -667,7 +608,7 @@ def parse_queue_status(stdout):
         if state not in GRAM_IN_FLIGHT or not gram_id.isdecimal():
             listing = None
             break
-        listing[int(gram_id)] = state
+        listing.setdefault(state, []).append(int(gram_id))
     return (depth, min(max(utilisation, 0.0), 1.0)), listing
 
 

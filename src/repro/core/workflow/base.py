@@ -32,8 +32,9 @@ from ...grid.gridftp import checksum
 from ...grid.retry import classify_operation
 from ...grid.rsl import fork_spec, format_rsl
 from ...hpc.accounting import cpu_hours
-from ..models import (GRAM_IN_FLIGHT, GridJobRecord, HOLD_MODEL,
-                      HOLD_RESOURCE, JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
+from ...webstack.orm import Q
+from ..models import (GridJobRecord, HOLD_MODEL, HOLD_RESOURCE,
+                      JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
                       JOURNAL_OP_STAGE_IN, JOURNAL_OP_STAGE_OUT,
                       JOURNAL_OP_SUBMIT, MACHINE_AUTO, SIM_DONE, SIM_HOLD,
                       SubmitAuthorization)
@@ -115,8 +116,8 @@ class WorkflowManager:
     #: The job purpose each state's check waits on.  While the
     #: simulation's job of that purpose is in flight the check returns
     #: False and touches nothing, so ``advance`` does no more than
-    #: refresh the owner's proxy (see :meth:`waiting`).  A check with
-    #: side effects of its own declares nothing.
+    #: refresh the owner's proxy (see :meth:`waiting_condition`).  A
+    #: check with side effects of its own declares nothing.
     waits_on = {"PREJOB": JOB_PREJOB, "POSTJOB": JOB_POSTJOB,
                 "CLEANUP": JOB_CLEANUP}
 
@@ -133,20 +134,22 @@ class WorkflowManager:
             return False            # unresolved journal intent: frozen
         return self.retry_due(simulation)   # False: backing off
 
-    def waiting(self, simulation, job):
-        """True when ``advance(simulation)`` can do nothing but refresh
-        the owner's proxy: every guard passes, no retry count is there
-        to clear, and the check of the simulation's state waits on
-        *job*, which is still in flight.
-
-        *job* must be the simulation's latest job of its purpose.  For
-        the purposes in :attr:`waits_on` it is the only one: each is
-        submitted once, by a ``submit_*`` step that first looks for it.
+    def waiting_condition(self, now, jobs):
+        """The simulations of this kind whose ``advance`` can do nothing
+        but refresh the owner's proxy, as one queryset condition: at
+        virtual time *now* every guard of :meth:`ready` passes (the
+        caller owns the journal's), no retry count is there to clear,
+        and the state's check waits on one of *jobs*, a
+        ``GridJobRecord`` queryset.  Each purpose in :attr:`waits_on`
+        has one job per simulation: a ``submit_*`` step submits it once.
         """
-        return (job.state in GRAM_IN_FLIGHT
-                and self.waits_on.get(simulation.state) == job.purpose
-                and simulation.retry_counts is None
-                and self.ready(simulation))
+        states = Q()
+        for state, purpose in sorted(self.waits_on.items()):
+            states |= Q(state=state, pk__in=jobs.filter(
+                purpose=purpose).only("simulation"))
+        return (Q(kind=self.kind, retry_counts__isnull=True,
+                  retry_not_before__lte=now + 1e-9)
+                & ~Q(machine_name=MACHINE_AUTO) & states)
 
     def advance(self, simulation):
         """Run the current state's function list; transition if all pass.

@@ -5,6 +5,7 @@ import pytest
 from repro.core import AMPDeployment, ObservationSet, Simulation
 from repro.core.models import KIND_DIRECT, KIND_OPTIMIZATION
 from repro.science import StellarParameters, synthetic_target
+from repro.webstack.orm.query import QuerySet
 
 
 @pytest.fixture()
@@ -32,6 +33,41 @@ def submit_direct(deployment, user, *, machine="kraken",
                                   "alpha": 2.0, "age": 5.0})
     sim.save(db=deployment.databases.portal)
     return sim
+
+
+def poll_levels(deployment, monkeypatch):
+    """One daemon poll; returns its transitions and, per level,
+    ``(statements, [(model, rows hydrated), ...])`` keyed by
+    ``update_grid_jobs`` and ``advance_simulations``."""
+    daemon, db = deployment.daemon, deployment.databases.daemon
+    levels, hydrated = {}, [None]
+    fetch = QuerySet._fetch
+
+    def counting_fetch(queryset):
+        fresh = queryset._result_cache is None
+        rows = fetch(queryset)
+        if fresh and hydrated[0] is not None:
+            hydrated[0].append((queryset.model.__name__, len(rows)))
+        return rows
+
+    def measured(name):
+        level = getattr(daemon, name)
+
+        def run(*args):
+            hydrated[0] = fetched = []
+            with db.count_queries() as counter:
+                result = level(*args)
+            hydrated[0] = None
+            levels[name] = (counter.count, fetched)
+            return result
+        return run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QuerySet, "_fetch", counting_fetch)
+        for name in ("update_grid_jobs", "advance_simulations"):
+            patch.setattr(daemon, name, measured(name))
+        transitions = daemon.poll_once()
+    return transitions, levels
 
 
 def submit_optimization(deployment, user, *, machine="kraken",

@@ -21,7 +21,7 @@ from repro.grid.clients import EXIT_OK, CommandResult
 from repro.webstack.orm.query import QuerySet, compiled_cache
 from repro.webstack.testclient import Client
 
-from .conftest import submit_direct
+from .conftest import poll_levels, submit_direct
 
 
 class TestPollRoundTripBudget:
@@ -39,13 +39,14 @@ class TestPollRoundTripBudget:
             deployment.daemon.poll_once()
         assert counter.count <= 10, repr(counter)
 
-    def test_steady_state_poll_is_six_statements_plus_the_sweep(
+    def test_steady_state_poll_is_seven_statements_plus_the_sweep(
             self, deployment, astronomer):
         """The lease protocol's share of a poll, as numbers: one read
         while the leases have more than half their lifetime left, and
         two conditional renewals (presence, slice 0) on top of it once
-        they do not — beside the six statements of the scan itself
-        (level 2 loads no job: every simulation is waiting)."""
+        they do not — beside the seven statements of the scan itself
+        (level 2 counts the active simulations for its gauge and loads
+        none: every simulation is waiting)."""
         for _ in range(50):
             submit_direct(deployment, astronomer)
         for _ in range(3):
@@ -57,50 +58,28 @@ class TestPollRoundTripBudget:
         with db.count_queries() as sweep:
             assert leases.sweep() == ([], [])
         assert sweep.count == 1, repr(sweep)
-        assert poll.count == 6 + sweep.count, repr(poll)
+        assert poll.count == 7 + sweep.count, repr(poll)
         deployment.clock.advance(leases.ttl_s / 2)
         with db.count_queries() as renewing:
             assert leases.sweep() == ([], [])
         assert renewing.count == 3, repr(renewing)
         assert renewing.by_operation["update"] == 2
 
-    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("n", [10, 100, 200])
     def test_scan_poll_hydrates_no_simulation_in_level_2(
             self, deployment, astronomer, monkeypatch, n):
-        """Every RUNNING simulation waits on its in-flight model job:
-        level 2's one query returns no row and no job is prefetched,
-        at 10 simulations as at 100, while the active gauge still
-        counts all of them."""
+        """Every RUNNING simulation waits on its in-flight model job and
+        every job is listed in the state its row records: level 1's one
+        query returns no job, level 2's returns no simulation and no
+        job is prefetched, at 10 simulations as at 200, while the
+        active gauge, one ``COUNT``, still counts all of them."""
         for _ in range(n):
             submit_direct(deployment, astronomer)
         for _ in range(3):
             deployment.daemon.poll_once()
-        daemon, db = deployment.daemon, deployment.databases.daemon
-        hydrated, statements = None, []
-        fetch = QuerySet._fetch
-
-        def counting_fetch(queryset):
-            fresh = queryset._result_cache is None
-            rows = fetch(queryset)
-            if fresh and hydrated is not None:
-                hydrated.append((queryset.model.__name__, len(rows)))
-            return rows
-
-        advance = daemon.advance_simulations
-
-        def level_2(*args):
-            nonlocal hydrated
-            hydrated = []
-            with db.count_queries() as counter:
-                transitions = advance(*args)
-            statements.append(counter.count)
-            return transitions
-
-        monkeypatch.setattr(QuerySet, "_fetch", counting_fetch)
-        monkeypatch.setattr(daemon, "advance_simulations", level_2)
-        assert daemon.poll_once() == 0
-        assert hydrated == [("Simulation", 0)]
-        assert statements == [1]
+        assert poll_levels(deployment, monkeypatch) == (0, {
+            "update_grid_jobs": (1, [("GridJobRecord", 0)]),
+            "advance_simulations": (2, [("Simulation", 0)])})
         assert deployment.obs.metrics.value(
             "daemon_active_simulations", instance="daemon-0") == n
 

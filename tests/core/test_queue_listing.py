@@ -17,7 +17,7 @@ from repro.grid import FaultInjector
 from repro.grid.breaker import OPEN
 from repro.grid.clients import EXIT_OK, CommandResult
 
-from .conftest import submit_direct
+from .conftest import poll_levels, submit_direct
 
 MACHINES = ("kraken", "frost")
 
@@ -148,10 +148,12 @@ def test_a_machine_without_a_listing_falls_back_to_per_job_polls(
 
 
 @pytest.mark.parametrize("n", [50, 200, 800])
-def test_a_scan_poll_costs_the_same_at_any_inventory(deployment, n):
+def test_a_scan_poll_costs_the_same_at_any_inventory(deployment,
+                                                     monkeypatch, n):
     """*n* RUNNING simulations over four machines, nothing due: no
-    status command, one ``qstat`` per machine and seven statements,
-    at 50 jobs in flight as at 800."""
+    status command, one ``qstat`` per machine and eight statements,
+    and neither level hydrates a row, at 50 jobs in flight as at 800;
+    the active gauge still counts all *n*."""
     machines = ["kraken", "frost", "lonestar", "ranger"]
     user = deployment.create_astronomer("curve")
     star = Star(name="Curve Star", hd_number=186427)
@@ -168,9 +170,16 @@ def test_a_scan_poll_costs_the_same_at_any_inventory(deployment, n):
     assert Simulation.objects.using(admin).filter(
         state=SIM_RUNNING).count() == n
     deployment.daemon.poll_once()       # rows catch up with the listing
+    log = deployment.clients.command_log
+    logged = len(log)
     with deployment.databases.daemon.count_queries() as statements:
-        commands = poll_commands(deployment)
-    assert status_argvs(commands) == []
-    assert [argv[0] for argv in commands] == \
+        transitions, levels = poll_levels(deployment, monkeypatch)
+    assert transitions == 0
+    new = len(log) - logged
+    assert [result.argv[0] for result in list(log)[-new:]] == \
         ["globus-job-run"] * MachineRecord.objects.using(admin).count()
-    assert statements.count == 7
+    assert statements.count == 8
+    assert levels == {"update_grid_jobs": (1, [("GridJobRecord", 0)]),
+                      "advance_simulations": (2, [("Simulation", 0)])}
+    assert deployment.obs.metrics.value(
+        "daemon_active_simulations", instance="daemon-0") == n
