@@ -3,12 +3,32 @@ notification preferences."""
 
 from __future__ import annotations
 
+from urllib.parse import urlsplit
+
 from ....webstack import HttpResponseRedirect, path, render
 from ....webstack import forms
 from ....webstack.auth import (User, authenticate, create_user, login,
                                login_required, logout)
 from ...models import UserProfile
 from ..captcha import QuestionBank
+
+
+def _local_path(target):
+    """*target* if it is a path on this site, else ``"/"``.
+
+    A login's ``?next=`` comes from the link that sent the browser
+    here, so anyone can write it: following ``//evil.example/x`` or
+    ``https://evil.example/`` after a successful sign-in would hand the
+    signed-in astronomer to a look-alike page.  Browsers read ``/\\``
+    as ``//`` and drop tabs and newlines, so those are refused too.
+    """
+    if (not target.startswith("/") or target.startswith(("//", "/\\"))
+            or any(ord(ch) < 0x20 for ch in target)):
+        return "/"
+    parts = urlsplit(target)
+    if parts.scheme or parts.netloc:
+        return "/"
+    return target
 
 
 class RegistrationForm(forms.Form):
@@ -30,7 +50,7 @@ def build_routes(ctx):
             if user is not None:
                 login(request, user)
                 return HttpResponseRedirect(
-                    request.GET.get("next", "/"))
+                    _local_path(request.GET.get("next", "/")))
             return render(request, "login.html",
                           {"error": "Invalid username or password, or "
                                     "your account has not yet been "

@@ -146,6 +146,18 @@ class TestRegistration:
             "password": "longpass1", "captcha_answer": answer})
         assert not portal.login("pending", "longpass1")
 
+    @pytest.mark.parametrize("target,location", [
+        ("https://evil.example/phish", "/"),
+        ("//evil.example/x", "/"),
+        ("/simulations/", "/simulations/")])
+    def test_login_follows_only_a_local_next(self, astronomer, portal,
+                                             target, location):
+        response = portal.post(f"/accounts/login/?next={target}",
+                               {"username": "metcalfe",
+                                "password": "pw12345"})
+        assert response.status_code == 302
+        assert response["Location"] == location
+
     def test_invalid_form_rerenders(self, portal):
         portal.get("/accounts/register/")
         response = portal.post("/accounts/register/", {
