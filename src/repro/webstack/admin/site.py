@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ..auth import staff_required
+from ..auth import authenticate, login, staff_required
 from ..http import (Http404, HttpResponse, HttpResponseBadRequest,
-                    HttpResponseRedirect)
+                    HttpResponseForbidden, HttpResponseRedirect)
 from ..orm.exceptions import IntegrityError, ValidationError
 from ..orm.fields import AutoField, BooleanField, DateTimeField, ForeignKey
 from ..templates.context import escape
@@ -12,6 +12,11 @@ from ..templates.context import escape
 _PAGE = """<html><head><title>{title} | webstack admin</title></head>
 <body><h1>{title}</h1><p><a href="{root}">admin index</a></p>{body}
 </body></html>"""
+
+_LOGIN_FORM = """<form method="post" action="/admin/login/">
+<p><label>Username</label><input name="username"></p>
+<p><label>Password</label><input name="password" type="password"></p>
+<button type="submit">Sign in</button></form>"""
 
 
 class ModelAdmin:
@@ -76,6 +81,22 @@ class AdminSite:
     # ------------------------------------------------------------------
     # Views (wrapped by routes())
     # ------------------------------------------------------------------
+    def login_view(self, request):
+        """Sign an operator in: only an active staff account gets a
+        session; anyone else gets the form back with a 403."""
+        if request.method == "POST":
+            user = authenticate(self.db, request.POST.get("username", ""),
+                                request.POST.get("password", ""))
+            if user is not None and user.is_staff:
+                login(request, user)
+                return HttpResponseRedirect("/admin/")
+            return HttpResponseForbidden(_PAGE.format(
+                title="Sign in", root="/admin/",
+                body="<p>Wrong username or password, or not a staff "
+                     "account.</p>" + _LOGIN_FORM).encode("utf-8"))
+        return HttpResponse(_PAGE.format(title="Sign in", root="/admin/",
+                                         body=_LOGIN_FORM))
+
     def index_view(self, request):
         items = "".join(
             f'<li><a href="/admin/{key}/">'
@@ -198,6 +219,7 @@ class AdminSite:
         """URL patterns to mount (only on non-public deployments)."""
         from ..urls import path
         return [
+            path("admin/login/", self.login_view, name="admin-login"),
             path("admin/", staff_required(self.index_view),
                  name="admin-index"),
             path("admin/<str:table>/", staff_required(self.changelist_view),

@@ -303,23 +303,27 @@ class TestAdminProject:
         admin_app, _site = build_admin_app(deployment)
         deployment.create_admin("ops", "adminpw1")
         admin_client = Client(admin_app)
+        assert admin_client.get("/admin/").status_code == 403
         assert admin_client.login("ops", "adminpw1",
-                                  login_path="/accounts/login/") or True
-        # The admin app has no login route; authenticate directly.
-        from repro.webstack.auth import authenticate, User
+                                  login_path="/admin/login/")
+        assert admin_client.get("/admin/").status_code == 200
+        from repro.webstack.auth import User
         user = User.objects.using(deployment.databases.admin).get(
             username="pending2")
+        assert not portal.login("pending2", "longpass1")
         row = admin_client.post(
             f"/admin/auth_user/{user.pk}/",
             {"username": "pending2", "email": "p2@x.yz",
              "first_name": "", "last_name": "", "is_active": "on"})
-        # Anonymous admin client is forbidden — proving the gate —
-        assert row.status_code == 403
-        # — so approval happens via the admin role directly (the
-        # developers' environment).
-        user.is_active = True
-        user.save(db=deployment.databases.admin)
+        assert row.status_code == 302
         assert portal.login("pending2", "longpass1")
+
+    def test_admin_login_admits_only_staff(self, deployment, astronomer):
+        admin_app, _site = build_admin_app(deployment)
+        admin_client = Client(admin_app)
+        assert not admin_client.login("metcalfe", "pw12345",
+                                      login_path="/admin/login/")
+        assert admin_client.get("/admin/").status_code == 403
 
     def test_portal_has_no_admin_routes(self, portal):
         assert portal.get("/admin/").status_code == 404
