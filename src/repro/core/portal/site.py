@@ -115,8 +115,9 @@ def build_portal_app(runtime, *, serve=None):
 
 
 def build_admin_app(deployment):
-    """The developers' (non-public) admin application: full-privilege
-    role, auto-generated CRUD over every core model."""
+    """The developers' (non-public) admin application on the
+    full-privilege role: staff sign-in, then a changelist, a change view
+    and an add view for every core model and for ``User``."""
     from ...webstack.admin import AdminSite
     from ...webstack.auth import User
     from ..models import CORE_MODELS

@@ -2,14 +2,17 @@
 
 This package is the reproduction's stand-in for the Django framework the
 AMP paper built on (Django itself is unavailable in this environment; see
-DESIGN.md §2).  It provides the pieces the paper exercises:
+DESIGN.md §2).  It is the size of the portal: each part below has a
+caller in the portal, the daemon or the benchmark.
 
 - a SQLite-backed ORM with strictly-typed fields, lazy QuerySets, and
   role-scoped connections with table grants (``webstack.orm``),
-- HTTP request/response objects, URL routing, a template engine with
-  inheritance and autoescaping, declarative forms,
+- HTTP request/response objects, URL routing, declarative forms, and a
+  template engine with the tags and filters the portal's pages use
+  (``if``, ``for``, ``block``, ``extends``; always autoescaped),
 - the auth framework (users, PBKDF2 hashing, sessions, login),
-- an auto-generated admin interface,
+- an admin interface (sign-in, model index, changelist, change and add
+  views) for the operators' own deployment,
 - a WSGI-callable :class:`~repro.webstack.application.WebApplication`
   plus an in-process test client.
 
@@ -24,19 +27,18 @@ from .pagination import (CursorPage, CursorPaginator, EmptyPage,
                          InvalidCursor, Page, Paginator)
 from .http import (Http404, HttpRequest, HttpResponse,
                    HttpResponseBadRequest, HttpResponseForbidden,
-                   HttpResponseNotAllowed, HttpResponseNotFound,
-                   HttpResponseRedirect, HttpResponseServerError,
-                   JsonResponse)
+                   HttpResponseNotFound, HttpResponseRedirect,
+                   HttpResponseServerError, JsonResponse)
 from .testclient import Client
-from .urls import URLResolver, include, path
+from .urls import URLResolver, path
 
 __all__ = [
     "Client", "Http404", "HttpRequest", "HttpResponse",
     "HttpResponseBadRequest", "HttpResponseForbidden",
-    "HttpResponseNotAllowed", "HttpResponseNotFound",
-    "HttpResponseRedirect", "HttpResponseServerError", "JsonResponse",
+    "HttpResponseNotFound", "HttpResponseRedirect",
+    "HttpResponseServerError", "JsonResponse",
     "CursorPage", "CursorPaginator", "EmptyPage", "InvalidCursor",
     "Page", "Paginator", "URLResolver", "WebApplication",
-    "admin", "auth", "forms", "include", "orm", "path", "render",
+    "admin", "auth", "forms", "orm", "path", "render",
     "signals", "templates",
 ]

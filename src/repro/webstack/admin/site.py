@@ -1,4 +1,4 @@
-"""AdminSite: registration, generated CRUD views, and URL routes."""
+"""AdminSite: registration, sign-in, generated views, and URL routes."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from ..auth import authenticate, login, staff_required
 from ..http import (Http404, HttpResponse, HttpResponseBadRequest,
                     HttpResponseForbidden, HttpResponseRedirect)
 from ..orm.exceptions import IntegrityError, ValidationError
-from ..orm.fields import AutoField, BooleanField, DateTimeField, ForeignKey
+from ..orm.fields import BooleanField, DateTimeField, ForeignKey
 from ..templates.context import escape
 
 _PAGE = """<html><head><title>{title} | webstack admin</title></head>
@@ -19,46 +19,6 @@ _LOGIN_FORM = """<form method="post" action="/admin/login/">
 <button type="submit">Sign in</button></form>"""
 
 
-class ModelAdmin:
-    """Per-model admin configuration.
-
-    Attributes
-    ----------
-    list_display:
-        Field names shown as columns on the changelist (defaults to all
-        concrete fields).
-    list_filter:
-        Field names offered as exact-match query-string filters.
-    ordering:
-        Changelist ordering (defaults to the model Meta ordering).
-    """
-
-    list_display = None
-    list_filter = ()
-    ordering = None
-
-    def __init__(self, model, db):
-        self.model = model
-        self.db = db
-
-    # ------------------------------------------------------------------
-    def queryset(self):
-        qs = self.model.objects.using(self.db)
-        order = self.ordering or self.model._meta.ordering
-        if order:
-            qs = qs.order_by(*order)
-        return qs
-
-    def display_fields(self):
-        names = self.list_display or [f.attname
-                                      for f in self.model._meta.fields]
-        return names
-
-    def editable_fields(self):
-        return [f for f in self.model._meta.fields
-                if f.editable and not isinstance(f, AutoField)]
-
-
 class AdminSite:
     """The registry + view factory for the admin interface."""
 
@@ -67,16 +27,18 @@ class AdminSite:
         self.title = title
         self._registry = {}
 
-    def register(self, model, admin_class=ModelAdmin):
-        key = model._meta.table_name
-        self._registry[key] = admin_class(model, self.db)
-        return self._registry[key]
+    def register(self, model):
+        self._registry[model._meta.table_name] = model
 
     def get(self, table_name):
         try:
             return self._registry[table_name]
         except KeyError:
             raise Http404(f"Model {table_name!r} is not registered")
+
+    def queryset(self, model):
+        """Every row of *model*, in its ``Meta.ordering``."""
+        return model.objects.using(self.db).order_by(*model._meta.ordering)
 
     # ------------------------------------------------------------------
     # Views (wrapped by routes())
@@ -100,22 +62,18 @@ class AdminSite:
     def index_view(self, request):
         items = "".join(
             f'<li><a href="/admin/{key}/">'
-            f"{escape(admin.model.__name__)}</a> "
-            f"({admin.queryset().count()} rows)</li>"
-            for key, admin in sorted(self._registry.items()))
+            f"{escape(model.__name__)}</a> "
+            f"({self.queryset(model).count()} rows)</li>"
+            for key, model in sorted(self._registry.items()))
         return HttpResponse(_PAGE.format(
             title=self.title, root="/admin/", body=f"<ul>{items}</ul>"))
 
     def changelist_view(self, request, table):
-        admin = self.get(table)
-        qs = admin.queryset()
-        for field_name in admin.list_filter:
-            if field_name in request.GET:
-                qs = qs.filter(**{field_name: request.GET[field_name]})
-        names = admin.display_fields()
+        model = self.get(table)
+        names = [f.attname for f in model._meta.fields]
         head = "".join(f"<th>{escape(n)}</th>" for n in names)
         rows = []
-        for obj in qs[:200]:
+        for obj in self.queryset(model)[:200]:
             cells = "".join(
                 f"<td>{escape(getattr(obj, n, ''))}</td>" for n in names)
             rows.append(
@@ -124,49 +82,37 @@ class AdminSite:
         body = (f'<table><tr><th>pk</th>{head}</tr>{"".join(rows)}</table>'
                 f'<p><a href="/admin/{table}/add/">Add</a></p>')
         return HttpResponse(_PAGE.format(
-            title=admin.model.__name__, root="/admin/", body=body))
+            title=model.__name__, root="/admin/", body=body))
 
     def change_view(self, request, table, pk):
-        admin = self.get(table)
+        """Edit one row: how an operator approves an account or adjusts
+        an allocation."""
+        model = self.get(table)
         try:
-            obj = admin.queryset().get(pk=pk)
-        except admin.model.DoesNotExist:
+            obj = self.queryset(model).get(pk=pk)
+        except model.DoesNotExist:
             raise Http404(f"{table} #{pk} not found")
         if request.method == "POST":
-            return self._apply_change(request, admin, obj,
+            return self._apply_change(request, obj,
                                       redirect=f"/admin/{table}/")
-        body = self._render_form(admin, obj, action=f"/admin/{table}/{pk}/")
-        body += (f'<form method="post" action="/admin/{table}/{pk}/delete/">'
-                 f'<button type="submit">Delete</button></form>')
+        body = self._render_form(model, obj, action=f"/admin/{table}/{pk}/")
         return HttpResponse(_PAGE.format(
-            title=f"{admin.model.__name__} #{pk}", root="/admin/",
-            body=body))
+            title=f"{model.__name__} #{pk}", root="/admin/", body=body))
 
     def add_view(self, request, table):
-        admin = self.get(table)
+        """Create one row: how an operator grants an authorization."""
+        model = self.get(table)
         if request.method == "POST":
-            obj = admin.model()
-            return self._apply_change(request, admin, obj,
+            return self._apply_change(request, model(),
                                       redirect=f"/admin/{table}/")
-        body = self._render_form(admin, None, action=f"/admin/{table}/add/")
+        body = self._render_form(model, None, action=f"/admin/{table}/add/")
         return HttpResponse(_PAGE.format(
-            title=f"Add {admin.model.__name__}", root="/admin/", body=body))
-
-    def delete_view(self, request, table, pk):
-        admin = self.get(table)
-        if request.method != "POST":
-            return HttpResponseBadRequest(b"POST required")
-        try:
-            obj = admin.queryset().get(pk=pk)
-        except admin.model.DoesNotExist:
-            raise Http404(f"{table} #{pk} not found")
-        obj.delete()
-        return HttpResponseRedirect(f"/admin/{table}/")
+            title=f"Add {model.__name__}", root="/admin/", body=body))
 
     # ------------------------------------------------------------------
-    def _apply_change(self, request, admin, obj, redirect):
+    def _apply_change(self, request, obj, redirect):
         obj._state_db = self.db
-        for field in admin.editable_fields():
+        for field in obj._meta.editable_fields():
             raw = request.POST.get(field.attname)
             if isinstance(field, BooleanField):
                 setattr(obj, field.attname, raw is not None)
@@ -184,9 +130,9 @@ class AdminSite:
             return HttpResponseBadRequest(escape(str(exc)).encode("utf-8"))
         return HttpResponseRedirect(redirect)
 
-    def _render_form(self, admin, obj, action):
+    def _render_form(self, model, obj, action):
         rows = []
-        for field in admin.editable_fields():
+        for field in model._meta.editable_fields():
             value = getattr(obj, field.attname, None) if obj else \
                 field.get_default()
             if isinstance(field, DateTimeField) and value is not None:
@@ -228,6 +174,4 @@ class AdminSite:
                  name="admin-add"),
             path("admin/<str:table>/<int:pk>/",
                  staff_required(self.change_view), name="admin-change"),
-            path("admin/<str:table>/<int:pk>/delete/",
-                 staff_required(self.delete_view), name="admin-delete"),
         ]

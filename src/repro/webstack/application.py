@@ -9,8 +9,6 @@ the integration tests exercise the full portal.
 
 from __future__ import annotations
 
-import traceback
-
 from .http import (Http404, HttpRequest, HttpResponse,
                    HttpResponseNotFound, HttpResponseServerError)
 from .orm.exceptions import DatabaseUnavailable, DeadlineExceeded
@@ -25,11 +23,10 @@ class WebApplication:
     Parameters
     ----------
     urlpatterns:
-        List of :func:`~repro.webstack.urls.path` /
-        :func:`~repro.webstack.urls.include` entries.
+        List of :func:`~repro.webstack.urls.path` entries.
     engine:
-        Template :class:`~repro.webstack.templates.Engine`; the app wires
-        its URL resolver into the engine so ``{% url %}`` works.
+        Template :class:`~repro.webstack.templates.Engine` views render
+        through.
     middleware:
         Objects with optional ``process_request(request)`` and
         ``process_response(request, response)`` methods, applied in order
@@ -37,20 +34,17 @@ class WebApplication:
     db:
         The role-scoped database views should use; exposed as
         ``request.db``.
-    debug:
-        When True, unhandled exceptions render a traceback page; when
-        False, a generic 500 (production posture).
+
+    An unhandled exception answers a generic 500 page: no traceback
+    ever reaches a browser.
     """
 
     def __init__(self, urlpatterns, *, engine=None, middleware=(),
-                 db=None, debug=False, context_processors=()):
+                 db=None):
         self.resolver = URLResolver(urlpatterns)
         self.engine = engine or Engine()
-        self.engine.url_resolver = self.resolver
         self.middleware = list(middleware)
         self.db = db
-        self.debug = debug
-        self.context_processors = list(context_processors)
 
     # ------------------------------------------------------------------
     def handle(self, request):
@@ -107,12 +101,9 @@ class WebApplication:
                 status=503)
             response["Retry-After"] = "15"
             return response
-        if self.debug:
-            detail = traceback.format_exc()
-        else:
-            detail = "An internal error occurred."
         return self._error_response(
-            HttpResponseServerError, "500 Server Error", detail)
+            HttpResponseServerError, "500 Server Error",
+            "An internal error occurred.")
 
     def _handle_inner(self, request):
         for mw in self.middleware:
@@ -143,19 +134,13 @@ class WebApplication:
     # ------------------------------------------------------------------
     def render(self, request, template_name, data=None, status=200):
         """Shortcut used by views: render a template to a response."""
-        context_data = {}
-        for processor in self.context_processors:
-            context_data.update(processor(request))
-        context_data.update(data or {})
+        context_data = dict(data or {})
         context_data.setdefault("request", request)
         context_data.setdefault("user", getattr(request, "user", None))
         context = Context(context_data)
         content = self.engine.get_template(template_name).render(
             context=context)
         return HttpResponse(content, status=status)
-
-    def reverse(self, name, **kwargs):
-        return self.resolver.reverse(name, **kwargs)
 
     # -- WSGI ------------------------------------------------------------
     def __call__(self, environ, start_response):

@@ -2,13 +2,12 @@
 
 from .request import HttpRequest, QueryDict, parse_cookies
 from .response import (Http404, HttpResponse, HttpResponseBadRequest,
-                       HttpResponseForbidden, HttpResponseNotAllowed,
-                       HttpResponseNotFound, HttpResponseRedirect,
-                       HttpResponseServerError, JsonResponse)
+                       HttpResponseForbidden, HttpResponseNotFound,
+                       HttpResponseRedirect, HttpResponseServerError,
+                       JsonResponse)
 
 __all__ = [
     "Http404", "HttpRequest", "HttpResponse", "HttpResponseBadRequest",
-    "HttpResponseForbidden", "HttpResponseNotAllowed",
-    "HttpResponseNotFound", "HttpResponseRedirect",
+    "HttpResponseForbidden", "HttpResponseNotFound", "HttpResponseRedirect",
     "HttpResponseServerError", "JsonResponse", "QueryDict", "parse_cookies",
 ]

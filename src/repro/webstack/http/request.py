@@ -38,13 +38,6 @@ class QueryDict(dict):
     def getlist(self, key, default=None):
         return self._lists.get(key, default if default is not None else [])
 
-    def copy(self):
-        qd = QueryDict()
-        for key, values in self._lists.items():
-            for v in values:
-                qd.appendlist(key, v)
-        return qd
-
     @classmethod
     def from_query_string(cls, qs):
         return cls(parse_qsl(qs or "", keep_blank_values=True))

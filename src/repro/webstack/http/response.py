@@ -109,14 +109,6 @@ class HttpResponseServerError(HttpResponse):
     status_code = 500
 
 
-class HttpResponseNotAllowed(HttpResponse):
-    status_code = 405
-
-    def __init__(self, permitted_methods):
-        super().__init__(b"")
-        self.headers["Allow"] = ", ".join(permitted_methods)
-
-
 class JsonResponse(HttpResponse):
     """JSON payload response (the portal's AJAX suggestion endpoints)."""
 

@@ -20,8 +20,7 @@ from .fields import (AutoField, BooleanField, CharField, DateTimeField,
 from .manager import Manager
 from .models import Model, clear_registry, get_registered_model
 from .query import CompiledQueryCache, Q, QuerySet, compiled_cache
-from .schema import (bind, create_all, create_table_sql, drop_all,
-                     required_grants, topological_order)
+from .schema import bind, create_all, create_table_sql, topological_order
 
 __all__ = [
     "AutoField", "Avg", "BooleanField", "CharField", "CompiledQueryCache",
@@ -32,6 +31,6 @@ __all__ = [
     "MultipleObjectsReturned", "ORMError", "ObjectDoesNotExist",
     "PermissionDenied", "Q", "QuerySet", "RoleRegistry", "TextField",
     "ValidationError", "bind", "clear_registry", "compiled_cache",
-    "create_all", "create_table_sql", "drop_all", "get_registered_model",
-    "required_grants", "shared_memory_uri", "topological_order",
+    "create_all", "create_table_sql", "get_registered_model",
+    "shared_memory_uri", "topological_order",
 ]

@@ -153,15 +153,6 @@ class Field:
             parts.append(f'CHECK ("{self.column}" IN ({quoted}))')
         return " ".join(parts)
 
-    def form_field_kwargs(self):
-        """Hints for building a matching form field."""
-        return {
-            "required": not self.null and not self.has_default(),
-            "label": self.verbose_name,
-            "help_text": self.help_text,
-            "choices": self.choices,
-        }
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}: {self.name}>"
 
@@ -419,8 +410,7 @@ class ForeignKey(Field):
     Parameters
     ----------
     to:
-        Target model class, or its name as a string for forward references
-        resolved at schema-creation time.
+        Target model class.
     on_delete:
         ``"CASCADE"`` or ``"PROTECT"`` or ``"SET_NULL"``; enforced by the
         generated REFERENCES clause.
@@ -447,13 +437,6 @@ class ForeignKey(Field):
         model._meta.add_field(self)
         setattr(model, name, _ForwardRelationDescriptor(self))
 
-    def resolve_target(self):
-        """Return the target model class (resolving string references)."""
-        if isinstance(self.to, str):
-            from .models import get_registered_model
-            self.to = get_registered_model(self.to)
-        return self.to
-
     def to_python(self, value):
         try:
             return int(value)
@@ -462,7 +445,7 @@ class ForeignKey(Field):
                 {self.name or "?": f"{value!r} is not a valid foreign key id."})
 
     def db_column_sql(self):
-        target = self.resolve_target()
+        target = self.to
         action = {"CASCADE": "CASCADE", "PROTECT": "RESTRICT",
                   "SET_NULL": "SET NULL"}[self.on_delete]
         sql = super().db_column_sql()
@@ -509,7 +492,7 @@ class _ForwardRelationDescriptor:
         fk_id = getattr(instance, self.field.attname, None)
         if fk_id is None:
             return None
-        target = self.field.resolve_target()
+        target = self.field.to
         obj = target.objects.using(instance._state_db).get(pk=fk_id)
         cache[self.field.name] = obj
         return obj

@@ -68,9 +68,6 @@ class Manager:
     def defer(self, *names):
         return self.get_queryset().defer(*names)
 
-    def none(self):
-        return self.get_queryset().none()
-
     def count(self):
         return self.get_queryset().count()
 
@@ -86,9 +83,6 @@ class Manager:
     def values_list(self, *names, flat=False):
         return self.get_queryset().values_list(*names, flat=flat)
 
-    def in_bulk(self, ids):
-        return self.get_queryset().in_bulk(ids)
-
     def create(self, **kwargs):
         obj = self.model(**kwargs)
         obj.save()
@@ -103,17 +97,10 @@ class Manager:
             params.update(defaults or {})
             return self.create(**params), True
 
-    def update_or_create(self, defaults=None, **lookups):
-        """Return ``(object, created)``, updating an existing match."""
-        return self.get_queryset().update_or_create(defaults, **lookups)
-
     def bulk_update(self, objs, fields, batch_size=None):
         """One CASE-WHEN UPDATE per batch; see QuerySet.bulk_update."""
         return self.get_queryset().bulk_update(objs, fields,
                                                batch_size=batch_size)
-
-    def last(self):
-        return self.get_queryset().last()
 
     def aggregate(self, **named_aggregates):
         return self.get_queryset().aggregate(**named_aggregates)

@@ -4,13 +4,13 @@ The metaclass collects declared :class:`~repro.webstack.orm.fields.Field`
 instances into ``Model._meta`` (declaration order preserved), mints the
 per-model ``DoesNotExist``/``MultipleObjectsReturned`` exceptions, installs
 a default manager, adds reverse accessors for foreign keys, and registers
-the model so string-named ``ForeignKey("app.Model")`` references resolve.
+the model by name (:func:`get_registered_model`).
 
-Single-table model inheritance is deliberately *not* implemented — the
-paper's workflow classes use plain Python inheritance over a single base
-table ("the use of inheritance to support AMP's two job types with a
-single base class"), which proxy-style subclassing supports (see
-``Meta.proxy_of`` in the core models).
+Model inheritance is deliberately *not* implemented — the paper's
+workflow classes use plain Python inheritance over a single base table
+("the use of inheritance to support AMP's two job types with a single
+base class"), and ``repro.core.workflow`` does the same over the one
+``Simulation`` table.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class Options:
         self.related_objects = {}
         self.verbose_name = getattr(meta_cls, "verbose_name",
                                     model_name.lower())
-        self.abstract = bool(getattr(meta_cls, "abstract", False))
         self.database = None   # bound by schema.bind()
         self.pk = None
         self.model = None
@@ -75,9 +74,6 @@ class Options:
     def field_by_any_name(self, name):
         """Look a field up by its name or attname (``fk`` or ``fk_id``)."""
         return self._by_name.get(name)
-
-    def concrete_fields(self):
-        return list(self.fields)
 
     def editable_fields(self):
         return [f for f in self.fields if f.editable and not f.primary_key]
@@ -95,13 +91,6 @@ class ModelMeta(type):
         meta_cls = attrs.pop("Meta", None)
         opts = Options(name, meta_cls)
 
-        # Inherit fields from abstract parents (copy, preserving order).
-        inherited = []
-        for base in parents:
-            base_meta = getattr(base, "_meta", None)
-            if base_meta is not None and base_meta.abstract:
-                inherited.extend(base_meta.fields)
-
         module = attrs.get("__module__")
         new_cls = super().__new__(mcs, name, bases, {
             k: v for k, v in attrs.items()
@@ -109,17 +98,13 @@ class ModelMeta(type):
         new_cls._meta = opts
         opts.model = new_cls
 
-        for field in inherited:
-            clone = _copy_field(field)
-            clone.contribute_to_class(new_cls, field.name)
-
         declared_fields = [(k, v) for k, v in attrs.items()
                            if isinstance(v, Field)]
         declared_fields.sort(key=lambda kv: kv[1]._order)
         for fname, field in declared_fields:
             field.contribute_to_class(new_cls, fname)
 
-        if not opts.abstract and opts.pk is None:
+        if opts.pk is None:
             pk = AutoField()
             pk.contribute_to_class(new_cls, "id")
 
@@ -133,25 +118,17 @@ class ModelMeta(type):
         # Managers.
         managers = [(k, v) for k, v in attrs.items()
                     if isinstance(v, Manager)]
-        if not managers and not opts.abstract:
+        if not managers:
             managers = [("objects", Manager())]
         for mname, manager in managers:
             manager.contribute_to_class(new_cls, mname)
             setattr(new_cls, mname, manager)
 
-        if not opts.abstract:
-            _model_registry[name] = new_cls
-            for fk in opts.foreign_keys():
-                _install_reverse_accessor(new_cls, fk)
+        _model_registry[name] = new_cls
+        for fk in opts.foreign_keys():
+            _install_reverse_accessor(new_cls, fk)
 
         return new_cls
-
-
-def _copy_field(field):
-    import copy
-    clone = copy.copy(field)
-    clone._order = field._order
-    return clone
 
 
 def _install_reverse_accessor(model, fk):
@@ -177,28 +154,8 @@ def _install_reverse_accessor(model, fk):
         return qs
 
     target = fk.to
-    if isinstance(target, str):
-        # Deferred: install once the target registers.
-        _pending_reverse.setdefault(target, []).append(
-            (related_name, accessor, model, fk))
-    else:
-        target._meta.related_objects[related_name] = (model, fk)
-        setattr(target, related_name, property(accessor))
-
-
-_pending_reverse = {}
-
-
-def resolve_pending_relations():
-    """Install reverse accessors whose targets registered late."""
-    for target_name, accessors in list(_pending_reverse.items()):
-        target = _model_registry.get(target_name)
-        if target is None:
-            continue
-        for related_name, accessor, model, fk in accessors:
-            target._meta.related_objects[related_name] = (model, fk)
-            setattr(target, related_name, property(accessor))
-        del _pending_reverse[target_name]
+    target._meta.related_objects[related_name] = (model, fk)
+    setattr(target, related_name, property(accessor))
 
 
 class Model(metaclass=ModelMeta):
@@ -209,9 +166,6 @@ class Model(metaclass=ModelMeta):
     an object the portal read cannot silently write through the daemon's
     credentials.
     """
-
-    class Meta:
-        abstract = True
 
     def __init__(self, **kwargs):
         self._state_db = kwargs.pop("_db", None)

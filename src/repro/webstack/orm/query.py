@@ -3,7 +3,7 @@
 The subset of the Django query API implemented here is exactly the subset
 the AMP gateway exercises: chained ``filter``/``exclude`` with field
 lookups, ``get``/``first``/``count``/``exists``, ``order_by``, slicing,
-``values``/``values_list``, bulk ``update``/``delete``, and ``Q`` objects
+``values``/``values_list``, bulk ``update``, and ``Q`` objects
 for OR'd conditions (the daemon's "jobs in any active state" poll).
 
 QuerySets are lazy and immutable: every refinement returns a clone, and
@@ -511,11 +511,6 @@ class QuerySet:
         clone._known_count = self._known_count
         return clone
 
-    def none(self):
-        clone = self._clone()
-        clone._conditions.append(Q(pk__in=[]))
-        return clone
-
     # -- batch-oriented refinement ---------------------------------------
     def select_related(self, *names):
         """Eager-load forward FK paths with LEFT JOINs (one round trip).
@@ -645,7 +640,7 @@ class QuerySet:
                 raise FieldError(
                     f"select_related path {path!r}: {part!r} is not a "
                     f"foreign key on {model.__name__}")
-            model = field.resolve_target()
+            model = field.to
 
     # -- execution ---------------------------------------------------------
     def _join_plan(self):
@@ -670,7 +665,7 @@ class QuerySet:
                         "alias": f"sr{len(plan) + 1}",
                         "parent_alias": parent_alias,
                         "field": field,
-                        "target": field.resolve_target(),
+                        "target": field.to,
                     }
                     by_path[key] = node
                     plan.append(node)
@@ -728,8 +723,8 @@ class QuerySet:
         """
         if kind not in ("select", "count") and (
                 self._limit is not None or self._offset):
-            # These statements carry no LIMIT/OFFSET: ``qs[:10].delete()``
-            # would delete every row the conditions match.
+            # These statements carry no LIMIT/OFFSET: ``qs[:10].update()``
+            # would update every row the conditions match.
             raise FieldError(f"{kind}() cannot follow a slice")
         shape, raw_values = _shape_conditions(self._conditions)
         key = (self.model, kind, shape, *extra)
@@ -881,7 +876,7 @@ class QuerySet:
         for name in self._prefetch_related:
             field = meta.field_by_any_name(name)
             if isinstance(field, ForeignKey):
-                target = field.resolve_target()
+                target = field.to
                 ids = sorted({getattr(obj, field.attname)
                               for obj in instances} - {None})
                 related = {}
@@ -956,11 +951,6 @@ class QuerySet:
         results = list(self[:1])
         return results[0] if results else None
 
-    def last(self):
-        order = self._order_by or self.model._meta.ordering or ["pk"]
-        flipped = [n[1:] if n.startswith("-") else "-" + n for n in order]
-        return self.order_by(*flipped).first()
-
     def count(self):
         """Rows this queryset would fetch; a slice is applied to the
         unsliced ``COUNT(*)``, so it adds no statement shape."""
@@ -981,19 +971,6 @@ class QuerySet:
         if self._result_cache is not None:
             return bool(self._result_cache)
         return bool(list(self[:1]))
-
-    def delete(self):
-        """Delete matching rows; returns number deleted."""
-        table = self.model._meta.table_name
-        sql, params, _ = self._compiled(
-            "delete", (), lambda compiler, where: {
-                "sql": f'DELETE FROM "{table}"' + where})
-        cur = self.db.execute(sql, params, operation="delete", table=table)
-        if cur.rowcount:
-            from ..signals import post_delete
-            post_delete.send(self.model, instance=None,
-                             rows=cur.rowcount, db=self.db)
-        return cur.rowcount
 
     def update(self, **values):
         """Bulk UPDATE of matching rows; returns number updated.
@@ -1168,10 +1145,6 @@ class QuerySet:
             return [r[names[0]] for r in rows]
         return [tuple(r[n] for n in names) for r in rows]
 
-    def in_bulk(self, ids):
-        objs = self.filter(pk__in=list(ids))
-        return {obj.pk: obj for obj in objs}
-
     def create(self, **kwargs):
         """Create and save an instance through this queryset's database."""
         obj = self.model(**kwargs)
@@ -1186,28 +1159,6 @@ class QuerySet:
             params.update(defaults or {})
             return self.create(**params), True
 
-    def update_or_create(self, defaults=None, **lookups):
-        """Update the matching row with *defaults*, or create it.
-
-        Returns ``(object, created)``.
-        """
-        defaults = defaults or {}
-        try:
-            obj = self.get(**lookups)
-            for key, value in defaults.items():
-                setattr(obj, key, value)
-            obj.save(db=self.db)
-            return obj, False
-        except self.model.DoesNotExist:
-            params = dict(lookups)
-            params.update(defaults)
-            return self.create(**params), True
-
-    def distinct_values(self, field_name):
-        """Sorted distinct values of one column."""
-        return sorted(run_values_count(self, field_name),
-                      key=lambda v: (v is None, v))
-
     def aggregate(self, **named_aggregates):
         """Run aggregates (Count/Sum/Avg/Min/Max) over this queryset."""
         return run_aggregate(self, named_aggregates)
@@ -1215,9 +1166,3 @@ class QuerySet:
     def values_count(self, field_name):
         """GROUP BY *field_name*; returns ``{value: count}``."""
         return run_values_count(self, field_name)
-
-    def __repr__(self):  # pragma: no cover
-        preview = list(self[:4])
-        suffix = ", ..." if len(preview) > 3 else ""
-        inner = ", ".join(repr(o) for o in preview[:3])
-        return f"<QuerySet [{inner}{suffix}]>"

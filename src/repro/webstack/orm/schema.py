@@ -11,14 +11,11 @@ and rebuild it on demand (including sample data) for test databases.
 from __future__ import annotations
 
 from .exceptions import FieldError
-from .models import resolve_pending_relations
 
 
 def create_table_sql(model):
     """Return the CREATE TABLE (+ index) statements for *model*."""
     meta = model._meta
-    if meta.abstract:
-        raise FieldError(f"Cannot create table for abstract {model.__name__}")
     columns = [f.db_column_sql() for f in meta.fields]
     constraints = []
     for group in meta.unique_together:
@@ -65,7 +62,7 @@ def topological_order(models):
             ordered.extend(remaining)
             break
         model = remaining.pop(0)
-        deps = {fk.resolve_target() for fk in model._meta.foreign_keys()}
+        deps = {fk.to for fk in model._meta.foreign_keys()}
         deps.discard(model)
         if all(d in placed or d not in models for d in deps):
             ordered.append(model)
@@ -77,7 +74,6 @@ def topological_order(models):
 
 def create_all(models, db):
     """Create tables for *models* on *db* (requires the ``create`` grant)."""
-    resolve_pending_relations()
     for model in topological_order(list(models)):
         for sql in create_table_sql(model):
             db.execute(sql, operation="create",
@@ -92,15 +88,3 @@ def bind(models, db):
     """
     for model in models:
         model._meta.database = db
-
-
-def drop_all(models, db):
-    for model in reversed(topological_order(list(models))):
-        db.execute(f'DROP TABLE IF EXISTS "{model._meta.table_name}"',
-                   operation="create", table=model._meta.table_name)
-
-
-def required_grants(models, operations=("select", "insert", "update",
-                                        "delete")):
-    """Convenience: build a grant dict giving *operations* on these models."""
-    return {m._meta.table_name: set(operations) for m in models}

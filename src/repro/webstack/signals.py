@@ -13,7 +13,7 @@ class Signal:
 
     Receivers are called synchronously in connection order with
     ``(sender, **kwargs)``.  ``send`` collects ``(receiver, result)``
-    pairs; exceptions propagate (use ``send_robust`` to capture them).
+    pairs; a receiver's exception propagates to the sender.
     """
 
     def __init__(self, name=""):
@@ -37,18 +37,6 @@ class Signal:
             responses.append((receiver, receiver(sender, **kwargs)))
         return responses
 
-    def send_robust(self, sender, **kwargs):
-        responses = []
-        for receiver, wanted in list(self._receivers):
-            if wanted is not None and wanted is not sender \
-                    and wanted != type(sender):
-                continue
-            try:
-                responses.append((receiver, receiver(sender, **kwargs)))
-            except Exception as exc:  # noqa: BLE001 - by design
-                responses.append((receiver, exc))
-        return responses
-
     def receiver_count(self):
         return len(self._receivers)
 
@@ -57,9 +45,9 @@ class Signal:
 #
 # ``post_save`` and ``post_delete`` are sent by the ORM on every
 # mutation path — ``Model.save``/``Model.delete`` with the instance,
-# and the set-oriented ``QuerySet`` writes (``update``, ``delete``,
-# ``bulk_create``, ``bulk_update``) with ``instances`` where the rows
-# are in hand and ``instance=None`` otherwise.  The serving tier's
+# and the set-oriented ``QuerySet`` writes (``update``, ``bulk_create``,
+# ``bulk_update``) with ``instances`` where the rows are in hand and
+# ``instance=None`` otherwise.  The serving tier's
 # cache invalidation hangs off these; with no receivers connected the
 # send is a no-op over an empty list.
 pre_save = Signal("pre_save")

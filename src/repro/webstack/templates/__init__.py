@@ -2,17 +2,17 @@
 
 Implements the template-language subset the AMP portal uses: variable
 interpolation with filters, ``{% if %}``/``{% for %}`` control flow,
-``{% block %}``/``{% extends %}`` inheritance, ``{% include %}``,
-``{% url %}`` reversing, comments, and autoescaping with ``|safe`` marks.
+``{% block %}``/``{% extends %}`` inheritance, ``{# #}`` comments, and
+autoescaping (always on) with safe-string marks.
 """
 
 from .context import Context, SafeString, VariableDoesNotExist, escape, mark_safe
 from .engine import Engine, Template
-from .filters import FILTERS, get_filter, register
+from .filters import FILTERS, get_filter
 from .lexer import TemplateSyntaxError, tokenize
 
 __all__ = [
     "Context", "Engine", "FILTERS", "SafeString", "Template",
     "TemplateSyntaxError", "VariableDoesNotExist", "escape", "get_filter",
-    "mark_safe", "register", "tokenize",
+    "mark_safe", "tokenize",
 ]

@@ -31,16 +31,15 @@ def escape(value):
 class Context:
     """A stack of variable scopes.
 
-    ``push()``/``pop()`` bracket block scopes ({% for %} bodies, includes),
+    ``push()``/``pop()`` bracket block scopes ({% for %} bodies),
     so loop variables never leak.  Resolution of a dotted path tries, in
     order: dict key, attribute, list index — and calls zero-argument
     callables, matching Django's lookup order that the portal templates
     rely on (``star.simulations.count``).
     """
 
-    def __init__(self, data=None, autoescape=True):
+    def __init__(self, data=None):
         self.stack = [dict(data or {})]
-        self.autoescape = autoescape
         # Render-time state owned by {% block %} inheritance.
         self.block_overrides = {}
 
@@ -52,29 +51,11 @@ class Context:
             raise RuntimeError("Cannot pop the root context scope")
         self.stack.pop()
 
-    def __setitem__(self, key, value):
-        self.stack[-1][key] = value
-
     def __getitem__(self, key):
         for scope in reversed(self.stack):
             if key in scope:
                 return scope[key]
         raise KeyError(key)
-
-    def __contains__(self, key):
-        return any(key in scope for scope in self.stack)
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def flatten(self):
-        merged = {}
-        for scope in self.stack:
-            merged.update(scope)
-        return merged
 
     # ------------------------------------------------------------------
     def resolve(self, path):

@@ -1,24 +1,23 @@
 """Template parser and engine.
 
-Templates are registered with the engine as named strings (the portal
-ships its templates as Python-embedded strings so the whole site is one
-importable code base) or loaded from directories.  Parsed templates are
-cached per engine.
+Templates are handed to the engine as named strings (the portal ships
+its templates as Python-embedded strings so the whole site is one
+importable code base).  Parsed templates are cached per engine.
+
+The tags are the ones the portal's pages use: ``if``/``elif``/``else``,
+``for``/``empty``, ``block`` and ``extends``.  Any other tag is refused
+when the template is compiled, never rendered as empty text.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 from .context import Context
 from .lexer import (TOKEN_COMMENT, TOKEN_TAG, TOKEN_TEXT, TOKEN_VAR,
                     TemplateSyntaxError, tokenize)
-from .nodes import (AutoescapeNode, BlockNode, BoolExpression, ExtendsNode,
-                    FilterExpression, ForNode, IfNode, IncludeNode, NodeList,
-                    TextNode, UrlNode, VarNode, parse_atom)
-
-_KWARG_RE = re.compile(r"(\w+)=((?:'[^']*')|(?:\"[^\"]*\")|\S+)")
+from .nodes import (BlockNode, ExtendsNode, FilterExpression, ForNode,
+                    IfNode, NodeList, TextNode, VarNode, parse_atom)
 
 
 class Parser:
@@ -64,15 +63,23 @@ class Parser:
                 f"Unknown tag {{% {name} %}} at line {token.lineno}")
         return method(rest)
 
+    @staticmethod
+    def _condition(rest):
+        """An ``if``/``elif`` tests the truth of one value."""
+        if len(rest.split()) != 1:
+            raise TemplateSyntaxError(
+                f"{{% if %}} takes one value, not {rest!r}")
+        return parse_atom(rest)
+
     def _tag_if(self, rest):
         branches = []
-        condition = BoolExpression(rest)
+        condition = self._condition(rest)
         while True:
             body = self.parse(until=("elif", "else", "endif"))
             branches.append((condition, body))
             tag, tag_rest = self.next_tag
             if tag == "elif":
-                condition = BoolExpression(tag_rest)
+                condition = self._condition(tag_rest)
                 continue
             if tag == "else":
                 body = self.parse(until=("endif",))
@@ -109,61 +116,6 @@ class Parser:
         del remainder  # only the collected blocks matter
         return ExtendsNode(parent, self.blocks, self.engine)
 
-    def _tag_include(self, rest):
-        head, _, with_part = rest.partition(" with ")
-        template_expr = parse_atom(head.strip())
-        with_map = {}
-        for key, raw in _KWARG_RE.findall(with_part):
-            with_map[key] = FilterExpression(raw)
-        return IncludeNode(template_expr, with_map, self.engine)
-
-    def _tag_comment(self, rest):
-        self.parse(until=("endcomment",))
-        return TextNode("")
-
-    def _tag_autoescape(self, rest):
-        setting = rest.strip()
-        if setting not in ("on", "off"):
-            raise TemplateSyntaxError("autoescape argument must be on|off")
-        body = self.parse(until=("endautoescape",))
-        return AutoescapeNode(setting == "on", body)
-
-    def _tag_with(self, rest):
-        from .nodes import Node
-
-        class WithNode(Node):
-            def __init__(self, assignments, body):
-                self.assignments = assignments
-                self.body = body
-
-            def render(self, context):
-                scope = {key: expr.resolve(context)
-                         for key, expr in self.assignments.items()}
-                context.push(scope)
-                try:
-                    return self.body.render(context)
-                finally:
-                    context.pop()
-
-        assignments = {}
-        for key, raw in _KWARG_RE.findall(rest):
-            assignments[key] = FilterExpression(raw)
-        if not assignments:
-            raise TemplateSyntaxError(
-                "{% with %} requires key=value assignments")
-        body = self.parse(until=("endwith",))
-        return WithNode(assignments, body)
-
-    def _tag_url(self, rest):
-        parts = rest.split()
-        if not parts:
-            raise TemplateSyntaxError("{% url %} requires a route name")
-        name_expr = parse_atom(parts[0])
-        kwargs = {}
-        for key, raw in _KWARG_RE.findall(" ".join(parts[1:])):
-            kwargs[key] = FilterExpression(raw)
-        return UrlNode(name_expr, kwargs, self.engine)
-
 
 class Template:
     """A compiled template."""
@@ -181,48 +133,19 @@ class Template:
 
 
 class Engine:
-    """Template registry + cache.
+    """Template registry + cache: *templates* maps each template name to
+    its source string."""
 
-    Parameters
-    ----------
-    templates:
-        Mapping of template name to source string.
-    directories:
-        Optional list of directories searched for ``name`` files.
-    url_resolver:
-        A :class:`~repro.webstack.urls.URLResolver` enabling {% url %}.
-    """
-
-    def __init__(self, templates=None, directories=(), url_resolver=None):
+    def __init__(self, templates=None):
         self.sources = dict(templates or {})
-        self.directories = list(directories)
-        self.url_resolver = url_resolver
         self._cache = {}
-
-    def register(self, name, source):
-        self.sources[name] = source
-        self._cache.pop(name, None)
-
-    def register_many(self, mapping):
-        for name, source in mapping.items():
-            self.register(name, source)
 
     def get_template(self, name):
         if name in self._cache:
             return self._cache[name]
         source = self.sources.get(name)
         if source is None:
-            for directory in self.directories:
-                candidate = os.path.join(directory, name)
-                if os.path.exists(candidate):
-                    with open(candidate, encoding="utf-8") as fh:
-                        source = fh.read()
-                    break
-        if source is None:
             raise TemplateSyntaxError(f"Template {name!r} not found")
         template = Template(source, engine=self, name=name)
         self._cache[name] = template
         return template
-
-    def render_to_string(self, name, data=None):
-        return self.get_template(name).render(data or {})

@@ -1,76 +1,24 @@
 """Built-in template filters.
 
-The set implemented is the set the AMP portal templates use: formatting of
-star parameters (``floatformat``), presentation helpers, defensive
-defaults, and escaping control.
+The set implemented is the set the AMP portal templates use: formatting
+of star parameters (``floatformat``), counts in words (``pluralize``,
+``yesno``), lists (``join``) and defensive defaults (``default``).  A
+template naming any other filter is refused when it is compiled.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-from urllib.parse import quote
 
-from .context import SafeString, escape, mark_safe
-
-FILTERS = {}
-
-
-def register(name):
-    def decorator(fn):
-        FILTERS[name] = fn
-        return fn
-    return decorator
-
-
-def get_filter(name):
-    try:
-        return FILTERS[name]
-    except KeyError:
-        raise ValueError(f"Unknown template filter {name!r}")
-
-
-@register("upper")
-def _upper(value):
-    return str(value).upper()
-
-
-@register("lower")
-def _lower(value):
-    return str(value).lower()
-
-
-@register("title")
-def _title(value):
-    return str(value).title()
-
-
-@register("capfirst")
-def _capfirst(value):
-    text = str(value)
-    return text[:1].upper() + text[1:]
-
-
-@register("length")
-def _length(value):
-    try:
-        return len(value)
-    except TypeError:
-        return 0
-
-
-@register("default")
 def _default(value, fallback=""):
     if value in (None, "", [], {}):
         return fallback
     return value
 
 
-@register("join")
 def _join(value, sep=", "):
     return str(sep).join(str(v) for v in value)
 
 
-@register("floatformat")
 def _floatformat(value, places=1):
     """Format a float to *places* decimals (Django's floatformat)."""
     try:
@@ -81,36 +29,6 @@ def _floatformat(value, places=1):
     return f"{number:.{places}f}"
 
 
-@register("intcomma")
-def _intcomma(value):
-    try:
-        return f"{int(round(float(value))):,}"
-    except (TypeError, ValueError):
-        return value
-
-
-@register("date")
-def _date(value, fmt="%Y-%m-%d %H:%M"):
-    if isinstance(value, str):
-        try:
-            value = _dt.datetime.fromisoformat(value)
-        except ValueError:
-            return value
-    if isinstance(value, (_dt.datetime, _dt.date)):
-        return value.strftime(str(fmt))
-    return value
-
-
-@register("truncatechars")
-def _truncatechars(value, limit=80):
-    text = str(value)
-    limit = int(limit)
-    if len(text) <= limit:
-        return text
-    return text[: max(limit - 1, 0)] + "…"
-
-
-@register("yesno")
 def _yesno(value, arg="yes,no"):
     choices = str(arg).split(",")
     if len(choices) == 2:
@@ -120,7 +38,6 @@ def _yesno(value, arg="yes,no"):
     return choices[0] if value else choices[1]
 
 
-@register("pluralize")
 def _pluralize(value, suffix="s"):
     try:
         count = len(value)
@@ -132,47 +49,12 @@ def _pluralize(value, suffix="s"):
     return "" if count == 1 else str(suffix)
 
 
-@register("urlencode")
-def _urlencode(value):
-    return quote(str(value), safe="")
+FILTERS = {"default": _default, "join": _join, "floatformat": _floatformat,
+           "yesno": _yesno, "pluralize": _pluralize}
 
 
-@register("safe")
-def _safe(value):
-    return mark_safe(str(value))
-
-
-@register("escape")
-def _escape(value):
-    return escape(value)
-
-
-@register("linebreaksbr")
-def _linebreaksbr(value):
-    escaped = escape(value)
-    return SafeString(escaped.replace("\n", "<br>"))
-
-
-@register("first")
-def _first(value):
+def get_filter(name):
     try:
-        return value[0]
-    except (IndexError, KeyError, TypeError):
-        return ""
-
-
-@register("last")
-def _last(value):
-    try:
-        return value[-1]
-    except (IndexError, KeyError, TypeError):
-        return ""
-
-
-@register("slice")
-def _slice(value, spec="0:0"):
-    start, _, stop = str(spec).partition(":")
-    try:
-        return value[int(start or 0):int(stop) if stop else None]
-    except (TypeError, ValueError):
-        return value
+        return FILTERS[name]
+    except KeyError:
+        raise ValueError(f"Unknown template filter {name!r}")

@@ -75,120 +75,6 @@ class FilterExpression:
 
 
 # ----------------------------------------------------------------------
-# Boolean expressions for {% if %}
-# ----------------------------------------------------------------------
-
-_COMPARISONS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "in": lambda a, b: a in b,
-}
-
-
-class BoolExpression:
-    """Recursive-descent parser/evaluator for {% if %} conditions.
-
-    Grammar (lowest to highest precedence)::
-
-        expr   := andexp ("or" andexp)*
-        andexp := notexp ("and" notexp)*
-        notexp := "not" notexp | comp
-        comp   := atom (OP atom)?
-    """
-
-    def __init__(self, expression):
-        self.tokens = expression.split()
-        if not self.tokens:
-            raise TemplateSyntaxError("Empty {% if %} condition")
-        self.pos = 0
-        self.tree = self._parse_or()
-        if self.pos != len(self.tokens):
-            raise TemplateSyntaxError(
-                f"Trailing tokens in condition: {self.tokens[self.pos:]}")
-
-    # -- parsing -------------------------------------------------------
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def _parse_or(self):
-        node = self._parse_and()
-        while self._peek() == "or":
-            self._next()
-            node = ("or", node, self._parse_and())
-        return node
-
-    def _parse_and(self):
-        node = self._parse_not()
-        while self._peek() == "and":
-            self._next()
-            node = ("and", node, self._parse_not())
-        return node
-
-    def _parse_not(self):
-        if self._peek() == "not":
-            self._next()
-            # "not in" as a unit: peek back is handled in _parse_comp.
-            return ("not", self._parse_not())
-        return self._parse_comp()
-
-    def _parse_comp(self):
-        left = parse_atom(self._next())
-        op = self._peek()
-        if op == "not" and self.pos + 1 < len(self.tokens) \
-                and self.tokens[self.pos + 1] == "in":
-            self._next()
-            self._next()
-            right = parse_atom(self._next())
-            return ("cmp", lambda a, b: a not in b, left, right)
-        if op in _COMPARISONS:
-            self._next()
-            right = parse_atom(self._next())
-            return ("cmp", _COMPARISONS[op], left, right)
-        return ("atom", left)
-
-    # -- evaluation ------------------------------------------------------
-    def evaluate(self, context):
-        return self._eval(self.tree, context)
-
-    def _eval(self, node, context):
-        kind = node[0]
-        if kind == "or":
-            return (self._eval(node[1], context)
-                    or self._eval(node[2], context))
-        if kind == "and":
-            return (self._eval(node[1], context)
-                    and self._eval(node[2], context))
-        if kind == "not":
-            return not self._eval(node[1], context)
-        if kind == "cmp":
-            _, fn, left, right = node
-            try:
-                return bool(fn(self._atom(left, context),
-                               self._atom(right, context)))
-            except TypeError:
-                return False
-        if kind == "atom":
-            return bool(self._atom(node[1], context))
-        raise AssertionError(kind)  # pragma: no cover
-
-    @staticmethod
-    def _atom(atom, context):
-        try:
-            return atom.resolve(context)
-        except VariableDoesNotExist:
-            return None
-
-
-# ----------------------------------------------------------------------
 # Nodes
 # ----------------------------------------------------------------------
 
@@ -218,22 +104,33 @@ class VarNode(Node):
         value = self.expr.resolve(context)
         if value is None:
             value = ""
-        if context.autoescape and not isinstance(value, SafeString):
-            return str(escape(value))
-        return str(value)
+        if isinstance(value, SafeString):
+            return str(value)
+        return str(escape(value))
 
 
 class IfNode(Node):
-    """{% if %} / {% elif %} / {% else %} chains."""
+    """{% if %} / {% elif %} / {% else %} chains.
+
+    Each condition is one atom; a variable that does not resolve is
+    false.
+    """
 
     def __init__(self, branches):
-        self.branches = branches  # list of (BoolExpression|None, NodeList)
+        self.branches = branches  # list of (atom|None, NodeList)
 
     def render(self, context):
         for condition, body in self.branches:
-            if condition is None or condition.evaluate(context):
+            if condition is None or self._true(condition, context):
                 return body.render(context)
         return ""
+
+    @staticmethod
+    def _true(condition, context):
+        try:
+            return bool(condition.resolve(context))
+        except VariableDoesNotExist:
+            return False
 
 
 class ForNode(Node):
@@ -318,54 +215,3 @@ class ExtendsNode(Node):
         for name, block in self.child_blocks.items():
             context.block_overrides.setdefault(name, block)
         return parent.nodelist.render(context)
-
-
-class IncludeNode(Node):
-    """{% include "name.html" %} with optional ``with key=expr`` pairs."""
-
-    def __init__(self, template_expr, with_map, engine):
-        self.template_expr = template_expr
-        self.with_map = with_map
-        self.engine = engine
-
-    def render(self, context):
-        name = self.template_expr.resolve(context)
-        template = self.engine.get_template(name)
-        scope = {key: expr.resolve(context)
-                 for key, expr in self.with_map.items()}
-        context.push(scope)
-        try:
-            return template.nodelist.render(context)
-        finally:
-            context.pop()
-
-
-class AutoescapeNode(Node):
-    def __init__(self, setting, body):
-        self.setting = setting
-        self.body = body
-
-    def render(self, context):
-        previous = context.autoescape
-        context.autoescape = self.setting
-        try:
-            return self.body.render(context)
-        finally:
-            context.autoescape = previous
-
-
-class UrlNode(Node):
-    """{% url 'route-name' key=value ... %} — reverse through the engine."""
-
-    def __init__(self, name_expr, kwargs, engine):
-        self.name_expr = name_expr
-        self.kwargs = kwargs
-        self.engine = engine
-
-    def render(self, context):
-        if self.engine.url_resolver is None:
-            raise TemplateSyntaxError(
-                "{% url %} used but the engine has no URL resolver")
-        kwargs = {k: v.resolve(context) for k, v in self.kwargs.items()}
-        name = self.name_expr.resolve(context)
-        return self.engine.url_resolver.reverse(name, **kwargs)

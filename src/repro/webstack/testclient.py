@@ -86,7 +86,3 @@ class Client:
         response = self.post(login_path, {"username": username,
                                           "password": password})
         return response.status_code == 302
-
-    def follow(self, response):
-        """GET the target of a redirect response."""
-        return self.get(response["Location"])

@@ -9,9 +9,9 @@ Routes are declared Django-style::
     ]
 
 Supported converters: ``int``, ``str`` (no slash), ``path`` (greedy),
-``float``.  ``include()`` mounts an application's URLconf under a prefix —
-this is how the portal composes its independent Django-style apps
-(stars / results / submit / accounts) into one site.
+``float``.  The portal composes its independent Django-style apps
+(stars / results / submit / accounts) into one site by concatenating
+their route lists.
 """
 
 from __future__ import annotations
@@ -64,81 +64,29 @@ class Route:
         return {name: self.converters[name](value)
                 for name, value in m.groupdict().items()}
 
-    def reverse_path(self, **kwargs):
-        """Substitute kwargs back into the pattern (``reverse()``)."""
-        def sub(match):
-            name = match.group("name")
-            if name not in kwargs:
-                raise ValueError(f"Missing argument {name!r} for reverse of "
-                                 f"{self.pattern!r}")
-            return str(kwargs[name])
-        return _PARAM_RE.sub(sub, self.pattern)
-
 
 def path(pattern, view, name=None):
     return Route(pattern, view, name=name)
 
 
-class Include:
-    """A sub-URLconf mounted at a prefix."""
-
-    def __init__(self, prefix, routes, namespace=None):
-        self.prefix = prefix
-        self.routes = list(routes)
-        self.namespace = namespace
-
-
-def include(prefix, routes, namespace=None):
-    return Include(prefix, routes, namespace=namespace)
-
-
 class URLResolver:
-    """Resolves request paths to views and reverses names to paths."""
+    """Resolves request paths to views."""
 
     def __init__(self, urlpatterns):
-        self.routes = []           # (full_pattern Route, qualified name)
-        self._flatten(urlpatterns, prefix="", namespace=None)
-        self._by_name = {}
-        for route, qualname in self.routes:
-            if qualname:
-                self._by_name[qualname] = route
-
-    def _flatten(self, patterns, prefix, namespace):
-        for entry in patterns:
-            if isinstance(entry, Include):
-                ns = entry.namespace if entry.namespace else namespace
-                self._flatten(entry.routes, prefix + entry.prefix, ns)
-            else:
-                full = Route(prefix + entry.pattern, entry.view,
-                             name=entry.name)
-                qual = None
-                if entry.name:
-                    qual = (f"{namespace}:{entry.name}"
-                            if namespace else entry.name)
-                self.routes.append((full, qual))
-
-    def resolve(self, request_path):
-        """Return ``(view, kwargs)`` for a path or raise :class:`Http404`."""
-        route, _, kwargs = self.resolve_route(request_path)
-        return route.view, kwargs
+        #: ``(route, name)`` pairs in match order.
+        self.routes = [(route, route.name) for route in urlpatterns]
 
     def resolve_route(self, request_path):
-        """Return ``(route, qualified_name, kwargs)`` for a path.
+        """Return ``(route, name, kwargs)`` for a path, or raise
+        :class:`~repro.webstack.http.Http404`.
 
-        The qualified name (or, for anonymous routes, the pattern) is
+        The route's name (or, for anonymous routes, the pattern) is
         what request metrics label by — a bounded route cardinality where
         raw paths would explode the label space.
         """
         path_ = request_path.lstrip("/")
-        for route, qualname in self.routes:
+        for route, name in self.routes:
             kwargs = route.match(path_)
             if kwargs is not None:
-                return route, qualname or route.pattern, kwargs
+                return route, name or route.pattern, kwargs
         raise Http404(f"No URL pattern matches {request_path!r}")
-
-    def reverse(self, name, **kwargs):
-        try:
-            route = self._by_name[name]
-        except KeyError:
-            raise ValueError(f"No URL pattern named {name!r}")
-        return "/" + route.reverse_path(**kwargs)

@@ -1,9 +1,8 @@
-"""The CLI entry points, result deduplication, and {% with %}."""
+"""The CLI entry points and result deduplication."""
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.webstack.templates import Template, TemplateSyntaxError
 from repro.webstack.testclient import Client
 
 from .conftest import submit_direct
@@ -85,22 +84,3 @@ class TestResultDeduplication:
         from repro.core import Simulation
         assert Simulation.objects.using(
             deployment.databases.admin).count() == 2
-
-
-class TestWithTag:
-    def test_with_assigns_scope(self):
-        out = Template(
-            "{% with total=items|length first=items|first %}"
-            "{{ total }}:{{ first }}{% endwith %}"
-        ).render({"items": [7, 8, 9]})
-        assert out == "3:7"
-
-    def test_with_scope_does_not_leak(self):
-        out = Template(
-            "{% with x=1 %}{{ x }}{% endwith %}[{{ x }}]"
-        ).render({})
-        assert out == "1[]"
-
-    def test_with_requires_assignments(self):
-        with pytest.raises(TemplateSyntaxError):
-            Template("{% with %}{% endwith %}")

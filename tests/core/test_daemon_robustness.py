@@ -53,29 +53,6 @@ class TestDaemonCrashIsolation:
         assert sim.state == SIM_DONE
 
 
-class TestOrmConveniences:
-    def test_update_or_create(self, deployment):
-        from repro.core import Star
-        db = deployment.databases.admin
-        star, created = Star.objects.using(db).update_or_create(
-            name="New Target", defaults={"hd_number": 424242})
-        assert created and star.hd_number == 424242
-        star2, created2 = Star.objects.using(db).update_or_create(
-            name="New Target", defaults={"hd_number": 515151})
-        assert not created2
-        assert star2.pk == star.pk
-        assert Star.objects.using(db).get(pk=star.pk).hd_number == 515151
-
-    def test_distinct_values(self, deployment, astronomer):
-        from repro.core import Simulation
-        submit_direct(deployment, astronomer, machine="kraken")
-        submit_direct(deployment, astronomer, machine="frost")
-        submit_direct(deployment, astronomer, machine="kraken")
-        values = Simulation.objects.using(
-            deployment.databases.admin).distinct_values("machine_name")
-        assert values == ["frost", "kraken"]
-
-
 class TestMachineTelemetry:
     def test_daemon_publishes_queue_state(self, deployment, astronomer):
         """The daemon writes congestion data; the portal reads it."""

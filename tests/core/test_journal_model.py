@@ -181,7 +181,7 @@ class JournalMachine(RuleBasedStateMachine):
         job = (GridJobRecord.objects.using(self.db)
                .filter(simulation_id=simulation.pk,
                        state__in=list(GRAM_IN_FLIGHT))
-               .order_by("id").last())
+               .order_by("-id").first())
         if job is None:
             return
 

@@ -1,9 +1,9 @@
-"""Admin interface: registration, changelist, change/add/delete views."""
+"""Admin interface: sign-in, registration, changelist, change/add views."""
 
 import pytest
 
-from repro.webstack import WebApplication, path
-from repro.webstack.admin import AdminSite, ModelAdmin
+from repro.webstack import WebApplication
+from repro.webstack.admin import AdminSite
 from repro.webstack.auth import (AUTH_MODELS, AuthMiddleware,
                                  create_superuser, create_user)
 from repro.webstack.orm import Database, bind, create_all
@@ -22,28 +22,11 @@ def setup():
 
     site = AdminSite(db)
     site.register(Author)
-
-    class BookAdmin(ModelAdmin):
-        list_display = ["title", "status"]
-        list_filter = ["status"]
-    site.register(Book, BookAdmin)
-
-    from repro.webstack import HttpResponse, HttpResponseRedirect
-    from repro.webstack.auth import authenticate, login
-
-    def login_view(request):
-        user = authenticate(request.db, request.POST.get("username", ""),
-                            request.POST.get("password", ""))
-        if user is None:
-            return HttpResponse(b"denied", status=403)
-        login(request, user)
-        return HttpResponseRedirect("/admin/")
-
-    app = WebApplication(site.routes()
-                         + [path("accounts/login/", login_view)],
-                         middleware=[AuthMiddleware(db)], db=db)
+    site.register(Book)
+    app = WebApplication(site.routes(), middleware=[AuthMiddleware(db)],
+                         db=db)
     client = Client(app)
-    client.login("ops", "pw")
+    assert client.login("ops", "pw", login_path="/admin/login/")
     yield db, site, app, client
     bind(AUTH_MODELS + MODELS, None)
     db.close()
@@ -58,7 +41,7 @@ class TestAccessControl:
     def test_non_staff_forbidden(self, setup):
         db, site, app, _ = setup
         client = Client(app)
-        client.login("mortal", "pw")
+        assert not client.login("mortal", "pw", login_path="/admin/login/")
         assert client.get("/admin/").status_code == 403
 
     def test_staff_allowed(self, setup):
@@ -77,14 +60,6 @@ class TestViews:
         Author.objects.create(name="Listed")
         text = client.get("/admin/ws_author/").text
         assert "Listed" in text
-
-    def test_changelist_filter(self, setup):
-        db, _, _, client = setup
-        a = Author.objects.create(name="A")
-        Book.objects.create(author=a, title="Draft one", status="draft")
-        Book.objects.create(author=a, title="Final one", status="final")
-        text = client.get("/admin/ws_book/?status=draft").text
-        assert "Draft one" in text and "Final one" not in text
 
     def test_add(self, setup):
         _, _, _, client = setup
@@ -116,15 +91,6 @@ class TestViews:
         response = client.post(f"/admin/ws_author/{author.pk}/",
                                {"name": "x" * 100})
         assert response.status_code == 400
-
-    def test_delete_requires_post(self, setup):
-        _, _, _, client = setup
-        author = Author.objects.create(name="Doomed")
-        assert client.get(
-            f"/admin/ws_author/{author.pk}/delete/").status_code == 400
-        assert client.post(
-            f"/admin/ws_author/{author.pk}/delete/").status_code == 302
-        assert not Author.objects.filter(name="Doomed").exists()
 
     def test_missing_pk_404(self, setup):
         _, _, _, client = setup

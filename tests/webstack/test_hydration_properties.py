@@ -11,9 +11,9 @@
     SQL and parameters must be those of a compile with the cache off.
 (c) A compile with the cache off binds through the same binders, so the
     parameters also answer to a field-by-field reference kept here, and
-    every statement kind — count, aggregate, values_count, update,
-    delete — to the same statement written by hand and run straight on
-    the connection: warm, cold and with the cache disabled.
+    every statement kind — count, aggregate, values_count, update —
+    to the same statement written by hand and run straight on the
+    connection: warm, cold and with the cache disabled.
 """
 
 import datetime as dt
@@ -219,7 +219,7 @@ def related_columns(model, related):
         target, walked = model, []
         for part in raw.split("__"):
             walked.append(part)
-            target = target._meta.field_by_any_name(part).resolve_target()
+            target = target._meta.field_by_any_name(part).to
             names += [f"{'__'.join(walked)}__{f.name}"
                       for f in target._meta.fields if not f.primary_key]
     return sorted(set(names))
@@ -582,10 +582,10 @@ class Rollback(Exception):
 
 
 def every_kind(database, names, values):
-    """What count, aggregate, values_count, update and delete answer
-    for the conditions *names* bound to *values*, each checked against
-    the hand-written statement run straight on the connection; the
-    two writes are rolled back."""
+    """What count, aggregate, values_count and update answer for the
+    conditions *names* bound to *values*, each checked against the
+    hand-written statement run straight on the connection; the write
+    is rolled back."""
     queryset = Book.objects.using(database)
     clauses, params = [], []
     for name, value in zip(names, values):
@@ -618,15 +618,10 @@ def every_kind(database, names, values):
             touched = database.connection.execute(
                 'SELECT COUNT(*) FROM "ws_book" WHERE "summary" = ?',
                 ["touched"]).fetchone()[0]
-            answers["delete"] = queryset.delete()
-            left = database.connection.execute(
-                'SELECT COUNT(*) FROM "ws_book"').fetchone()[0]
-            assert straight("COUNT(*)") == [(0,)]
             raise Rollback
     except Rollback:
         pass
-    assert answers["update"] == touched == matching == answers["delete"]
-    assert left == len(BOOKS) - matching
+    assert answers["update"] == touched == matching
     return answers
 
 
@@ -645,16 +640,16 @@ def test_every_statement_kind_matches_straight_sql_warm_cold_disabled(data):
             insert(database, Book, row)
         compiled_cache.clear()
         compiled_cache.configure(enabled=True)
-        every_kind(database, names, first)           # cold: five compiles
+        every_kind(database, names, first)           # cold: four compiles
         cold = compiled_cache.stats()
-        assert (cold["compiles"], cold["hits"]) == (5, 0)
+        assert (cold["compiles"], cold["hits"]) == (4, 0)
         warm_answers = every_kind(database, names, second)
         warm = compiled_cache.stats()
-        assert (warm["compiles"], warm["hits"]) == (5, 5)
+        assert (warm["compiles"], warm["hits"]) == (4, 4)
         compiled_cache.configure(enabled=False)
         assert every_kind(database, names, second) == warm_answers
         disabled = compiled_cache.stats()
-        assert (disabled["compiles"], disabled["hits"]) == (10, 5)
+        assert (disabled["compiles"], disabled["hits"]) == (8, 4)
     finally:
         compiled_cache.configure(enabled=True)
         database.close()

@@ -52,7 +52,7 @@ class TestRoleSeparation:
         portal = deployment.portal
         author = Author.objects.using(portal).create(name="User Input")
         with pytest.raises(PermissionDenied):
-            Author.objects.using(portal).filter(pk=author.pk).delete()
+            author.delete()
 
     def test_portal_cannot_update_books(self, deployment):
         author = Author.objects.using(deployment.portal).create(name="A")
@@ -91,7 +91,8 @@ class TestRoleSeparation:
 
     def test_admin_has_full_access(self, deployment):
         author = Author.objects.using(deployment.admin).create(name="A")
-        Author.objects.using(deployment.admin).filter(pk=author.pk).delete()
+        author.delete()
+        assert not Author.objects.using(deployment.admin).exists()
 
     def test_statement_log_records_operations(self, deployment):
         ops = []
