@@ -11,12 +11,12 @@ Run:  python examples/gateway_operations.py
 
 import re
 
-from repro.core import AMPDeployment, SubmitAuthorization
+from repro.core import AMPDeployment
 from repro.core.catalog import SimbadService
 from repro.core.models import Simulation
+from repro.core.portal.site import build_admin_app
 from repro.grid import FaultInjector
 from repro.hpc import HOUR
-from repro.webstack.auth import User
 from repro.webstack.testclient import Client
 
 
@@ -41,17 +41,32 @@ def main():
           portal.login("newastro", "password1"))
 
     # ------------------------------------------------------------------
-    # 2. The administrator approves and authorizes (admin role).
+    # 2. The administrator approves and authorizes from the admin
+    #    interface (the developers' deployment, admin role).
     # ------------------------------------------------------------------
     admin_db = deployment.databases.admin
-    user = User.objects.using(admin_db).get(username="newastro")
-    user.is_active = True
-    user.save(db=admin_db)
-    SubmitAuthorization(
-        user_id=user.pk,
-        machine_id=deployment.machine_records["kraken"].pk,
-        allocation_id=deployment.allocations["kraken"].pk,
-        active=True).save(db=admin_db)
+    admin_app, _site = build_admin_app(deployment)
+    deployment.create_admin("operator", "operatorpw")
+    admin = Client(admin_app)
+    assert admin.login("operator", "operatorpw", login_path="/admin/login/")
+    assert "Submit" in admin.get("/admin/").text
+    changelist = admin.get("/admin/auth_user/").text
+    user_pk = re.search(r'/admin/auth_user/(\d+)/">#\d+</a></td>'
+                        r"(?:<td>[^<]*</td>)*?<td>newastro</td>",
+                        changelist).group(1)
+    change_form = admin.get(f"/admin/auth_user/{user_pk}/").text
+    assert 'name="is_active"' in change_form
+    approved = admin.post(f"/admin/auth_user/{user_pk}/", {
+        "username": "newastro", "email": "newastro@obs.edu",
+        "first_name": "", "last_name": "", "is_active": "on"})
+    add_form = admin.get("/admin/amp_submit_auth/add/").text
+    assert 'name="machine_id"' in add_form
+    granted = admin.post("/admin/amp_submit_auth/add/", {
+        "user_id": user_pk,
+        "machine_id": deployment.machine_records["kraken"].pk,
+        "allocation_id": deployment.allocations["kraken"].pk,
+        "active": "on"})
+    assert approved.status_code == granted.status_code == 302
     print("Approved + authorized on kraken; login now:",
           portal.login("newastro", "password1"))
 
