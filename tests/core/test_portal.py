@@ -318,12 +318,5 @@ class TestAdminProject:
         assert row.status_code == 302
         assert portal.login("pending2", "longpass1")
 
-    def test_admin_login_admits_only_staff(self, deployment, astronomer):
-        admin_app, _site = build_admin_app(deployment)
-        admin_client = Client(admin_app)
-        assert not admin_client.login("metcalfe", "pw12345",
-                                      login_path="/admin/login/")
-        assert admin_client.get("/admin/").status_code == 403
-
     def test_portal_has_no_admin_routes(self, portal):
         assert portal.get("/admin/").status_code == 404
