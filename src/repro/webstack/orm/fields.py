@@ -129,6 +129,12 @@ class Field:
         self.validate(value)
         return value
 
+    def clean_to_db(self, value):
+        """``(clean(value), to_db(...))``: what one write stores and
+        binds, encoded once."""
+        value = self.clean(value)
+        return value, self.to_db(value)
+
     def validate(self, value):
         if self.choices is not None:
             allowed = [c[0] for c in self.choices]
@@ -391,14 +397,18 @@ class JSONField(Field):
         return json.dumps(value, sort_keys=True)
 
     def clean(self, value):
+        return self.clean_to_db(value)[0]
+
+    def clean_to_db(self, value):
+        """Validation is the encoding: the text a write binds is the
+        one ``json.dumps`` that proved the value serialisable."""
         if value is None:
-            return super().clean(value)
+            return super().clean(value), None
         try:
-            json.dumps(value)
+            return value, json.dumps(value, sort_keys=True)
         except (TypeError, ValueError):
             raise ValidationError(
                 {self.name or "?": "Value is not JSON-serialisable."})
-        return value
 
 
 class ForeignKey(Field):

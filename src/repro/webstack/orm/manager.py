@@ -8,10 +8,12 @@ from .query import QuerySet
 class Manager:
     """Default per-model accessor producing fresh QuerySets.
 
-    Mirrors the Django manager surface AMP used: ``objects.filter(...)``,
-    ``objects.create(...)``, ``objects.get_or_create(...)``.  A manager may
-    be bound to a specific role connection with ``using()`` — this is how
-    the same model class serves both the portal and the daemon processes.
+    ``objects.using(db)`` binds a queryset to one role connection —
+    how the same model class serves both the portal and the daemon
+    processes.  Every public :class:`QuerySet` method is also a manager
+    method that runs on ``get_queryset()`` (``objects.filter(...)``,
+    ``objects.create(...)``), the way Django's ``from_queryset`` builds
+    its managers: one implementation of each, on the queryset.
     """
 
     def __init__(self):
@@ -38,84 +40,17 @@ class Manager:
     def using(self, db):
         return self.get_queryset().using(db)
 
-    def all(self):
-        return self.get_queryset()
 
-    def filter(self, *qs, **lookups):
-        return self.get_queryset().filter(*qs, **lookups)
+def _on_a_fresh_queryset(name):
+    def method(self, *args, **kwargs):
+        return getattr(self.get_queryset(), name)(*args, **kwargs)
+    method.__name__ = method.__qualname__ = name
+    method.__doc__ = getattr(QuerySet, name).__doc__
+    return method
 
-    def exclude(self, *qs, **lookups):
-        return self.get_queryset().exclude(*qs, **lookups)
 
-    def get(self, *qs, **lookups):
-        return self.get_queryset().get(*qs, **lookups)
-
-    def order_by(self, *names):
-        return self.get_queryset().order_by(*names)
-
-    def select_related(self, *names):
-        return self.get_queryset().select_related(*names)
-
-    def prefetch_related(self, *names):
-        return self.get_queryset().prefetch_related(*names)
-
-    def prefetch_count(self, *names):
-        return self.get_queryset().prefetch_count(*names)
-
-    def only(self, *names):
-        return self.get_queryset().only(*names)
-
-    def defer(self, *names):
-        return self.get_queryset().defer(*names)
-
-    def count(self):
-        return self.get_queryset().count()
-
-    def exists(self):
-        return self.get_queryset().exists()
-
-    def first(self):
-        return self.get_queryset().first()
-
-    def values(self, *names):
-        return self.get_queryset().values(*names)
-
-    def values_list(self, *names, flat=False):
-        return self.get_queryset().values_list(*names, flat=flat)
-
-    def create(self, **kwargs):
-        obj = self.model(**kwargs)
-        obj.save()
-        return obj
-
-    def get_or_create(self, defaults=None, **lookups):
-        """Return ``(object, created)`` in one call."""
-        try:
-            return self.get(**lookups), False
-        except self.model.DoesNotExist:
-            params = dict(lookups)
-            params.update(defaults or {})
-            return self.create(**params), True
-
-    def bulk_update(self, objs, fields, batch_size=None):
-        """One CASE-WHEN UPDATE per batch; see QuerySet.bulk_update."""
-        return self.get_queryset().bulk_update(objs, fields,
-                                               batch_size=batch_size)
-
-    def aggregate(self, **named_aggregates):
-        return self.get_queryset().aggregate(**named_aggregates)
-
-    def values_count(self, field_name):
-        return self.get_queryset().values_count(field_name)
-
-    def bulk_create(self, objects, batch_size=None):
-        """INSERT *objects* with multi-row VALUES batches.
-
-        Objects with a preset primary key fall back to per-row inserts
-        (they bypass rowid assignment); the common no-pk path costs one
-        round trip per batch, with pks recovered from the statement's
-        ``lastrowid`` (SQLite assigns consecutive rowids within a single
-        multi-row INSERT).
-        """
-        return self.get_queryset().bulk_create(objects,
-                                               batch_size=batch_size)
+for _name, _member in vars(QuerySet).items():
+    if callable(_member) and not _name.startswith("_") \
+            and not hasattr(Manager, _name):
+        setattr(Manager, _name, _on_a_fresh_queryset(_name))
+del _name, _member

@@ -273,7 +273,13 @@ class Model(metaclass=ModelMeta):
     # ------------------------------------------------------------------
     def full_clean(self):
         """Validate every field; collect all errors before raising."""
-        errors = {}
+        self._clean_row()
+
+    def _clean_row(self):
+        """:meth:`full_clean`, returning ``{attname: value to bind}`` for
+        the fields it validated, each encoded by the same call that
+        validated it."""
+        errors, row = {}, {}
         for field in self._meta.fields:
             if field.primary_key and getattr(self, field.attname) is None:
                 continue
@@ -281,7 +287,8 @@ class Model(metaclass=ModelMeta):
                                                      field.auto_now_add):
                 continue
             try:
-                cleaned = field.clean(getattr(self, field.attname))
+                cleaned, row[field.attname] = field.clean_to_db(
+                    getattr(self, field.attname))
                 if cleaned is not None:
                     setattr(self, field.attname, cleaned)
             except ValidationError as exc:
@@ -292,6 +299,7 @@ class Model(metaclass=ModelMeta):
                     errors.setdefault(field.name, []).extend(exc.messages)
         if errors:
             raise ValidationError(errors)
+        return row
 
     def save(self, db=None, force_insert=False):
         """INSERT or UPDATE this instance after full validation.
@@ -303,19 +311,12 @@ class Model(metaclass=ModelMeta):
             self._state_db = db
         database = self._db_for_write()
         meta = self._meta
-        self.full_clean()
+        row = self._clean_row()
 
         adding = force_insert or self.pk is None or self._state_adding
-        columns, values = [], []
-        for field in meta.fields:
-            if isinstance(field, AutoField):
-                continue
-            if isinstance(field, DateTimeField):
-                value = field.pre_save(self, adding)
-            else:
-                value = getattr(self, field.attname)
-            columns.append(field.column)
-            values.append(field.to_db(value))
+        columns = [field.column for field in meta.fields
+                   if not isinstance(field, AutoField)]
+        values = self._bind_row(row, adding)
 
         if adding:
             col_sql = ", ".join(f'"{c}"' for c in columns)
@@ -342,6 +343,21 @@ class Model(metaclass=ModelMeta):
         post_save.send(type(self), instance=self, created=adding,
                        db=database)
         return self
+
+    def _bind_row(self, row, adding):
+        """The INSERT/UPDATE values of every non-auto column, from the
+        encoded *row* of :meth:`_clean_row`; ``auto_now`` stamps here."""
+        values = []
+        for field in self._meta.fields:
+            if isinstance(field, AutoField):
+                continue
+            if isinstance(field, DateTimeField):
+                values.append(field.to_db(field.pre_save(self, adding)))
+            elif field.attname in row:
+                values.append(row[field.attname])
+            else:
+                values.append(field.to_db(getattr(self, field.attname)))
+        return values
 
     def delete(self):
         database = self._db_for_write()

@@ -1048,13 +1048,13 @@ class QuerySet:
                 whens = []
                 for obj in chunk:
                     if isinstance(field, DateTimeField) and field.auto_now:
-                        value = field.pre_save(obj, False)
+                        value = field.to_db(field.pre_save(obj, False))
                     else:
-                        value = field.clean(getattr(obj, field.attname))
-                        setattr(obj, field.attname, value)
+                        cleaned, value = field.clean_to_db(
+                            getattr(obj, field.attname))
+                        setattr(obj, field.attname, cleaned)
                     whens.append("WHEN ? THEN ?")
-                    params.extend([meta.pk.to_db(obj.pk),
-                                   field.to_db(value)])
+                    params.extend([meta.pk.to_db(obj.pk), value])
                 sets.append(
                     f'"{field.column}" = CASE "{meta.pk.column}" '
                     + " ".join(whens) + f' ELSE "{field.column}" END')
@@ -1084,7 +1084,7 @@ class QuerySet:
         with multi-row assignment); the rest insert in batches and
         recover their pks from ``lastrowid``.
         """
-        from .fields import AutoField, DateTimeField
+        from .fields import AutoField
         meta = self.model._meta
         if not objs:
             return objs
@@ -1106,13 +1106,7 @@ class QuerySet:
             chunk = fresh[start:start + batch_size]
             params = []
             for obj in chunk:
-                obj.full_clean()
-                for field in columns:
-                    if isinstance(field, DateTimeField):
-                        value = field.pre_save(obj, True)
-                    else:
-                        value = getattr(obj, field.attname)
-                    params.append(field.to_db(value))
+                params.extend(obj._bind_row(obj._clean_row(), True))
             sql = (f'INSERT INTO "{meta.table_name}" ({col_sql}) VALUES '
                    + ", ".join([row_marks] * len(chunk)))
             cur = self.db.execute(sql, params, operation="insert",

@@ -157,3 +157,61 @@ class TestJSONField:
     def test_sorted_keys_stable(self):
         f = JSONField()
         assert f.to_db({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
+
+
+class TestJSONEncodedOnce:
+    """A write encodes each JSON value once: the ``json.dumps`` that
+    proves the value serialisable is the text bound to the statement."""
+
+    @pytest.fixture()
+    def encodes(self, monkeypatch):
+        import json
+        payloads = []
+        dumps = json.dumps
+
+        def counting(value, *args, **kwargs):
+            payloads.append(value)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        return payloads
+
+    def test_each_write_path_encodes_once(self, db, encodes):
+        from .conftest import Author, Book
+        author = Author.objects.create(name="Once")
+        tags = {"hosts": ["kraken", "frost"], "retries": 3}
+        book = Book(author=author, title="t", tags=tags)
+        book.save()
+        assert encodes == [tags]
+        book.tags = {"retries": 4}
+        book.save()
+        assert encodes[1:] == [{"retries": 4}]
+        del encodes[:]
+        Book.objects.using(db).bulk_update([book], ["tags"])
+        assert encodes == [{"retries": 4}]
+        del encodes[:]
+        Book.objects.using(db).bulk_create(
+            [Book(author=author, title=f"b{n}", tags=[n]) for n in range(3)])
+        assert encodes == [[0], [1], [2]]
+        assert Book.objects.get(pk=book.pk).tags == {"retries": 4}
+
+    def test_unserialisable_is_refused_before_any_statement(self, db):
+        from .conftest import Author, Book
+        author = Author.objects.create(name="Refused")
+        book = Book(author=author, title="t", tags={"bad": object()})
+        for write in (book.save,
+                      lambda: Book.objects.using(db).bulk_create([book])):
+            with db.count_queries() as counter:
+                with pytest.raises(ValidationError) as refused:
+                    write()
+            assert refused.value.error_dict == {
+                "tags": ["Value is not JSON-serialisable."]}
+            assert counter.count == 0
+        saved = Book(author=author, title="saved", tags=[1])
+        saved.save()
+        saved.tags = {1: object()}
+        with db.count_queries() as counter:
+            with pytest.raises(ValidationError) as refused:
+                Book.objects.using(db).bulk_update([saved], ["tags"])
+        assert refused.value.messages == ["Value is not JSON-serialisable."]
+        assert counter.count == 0
