@@ -133,6 +133,47 @@ def test_daemon_poll_scaling(benchmark):
     assert results[500][3] < results[500][1]
 
 
+def _working_poll_costs(n):
+    """Statements and commits per transition of the daemon's polls
+    while *n* direct runs go from QUEUED to DONE together."""
+    deployment = fresh_deployment()
+    user = deployment.create_astronomer(f"work{n}", password="pw12345")
+    for i in range(n):
+        _submit_direct(deployment, user, i)
+    daemon, db = deployment.daemon, deployment.databases.daemon
+    done = Simulation.objects.using(deployment.databases.admin).filter(
+        state="DONE")
+    statements = commits = transitions = polls = 0
+    while done.count() < n and polls < 50:
+        polls += 1
+        deployment.clock.advance(1800.0)
+        with db.count_queries() as counter:
+            transitions += daemon.poll_once()
+        statements += counter.count
+        commits += counter.commits
+    deployment.close()
+    assert transitions == 5 * n
+    return statements / transitions, commits / transitions
+
+
+def test_working_poll_scaling():
+    """A working poll runs each Listing 1 step over every simulation
+    due in it: one journal batch per grid operation and one state write
+    per step, so statements and commits per transition fall as the
+    group grows (counts, not timings)."""
+    sizes = (1, 10, 100)
+    costs = {n: _working_poll_costs(n) for n in sizes}
+    print("\nWorking polls, QUEUED -> DONE, per transition:")
+    print(format_table(
+        ["direct runs", "statements", "commits"],
+        [[n, f"{costs[n][0]:.3f}", f"{costs[n][1]:.3f}"] for n in sizes]))
+    for a, b in zip(sizes, sizes[1:]):
+        assert costs[b][0] < costs[a][0], costs
+        assert costs[b][1] < costs[a][1], costs
+    assert costs[100][0] <= 2.0, costs
+    assert costs[100][1] <= 1.0, costs
+
+
 def test_catalog_page_scaling(benchmark):
     """Star-list page render (25/page) over growing catalogs."""
     rows = []

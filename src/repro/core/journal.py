@@ -1,17 +1,22 @@
 """The operation journal: the daemon's grid side effects, written ahead.
 
 Every side-effecting grid call (submit, stage-in, stage-out, cancel)
-goes through :meth:`OperationJournal.call`: an INTENT row lands in the
-database *before* the command goes out, and is marked COMMITTED in
-one transaction with the call's consequence (the job record, the
-revoked job).  A daemon that dies between the two leaves an INTENT row
-behind, and never a consequence without its commit;
-:meth:`OperationJournal.reconcile` asks the fabric — per row — whether
-the side effect happened (adopt/verify) or provably did not
-(re-issue).  The idempotency key doubles as the GRAM ``clientTag``,
-which is what makes orphaned jobs findable after the fact.  Each of
-the two windows checks the crash schedule, so the fault harness can
-kill the daemon there.  (DESIGN.md §6.)
+goes through :meth:`OperationJournal.call`, a *batch* of operations of
+one kind — every simulation of a workflow step due for it, or one.  The
+batch's INTENT rows land in the database, in one transaction, *before*
+its first command goes out; its commands run in order, each between
+the crash schedule's two checks; then every entry is settled, and the
+call's consequences (the job records, the revoked jobs) written, in
+the next transaction the daemon commits — the next batch's intents or
+the end of the step — together with every other write queued since
+(:meth:`OperationJournal.defer`).  So writes with no command between
+them share one transaction, and a daemon that dies between a command
+and that commit leaves INTENT rows behind, never a consequence without
+its settle; :meth:`OperationJournal.reconcile` asks the fabric — per
+row — whether the side effect happened (adopt/verify) or provably did
+not (re-issue).  The idempotency key doubles as the GRAM
+``clientTag``, which is what makes orphaned jobs findable after the
+fact.  (DESIGN.md §6.)
 """
 
 from __future__ import annotations
@@ -23,7 +28,15 @@ from .models import (GRAM_STATES, GridJobRecord, JOB_REVOKED,
                      OUTCOME_ADOPTED, OUTCOME_COMMITTED, OUTCOME_FAILED,
                      OUTCOME_REISSUED, OUTCOME_REPLAYED, OUTCOME_TRANSIENT,
                      OUTCOME_VERIFIED, OperationRecord)
-from .workflow.base import ModelFailure
+
+#: The columns a settle may write, in one ``bulk_update`` per batch.
+SETTLED_COLUMNS = ["state", "outcome", "resolved_at", "gram_job_id",
+                   "job_record_id", "detail", "payload_size",
+                   "payload_digest"]
+
+
+class ModelFailure(Exception):
+    """A model-processing failure: the simulation must HOLD (§4.4)."""
 
 
 def idempotency_key(simulation_pk, phase, attempt):
@@ -36,6 +49,21 @@ def idempotency_key(simulation_pk, phase, attempt):
     back to the intent that produced it.
     """
     return f"amp-sim-{int(simulation_pk)}-{phase}-{int(attempt)}"
+
+
+class Operation:
+    """One side effect of a journal batch: ``command(key)`` on behalf
+    of *simulation* under *phase*.  *intent* holds the row's own
+    columns, a callable one called with the key (a submit's RSL carries
+    it as ``clientTag``)."""
+
+    __slots__ = ("simulation", "phase", "command", "intent")
+
+    def __init__(self, simulation, phase, command, **intent):
+        self.simulation = simulation
+        self.phase = phase
+        self.command = command
+        self.intent = intent
 
 
 class OperationJournal:
@@ -53,53 +81,129 @@ class OperationJournal:
         #: not resolve: ``advance`` leaves them alone until a later
         #: :meth:`reconcile` of their slice decides.
         self.blocked = set()
+        #: Writes waiting for the next transaction (:meth:`defer`).
+        self._deferred = []
 
-    def call(self, simulation, op, phase, command, classify, record=None,
-             **intent):
-        """Run ``command(key)`` write-ahead; returns *record*'s value,
-        or None when the command failed transiently.
+    def defer(self, write):
+        """Queue ``write()`` for the next transaction this journal
+        commits: the next batch's intents, or :meth:`flush`.  A write
+        already queued is not queued twice."""
+        if write not in self._deferred:
+            self._deferred.append(write)
+
+    def flush(self):
+        """Commit every queued write in one transaction (none: no
+        statement)."""
+        if self._deferred:
+            with self.db.atomic():
+                self._run_deferred()
+
+    def _run_deferred(self):
+        writes, self._deferred = self._deferred, []
+        for write in writes:
+            write()
+
+    def call(self, op, operations, classify, record=None):
+        """Run *operations* write-ahead as one batch of *op*; returns
+        each one's outcome, in order.
 
         The attempt counts durable rows, never memory: a bounced daemon
-        derives the key the dead one would have.  *intent* holds the
-        row's own columns, a callable one called with the key (a
-        submit's RSL carries it as ``clientTag``).  ``classify(
+        derives the key the dead one would have.  ``classify(
         simulation, raw)`` returning None settles the entry ABORTED
-        ``transient``, raising :class:`ModelFailure` ABORTED ``failed``;
-        the retry machinery owns what happens next.  Otherwise
-        ``record(result, entry)`` writes the consequence and returns
-        ``(value, columns to commit with)``, inside the transaction
-        that commits the entry; without it the value is the result.
+        ``transient`` (outcome None), raising :class:`ModelFailure`
+        ABORTED ``failed`` (outcome: the exception); the retry
+        machinery owns what happens next.  Otherwise the entry commits,
+        and ``record(result, entry)`` returns ``(outcome, job,
+        columns)``: the outcome (an exception, when what the command
+        returned is unusable), the :class:`GridJobRecord` the operation
+        created (unsaved) or changed (or None), and the columns to
+        settle with; without *record* the outcome is the result.  Any
+        other exception ``classify`` or ``record`` raises is the
+        outcome as well, and leaves its entry an INTENT for
+        :meth:`reconcile`.  Settles and jobs are written by the next
+        transaction (:meth:`defer`).
         """
-        attempt = OperationRecord.objects.using(self.db).filter(
-            simulation_id=simulation.pk, op=op, phase=phase).count() + 1
-        key = idempotency_key(simulation.pk, phase, attempt)
-        entry = OperationRecord(
-            simulation_id=simulation.pk, op=op, phase=phase,
-            attempt=attempt, idempotency_key=key,
-            resource=simulation.machine_name, state=JOURNAL_INTENT,
-            intent_at=self.clock.now,
-            **{name: value(key) if callable(value) else value
-               for name, value in intent.items()})
-        entry.save(db=self.db)
-        self.crash_schedule.check(op, "before")
-        raw = command(key)
-        self.crash_schedule.check(op, "after")
-        try:
-            result = classify(simulation, raw)
-        except ModelFailure as exc:
-            self._settle(entry, JOURNAL_ABORTED, OUTCOME_FAILED,
-                         detail=str(exc)[:500]).save(db=self.db)
-            raise
-        if result is None:
-            self._settle(entry, JOURNAL_ABORTED,
-                         OUTCOME_TRANSIENT).save(db=self.db)
-            return None
+        if not operations:
+            return []
+        entries = self._intents(op, operations)
         with self.db.atomic():
-            value, columns = (record(result, entry) if record
-                              else (result, {}))
-            self._settle(entry, JOURNAL_COMMITTED, OUTCOME_COMMITTED,
-                         **columns).save(db=self.db)
-        return value
+            self._run_deferred()
+            OperationRecord.objects.using(self.db).bulk_create(entries)
+        outcomes, settled, jobs = [], [], []
+        for operation, entry in zip(operations, entries):
+            self.crash_schedule.check(op, "before")
+            raw = operation.command(entry.idempotency_key)
+            self.crash_schedule.check(op, "after")
+            try:
+                result = classify(operation.simulation, raw)
+                if result is None:
+                    settled.append(self._settle(
+                        entry, JOURNAL_ABORTED, OUTCOME_TRANSIENT))
+                    outcomes.append(None)
+                    continue
+                value, job, columns = (record(result, entry) if record
+                                       else (result, None, {}))
+            except ModelFailure as exc:
+                settled.append(self._settle(
+                    entry, JOURNAL_ABORTED, OUTCOME_FAILED,
+                    detail=str(exc)[:500]))
+                outcomes.append(exc)
+                continue
+            except Exception as exc:  # noqa: BLE001 - the caller's to hold
+                outcomes.append(exc)
+                continue
+            settled.append(self._settle(entry, JOURNAL_COMMITTED,
+                                        OUTCOME_COMMITTED, **columns))
+            if job is not None:
+                jobs.append((entry, job))
+            outcomes.append(value)
+        self.defer(lambda: self._write_settles(settled, jobs))
+        return outcomes
+
+    def _intents(self, op, operations):
+        """The unsaved INTENT rows of a batch, numbered past the
+        attempts its (simulation, phase) pairs already have — read in
+        one SELECT."""
+        attempts = {}
+        for row in (OperationRecord.objects.using(self.db)
+                    .filter(op=op, simulation_id__in_json=sorted(
+                        {o.simulation.pk for o in operations}),
+                            phase__in_json=sorted(
+                                {o.phase for o in operations}))
+                    .only("simulation", "phase")):
+            key = (row.simulation_id, row.phase)
+            attempts[key] = attempts.get(key, 0) + 1
+        entries = []
+        for operation in operations:
+            simulation = operation.simulation
+            pair = (simulation.pk, operation.phase)
+            attempts[pair] = attempt = attempts.get(pair, 0) + 1
+            key = idempotency_key(simulation.pk, operation.phase, attempt)
+            entries.append(OperationRecord(
+                simulation_id=simulation.pk, op=op, phase=operation.phase,
+                attempt=attempt, idempotency_key=key,
+                resource=simulation.machine_name, state=JOURNAL_INTENT,
+                intent_at=self.clock.now,
+                **{name: value(key) if callable(value) else value
+                   for name, value in operation.intent.items()}))
+        return entries
+
+    def _write_settles(self, settled, jobs):
+        """A batch's consequences, then its settles: new job records in
+        one INSERT, changed ones in one UPDATE, every entry in one."""
+        created = [job for _, job in jobs if job.pk is None]
+        changed = [job for _, job in jobs if job.pk is not None]
+        records = GridJobRecord.objects.using(self.db)
+        if created:
+            records.bulk_create(created)
+        if changed:
+            records.bulk_update(changed, ["state", "failure_reason"])
+        for entry, job in jobs:
+            entry.gram_job_id = job.gram_job_id
+            entry.job_record_id = job.pk
+        if settled:
+            OperationRecord.objects.using(self.db).bulk_update(
+                settled, SETTLED_COLUMNS)
 
     @staticmethod
     def job_record(entry, gram_job_id, state):
@@ -202,8 +306,7 @@ class OperationJournal:
                     finalized, ["state", "failure_reason"])
             if settled:
                 OperationRecord.objects.using(self.db).bulk_update(
-                    settled, ["state", "outcome", "resolved_at",
-                              "gram_job_id", "job_record_id", "detail"])
+                    settled, SETTLED_COLUMNS)
         if summary["replayed"] or summary["verified"]:
             self.obs.events.emit("journal.replayed",
                                  replayed=summary["replayed"],

@@ -80,31 +80,42 @@ class NotificationPolicy:
         self.mailer = mailer
         self.db = db
 
-    def _profile(self, simulation):
-        from .models import UserProfile
-        try:
-            return UserProfile.objects.using(self.db).get(
-                user_id=simulation.owner_id)
-        except UserProfile.DoesNotExist:
-            return None
-
-    def on_transition(self, simulation, old_state, new_state):
-        profile = self._profile(simulation)
-        owner = simulation.owner
-        if new_state == "DONE":
-            if profile is None or profile.notify_on_completion \
-                    or profile.notify_each_transition:
-                self.mailer.notify_user(
-                    owner.email,
-                    f"AMP simulation #{simulation.pk} complete",
-                    f"Your {simulation.kind} run for "
-                    f"{simulation.star.name} has completed and its "
-                    f"results are available on the website.")
-        elif profile is not None and profile.notify_each_transition:
+    def on_transition(self, simulations, old_state, new_state):
+        """Mail the owners of *simulations*, which moved together from
+        *old_state* to *new_state*.  Their profiles load in one SELECT,
+        and for DONE the stars to name in one more."""
+        from .models import Star, UserProfile
+        profiles = {}
+        for profile in UserProfile.objects.using(self.db).filter(
+                user_id__in_json=sorted({simulation.owner_id
+                                         for simulation in simulations})):
+            profiles.setdefault(profile.user_id, profile)
+        if new_state != "DONE":
+            for simulation in simulations:
+                profile = profiles.get(simulation.owner_id)
+                if profile is not None and profile.notify_each_transition:
+                    self.mailer.notify_user(
+                        simulation.owner.email,
+                        f"AMP simulation #{simulation.pk}: {new_state}",
+                        f"Your simulation moved from {old_state} to "
+                        f"{new_state}.")
+            return
+        done = [simulation for simulation in simulations
+                if (profile := profiles.get(simulation.owner_id)) is None
+                or profile.notify_on_completion
+                or profile.notify_each_transition]
+        if not done:
+            return
+        stars = {star.pk: star for star in Star.objects.using(self.db)
+                 .filter(pk__in_json=sorted({simulation.star_id
+                                             for simulation in done}))}
+        for simulation in done:
             self.mailer.notify_user(
-                owner.email,
-                f"AMP simulation #{simulation.pk}: {new_state}",
-                f"Your simulation moved from {old_state} to {new_state}.")
+                simulation.owner.email,
+                f"AMP simulation #{simulation.pk} complete",
+                f"Your {simulation.kind} run for "
+                f"{stars[simulation.star_id].name} has completed and its "
+                f"results are available on the website.")
 
     def on_transient(self, simulation, detail):
         # Administrators only; the user-visible surface is the plain-text

@@ -14,7 +14,12 @@ the next state":
 
 "If the job is in a particular state, all of the functions in the
 subsequent list are called.  If all return True, then the job is set to
-the indicated next state."
+the indicated next state."  Here the list runs over a set: the daemon
+hands :meth:`WorkflowManager.advance` every simulation it loaded in one
+state, each function takes the simulations still passing and returns
+those for which it is True, and the survivors move on together — so
+each grid operation is one journal batch and each step one state write,
+however many simulations take it.
 
 The base class owns everything generic — job queuing, stage-in,
 stage-out, transient handling, hold/resume, accounting — while derived
@@ -27,17 +32,19 @@ from __future__ import annotations
 
 import posixpath
 import re
+import traceback
 
 from ...grid.gridftp import checksum
 from ...grid.retry import classify_operation
 from ...grid.rsl import fork_spec, format_rsl
 from ...hpc.accounting import cpu_hours
 from ...webstack.orm import Q
-from ..models import (GridJobRecord, HOLD_MODEL, HOLD_RESOURCE,
-                      JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
+from ..journal import ModelFailure, Operation
+from ..models import (AllocationRecord, GridJobRecord, HOLD_MODEL,
+                      HOLD_RESOURCE, JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
                       JOURNAL_OP_STAGE_IN, JOURNAL_OP_STAGE_OUT,
                       JOURNAL_OP_SUBMIT, MACHINE_AUTO, SIM_DONE, SIM_HOLD,
-                      SubmitAuthorization)
+                      Simulation, SubmitAuthorization)
 from ..remote import CLEANUP_SH, POSTJOB_SH, PREJOB_SH, output_tarball_path
 from ..staging import StagingError
 
@@ -52,10 +59,6 @@ BUDGET_EXHAUSTED_MESSAGE = (
     "The computing facility has been unavailable for an extended "
     "period.  Your simulation is paused and will resume automatically "
     "once the facility recovers.")
-
-
-class ModelFailure(Exception):
-    """A model-processing failure: the simulation must HOLD (§4.4)."""
 
 
 class WorkflowManager:
@@ -85,9 +88,10 @@ class WorkflowManager:
         double-charging.
     journal:
         The daemon's :class:`~repro.core.journal.OperationJournal`:
-        every side-effecting grid call goes through its ``call``, and a
-        simulation in its ``blocked`` set is frozen until reconciliation
-        settles its intent.
+        every side-effecting grid call goes through its ``call``, every
+        write through its transactions, and a simulation in its
+        ``blocked`` set is frozen until reconciliation settles its
+        intent.
     """
 
     def __init__(self, db, clients, policy, machine_specs, retry, obs,
@@ -112,6 +116,12 @@ class WorkflowManager:
             "CLEANUP": ([self.check_cleanup, self.close_simulation],
                         "DONE"),
         }
+        #: The ``sim.advance`` span of each simulation of the running
+        #: step, by pk.
+        self._spans = {}
+        #: ``{simulation: {field, ...}}`` changed since the journal's
+        #: last transaction, written by its next one.
+        self._dirty = {}
 
     #: The job purpose each state's check waits on.  While the
     #: simulation's job of that purpose is in flight the check returns
@@ -151,65 +161,160 @@ class WorkflowManager:
                   retry_not_before__lte=now + 1e-9)
                 & ~Q(machine_name=MACHINE_AUTO) & states)
 
-    def advance(self, simulation):
-        """Run the current state's function list; transition if all pass.
+    def advance(self, simulations):
+        """Run the current state's function list over *simulations*, a
+        group in one state; returns those that transitioned.
 
-        Returns True when a state transition happened.
+        Listing 1, set at a time: each function takes the simulations
+        still passing and returns those that pass, and the survivors
+        move to the next state together.  Each simulation has one
+        ``sim.advance`` span under its correlation id, and its share of
+        every function — its proxy, its checks, its grid commands —
+        runs inside it.  A failure drops only its own simulation (a
+        model failure or an unexpected exception holds it, a transient
+        backs it off); what the step writes commits with the next
+        journal batch's intents or, at the end, in the transaction that
+        records the transitions.
         """
-        if not self.ready(simulation):
-            return False
-        # Every cycle acts under a fresh SAML-attributed proxy for the
-        # simulation's owner (proxies are short-lived by design).
-        owner = simulation.owner
-        return self.proceed(
-            simulation, self.clients.ensure_proxy(owner.username,
-                                                  owner.email))
-
-    def proceed(self, simulation, refresh):
-        """``advance`` past its guards, with the owner's proxy
-        *refresh* already issued; True when a transition happened."""
-        functions, next_state = self.workflow[simulation.state]
+        tracer = self.obs.tracer
+        self._spans = {simulation.pk: tracer.span(
+            "sim.advance", trace_id=simulation.correlation_id,
+            attrs={"simulation": simulation.pk,
+                   "state": simulation.state})
+            for simulation in simulations}
         try:
-            if self._grid_call(simulation, refresh) is None:
-                return False
+            passing = [simulation for simulation in simulations
+                       if self.ready(simulation)]
+            if not passing:
+                return []
+            state = passing[0].state
+            functions, next_state = self.workflow[state]
+            # Every cycle acts under a fresh SAML-attributed proxy for
+            # the simulation's owner (proxies are short-lived by design).
+            passing = self.each(passing, self._refresh_proxy)
             for fn in functions:
-                if not fn(simulation):
-                    return False
-        except (ModelFailure, StagingError) as exc:
-            self.hold(simulation, str(exc))
-            return False
-        old_state = simulation.state
-        simulation.state = next_state
-        simulation.status_message = ""
-        simulation.save(db=self.db)
-        self.obs.events.emit(
-            "sim.transition", simulation=simulation.pk,
-            trace_id=simulation.correlation_id,
-            from_state=old_state, to_state=next_state,
-            machine=simulation.machine_name)
-        self.obs.metrics.counter(
-            "sim_transitions_total",
-            help="Workflow state transitions").labels(
-            to_state=next_state).inc()
-        self.policy.on_transition(simulation, old_state, next_state)
-        return True
+                if not passing:
+                    break
+                passing = fn(passing)
+            return self._transition(passing, state, next_state)
+        finally:
+            for span in self._spans.values():
+                span.finish()
+            self._spans = {}
 
     def run_to_completion(self, simulation):
         """Keep advancing while progress is possible (tests/benches)."""
         while simulation.state not in (SIM_DONE, SIM_HOLD):
-            if not self.advance(simulation):
+            if not self.advance([simulation]):
                 break
         return simulation.state
+
+    def each(self, simulations, fn):
+        """The simulations for which ``fn(simulation)``, run in each
+        one's span, is true; one it raises for is held (:meth:`_fail`)
+        and drops out."""
+        return [simulation for simulation, passed
+                in self.gather(simulations, fn) if passed]
+
+    def gather(self, simulations, fn):
+        """``[(simulation, fn(simulation)), ...]`` as :meth:`each` runs
+        it, for the simulations it does not raise for."""
+        values = []
+        for simulation in simulations:
+            try:
+                values.append((simulation,
+                               self._within(simulation, fn, simulation)))
+            except Exception as exc:  # noqa: BLE001 - held, see _fail
+                self._fail(simulation, exc)
+        return values
+
+    def _within(self, simulation, fn, *args):
+        span = self._spans.get(simulation.pk)
+        return fn(*args) if span is None else span.run(fn, *args)
+
+    def _refresh_proxy(self, simulation):
+        owner = simulation.owner
+        return self._grid_call(simulation, self.clients.ensure_proxy(
+            owner.username, owner.email)) is not None
+
+    def _fail(self, simulation, exc):
+        """Hold *simulation* for *exc*: a model failure with its
+        message; anything else is a defect in its processing, held as
+        an internal daemon error with the traceback — a defect in one
+        simulation must not take the whole daemon down with it (the
+        per-simulation analogue of the paper's "daemon failures are
+        monitored externally" posture)."""
+        if isinstance(exc, (ModelFailure, StagingError)):
+            self._hold(simulation, str(exc))
+            return
+        detail = "".join(traceback.format_exception(exc))
+        self.obs.events.emit(
+            "daemon.error", simulation=simulation.pk,
+            trace_id=simulation.correlation_id,
+            error=detail.splitlines()[-1])
+        try:
+            self._hold(simulation, f"internal daemon error:\n{detail}")
+        except Exception:  # noqa: BLE001 - last resort
+            self.policy.mailer.notify_admin(
+                f"Daemon error on simulation #{simulation.pk}", detail)
+
+    def _transition(self, simulations, old_state, next_state):
+        """Move the step's survivors to *next_state* in the transaction
+        that commits the step's last writes; then events and mail."""
+        for simulation in simulations:
+            simulation.state = next_state
+            simulation.status_message = ""
+            self._touch(simulation, "state", "status_message")
+            self._spans[simulation.pk].set_attr("advanced_to", next_state)
+        self.journal.flush()
+        if not simulations:
+            return simulations
+        for simulation in simulations:
+            self.obs.events.emit(
+                "sim.transition", simulation=simulation.pk,
+                trace_id=simulation.correlation_id,
+                from_state=old_state, to_state=next_state,
+                machine=simulation.machine_name)
+        self.obs.metrics.counter(
+            "sim_transitions_total",
+            help="Workflow state transitions").labels(
+            to_state=next_state).inc(len(simulations))
+        self.policy.on_transition(simulations, old_state, next_state)
+        return simulations
+
+    def _touch(self, simulation, *fields):
+        """Queue *fields* of *simulation* for the journal's next
+        transaction."""
+        self.journal.defer(self._write_simulations)
+        self._dirty.setdefault(simulation, set()).update(fields)
+
+    def _write_simulations(self):
+        """The queued simulation columns: one UPDATE per set of
+        columns."""
+        dirty, self._dirty = self._dirty, {}
+        groups = {}
+        for simulation, fields in dirty.items():
+            groups.setdefault(tuple(sorted(fields)), []).append(simulation)
+        for fields, simulations in groups.items():
+            Simulation.objects.using(self.db).bulk_update(simulations,
+                                                          fields)
 
     # ------------------------------------------------------------------
     # Hold / resume (model failures and exhausted retry budgets)
     # ------------------------------------------------------------------
     def hold(self, simulation, reason, category=HOLD_MODEL):
+        """Hold *simulation* now, outside any step (a step holds
+        through :meth:`_hold` and writes with its next transaction)."""
+        self._hold(simulation, reason, category)
+        self.journal.flush()
+
+    def _hold(self, simulation, reason, category=HOLD_MODEL):
         simulation.state_before_hold = simulation.state
         simulation.state = SIM_HOLD
         simulation.hold_reason = reason
         simulation.hold_category = category
-        simulation.save(db=self.db)
+        self._touch(simulation, "state", "state_before_hold",
+                    "hold_reason", "hold_category")
         self.obs.events.emit(
             "sim.hold", simulation=simulation.pk,
             trace_id=simulation.correlation_id,
@@ -284,26 +389,27 @@ class WorkflowManager:
             del counts[operation]
             simulation.retry_counts = counts or None
             simulation.retry_not_before = 0.0
-            simulation.save(db=self.db)
+            self._touch(simulation, "retry_counts", "retry_not_before")
 
     def _record_transient(self, simulation, operation, result):
         counts = dict(simulation.retry_counts or {})
         attempt = counts.get(operation, 0) + 1
         counts[operation] = attempt
         simulation.retry_counts = counts
+        self._touch(simulation, "retry_counts")
         if self.retry.exhausted(attempt):
             # The budget is spent: this is no longer a silent transient.
             self.policy.on_budget_exhausted(
                 simulation, operation, attempt,
                 f"budget exhausted after {attempt} attempts: "
                 f"{result.command_line}\n{result.stderr}")
-            self.hold(simulation, BUDGET_EXHAUSTED_MESSAGE,
-                      category=HOLD_RESOURCE)
+            self._hold(simulation, BUDGET_EXHAUSTED_MESSAGE,
+                       category=HOLD_RESOURCE)
             return
         simulation.retry_not_before = self.retry.next_retry(
             simulation.pk, operation, attempt)
         simulation.status_message = TRANSIENT_MESSAGE
-        simulation.save(db=self.db)
+        self._touch(simulation, "retry_not_before", "status_message")
         self.policy.on_transient(
             simulation,
             f"retryable (attempt {attempt}/"
@@ -350,48 +456,6 @@ class WorkflowManager:
         if prefetched is not None and "grid_jobs" in prefetched:
             prefetched["grid_jobs"].append(record)
 
-    def _submit_fork(self, simulation, purpose, executable, arguments=()):
-        """Submit a fork-service script and record it."""
-        spec = fork_spec(executable,
-                         directory=simulation.remote_directory,
-                         arguments=list(arguments))
-        return self._journaled_submit(simulation, purpose, spec,
-                                      service="fork", phase=purpose)
-
-    def _submit_batch(self, simulation, purpose, spec, *, ga_index=0,
-                      sequence=0):
-        return self._journaled_submit(
-            simulation, purpose, spec, service="batch",
-            ga_index=ga_index, sequence=sequence,
-            phase=f"{purpose}-{ga_index}-{sequence}")
-
-    def _journaled_submit(self, simulation, purpose, spec, *, service,
-                          phase, ga_index=0, sequence=0):
-        """The single submission path (fork and batch).
-
-        The journal's key is stamped into the RSL as ``clientTag``
-        *before* the intent row is written, so whatever GRAM ends up
-        holding is findable by the exact key the journal recorded.
-        """
-        def tagged(key):
-            return {**spec, "clientTag": key}
-
-        def record(result, entry):
-            job = self.journal.job_record(entry, int(result.stdout),
-                                          "PENDING")
-            job.save(db=self.db)
-            self._remember_job(simulation, job)
-            return job, {"gram_job_id": job.gram_job_id,
-                         "job_record_id": job.pk}
-
-        return self.journal.call(
-            simulation, JOURNAL_OP_SUBMIT, phase,
-            lambda key: self.clients.submit_job(
-                simulation.machine_name, tagged(key), service=service),
-            self._grid_call, record, purpose=purpose, ga_index=ga_index,
-            sequence=sequence, service=service,
-            rsl=lambda key: format_rsl(tagged(key)))
-
     def _check_job(self, simulation, record, *, label):
         """Generic completion check on a job record (last-known state)."""
         if record is None:
@@ -404,31 +468,152 @@ class WorkflowManager:
                 f"{record.failure_reason or 'unknown'}")
         return False
 
-    def _stage_in(self, simulation, files):
-        """Upload regenerated input files; False on transient.
+    def _check_jobs(self, simulations, purpose, label):
+        """The simulations whose latest *purpose* job is DONE."""
+        return self.each(simulations, lambda simulation: self._check_job(
+            simulation, self._latest_job(simulation, purpose), label=label))
 
-        Each file is journaled with its payload size and digest so a
-        restart can re-verify a maybe-partial transfer with one remote
-        ``stat`` instead of re-uploading blindly.
+    # ------------------------------------------------------------------
+    # Journaled grid calls
+    # ------------------------------------------------------------------
+    def _journal(self, op, operations, record=None):
+        """Send *operations* through the journal as one batch, each
+        command acting for its simulation — in its span, under its
+        owner's proxy; returns each one's outcome
+        (:meth:`~repro.core.journal.OperationJournal.call`)."""
+        for operation in operations:
+            operation.command = self._acting_for(operation.simulation,
+                                                 operation.command)
+        return self.journal.call(op, operations, self._grid_call, record)
+
+    def _acting_for(self, simulation, command):
+        owner = simulation.owner
+
+        def act(key):
+            self.clients.ensure_proxy(owner.username, owner.email)
+            return command(key)
+        return lambda key: self._within(simulation, act, key)
+
+    def _batch(self, op, operations, record=None):
+        """:meth:`_journal` over a set: the simulation of each operation
+        that failed is held (:meth:`_fail`), its outcome None."""
+        values = []
+        for operation, outcome in zip(
+                operations, self._journal(op, operations, record)):
+            if isinstance(outcome, Exception):
+                self._fail(operation.simulation, outcome)
+                outcome = None
+            values.append(outcome)
+        return values
+
+    def _single(self, op, operation, record=None):
+        """:meth:`_journal` for one simulation's own sequence of calls,
+        run inside :meth:`each`: a failure raises there."""
+        outcome, = self._journal(op, [operation], record)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _submission(self, simulation, purpose, spec, *, service,
+                    ga_index=0, sequence=0):
+        """The one submission path (fork and batch).
+
+        The journal's key is stamped into the RSL as ``clientTag``
+        *before* the intent row is written, so whatever GRAM ends up
+        holding is findable by the exact key the journal recorded.
         """
-        directory = simulation.remote_directory
-        for rel_path, content in sorted(files.items()):
-            remote_path = posixpath.join(directory, rel_path)
-            data = (content.encode("utf-8")
-                    if isinstance(content, str) else content)
-            if self.journal.call(
-                    simulation, JOURNAL_OP_STAGE_IN,
-                    f"stagein-{self._phase_slug(rel_path)}",
-                    lambda _key: self.clients.stage_in(
-                        simulation.machine_name, remote_path, content),
-                    self._grid_call, remote_path=remote_path,
-                    payload_size=len(data),
-                    payload_digest=checksum(data)) is None:
-                return False
-        return True
+        def tagged(key):
+            return {**spec, "clientTag": key}
 
-    def _stage_out(self, simulation, remote_path):
-        """Download one file; None on transient.
+        phase = (purpose if service == "fork"
+                 else f"{purpose}-{ga_index}-{sequence}")
+        return Operation(
+            simulation, phase,
+            lambda key: self.clients.submit_job(
+                simulation.machine_name, tagged(key), service=service),
+            purpose=purpose, ga_index=ga_index, sequence=sequence,
+            service=service, rsl=lambda key: format_rsl(tagged(key)))
+
+    def _record_submission(self, result, entry):
+        job = self.journal.job_record(entry, int(result.stdout), "PENDING")
+        return job, job, {}
+
+    def _submit_each(self, simulations, purpose, spec_for, *,
+                     service="fork"):
+        """Submit a *purpose* job, ``spec_for(simulation)`` its RSL, for
+        each simulation that has none yet, in one journal batch; returns
+        the simulations that have one."""
+        due = [simulation for simulation in simulations
+               if self._latest_job(simulation, purpose) is None]
+        operations = [self._submission(simulation, purpose, spec,
+                                       service=service)
+                      for simulation, spec in self.gather(due, spec_for)]
+        submitted = set()
+        for operation, job in zip(operations, self._batch(
+                JOURNAL_OP_SUBMIT, operations, self._record_submission)):
+            if job is not None:
+                self._remember_job(operation.simulation, job)
+                submitted.add(operation.simulation.pk)
+        waiting = {simulation.pk for simulation in due} - submitted
+        return [simulation for simulation in simulations
+                if simulation.pk not in waiting]
+
+    def _submit_batch(self, simulation, purpose, spec, *, ga_index=0,
+                      sequence=0):
+        """One batch job for one simulation (:meth:`_single`)."""
+        job = self._single(
+            JOURNAL_OP_SUBMIT,
+            self._submission(simulation, purpose, spec, service="batch",
+                             ga_index=ga_index, sequence=sequence),
+            self._record_submission)
+        if job is not None:
+            self._remember_job(simulation, job)
+        return job
+
+    def _fork_spec(self, simulation, executable, arguments=()):
+        return fork_spec(executable, directory=simulation.remote_directory,
+                         arguments=list(arguments))
+
+    def _stage_in(self, simulations, files_for):
+        """Upload each simulation's regenerated input files,
+        ``files_for(simulation)``; returns the simulations whose every
+        upload landed (a transient drops one until a later poll).
+
+        One journal batch per file rank, so each simulation uploads its
+        files in order and stops at its first transient.  Each file is
+        journaled with its payload size and digest so a restart can
+        re-verify a maybe-partial transfer with one remote ``stat``
+        instead of re-uploading blindly.
+        """
+        pending = [(simulation, sorted(files.items())) for simulation, files
+                   in self.gather(simulations, files_for)]
+        rank = 0
+        while True:
+            operations = [self._upload(simulation, *files[rank])
+                          for simulation, files in pending
+                          if rank < len(files)]
+            if not operations:
+                return [simulation for simulation, _ in pending]
+            failed = {operation.simulation.pk for operation, result in zip(
+                operations, self._batch(JOURNAL_OP_STAGE_IN, operations))
+                      if result is None}
+            pending = [(simulation, files) for simulation, files in pending
+                       if simulation.pk not in failed]
+            rank += 1
+
+    def _upload(self, simulation, rel_path, content):
+        remote_path = posixpath.join(simulation.remote_directory, rel_path)
+        data = (content.encode("utf-8")
+                if isinstance(content, str) else content)
+        return Operation(
+            simulation, f"stagein-{self._phase_slug(rel_path)}",
+            lambda _key: self.clients.stage_in(
+                simulation.machine_name, remote_path, content),
+            remote_path=remote_path, payload_size=len(data),
+            payload_digest=checksum(data))
+
+    def _download(self, simulation, remote_path):
+        """The operation downloading one file.
 
         Downloads are side-effect-free on the fabric, but they are
         journaled anyway: the intent row is what lets reconciliation
@@ -438,17 +623,24 @@ class WorkflowManager:
         rel = remote_path
         if rel.startswith(simulation.remote_directory):
             rel = rel[len(simulation.remote_directory):]
-
-        def record(result, _entry):
-            return result.data, {"payload_size": len(result.data),
-                                 "payload_digest": checksum(result.data)}
-
-        return self.journal.call(
-            simulation, JOURNAL_OP_STAGE_OUT,
-            f"stageout-{self._phase_slug(rel)}",
+        return Operation(
+            simulation, f"stageout-{self._phase_slug(rel)}",
             lambda _key: self.clients.stage_out(simulation.machine_name,
                                                 remote_path),
-            self._grid_call, record, remote_path=remote_path)
+            remote_path=remote_path)
+
+    @staticmethod
+    def _record_download(result, _entry):
+        return result.data, None, {
+            "payload_size": len(result.data),
+            "payload_digest": checksum(result.data)}
+
+    def _stage_out(self, simulation, remote_path):
+        """One simulation's download (:meth:`_single`); None on
+        transient."""
+        return self._single(JOURNAL_OP_STAGE_OUT,
+                            self._download(simulation, remote_path),
+                            self._record_download)
 
     def machine_spec(self, simulation):
         try:
@@ -457,107 +649,145 @@ class WorkflowManager:
             raise ModelFailure(
                 f"Unknown machine {simulation.machine_name!r}")
 
+    def _authorizations(self, simulations):
+        """``{(user_id, machine name): authorization}`` over the active
+        submit authorizations of the owners of *simulations*, machine and
+        allocation joined, in one SELECT."""
+        found = {}
+        for auth in (SubmitAuthorization.objects.using(self.db)
+                     .filter(user_id__in_json=sorted(
+                         {simulation.owner_id for simulation in simulations}),
+                             active=True)
+                     .select_related("machine", "allocation")):
+            found.setdefault((auth.user_id, auth.machine.name), auth)
+        return found
+
     # ------------------------------------------------------------------
     # QUEUED
     # ------------------------------------------------------------------
-    def check_queued_sim(self, simulation):
-        """Verify the owner may run on this machine with SUs remaining."""
-        self.machine_spec(simulation)
-        auths = SubmitAuthorization.objects.using(self.db).filter(
-            user_id=simulation.owner_id, active=True).select_related(
-            "machine", "allocation")
-        for auth in auths:
-            if auth.machine.name == simulation.machine_name:
-                if auth.allocation.su_remaining <= 0:
-                    raise ModelFailure(
-                        f"Allocation {auth.allocation.project} on "
-                        f"{simulation.machine_name} is exhausted")
-                return True
-        raise ModelFailure(
-            f"User {simulation.owner_id} is not authorized to submit to "
-            f"{simulation.machine_name}")
+    def check_queued_sim(self, simulations):
+        """Verify each owner may run on its machine with SUs remaining."""
+        authorizations = self._authorizations(simulations)
 
-    def submit_pre_job(self, simulation):
-        if self._latest_job(simulation, JOB_PREJOB) is not None:
+        def check(simulation):
+            self.machine_spec(simulation)
+            auth = authorizations.get((simulation.owner_id,
+                                       simulation.machine_name))
+            if auth is None:
+                raise ModelFailure(
+                    f"User {simulation.owner_id} is not authorized to "
+                    f"submit to {simulation.machine_name}")
+            if auth.allocation.su_remaining <= 0:
+                raise ModelFailure(
+                    f"Allocation {auth.allocation.project} on "
+                    f"{simulation.machine_name} is exhausted")
             return True
-        record = self._submit_fork(simulation, JOB_PREJOB, PREJOB_SH,
-                                   arguments=self.prejob_arguments(
-                                       simulation))
-        return record is not None
+        return self.each(simulations, check)
+
+    def submit_pre_job(self, simulations):
+        return self._submit_each(
+            simulations, JOB_PREJOB,
+            lambda simulation: self._fork_spec(
+                simulation, PREJOB_SH, self.prejob_arguments(simulation)))
 
     # ------------------------------------------------------------------
     # PREJOB
     # ------------------------------------------------------------------
-    def check_pre_job(self, simulation):
-        record = self._latest_job(simulation, JOB_PREJOB)
-        if not self._check_job(simulation, record, label="pre-job"):
-            return False
-        return self._stage_in(simulation, self.input_files(simulation))
+    def check_pre_job(self, simulations):
+        return self._stage_in(
+            self._check_jobs(simulations, JOB_PREJOB, "pre-job"),
+            self.input_files)
 
     # ------------------------------------------------------------------
     # POSTJOB / CLEANUP
     # ------------------------------------------------------------------
-    def submit_post_job(self, simulation):
-        if self._latest_job(simulation, JOB_POSTJOB) is not None:
-            return True
-        record = self._submit_fork(simulation, JOB_POSTJOB, POSTJOB_SH)
-        return record is not None
+    def submit_post_job(self, simulations):
+        return self._submit_each(
+            simulations, JOB_POSTJOB,
+            lambda simulation: self._fork_spec(simulation, POSTJOB_SH))
 
-    def check_post_job(self, simulation):
-        record = self._latest_job(simulation, JOB_POSTJOB)
-        return self._check_job(simulation, record, label="post-job")
+    def check_post_job(self, simulations):
+        return self._check_jobs(simulations, JOB_POSTJOB, "post-job")
 
-    def submit_cleanup(self, simulation):
+    def submit_cleanup(self, simulations):
         # The tarball must be safely downloaded (postprocess) before the
         # cleanup stage removes the execution environment.
-        if self._latest_job(simulation, JOB_CLEANUP) is not None:
-            return True
-        record = self._submit_fork(simulation, JOB_CLEANUP, CLEANUP_SH)
-        return record is not None
+        return self._submit_each(
+            simulations, JOB_CLEANUP,
+            lambda simulation: self._fork_spec(simulation, CLEANUP_SH))
 
-    def check_cleanup(self, simulation):
-        record = self._latest_job(simulation, JOB_CLEANUP)
-        return self._check_job(simulation, record, label="cleanup")
+    def check_cleanup(self, simulations):
+        return self._check_jobs(simulations, JOB_CLEANUP, "cleanup")
 
-    def close_simulation(self, simulation):
-        """Final bookkeeping: charge SUs against the allocation."""
-        self._charge_allocation(simulation)
-        return True
+    def close_simulation(self, simulations):
+        """Final bookkeeping: charge SUs against the allocations, in the
+        transaction that records the step's transitions."""
+        charges = self.gather(simulations, self._consumed_su)
+        if charges:
+            self.journal.defer(lambda: self._charge_allocations(charges))
+        return [simulation for simulation, _ in charges]
 
-    def _charge_allocation(self, simulation):
+    def _consumed_su(self, simulation):
         spec = self.machine_spec(simulation)
         core_seconds = self.consumed_core_seconds(simulation)
-        sus = 0.0
-        if core_seconds > 0:
-            sus = cpu_hours(1, core_seconds) * spec.su_charge_factor
-        # Broker-placed work settles through the ledger (idempotently:
-        # a re-run after a crash finds the reservation already settled
-        # and charges nothing).  True means the ledger owned it.
-        if self.ledger.settle(simulation, sus):
+        if core_seconds <= 0:
+            return 0.0
+        return cpu_hours(1, core_seconds) * spec.su_charge_factor
+
+    def _charge_allocations(self, charges):
+        """Broker-placed work settles through the ledger (idempotently:
+        a re-run after a crash finds the reservation already settled and
+        charges nothing); the rest is charged to the owner's allocation
+        on its machine, in one UPDATE."""
+        settled = self.ledger.settle(charges)
+        legacy = [(simulation, sus) for simulation, sus in charges
+                  if simulation.pk not in settled and sus > 0]
+        if not legacy:
             return
-        if sus <= 0:
-            return
-        for auth in SubmitAuthorization.objects.using(self.db).filter(
-                user_id=simulation.owner_id, active=True).select_related(
-                "machine", "allocation"):
-            if auth.machine.name == simulation.machine_name:
-                allocation = auth.allocation
+        authorizations = self._authorizations(
+            [simulation for simulation, _ in legacy])
+        allocations = {}
+        for simulation, sus in legacy:
+            auth = authorizations.get((simulation.owner_id,
+                                       simulation.machine_name))
+            if auth is not None:
+                allocation = allocations.setdefault(auth.allocation_id,
+                                                    auth.allocation)
                 allocation.su_used = allocation.su_used + sus
-                allocation.save(db=self.db)
-                break
+        if allocations:
+            AllocationRecord.objects.using(self.db).bulk_update(
+                list(allocations.values()), ["su_used"])
 
     # ------------------------------------------------------------------
     # Postprocess (shared shell; derived classes interpret)
     # ------------------------------------------------------------------
-    def postprocess(self, simulation):
-        tarball = self._stage_out(
-            simulation, output_tarball_path(simulation.remote_directory))
-        if tarball is None:
-            return False
-        results = self.interpret_results(simulation, tarball)
-        simulation.results = results
-        simulation.save(db=self.db)
-        return True
+    def postprocess(self, simulations):
+        """Download each output tarball and interpret it as it lands,
+        so one tarball at a time is in memory; a simulation whose
+        tarball does not interpret is held."""
+        by_pk = {simulation.pk: simulation for simulation in simulations}
+
+        def interpret(result, entry):
+            tarball, _, columns = self._record_download(result, entry)
+            try:
+                results = self.interpret_results(
+                    by_pk[entry.simulation_id], tarball)
+            except Exception as exc:  # noqa: BLE001 - held by _batch
+                results = exc
+            return results, None, columns
+
+        operations = [
+            self._download(simulation,
+                           output_tarball_path(simulation.remote_directory))
+            for simulation in simulations]
+        passing = []
+        for operation, results in zip(operations, self._batch(
+                JOURNAL_OP_STAGE_OUT, operations, interpret)):
+            if results is not None:
+                operation.simulation.results = results
+                self._touch(operation.simulation, "results")
+                passing.append(operation.simulation)
+        return passing
 
     # ------------------------------------------------------------------
     # Derived-class interface (model-specific)
@@ -568,10 +798,12 @@ class WorkflowManager:
     def input_files(self, simulation):
         raise NotImplementedError
 
-    def submit_work_job(self, simulation):
+    def submit_work_job(self, simulations):
+        """The simulations whose work jobs are submitted."""
         raise NotImplementedError
 
-    def check_work_job(self, simulation):
+    def check_work_job(self, simulations):
+        """The simulations whose work is done."""
         raise NotImplementedError
 
     def interpret_results(self, simulation, tarball):

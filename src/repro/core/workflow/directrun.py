@@ -24,19 +24,18 @@ class DirectRunWorkflow(WorkflowManager):
     def input_files(self, simulation):
         return generate_input_files(simulation)
 
-    def submit_work_job(self, simulation):
-        if self._latest_job(simulation, JOB_MODEL) is not None:
-            return True
-        spec = batch_spec(
+    def submit_work_job(self, simulations):
+        return self._submit_each(simulations, JOB_MODEL, self._model_spec,
+                                 service="batch")
+
+    def _model_spec(self, simulation):
+        return batch_spec(
             RUN_MODEL_SH, count=1,
             max_wall_time_s=self.machine_spec(simulation).max_walltime_s,
             directory=simulation.remote_directory)
-        record = self._submit_batch(simulation, JOB_MODEL, spec)
-        return record is not None
 
-    def check_work_job(self, simulation):
-        record = self._latest_job(simulation, JOB_MODEL)
-        return self._check_job(simulation, record, label="model")
+    def check_work_job(self, simulations):
+        return self._check_jobs(simulations, JOB_MODEL, "model")
 
     def interpret_results(self, simulation, tarball):
         return interpret_output_tarball(tarball, KIND_DIRECT)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import posixpath
 
 from ...grid.rsl import batch_spec
+from ..journal import Operation
 from ..models import (JOB_GA, JOB_REVOKED, JOB_SOLUTION, JOURNAL_OP_CANCEL,
                       KIND_OPTIMIZATION)
 from ..remote import RUN_GA_SH, SOLUTION_SH
@@ -79,7 +80,10 @@ class OptimizationWorkflow(WorkflowManager):
             spec["dependsOn"] = str(depends_on)
         return spec
 
-    def submit_work_job(self, simulation):
+    def submit_work_job(self, simulations):
+        return self.each(simulations, self._launch_ga_runs)
+
+    def _launch_ga_runs(self, simulation):
         """Launch every GA run: one first segment each, or — with
         chaining enabled — the whole dependency chain up front, so
         continuations queue while their predecessors run (§6)."""
@@ -103,7 +107,10 @@ class OptimizationWorkflow(WorkflowManager):
         return True
 
     # ------------------------------------------------------------------
-    def check_work_job(self, simulation):
+    def check_work_job(self, simulations):
+        return self.each(simulations, self._check_ga_runs)
+
+    def _check_ga_runs(self, simulation):
         """Propagate GA chains; then run the solution evaluation."""
         cfg = self._config(simulation)
         all_finished = True
@@ -170,17 +177,16 @@ class OptimizationWorkflow(WorkflowManager):
         def revoke(_result, _entry):
             job.state = "FAILED"
             job.failure_reason = JOB_REVOKED
-            job.save(db=self.db)
-            return True, {}
+            return True, job, {}
 
         for job in jobs:
-            if not job.is_terminal and self.journal.call(
-                    simulation, JOURNAL_OP_CANCEL, f"cancel-{job.pk}",
-                    lambda _key: self.clients.job_cancel(
-                        simulation.machine_name, job.gram_job_id),
-                    self._grid_call, revoke, purpose=job.purpose,
-                    gram_job_id=job.gram_job_id,
-                    job_record_id=job.pk) is None:
+            if not job.is_terminal and self._single(
+                    JOURNAL_OP_CANCEL, Operation(
+                        simulation, f"cancel-{job.pk}",
+                        lambda _key: self.clients.job_cancel(
+                            simulation.machine_name, job.gram_job_id),
+                        purpose=job.purpose, gram_job_id=job.gram_job_id,
+                        job_record_id=job.pk), revoke) is None:
                 return False
         return True
 

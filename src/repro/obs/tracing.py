@@ -64,15 +64,32 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        tracer = self.tracer
-        self.end = tracer.clock.now
         if exc_type is not None:
             self.status = "error"
             self.attrs["error"] = exc_type.__name__
-        popped = tracer._stack.pop()
+        popped = self.tracer._stack.pop()
         assert popped is self, "span stack corrupted"
-        tracer.finished.append(self)
+        self.finish()
         return False
+
+    def run(self, fn, *args):
+        """``fn(*args)`` with this span open again on its tracer's stack
+        (the ambient parent and trace of what it emits), left
+        unfinished: one span covers a simulation's share of each
+        set-wide step of a poll."""
+        stack = self.tracer._stack
+        stack.append(self)
+        try:
+            return fn(*args)
+        finally:
+            stack.pop()
+
+    def finish(self):
+        """Stamp the end and record the span (what ``__exit__`` does
+        once the block closes; call it once for a span only ever
+        :meth:`run`)."""
+        self.end = self.tracer.clock.now
+        self.tracer.finished.append(self)
 
 
 class Tracer:

@@ -92,46 +92,65 @@ class SULedger:
     RESERVATION_FIELDS = ["state", "reason", "settled_su", "resolved_at"]
 
     # ------------------------------------------------------------------
-    # Settlement (per completing simulation, from CLEANUP)
+    # Settlement (the completing simulations of a CLEANUP step)
     # ------------------------------------------------------------------
-    def settle(self, simulation, actual_su):
-        """Settle the simulation's active reservation; True if one
-        existed (the caller must then *not* charge the legacy path).
+    def settle(self, charges):
+        """Settle the active reservation of each ``(simulation,
+        actual_su)`` of *charges*; returns the pks of the simulations
+        that have reservations (the caller must then *not* charge the
+        legacy path).
 
-        Idempotent: the SETTLED row and the allocation charge commit
+        Idempotent: the SETTLED rows and the allocation charges commit
         together, so a re-run after a crash finds no RESERVED row and
-        reports the reservation already handled.
+        reports the reservation already handled.  One SELECT of the
+        reservations, then one UPDATE of the rows and, when anything is
+        charged, one SELECT and one UPDATE of the allocations.
         """
-        rows = list(ReservationRecord.objects.using(self.db).filter(
-            simulation_id=simulation.pk).order_by("id"))
-        if not rows:
-            return False
-        active = [row for row in rows if row.is_active]
-        if not active:
-            # Already settled (or all released): nothing more to charge.
-            return True
-        row = active[-1]
-        row.state = RESERVATION_SETTLED
-        row.reason = "settled"
-        row.settled_su = float(actual_su)
-        row.resolved_at = self.clock.now
-        with self.db.atomic():
-            row.save(db=self.db)
+        booked = {}
+        if charges:
+            for row in (ReservationRecord.objects.using(self.db)
+                        .filter(simulation_id__in_json=sorted(
+                            {simulation.pk for simulation, _ in charges}))
+                        .order_by("id")):
+                booked.setdefault(row.simulation_id, []).append(row)
+        settled, charged = [], {}
+        for simulation, actual_su in charges:
+            active = [row for row in booked.get(simulation.pk, ())
+                      if row.is_active]
+            if not active:
+                # None booked (legacy charging), or already settled or
+                # all released: nothing more to charge here.
+                continue
+            row = active[-1]
+            row.state = RESERVATION_SETTLED
+            row.reason = "settled"
+            row.settled_su = float(actual_su)
+            row.resolved_at = self.clock.now
+            settled.append((simulation, row))
             if actual_su > 0:
-                try:
-                    allocation = AllocationRecord.objects.using(
-                        self.db).get(pk=row.allocation_id)
-                except AllocationRecord.DoesNotExist:
-                    return True
-                allocation.su_used = allocation.su_used + float(actual_su)
-                allocation.save(db=self.db)
-        self.obs.events.emit(
-            "sched.settlement", simulation=simulation.pk,
-            trace_id=simulation.correlation_id,
-            machine=row.machine_name,
-            estimated_su=round(row.estimated_su, 6),
-            settled_su=round(float(actual_su), 6))
-        return True
+                charged.setdefault(row.allocation_id, []).append(
+                    float(actual_su))
+        if settled:
+            with self.db.atomic():
+                ReservationRecord.objects.using(self.db).bulk_update(
+                    [row for _, row in settled], self.RESERVATION_FIELDS)
+                allocations = list(
+                    AllocationRecord.objects.using(self.db).filter(
+                        pk__in_json=sorted(charged))) if charged else []
+                for allocation in allocations:
+                    for sus in charged[allocation.pk]:
+                        allocation.su_used = allocation.su_used + sus
+                if allocations:
+                    AllocationRecord.objects.using(self.db).bulk_update(
+                        allocations, ["su_used"])
+        for simulation, row in settled:
+            self.obs.events.emit(
+                "sched.settlement", simulation=simulation.pk,
+                trace_id=simulation.correlation_id,
+                machine=row.machine_name,
+                estimated_su=round(row.estimated_su, 6),
+                settled_su=round(row.settled_su, 6))
+        return set(booked)
 
     # ------------------------------------------------------------------
     # Audit (tests and the statistics page lean on this)

@@ -137,6 +137,11 @@ class Database:
         # so tests and benches can assert round-trip budgets.
         self.queries_executed = 0
         self.queries_by_operation = {}
+        #: Transactions this connection committed: each one an fsync on
+        #: a file store (WAL, ``synchronous = FULL``).  Counted where
+        #: the COMMIT happens — a write outside ``atomic()`` and the
+        #: outermost ``atomic()`` scope — and only when one is open.
+        self.commits = 0
         # Optional ``(operation, table)`` callback fired per statement;
         # the observability layer attaches one to feed per-role query
         # counters without the ORM importing it.
@@ -254,8 +259,8 @@ class Database:
                 in_txn = getattr(self._local, "txn_depth", 0) > 0
                 try:
                     cur = self.connection.execute(sql, params)
-                    if operation != "select" and not in_txn:
-                        self.connection.commit()
+                    if writes and not in_txn:
+                        self._commit()
                     return cur
                 except sqlite3.Error as exc:
                     # Outside atomic() a failed statement must not leave
@@ -277,6 +282,13 @@ class Database:
                         and self.on_slow_statement is not None:
                     self.on_slow_statement(sql, duration, operation,
                                            table)
+
+    def _commit(self):
+        """COMMIT the open transaction, if any, and count it."""
+        connection = self.connection
+        if connection.in_transaction:
+            self.commits += 1
+            connection.commit()
 
     def executescript(self, script):
         """Run a raw script; restricted to roles with ``allow_raw_sql``.
@@ -312,6 +324,7 @@ class Database:
                 daemon.poll_once()
             assert counter.count <= 10
             assert counter.by_operation.get("update", 0) <= 2
+            assert counter.commits <= 3
 
         The counter is the testing surface for the batch query layer:
         set-oriented call sites assert a *fixed* round-trip budget
@@ -373,7 +386,7 @@ class _Atomic:
             self.db._local.txn_depth -= 1
             if self.db._local.txn_depth == 0:
                 if exc_type is None:
-                    self.db.connection.commit()
+                    self.db._commit()
                 else:
                     self.db.connection.rollback()
         finally:
@@ -393,17 +406,21 @@ class QueryCounter:
         self.db = db
         self._start_total = 0
         self._start_ops = {}
+        self._start_commits = 0
         self._final_total = None
         self._final_ops = None
+        self._final_commits = None
 
     def __enter__(self):
         self._start_total = self.db.queries_executed
         self._start_ops = dict(self.db.queries_by_operation)
+        self._start_commits = self.db.commits
         return self
 
     def __exit__(self, exc_type, exc, tb):
         self._final_total = self.count
         self._final_ops = self.by_operation
+        self._final_commits = self.commits
         return False
 
     @property
@@ -411,6 +428,12 @@ class QueryCounter:
         if self._final_total is not None:
             return self._final_total
         return self.db.queries_executed - self._start_total
+
+    @property
+    def commits(self):
+        if self._final_commits is not None:
+            return self._final_commits
+        return self.db.commits - self._start_commits
 
     @property
     def by_operation(self):
@@ -421,7 +444,8 @@ class QueryCounter:
                 if total - self._start_ops.get(op, 0)}
 
     def __repr__(self):  # pragma: no cover
-        return f"<QueryCounter count={self.count} {self.by_operation}>"
+        return (f"<QueryCounter count={self.count} commits={self.commits} "
+                f"{self.by_operation}>")
 
 
 def shared_memory_uri(name=None):

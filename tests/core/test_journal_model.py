@@ -1,11 +1,12 @@
 """Model-based test of the operation journal (hypothesis).
 
 A random interleaving of journaled submits, uploads, downloads and
-cancels for three simulations on two machines, crash points armed
-before or after a command or a death inside a submit's consequence
-write (a crash restarts the daemon: a fresh journal whose boot
-reconciles every slice), outages that make commands
-and reconciliation lookups transient, clock advances, and reconciles of
+cancels for three simulations on two machines — one simulation at a
+time, or a batch across all three — crash points armed before or after
+a command (a batch's k-th one included) or a death inside a batch's
+consequence write (a crash restarts the daemon: a fresh journal whose
+boot reconciles every slice), outages that make commands and
+reconciliation lookups transient, clock advances, and reconciles of
 one slice or all must keep the journal's invariants:
 
 * after a reconcile, every INTENT row of its scope is settled or its
@@ -15,8 +16,8 @@ one slice or all must keep the journal's invariants:
 * the attempts for each (simulation, op, phase) run 1…n with no gaps;
 * every idempotency key is unique;
 * no INTENT row shares its key with a job record, even the instant a
-  crash lands, before any recovery: the consequence commits with the
-  journal entry;
+  crash lands, before any recovery: the consequences commit with the
+  settles;
 * at most one committed submit, one job record and one GRAM job carry
   any one tag.
 """
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule)
 
 from repro.core import AMPDeployment, KIND_DIRECT, Simulation, Star
-from repro.core.journal import OperationJournal
+from repro.core.journal import Operation, OperationJournal
 from repro.core.models import (GRAM_IN_FLIGHT, GridJobRecord, JOB_MODEL,
                                JOB_REVOKED, JOURNAL_COMMITTED,
                                JOURNAL_INTENT, JOURNAL_OP_CANCEL,
@@ -41,6 +42,7 @@ from repro.grid import DaemonCrash, FaultInjector
 from repro.grid.gram import AppExecution
 from repro.grid.gridftp import checksum
 from repro.grid.rsl import batch_spec, format_rsl
+from repro.webstack.orm.query import QuerySet
 
 pytestmark = pytest.mark.recovery
 
@@ -105,17 +107,31 @@ class JournalMachine(RuleBasedStateMachine):
             deployment.fabric.crash_schedule, deployment.obs)
         self.reconcile(SCOPES[0])
 
-    def _call(self, index, op, phase, command, record=None, **intent):
-        simulation = self.simulations[index]
-        if simulation.pk in self.journal.blocked:
+    def _journal(self, op, operations, record=None, dies=False):
+        """One batch of the unblocked simulations' *operations*, settled
+        by the transaction that ends a step — or a daemon dying inside
+        that transaction, after the batch's job records are written."""
+        operations = [operation for operation in operations
+                      if operation.simulation.pk not in self.journal.blocked]
+        if not operations:
             return                      # frozen: issues nothing
-        owner = simulation.owner
+        owner = operations[0].simulation.owner
         self.clients.ensure_proxy(owner.username, owner.email)
+        bulk_update = QuerySet.bulk_update
+
+        def dying(queryset, objs, fields, **kwargs):
+            if queryset.model is OperationRecord:
+                raise DaemonCrash(op, "inside")
+            return bulk_update(queryset, objs, fields, **kwargs)
+
         try:
-            self.journal.call(simulation, op, phase, command, classify,
-                              record, **intent)
-        except ModelFailure:
-            pass
+            self.journal.call(op, operations, classify, record)
+            if dies:
+                QuerySet.bulk_update = dying
+            try:
+                self.journal.flush()
+            finally:
+                QuerySet.bulk_update = bulk_update
         except DaemonCrash:
             # What the dead process left, before any recovery runs.
             self.no_intent_shares_its_key_with_a_job()
@@ -126,54 +142,86 @@ class JournalMachine(RuleBasedStateMachine):
                     .filter(state=JOURNAL_INTENT))
 
     # ------------------------------------------------------------------
-    @rule(index=simulations, sequence=st.integers(0, 1))
-    def submit(self, index, sequence, dies=False):
+    def _submission(self, index, sequence):
         simulation = self.simulations[index]
         spec = batch_spec(IDLE, count=1, max_wall_time_s=3600.0,
                           directory=simulation.remote_directory)
+        return Operation(
+            simulation, f"{JOB_MODEL}-0-{sequence}",
+            lambda key: self.clients.submit_job(
+                simulation.machine_name, {**spec, "clientTag": key}),
+            purpose=JOB_MODEL, sequence=sequence, service="batch",
+            rsl=lambda key: format_rsl({**spec, "clientTag": key}))
 
-        def record(result, entry):
-            job = OperationJournal.job_record(entry, int(result.stdout),
-                                              "PENDING")
-            job.save(db=self.db)
-            if dies:
-                raise DaemonCrash(JOURNAL_OP_SUBMIT, "inside")
-            return job, {"gram_job_id": job.gram_job_id,
-                         "job_record_id": job.pk}
+    @staticmethod
+    def _record_submission(result, entry):
+        job = OperationJournal.job_record(entry, int(result.stdout),
+                                          "PENDING")
+        return job, job, {}
 
-        self._call(index, JOURNAL_OP_SUBMIT, f"{JOB_MODEL}-0-{sequence}",
-                   lambda key: self.clients.submit_job(
-                       simulation.machine_name, {**spec, "clientTag": key}),
-                   record, purpose=JOB_MODEL, sequence=sequence,
-                   service="batch",
-                   rsl=lambda key: format_rsl({**spec, "clientTag": key}))
+    def _upload(self, index, name, content):
+        simulation = self.simulations[index]
+        path = f"{simulation.remote_directory}/{name}"
+        data = content.encode("utf-8")
+        return Operation(simulation, f"stagein-{name}",
+                         lambda _key: self.clients.stage_in(
+                             simulation.machine_name, path, content),
+                         remote_path=path, payload_size=len(data),
+                         payload_digest=checksum(data))
+
+    def _download(self, index, name):
+        simulation = self.simulations[index]
+        path = f"{simulation.remote_directory}/{name}"
+        return Operation(simulation, f"stageout-{name}",
+                         lambda _key: self.clients.stage_out(
+                             simulation.machine_name, path),
+                         remote_path=path)
+
+    @rule(index=simulations, sequence=st.integers(0, 1))
+    def submit(self, index, sequence, dies=False):
+        self._journal(JOURNAL_OP_SUBMIT, [self._submission(index, sequence)],
+                      self._record_submission, dies)
 
     @rule(index=simulations, sequence=st.integers(0, 1))
     def submit_dying_in_its_record(self, index, sequence):
         """The daemon dies inside the consequence write: the job record
-        is saved, the journal entry not yet committed."""
+        is written, the journal entry not yet settled."""
         self.submit(index, sequence, dies=True)
 
     @rule(index=simulations, name=st.sampled_from(["amp_in", "params"]),
           content=st.sampled_from(["1.0", "1.04 0.27"]))
     def stage_in(self, index, name, content):
-        simulation = self.simulations[index]
-        path = f"{simulation.remote_directory}/{name}"
-        data = content.encode("utf-8")
-        self._call(index, JOURNAL_OP_STAGE_IN, f"stagein-{name}",
-                   lambda _key: self.clients.stage_in(
-                       simulation.machine_name, path, content),
-                   remote_path=path, payload_size=len(data),
-                   payload_digest=checksum(data))
+        self._journal(JOURNAL_OP_STAGE_IN,
+                      [self._upload(index, name, content)])
 
     @rule(index=simulations, name=st.sampled_from(["amp_in", "params"]))
     def stage_out(self, index, name):
-        simulation = self.simulations[index]
-        path = f"{simulation.remote_directory}/{name}"
-        self._call(index, JOURNAL_OP_STAGE_OUT, f"stageout-{name}",
-                   lambda _key: self.clients.stage_out(
-                       simulation.machine_name, path),
-                   remote_path=path)
+        self._journal(JOURNAL_OP_STAGE_OUT, [self._download(index, name)])
+
+    @rule(op=st.sampled_from([JOURNAL_OP_SUBMIT, JOURNAL_OP_STAGE_IN,
+                              JOURNAL_OP_STAGE_OUT]),
+          crash=st.sampled_from([None, "before", "after", "inside"]),
+          k=st.integers(0, N_SIMULATIONS - 1), sequence=st.integers(0, 1))
+    def batch(self, op, crash, k, sequence):
+        """One batch across the three simulations, the daemon killed
+        before or after its k-th command or inside its consequence
+        write — or not at all."""
+        indexes = range(N_SIMULATIONS)
+        if op == JOURNAL_OP_SUBMIT:
+            operations = [self._submission(index, sequence)
+                          for index in indexes]
+            record = self._record_submission
+        elif op == JOURNAL_OP_STAGE_IN:
+            operations = [self._upload(index, "amp_in", "1.0")
+                          for index in indexes]
+            record = None
+        else:
+            operations = [self._download(index, "params")
+                          for index in indexes]
+            record = None
+        if crash in ("before", "after"):
+            self.injector.crash(op, when=crash, skip=k)
+        self._journal(op, operations, record, dies=crash == "inside")
 
     @rule(index=simulations)
     def cancel(self, index):
@@ -188,14 +236,14 @@ class JournalMachine(RuleBasedStateMachine):
         def revoke(_result, _entry):
             job.state = "FAILED"
             job.failure_reason = JOB_REVOKED
-            job.save(db=self.db)
-            return True, {}
+            return True, job, {}
 
-        self._call(index, JOURNAL_OP_CANCEL, f"cancel-{job.pk}",
-                   lambda _key: self.clients.job_cancel(
-                       simulation.machine_name, job.gram_job_id),
-                   revoke, purpose=job.purpose,
-                   gram_job_id=job.gram_job_id, job_record_id=job.pk)
+        self._journal(JOURNAL_OP_CANCEL, [Operation(
+            simulation, f"cancel-{job.pk}",
+            lambda _key: self.clients.job_cancel(
+                simulation.machine_name, job.gram_job_id),
+            purpose=job.purpose, gram_job_id=job.gram_job_id,
+            job_record_id=job.pk)], revoke)
 
     @rule(op=st.sampled_from(JOURNAL_OPS),
           when=st.sampled_from(["before", "after"]))

@@ -111,7 +111,7 @@ class TestWriteAheadJournal:
         assert workflow.journal is deployment.daemon.journal
         workflow.journal.blocked.add(sim.pk)
         deployment.clock.advance(1800.0)
-        assert workflow.advance(sim) is False
+        assert workflow.advance([sim]) == []
         assert sim.state == "QUEUED"
         assert not self.entries(deployment)
         workflow.journal.blocked.discard(sim.pk)

@@ -103,6 +103,51 @@ class TestPollRoundTripBudget:
         assert large.count == small.count
 
 
+class TestWorkingPollBudget:
+    """Listing 1 set at a time: a step costs its group a fixed number of
+    statements and commits — one journal batch per grid operation, one
+    state write — so per transition both fall as the group grows."""
+
+    @staticmethod
+    def per_transition(n):
+        """Statements and commits per transition of the daemon's polls
+        while *n* direct runs go from QUEUED to DONE."""
+        from repro.core import AMPDeployment
+        deployment = AMPDeployment()
+        try:
+            user = deployment.create_astronomer("batch")
+            for _ in range(n):
+                submit_direct(deployment, user)
+            daemon, db = deployment.daemon, deployment.databases.daemon
+            done = Simulation.objects.using(deployment.databases.admin) \
+                .filter(state=SIM_DONE)
+            statements = commits = transitions = polls = 0
+            while done.count() < n:
+                polls += 1
+                assert polls <= 50, "the drive did not finish"
+                deployment.clock.advance(1800.0)
+                with db.count_queries() as counter:
+                    transitions += daemon.poll_once()
+                statements += counter.count
+                commits += counter.commits
+            assert transitions == 5 * n
+            return statements / transitions, commits / transitions
+        finally:
+            deployment.close()
+
+    def test_statements_and_commits_per_transition_fall_with_the_group(
+            self):
+        costs = {n: self.per_transition(n) for n in (1, 10, 100)}
+        statements = [costs[n][0] for n in (1, 10, 100)]
+        commits = [costs[n][1] for n in (1, 10, 100)]
+        assert statements == sorted(statements, reverse=True), costs
+        assert len(set(statements)) == 3, costs
+        assert commits == sorted(commits, reverse=True), costs
+        assert len(set(commits)) == 3, costs
+        assert statements[-1] <= 2.0, costs
+        assert commits[-1] <= 1.0, costs
+
+
 class TestScanPollCommands:
     def test_steady_state_scan_signs_with_each_owners_wallet_proxy(
             self, deployment):

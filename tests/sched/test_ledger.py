@@ -38,7 +38,7 @@ class TestSettlement:
     def test_no_reservation_means_legacy_charging(self, deployment,
                                                   astronomer):
         (sim,) = submit_auto_direct(deployment, astronomer)
-        assert deployment.daemon.ledger.settle(sim, 3.0) is False
+        assert deployment.daemon.ledger.settle([(sim, 3.0)]) == set()
 
     def test_settle_charges_once_and_replays_are_free(self, deployment,
                                                       astronomer):
@@ -49,7 +49,7 @@ class TestSettlement:
         before = AllocationRecord.objects.using(db).get(
             pk=row.allocation_id).su_used
 
-        assert ledger.settle(sim, 4.25) is True
+        assert ledger.settle([(sim, 4.25)]) == {sim.pk}
         row.refresh_from_db()
         assert row.state == RESERVATION_SETTLED
         assert row.settled_su == 4.25
@@ -59,7 +59,7 @@ class TestSettlement:
 
         # The crash replay: CLEANUP re-runs, finds no RESERVED row,
         # reports the reservation handled — and charges nothing more.
-        assert ledger.settle(sim, 4.25) is True
+        assert ledger.settle([(sim, 4.25)]) == {sim.pk}
         allocation.refresh_from_db()
         assert allocation.su_used == pytest.approx(before + 4.25)
 
@@ -138,7 +138,7 @@ class TestInvariantReport:
         sims = submit_auto_direct(deployment, astronomer, 4)
         for sim in sims[:3]:
             book(deployment, sim, "kraken", attempt=1, estimated_su=7.0)
-        deployment.daemon.ledger.settle(sims[0], 6.0)
+        deployment.daemon.ledger.settle([(sims[0], 6.0)])
         report = {r["project"] + ":" + str(r["allocation_id"]): r
                   for r in deployment.daemon.ledger.invariant_report()}
         assert report                          # one row per allocation

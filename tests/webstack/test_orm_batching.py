@@ -37,6 +37,33 @@ class TestQueryCounter:
         assert counter.count == 2
 
 
+    def test_counts_each_commit_where_it_happens(self, db):
+        """A write outside ``atomic()`` commits once; an ``atomic()``
+        scope commits once at its outermost exit, however many writes
+        and nested scopes it holds; a read or an empty scope commits
+        nothing."""
+        with db.count_queries() as counter:
+            Author.objects.create(name="Autocommit")
+            Author.objects.using(db).count()
+            with db.atomic():
+                pass
+        assert (counter.count, counter.commits) == (2, 1)
+        with db.count_queries() as counter:
+            with db.atomic():
+                Author.objects.create(name="One")
+                with db.atomic():
+                    Author.objects.create(name="Two")
+                Author.objects.using(db).bulk_create(
+                    [Author(name="Three"), Author(name="Four")])
+        assert (counter.count, counter.commits) == (3, 1)
+        with pytest.raises(ZeroDivisionError):
+            with db.count_queries() as counter, db.atomic():
+                Author.objects.create(name="Rolled back")
+                1 / 0
+        assert (counter.count, counter.commits) == (1, 0)
+        assert not Author.objects.filter(name="Rolled back").exists()
+
+
 class TestSelectRelated:
     def test_one_query_replaces_n_plus_one(self, db):
         _library(db, authors=5, books_each=2)
