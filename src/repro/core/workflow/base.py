@@ -240,10 +240,12 @@ class WorkflowManager:
     def _fail(self, simulation, exc):
         """Hold *simulation* for *exc*: a model failure with its
         message; anything else is a defect in its processing, held as
-        an internal daemon error with the traceback — a defect in one
-        simulation must not take the whole daemon down with it (the
-        per-simulation analogue of the paper's "daemon failures are
-        monitored externally" posture)."""
+        an internal daemon error with the traceback, which the hold's
+        mail brings the administrators — a defect in one simulation
+        must not take the whole daemon down with it (the per-simulation
+        analogue of the paper's "daemon failures are monitored
+        externally" posture).  A hold writes nothing yet, so it cannot
+        fail on the database the way a save could."""
         if isinstance(exc, (ModelFailure, StagingError)):
             self._hold(simulation, str(exc))
             return
@@ -252,11 +254,7 @@ class WorkflowManager:
             "daemon.error", simulation=simulation.pk,
             trace_id=simulation.correlation_id,
             error=detail.splitlines()[-1])
-        try:
-            self._hold(simulation, f"internal daemon error:\n{detail}")
-        except Exception:  # noqa: BLE001 - last resort
-            self.policy.mailer.notify_admin(
-                f"Daemon error on simulation #{simulation.pk}", detail)
+        self._hold(simulation, f"internal daemon error:\n{detail}")
 
     def _transition(self, simulations, old_state, next_state):
         """Move the step's survivors to *next_state* in the transaction
