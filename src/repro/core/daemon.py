@@ -67,7 +67,7 @@ state) group level 2 loaded, run over the whole group
 A direct run's steps cost 7, 9, 6, 10 and 6 statements and 2, 3, 2, 3
 and 1 commits (QUEUED through CLEANUP) for a group of one or of any
 size, plus one INSERT or UPDATE wherever a group outgrows one
-statement's bound parameters (42 intents, 52 settles): at 100 direct
+statement's bound parameters (42 intents, 69 settles): at 100 direct
 runs in step a transition costs 0.23 statements and 0.05 commits
 (``tests/core/test_query_batching.py::TestWorkingPollBudget``).
 

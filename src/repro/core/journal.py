@@ -29,10 +29,10 @@ from .models import (GRAM_STATES, GridJobRecord, JOB_REVOKED,
                      OUTCOME_REISSUED, OUTCOME_REPLAYED, OUTCOME_TRANSIENT,
                      OUTCOME_VERIFIED, OperationRecord)
 
-#: The columns a settle may write, in one ``bulk_update`` per batch.
+#: The columns every settle writes, in one ``bulk_update`` per batch
+#: (a batch adds the columns its ``record`` returned).
 SETTLED_COLUMNS = ["state", "outcome", "resolved_at", "gram_job_id",
-                   "job_record_id", "detail", "payload_size",
-                   "payload_digest"]
+                   "job_record_id", "detail"]
 
 
 class ModelFailure(Exception):
@@ -129,7 +129,7 @@ class OperationJournal:
         with self.db.atomic():
             self._run_deferred()
             OperationRecord.objects.using(self.db).bulk_create(entries)
-        outcomes, settled, jobs = [], [], []
+        outcomes, settled, jobs, columns_set = [], [], [], set()
         for operation, entry in zip(operations, entries):
             self.crash_schedule.check(op, "before")
             raw = operation.command(entry.idempotency_key)
@@ -154,10 +154,12 @@ class OperationJournal:
                 continue
             settled.append(self._settle(entry, JOURNAL_COMMITTED,
                                         OUTCOME_COMMITTED, **columns))
+            columns_set.update(columns)
             if job is not None:
                 jobs.append((entry, job))
             outcomes.append(value)
-        self.defer(lambda: self._write_settles(settled, jobs))
+        fields = SETTLED_COLUMNS + sorted(columns_set)
+        self.defer(lambda: self._write_settles(settled, jobs, fields))
         return outcomes
 
     def _intents(self, op, operations):
@@ -188,7 +190,7 @@ class OperationJournal:
                    for name, value in operation.intent.items()}))
         return entries
 
-    def _write_settles(self, settled, jobs):
+    def _write_settles(self, settled, jobs, fields):
         """A batch's consequences, then its settles: new job records in
         one INSERT, changed ones in one UPDATE, every entry in one."""
         created = [job for _, job in jobs if job.pk is None]
@@ -203,7 +205,7 @@ class OperationJournal:
             entry.job_record_id = job.pk
         if settled:
             OperationRecord.objects.using(self.db).bulk_update(
-                settled, SETTLED_COLUMNS)
+                settled, fields)
 
     @staticmethod
     def job_record(entry, gram_job_id, state):
