@@ -59,12 +59,6 @@ class _NullSpan:
     def set_attr(self, key, value):
         pass
 
-    def run(self, fn, *args):
-        return fn(*args)
-
-    def finish(self):
-        pass
-
     def __enter__(self):
         return self
 

@@ -70,6 +70,9 @@ size, plus one INSERT or UPDATE wherever a group outgrows one
 statement's bound parameters (42 intents, 69 settles): at 100 direct
 runs in step a transition costs 0.23 statements and 0.05 commits
 (``tests/core/test_query_batching.py::TestWorkingPollBudget``).
+A group whose step raises outside every simulation's own share is
+abandoned as a crash there would leave it, and the poll goes on with
+the next group (:meth:`GridAMPDaemon._abandon`, DESIGN.md §6).
 
 This module keeps the poll loop, boot recovery and telemetry.  The
 write-ahead protocol lives in :mod:`repro.core.journal`: the daemon
@@ -82,6 +85,8 @@ watches the heartbeat the poll loop stamps.
 """
 
 from __future__ import annotations
+
+import traceback
 
 from ..grid.breaker import CLOSED, BreakerEvent
 from ..grid.retry import RetryPolicy, RetryTracker
@@ -146,6 +151,9 @@ class GridAMPDaemon:
             KIND_DIRECT: DirectRunWorkflow(*collaborators),
             KIND_OPTIMIZATION: OptimizationWorkflow(*collaborators),
         }
+        #: Simulations of a group whose step failed outside any one
+        #: simulation's share: each advances alone next time it loads.
+        self.isolated = set()
         self.heartbeat = clock.now
         self.poll_count = 0
         # Breaker transitions reach the administrators through the event
@@ -305,7 +313,8 @@ class GridAMPDaemon:
         ``workflow.advance`` per (kind, state) group, in the order each
         group's first simulation was loaded.  Within a group a defect in
         one simulation's processing holds that simulation alone
-        (administrators are notified with the traceback).
+        (administrators are notified with the traceback); a defect in
+        the group's shared code is :meth:`_abandon`'s.
         """
         active = Simulation.objects.using(self.db).filter(
             state__in=list(SIM_ACTIVE_STATES), pk__mod=slice_filter)
@@ -328,10 +337,49 @@ class GridAMPDaemon:
                            .select_related("owner", "observation")
                            .prefetch_related("grid_jobs")
                            .order_by("id")):
-            groups.setdefault((simulation.kind, simulation.state),
+            alone = simulation.pk in self.isolated
+            groups.setdefault((simulation.kind, simulation.state,
+                               simulation.pk if alone else None),
                               []).append(simulation)
-        return sum(len(self.workflows[kind].advance(group))
-                   for (kind, _), group in groups.items())
+            self.isolated.discard(simulation.pk)
+        transitions = 0
+        for (kind, _, _), group in groups.items():
+            workflow = self.workflows[kind]
+            try:
+                transitions += len(workflow.advance(group))
+            except Exception:  # noqa: BLE001 - daemon survival boundary
+                self._abandon(workflow, group, traceback.format_exc())
+        return transitions
+
+    def _abandon(self, workflow, group, detail):
+        """A group's step raised outside every simulation's own share.
+
+        The step ended as a crash would (its queued writes dropped), so
+        its simulations wait for the next poll's ``reconcile_pending``
+        to settle their intents against the fabric; after that, each
+        advances alone, so a defect that repeats holds only its own
+        simulation, as a group of one is held here.
+        """
+        error = detail.splitlines()[-1]
+        for simulation in group:
+            self.journal.blocked.add(simulation.pk)
+            self.obs.events.emit(
+                "daemon.error", simulation=simulation.pk,
+                trace_id=simulation.correlation_id, error=error)
+        if len(group) > 1:
+            self.isolated.update(simulation.pk for simulation in group)
+        else:
+            try:
+                # As committed: the step may have changed the copy.
+                workflow.hold(Simulation.objects.using(self.db).get(
+                    pk=group[0].pk), f"internal daemon error:\n{detail}")
+                return              # the hold's mail carries the detail
+            except Exception:  # noqa: BLE001 - the mail below says why
+                detail += "\nand holding it failed:\n" + (
+                    traceback.format_exc())
+        self.mailer.notify_admin(
+            "Daemon error advancing " + ", ".join(
+                f"#{simulation.pk}" for simulation in group), detail)
 
     def update_machine_telemetry(self, publish):
         """Take each machine's ``qstat``: return its job listing and,

@@ -83,6 +83,9 @@ class OperationJournal:
         self.blocked = set()
         #: Writes waiting for the next transaction (:meth:`defer`).
         self._deferred = []
+        #: What to announce once that transaction commits
+        #: (:meth:`after_commit`).
+        self._announcements = []
 
     def defer(self, write):
         """Queue ``write()`` for the next transaction this journal
@@ -91,17 +94,35 @@ class OperationJournal:
         if write not in self._deferred:
             self._deferred.append(write)
 
+    def after_commit(self, announce):
+        """Call ``announce()`` once the next transaction has committed:
+        the events and mail of a write queued with :meth:`defer`, so
+        nobody hears of a write that never landed."""
+        self._announcements.append(announce)
+
     def flush(self):
         """Commit every queued write in one transaction (none: no
-        statement)."""
+        statement), then announce them."""
         if self._deferred:
             with self.db.atomic():
                 self._run_deferred()
+        self._announce()
+
+    def discard(self):
+        """Forget every queued write and its announcements: what a
+        daemon that died here would have lost.  The intents already
+        committed stay for :meth:`reconcile`."""
+        self._deferred, self._announcements = [], []
 
     def _run_deferred(self):
         writes, self._deferred = self._deferred, []
         for write in writes:
             write()
+
+    def _announce(self):
+        announcements, self._announcements = self._announcements, []
+        for announce in announcements:
+            announce()
 
     def call(self, op, operations, classify, record=None):
         """Run *operations* write-ahead as one batch of *op*; returns
@@ -129,6 +150,7 @@ class OperationJournal:
         with self.db.atomic():
             self._run_deferred()
             OperationRecord.objects.using(self.db).bulk_create(entries)
+        self._announce()
         outcomes, settled, jobs, columns_set = [], [], [], set()
         for operation, entry in zip(operations, entries):
             self.crash_schedule.check(op, "before")

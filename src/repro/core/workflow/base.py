@@ -169,12 +169,15 @@ class WorkflowManager:
         still passing and returns those that pass, and the survivors
         move to the next state together.  Each simulation has one
         ``sim.advance`` span under its correlation id, and its share of
-        every function — its proxy, its checks, its grid commands —
-        runs inside it.  A failure drops only its own simulation (a
-        model failure or an unexpected exception holds it, a transient
-        backs it off); what the step writes commits with the next
-        journal batch's intents or, at the end, in the transaction that
-        records the transitions.
+        every function — its guards, its proxy, its checks, its grid
+        commands, the columns it queues — runs inside it.  A failure
+        there drops only its own simulation (a model failure or an
+        unexpected exception holds it, a transient backs it off); what
+        the step writes commits with the next journal batch's intents
+        or, at the end, in the transaction that records the
+        transitions.  An exception in the step's set-wide code leaves
+        the step as a crash would: its queued writes are dropped, its
+        committed intents left to reconciliation, and it propagates.
         """
         tracer = self.obs.tracer
         self._spans = {simulation.pk: tracer.span(
@@ -183,8 +186,7 @@ class WorkflowManager:
                    "state": simulation.state})
             for simulation in simulations}
         try:
-            passing = [simulation for simulation in simulations
-                       if self.ready(simulation)]
+            passing = self.each(simulations, self.ready)
             if not passing:
                 return []
             state = passing[0].state
@@ -197,9 +199,12 @@ class WorkflowManager:
                     break
                 passing = fn(passing)
             return self._transition(passing, state, next_state)
+        except Exception:
+            self._drop_queued()
+            raise
         finally:
             for span in self._spans.values():
-                span.finish()
+                tracer.finish(span)
             self._spans = {}
 
     def run_to_completion(self, simulation):
@@ -230,7 +235,8 @@ class WorkflowManager:
 
     def _within(self, simulation, fn, *args):
         span = self._spans.get(simulation.pk)
-        return fn(*args) if span is None else span.run(fn, *args)
+        return (fn(*args) if span is None
+                else self.obs.tracer.resume(span, fn, *args))
 
     def _refresh_proxy(self, simulation):
         owner = simulation.owner
@@ -280,9 +286,22 @@ class WorkflowManager:
         self.policy.on_transition(simulations, old_state, next_state)
         return simulations
 
+    def _drop_queued(self):
+        """Forget the writes queued since the last transaction, as a
+        crash would (:meth:`~repro.core.journal.OperationJournal
+        .discard`)."""
+        self._dirty = {}
+        self.journal.discard()
+
     def _touch(self, simulation, *fields):
         """Queue *fields* of *simulation* for the journal's next
-        transaction."""
+        transaction, each value validated here: a value its column
+        refuses raises in this simulation's share of the step, not in
+        the write the whole step shares."""
+        meta = Simulation._meta
+        for name in fields:
+            field = meta.field_by_any_name(name)
+            field.clean(getattr(simulation, field.attname))
         self.journal.defer(self._write_simulations)
         self._dirty.setdefault(simulation, set()).update(fields)
 
@@ -303,25 +322,34 @@ class WorkflowManager:
     def hold(self, simulation, reason, category=HOLD_MODEL):
         """Hold *simulation* now, outside any step (a step holds
         through :meth:`_hold` and writes with its next transaction)."""
-        self._hold(simulation, reason, category)
-        self.journal.flush()
+        try:
+            self._hold(simulation, reason, category)
+            self.journal.flush()
+        except Exception:
+            self._drop_queued()
+            raise
 
     def _hold(self, simulation, reason, category=HOLD_MODEL):
-        simulation.state_before_hold = simulation.state
+        """Queue the hold; its event and mail follow its commit."""
+        from_state = simulation.state
+        simulation.state_before_hold = from_state
         simulation.state = SIM_HOLD
         simulation.hold_reason = reason
         simulation.hold_category = category
         self._touch(simulation, "state", "state_before_hold",
                     "hold_reason", "hold_category")
-        self.obs.events.emit(
-            "sim.hold", simulation=simulation.pk,
-            trace_id=simulation.correlation_id,
-            from_state=simulation.state_before_hold, category=category,
-            reason=reason.splitlines()[0] if reason else "")
-        self.obs.metrics.counter(
-            "sim_holds_total", help="Simulations held by category"
-        ).labels(category=category).inc()
-        self.policy.on_hold(simulation, reason, category=category)
+
+        def announce():
+            self.obs.events.emit(
+                "sim.hold", simulation=simulation.pk,
+                trace_id=simulation.correlation_id,
+                from_state=from_state, category=category,
+                reason=reason.splitlines()[0] if reason else "")
+            self.obs.metrics.counter(
+                "sim_holds_total", help="Simulations held by category"
+            ).labels(category=category).inc()
+            self.policy.on_hold(simulation, reason, category=category)
+        self.journal.after_commit(announce)
 
     def resume(self, simulation):
         """Release a held simulation (administrator action, or the
@@ -397,10 +425,11 @@ class WorkflowManager:
         self._touch(simulation, "retry_counts")
         if self.retry.exhausted(attempt):
             # The budget is spent: this is no longer a silent transient.
-            self.policy.on_budget_exhausted(
-                simulation, operation, attempt,
-                f"budget exhausted after {attempt} attempts: "
-                f"{result.command_line}\n{result.stderr}")
+            detail = (f"budget exhausted after {attempt} attempts: "
+                      f"{result.command_line}\n{result.stderr}")
+            self.journal.after_commit(
+                lambda: self.policy.on_budget_exhausted(
+                    simulation, operation, attempt, detail))
             self._hold(simulation, BUDGET_EXHAUSTED_MESSAGE,
                        category=HOLD_RESOURCE)
             return
@@ -408,11 +437,11 @@ class WorkflowManager:
             simulation.pk, operation, attempt)
         simulation.status_message = TRANSIENT_MESSAGE
         self._touch(simulation, "retry_not_before", "status_message")
-        self.policy.on_transient(
-            simulation,
-            f"retryable (attempt {attempt}/"
-            f"{self.retry.policy.max_attempts}): "
-            f"{result.command_line}\n{result.stderr}")
+        detail = (f"retryable (attempt {attempt}/"
+                  f"{self.retry.policy.max_attempts}): "
+                  f"{result.command_line}\n{result.stderr}")
+        self.journal.after_commit(
+            lambda: self.policy.on_transient(simulation, detail))
 
     @staticmethod
     def _phase_slug(text):
@@ -762,30 +791,28 @@ class WorkflowManager:
     def postprocess(self, simulations):
         """Download each output tarball and interpret it as it lands,
         so one tarball at a time is in memory; a simulation whose
-        tarball does not interpret is held."""
+        tarball does not interpret, or whose results its column
+        refuses, is held."""
         by_pk = {simulation.pk: simulation for simulation in simulations}
 
         def interpret(result, entry):
             tarball, _, columns = self._record_download(result, entry)
+            simulation = by_pk[entry.simulation_id]
             try:
-                results = self.interpret_results(
-                    by_pk[entry.simulation_id], tarball)
+                simulation.results = self.interpret_results(simulation,
+                                                             tarball)
+                self._touch(simulation, "results")
             except Exception as exc:  # noqa: BLE001 - held by _batch
-                results = exc
-            return results, None, columns
+                return exc, None, columns
+            return simulation, None, columns
 
         operations = [
             self._download(simulation,
                            output_tarball_path(simulation.remote_directory))
             for simulation in simulations]
-        passing = []
-        for operation, results in zip(operations, self._batch(
-                JOURNAL_OP_STAGE_OUT, operations, interpret)):
-            if results is not None:
-                operation.simulation.results = results
-                self._touch(operation.simulation, "results")
-                passing.append(operation.simulation)
-        return passing
+        return [simulation for simulation in self._batch(
+            JOURNAL_OP_STAGE_OUT, operations, interpret)
+                if simulation is not None]
 
     # ------------------------------------------------------------------
     # Derived-class interface (model-specific)

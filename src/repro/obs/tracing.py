@@ -64,32 +64,15 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        tracer = self.tracer
+        self.end = tracer.clock.now
         if exc_type is not None:
             self.status = "error"
             self.attrs["error"] = exc_type.__name__
-        popped = self.tracer._stack.pop()
+        popped = tracer._stack.pop()
         assert popped is self, "span stack corrupted"
-        self.finish()
+        tracer.finished.append(self)
         return False
-
-    def run(self, fn, *args):
-        """``fn(*args)`` with this span open again on its tracer's stack
-        (the ambient parent and trace of what it emits), left
-        unfinished: one span covers a simulation's share of each
-        set-wide step of a poll."""
-        stack = self.tracer._stack
-        stack.append(self)
-        try:
-            return fn(*args)
-        finally:
-            stack.pop()
-
-    def finish(self):
-        """Stamp the end and record the span (what ``__exit__`` does
-        once the block closes; call it once for a span only ever
-        :meth:`run`)."""
-        self.end = self.tracer.clock.now
-        self.tracer.finished.append(self)
 
 
 class Tracer:
@@ -134,6 +117,25 @@ class Tracer:
     def current_trace_id(self):
         span = self.current_span
         return span.trace_id if span is not None else None
+
+    def resume(self, span, fn, *args):
+        """``fn(*args)`` with *span* — opened by :meth:`span`, still
+        unfinished — the ambient parent and trace again, as its
+        ``__enter__`` makes it: one span covers a simulation's share of
+        each set-wide step of a poll."""
+        depth = len(self._stack)
+        span.__enter__()
+        try:
+            return fn(*args)
+        finally:
+            del self._stack[depth:]
+
+    @staticmethod
+    def finish(span):
+        """Record *span*, only ever :meth:`resume`\\ d, as finished now:
+        its one ``with`` block, empty."""
+        with span:
+            pass
 
     # -- read side ------------------------------------------------------
     def spans(self, trace_id=None, name=None):
