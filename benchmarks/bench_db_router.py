@@ -11,10 +11,11 @@ Two claims:
    is measured is separate role connections vs one shared connection
    object — nothing more.
 
-2. **Compiled-query cache.**  On a 50-simulation poll sweep the
-   compiled-query cache must serve at least **90%** of statement
-   compilations from cache, and the steady state must compile no SQL
-   at all — string assembly leaves the hot path entirely.
+2. **Compiled-query cache.**  On a 50-simulation poll sweep every
+   statement shape compiles exactly once (``compiles == misses ==
+   size``, and exactly ``SWEEP_SHAPES`` of them); a second sweep over
+   fresh simulations and the steady state compile no SQL at all —
+   string assembly leaves the hot path entirely.
 """
 
 import threading
@@ -127,8 +128,14 @@ def test_reader_throughput_scales_past_the_writing_daemon(
 # 2. Compiled-query cache on the 50-sim poll sweep
 # ----------------------------------------------------------------------
 
-def test_compiled_cache_hit_rate_on_poll_sweep(benchmark):
-    deployment = fresh_deployment()
+#: The statement shapes a direct simulation's life meets from submit
+#: to DONE.  The set-oriented work poll looks each one up once per
+#: step, not once per simulation, so a hit rate over this sweep
+#: measures the lookups around the shapes, not the cache.
+SWEEP_SHAPES = 16
+
+def _submit_sweep(deployment):
+    """A deployment with the sweep's 50 direct simulations submitted."""
     user = deployment.create_astronomer("sweep")
     star, _ = deployment.catalog.search("18 Sco")
     for index in range(50):
@@ -138,6 +145,11 @@ def test_compiled_cache_hit_rate_on_poll_sweep(benchmark):
             parameters={"mass": 0.9 + index * 0.005, "z": 0.018,
                         "y": 0.27, "alpha": 2.1, "age": 4.6},
         ).save(db=deployment.databases.portal)
+    return deployment
+
+
+def test_compiled_cache_hit_rate_on_poll_sweep(benchmark):
+    deployment = _submit_sweep(fresh_deployment())
     compiled_cache.clear()
 
     def sweep():
@@ -148,8 +160,22 @@ def test_compiled_cache_hit_rate_on_poll_sweep(benchmark):
     print(f"\ncompiled-query cache over the 50-sim poll sweep:")
     print(f"  hits {stats['hits']}  misses {stats['misses']}  "
           f"compiles {stats['compiles']}  shapes {stats['size']}")
-    print(f"  hit rate: {stats['hit_rate']:.1%}  (claim: >= 90%)")
-    assert stats["hit_rate"] >= 0.9
+    print(f"  hit rate: {stats['hit_rate']:.1%}")
+    # Every shape the sweep meets compiles exactly once, and the sweep
+    # meets exactly its SWEEP_SHAPES: a shape that recompiles, or a
+    # new one, fails here whatever the number of lookups around it.
+    assert stats["compiles"] == stats["misses"] == stats["size"] \
+        == SWEEP_SHAPES
+
+    # The same sweep again, on a second deployment, finds every shape
+    # compiled: it compiles nothing.
+    twin = _submit_sweep(fresh_deployment())
+    before = compiled_cache.stats()["compiles"]
+    twin.run_daemon_until_idle(poll_interval_s=300.0)
+    after = compiled_cache.stats()["compiles"]
+    print(f"  second sweep compiles: {after - before} (claim: 0)")
+    assert after == before
+    twin.close()
 
     # Steady state: once every shape of the poll loop has been seen,
     # a further poll compiles no SQL at all.
