@@ -28,10 +28,6 @@ def _numeric(text):
         .replace("-", "").replace("x", "").replace("%", "").isdigit()
 
 
-def fmt(value, places=1):
-    return f"{value:,.{places}f}"
-
-
 def ratio_note(measured, reference):
     """'measured (paper: reference, ×ratio)' comparison strings."""
     if reference in (None, 0):

@@ -19,7 +19,7 @@ architecture:
 
 from __future__ import annotations
 
-from ..webstack.orm import Database, Grant, RoleRegistry
+from ..webstack.orm import Database, Grant, PermissionDenied, RoleRegistry
 
 PORTAL_GRANTS = {
     # Auth: registration, login bookkeeping, sessions.
@@ -84,42 +84,48 @@ def open_role(uri, role):
     return Database(uri, role=role, roles=build_role_registry())
 
 
+def refuses(db, statement, *, script=False):
+    """True when SQLite's authorizer refuses *statement* on *db*'s
+    connection.  ``EXPLAIN`` prepares it, where the authorizer decides,
+    and runs nothing; a *script* goes through ``executescript`` and runs."""
+    try:
+        if script:
+            db.executescript(statement)
+        else:
+            db.execute("EXPLAIN " + statement, operation="select",
+                       table="<explain>")
+    except PermissionDenied:
+        return True
+    return False
+
+
 def audit_role_separation(databases):
     """Structural audit used by tests/benches for the Figure 2 claims.
 
-    Returns a dict of booleans, all of which must be True:
+    Returns a dict of booleans, all of which must be True — each one a
+    refusal by SQLite on the role's own connection:
 
     - the portal role cannot write grid jobs,
     - the portal role cannot delete simulations,
     - the daemon role cannot create users or touch sessions,
-    - neither non-admin role can run raw SQL or DDL.
+    - neither non-admin role can run DDL, compiled or as a raw script
+      (one that would change nothing if it ran: the table exists).
     """
-    portal = databases.portal
-    daemon = databases.daemon
-
-    def denied(db, operation, table):
-        from ..webstack.orm import PermissionDenied
-        try:
-            db.check_permission(operation, table)
-        except PermissionDenied:
-            return True
-        return False
-
+    portal, daemon = databases.portal, databases.daemon
+    ddl = 'CREATE TABLE IF NOT EXISTS "amp_star" ("id" INTEGER)'
     return {
         "portal_cannot_write_gridjobs":
-            denied(portal, "insert", "amp_gridjob")
-            and denied(portal, "update", "amp_gridjob"),
+            refuses(portal, "INSERT INTO amp_gridjob DEFAULT VALUES")
+            and refuses(portal, "UPDATE amp_gridjob SET id = id"),
         "portal_cannot_delete_simulations":
-            denied(portal, "delete", "amp_simulation"),
+            refuses(portal, "DELETE FROM amp_simulation"),
         "daemon_cannot_create_users":
-            denied(daemon, "insert", "auth_user"),
+            refuses(daemon, "INSERT INTO auth_user DEFAULT VALUES"),
         "daemon_cannot_touch_sessions":
-            denied(daemon, "select", "auth_session")
-            and denied(daemon, "insert", "auth_session"),
-        "portal_cannot_run_ddl":
-            denied(portal, "create", "amp_star"),
-        "daemon_cannot_run_ddl":
-            denied(daemon, "create", "amp_star"),
-        "portal_no_raw_sql": not portal._grant.allow_raw_sql,
-        "daemon_no_raw_sql": not daemon._grant.allow_raw_sql,
+            refuses(daemon, "SELECT * FROM auth_session")
+            and refuses(daemon, "INSERT INTO auth_session DEFAULT VALUES"),
+        "portal_cannot_run_ddl": refuses(portal, ddl),
+        "daemon_cannot_run_ddl": refuses(daemon, ddl),
+        "portal_no_raw_sql": refuses(portal, ddl, script=True),
+        "daemon_no_raw_sql": refuses(daemon, ddl, script=True),
     }

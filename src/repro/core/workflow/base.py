@@ -43,7 +43,7 @@ from ..journal import ModelFailure, Operation
 from ..models import (AllocationRecord, GridJobRecord, HOLD_MODEL,
                       HOLD_RESOURCE, JOB_CLEANUP, JOB_POSTJOB, JOB_PREJOB,
                       JOURNAL_OP_STAGE_IN, JOURNAL_OP_STAGE_OUT,
-                      JOURNAL_OP_SUBMIT, MACHINE_AUTO, SIM_DONE, SIM_HOLD,
+                      JOURNAL_OP_SUBMIT, MACHINE_AUTO, SIM_HOLD,
                       Simulation, SubmitAuthorization)
 from ..remote import CLEANUP_SH, POSTJOB_SH, PREJOB_SH, output_tarball_path
 from ..staging import StagingError
@@ -206,13 +206,6 @@ class WorkflowManager:
             for span in self._spans.values():
                 tracer.finish(span)
             self._spans = {}
-
-    def run_to_completion(self, simulation):
-        """Keep advancing while progress is possible (tests/benches)."""
-        while simulation.state not in (SIM_DONE, SIM_HOLD):
-            if not self.advance([simulation]):
-                break
-        return simulation.state
 
     def each(self, simulations, fn):
         """The simulations for which ``fn(simulation)``, run in each

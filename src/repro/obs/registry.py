@@ -232,9 +232,6 @@ class MetricsRegistry:
         family = self._families.get(name)
         return family.total() if family is not None else 0.0
 
-    def family_names(self):
-        return sorted(self._families)
-
     # ------------------------------------------------------------------
     def render_prometheus(self):
         """The whole registry in Prometheus text exposition format.

@@ -59,12 +59,6 @@ def opacity_factor(z, y):
     return (kramers + scattering) / solar
 
 
-def energy_generation_factor(z, y):
-    """pp-chain energy generation relative to solar, ε/ε☉ ∝ X²."""
-    x = hydrogen_fraction(z, y)
-    return (x / X_SUN) ** 2
-
-
 def validate_parameters(mass, z, y, alpha, age):
     """Raise ``ValueError`` for parameters outside the AMP search box.
 

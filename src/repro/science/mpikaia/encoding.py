@@ -74,9 +74,6 @@ class Encoding:
             fractions[i] = value / self._scale
         return self.denormalise(fractions)
 
-    def random_chromosome(self, rng):
-        return rng.integers(0, 10, size=self.length).astype(np.int8)
-
     def random_population(self, rng, size):
         return rng.integers(0, 10, size=(size, self.length)).astype(np.int8)
 

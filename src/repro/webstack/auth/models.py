@@ -77,9 +77,6 @@ class User(Model):
     def has_perm(self, perm):
         return bool(self.is_superuser)
 
-    def get_full_name(self):
-        return f"{self.first_name} {self.last_name}".strip() or self.username
-
     def __repr__(self):  # pragma: no cover
         return f"<User: {self.username}>"
 

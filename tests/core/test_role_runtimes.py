@@ -117,9 +117,9 @@ PORTAL_PROCESS = r"""
 import gc, json, re, sys
 from repro.core.catalog import SimbadService
 from repro.core.portal.runtime import PortalRuntime
-from repro.core.security import open_role
+from repro.core.security import open_role, refuses
 from repro.serve import ServeConfig
-from repro.webstack.orm import Database, PermissionDenied
+from repro.webstack.orm import Database
 from repro.webstack.testclient import Client
 
 runtime = PortalRuntime(open_role(sys.argv[1], "portal"))
@@ -141,11 +141,11 @@ campaign = client.post("/api/v1/campaigns", json_body={
 
 
 def allowed(db, operation, table):
-    try:
-        db.check_permission(operation, table)
-    except PermissionDenied:
-        return False
-    return True
+    return not refuses(db, {
+        "insert": f"INSERT INTO {table} DEFAULT VALUES",
+        "update": f"UPDATE {table} SET id = id",
+        "create": f"CREATE TABLE IF NOT EXISTS {table} (id INTEGER)",
+    }[operation])
 
 
 print(json.dumps({
@@ -163,7 +163,9 @@ print(json.dumps({
                          for table in ("amp_gridjob", "amp_operation")
                          if allowed(db, op, table)],
          "ddl": allowed(db, "create", "amp_star"),
-         "raw_sql": db._grant.allow_raw_sql}
+         "raw_sql": not refuses(
+             db, "CREATE TABLE IF NOT EXISTS amp_star (id INTEGER)",
+             script=True)}
         for db in gc.get_objects() if isinstance(db, Database)],
 }))
 """

@@ -81,6 +81,35 @@ def test_constraint_violations_are_not_db_sickness(clock, obs):
     assert not tracker.degraded
 
 
+def test_refused_statements_are_not_db_sickness(clock, obs):
+    """SQLite's authorizer refuses a statement outside the role's grant
+    with a raw ``sqlite3.DatabaseError``; the connection turns it into
+    PermissionDenied before the observer hears of it, so a stream of
+    refusals adds no sample and never pushes the tier toward brownout.
+    Each refused statement did reach the engine: it counts as a query."""
+    from repro.webstack.orm import (Database, DeploymentDatabases, Grant,
+                                    PermissionDenied, RoleRegistry)
+    roles = RoleRegistry()
+    roles.define("portal", Grant({"t": {"select"}}))
+    roles.define("daemon", Grant())
+    databases = DeploymentDatabases(roles)
+    databases.admin.executescript("CREATE TABLE t (x INTEGER)")
+    portal = databases.portal
+    tracker = HealthTracker(clock, obs=obs, window=10, min_samples=4,
+                            recovery_after_s=5.0).attach(portal)
+    for _ in range(3 * tracker.window):
+        with pytest.raises(PermissionDenied,
+                           match="Role 'portal' may not DELETE on table 't'"):
+            portal.execute("DELETE FROM t", operation="delete", table="t")
+    assert not tracker.degraded
+    assert tracker.last_error_at is None
+    assert portal.queries_executed == 3 * tracker.window
+    # The same connection still runs what the grant allows.
+    portal.execute("SELECT x FROM t", operation="select", table="t")
+    assert not tracker.degraded
+    databases.close()
+
+
 def test_probe_is_not_ready_on_raw_sqlite_error(clock, obs):
     """A probe failure outside the ORM exception hierarchy still
     answers not-ready (the structured 503), never a traceback page."""

@@ -1,5 +1,7 @@
 """Role-based connection grants — the paper's security architecture."""
 
+import sqlite3
+
 import pytest
 
 from repro.webstack.orm import (Database, DeploymentDatabases, Grant,
@@ -124,6 +126,72 @@ class TestRoleSeparation:
                     author__in=authors).count() == 0
         finally:
             dep.close()
+
+
+class TestEngineEnforcement:
+    """The grant lives in SQLite's authorizer: it decides on the SQL
+    itself, however the statement reaches the connection."""
+
+    def test_the_engine_refuses_the_raw_driver_path(self, deployment):
+        deployment.admin.executescript("CREATE TABLE secret (token TEXT)")
+        raw = deployment.portal.connection      # the sqlite3 connection
+        with pytest.raises(sqlite3.DatabaseError,
+                           match="access to secret.token is prohibited"):
+            raw.execute("SELECT token FROM secret")
+        with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
+            raw.execute("DELETE FROM ws_author")
+        with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
+            raw.execute("ATTACH ':memory:' AS other")
+        with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
+            raw.execute("PRAGMA foreign_keys = OFF")
+        # Inside the grant the same raw path runs.
+        Author.objects.using(deployment.portal).create(name="Cooked")
+        raw.execute("UPDATE ws_author SET name = 'Raw'")
+        raw.commit()
+        assert raw.execute(
+            "SELECT name FROM ws_author").fetchall()[0][0] == "Raw"
+        assert raw.execute("PRAGMA foreign_keys").fetchone()[0] == 1
+
+    def test_a_declared_table_is_only_a_label(self, deployment):
+        deployment.admin.executescript("CREATE TABLE secret (token TEXT)")
+        with pytest.raises(PermissionDenied,
+                           match="Role 'portal' may not SELECT on table "
+                                 "'secret'"):
+            deployment.portal.execute("SELECT token FROM secret",
+                                      operation="select",
+                                      table="ws_author")
+        with pytest.raises(PermissionDenied,
+                           match="Role 'daemon' may not DELETE on table "
+                                 "'ws_book'"):
+            deployment.daemon.execute("DELETE FROM ws_book",
+                                      operation="select", table="ws_book")
+
+    def test_a_join_needs_select_on_every_table_it_reads(self):
+        registry = RoleRegistry()
+        registry.define("portal", Grant({"ws_book": {"select"}}))
+        registry.define("daemon", Grant())
+        dep = DeploymentDatabases(registry)
+        try:
+            create_all(MODELS, dep.admin)
+            with pytest.raises(PermissionDenied,
+                               match="SELECT on table 'ws_author'"):
+                list(Book.objects.using(dep.portal)
+                     .select_related("author"))
+            assert list(Book.objects.using(dep.portal)) == []
+        finally:
+            dep.close()
+
+    @pytest.mark.parametrize("role", ["portal", "daemon"])
+    def test_in_json_first_on_a_fresh_connection(self, deployment, role):
+        """``json_each``'s first use on a connection reports an UPDATE
+        and a READ of ``sqlite_master``: refused, it would fail with
+        ``vtable constructor failed: json_each``."""
+        db = getattr(deployment, role)
+        db.close()                             # the next statement opens
+        assert list(Book.objects.using(db).filter(
+            pk__in_json=[1, 2, 3])) == []
+        assert Author.objects.using(db).filter(
+            pk__in_json=[1]).count() == 0
 
 
 class TestSharedMemoryUri:
