@@ -87,7 +87,7 @@ def test_refused_statements_are_not_db_sickness(clock, obs):
     PermissionDenied before the observer hears of it, so a stream of
     refusals adds no sample and never pushes the tier toward brownout.
     Each refused statement did reach the engine: it counts as a query."""
-    from repro.webstack.orm import (Database, DeploymentDatabases, Grant,
+    from repro.webstack.orm import (DeploymentDatabases, Grant,
                                     PermissionDenied, RoleRegistry)
     roles = RoleRegistry()
     roles.define("portal", Grant({"t": {"select"}}))
